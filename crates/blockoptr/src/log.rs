@@ -288,8 +288,18 @@ impl BlockchainLog {
     /// each O(live) compaction is paid for by at least `live` prior
     /// evictions. (The old `drain(..k)` memmoved the whole retained window
     /// on every evicting batch, O(window) even for a one-record eviction.)
+    /// Each evicted record's heap data is freed here, by the batch that
+    /// evicts it, so a compaction is a plain memmove rather than a burst
+    /// of frees for every batch since the last one.
     pub(crate) fn evict_front(&mut self, k: usize, blocks: usize) {
         debug_assert!(k <= self.len());
+        for dead in &mut self.records[self.head..self.head + k] {
+            dead.contract = String::new();
+            dead.activity = String::new();
+            dead.args = Vec::new();
+            dead.endorsers = Vec::new();
+            dead.rwset = ReadWriteSet::new();
+        }
         self.head += k;
         self.blocks = blocks;
         if self.head >= self.records.len() - self.head {

@@ -54,8 +54,8 @@ use process_mining::dfg::DirectlyFollowsGraph;
 use process_mining::eventlog::{EventLog, Trace};
 use process_mining::heuristics::{mine_from_dfg, HeuristicsConfig};
 use sim_core::pool;
-use sim_core::time::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use sim_core::time::{SimDuration, SimTime};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -109,6 +109,17 @@ pub enum AnalyzeError {
     /// so differing values cannot be combined meaningfully. Carries a
     /// human-readable description of what differed.
     MergeMismatch(String),
+    /// A log window's client timestamps would stretch the session over
+    /// more than [`Session::MAX_RATE_INTERVALS`] metric intervals. The
+    /// rate series keeps one dense counter per interval, so accepting the
+    /// span (typically one corrupt timestamp) would size an allocation by
+    /// the span instead of by the record count.
+    TimestampSpan {
+        /// Earliest client timestamp the session would hold.
+        first: SimTime,
+        /// Latest client timestamp the session would hold.
+        last: SimTime,
+    },
 }
 
 impl fmt::Display for AnalyzeError {
@@ -137,6 +148,14 @@ impl fmt::Display for AnalyzeError {
             AnalyzeError::MergeMismatch(what) => {
                 write!(f, "cannot merge sessions: {what}")
             }
+            AnalyzeError::TimestampSpan { first, last } => write!(
+                f,
+                "client timestamps span {} µs to {} µs, more than {} metric intervals; \
+                 the log carries an implausible timestamp (or needs a wider metric interval)",
+                first.as_micros(),
+                last.as_micros(),
+                Session::MAX_RATE_INTERVALS
+            ),
         }
     }
 }
@@ -469,10 +488,10 @@ pub(crate) fn into_commit_order(log: BlockchainLog) -> BlockchainLog {
 /// ([`caseid::FamilyValues`]), case ids live in a ring, and each open
 /// case's absolute event positions are queued — so sliding-window eviction
 /// removes aged-out events **incrementally** (pop the trace head, retract
-/// its DFG contribution, restore first-event trace order) instead of
-/// re-deriving candidates and rebuilding every structure from the whole
-/// retained window per evicting batch. A full rebuild remains only for the
-/// rare case where eviction flips the winning family.
+/// its DFG contribution, re-place the trace by its new first event)
+/// instead of re-deriving candidates and rebuilding every structure from
+/// the whole retained window per evicting batch. A full rebuild remains
+/// only for the rare case where eviction flips the winning family.
 #[derive(Debug, Clone, Default)]
 struct CaseTracker {
     coverage: BTreeMap<String, usize>,
@@ -481,13 +500,26 @@ struct CaseTracker {
     family: String,
     /// Case id per retained record, in commit order (ring: eviction pops
     /// the front).
-    case_ids: Arc<std::collections::VecDeque<Option<String>>>,
+    case_ids: Arc<VecDeque<Option<String>>>,
     /// Absolute stream positions of each open case's retained events —
     /// the front is the trace's first event, which decides trace order.
-    positions: BTreeMap<String, std::collections::VecDeque<usize>>,
-    case_trace: BTreeMap<String, usize>,
+    positions: BTreeMap<String, VecDeque<usize>>,
+    /// First-event position of each trace of `event_log`, index for index.
+    /// Traces are kept in first-occurrence order, so this is strictly
+    /// increasing and a case's trace is found by binary search on the
+    /// front of its `positions` queue: no case → index map has to be
+    /// rewritten when eviction moves traces.
+    firsts: Vec<usize>,
     event_log: Arc<EventLog>,
     dfg: DirectlyFollowsGraph,
+}
+
+/// Index of the trace whose first retained event is `queue`'s front.
+fn trace_index(firsts: &[usize], queue: &VecDeque<usize>) -> usize {
+    let first = queue.front().expect("open cases have positions");
+    firsts
+        .binary_search(first)
+        .expect("every open case has a trace")
 }
 
 impl CaseTracker {
@@ -505,28 +537,27 @@ impl CaseTracker {
         self.append(case, &record.activity, pos);
     }
 
-    /// Extend the incremental event log / DFG with one event.
+    /// Extend the incremental event log / DFG with one event. `pos` exceeds
+    /// every stored position, so a new case's trace goes last.
     fn append(&mut self, case: Option<String>, activity: &str, pos: usize) {
         let ids = Arc::make_mut(&mut self.case_ids);
         ids.push_back(case.clone());
         let Some(case) = case else {
             return;
         };
-        self.positions
-            .entry(case.clone())
-            .or_default()
-            .push_back(pos);
-        match self.case_trace.get(&case) {
-            Some(&idx) => {
-                let log = Arc::make_mut(&mut self.event_log);
+        let log = Arc::make_mut(&mut self.event_log);
+        match self.positions.get_mut(&case) {
+            Some(queue) => {
+                let idx = trace_index(&self.firsts, queue);
+                queue.push_back(pos);
                 let trace = log.trace_mut(idx).expect("trace index is valid");
                 let prev = trace.activities.last().expect("open traces are non-empty");
                 self.dfg.record_trace_extension(prev, activity);
                 trace.activities.push(activity.to_string());
             }
             None => {
-                let log = Arc::make_mut(&mut self.event_log);
-                self.case_trace.insert(case.clone(), log.len());
+                self.positions.insert(case.clone(), VecDeque::from([pos]));
+                self.firsts.push(pos);
                 log.push(Trace::new(case, vec![activity.to_string()]));
                 self.dfg.record_trace_start(activity);
             }
@@ -576,14 +607,16 @@ impl CaseTracker {
     /// over the suffix). Under an unchanged winner, each evicted event
     /// pops its trace's head: the DFG retracts the start/edge
     /// ([`DirectlyFollowsGraph::unrecord_trace_head`]), emptied traces are
-    /// dropped, and surviving affected traces are re-sorted to first-event
-    /// order — O(evicted · trace-head + traces log traces) per evicting
-    /// batch instead of the old full O(window) candidate re-derivation and
-    /// structure rebuild. Only a family flip (rare, early-stream) still
-    /// rebuilds from the retained records.
+    /// dropped, and each surviving affected trace is re-placed by its new
+    /// first event. Only a family flip (rare, early-stream) still rebuilds
+    /// from the retained records.
     ///
-    /// `retained` is the record suffix *after* log eviction; `base` is the
-    /// absolute stream position of `retained[0]`.
+    /// Cost: O(evicted + affected · log affected), with `affected` the
+    /// traces that lost events, plus one pass that moves each retained
+    /// trace once; the unaffected traces are neither looked up nor cloned.
+    ///
+    /// `retained` is the record suffix that survives the eviction; `base`
+    /// is the absolute stream position of `retained[0]`.
     fn evict(&mut self, evicted: &[TxRecord], retained: &[TxRecord], base: usize) {
         for record in evicted {
             let cands = caseid::candidates(record);
@@ -597,73 +630,72 @@ impl CaseTracker {
             self.rebuild_structures(retained, base);
             return;
         }
+        Arc::make_mut(&mut self.case_ids).drain(..evicted.len());
 
-        // Evicted records are a prefix of the stream, so each affected
-        // case loses a *prefix* of its trace. Count the losses per case
-        // first, then drain each affected trace once — one memmove per
-        // trace per batch instead of an O(trace) `remove(0)` per event
-        // (which turned single-case-dominated windows quadratic).
-        let ids = Arc::make_mut(&mut self.case_ids);
-        let mut lost: BTreeMap<String, usize> = BTreeMap::new();
-        for _ in evicted {
-            let id = ids.pop_front().expect("one case id per evicted record");
-            if let Some(case) = id {
-                *lost.entry(case).or_insert(0) += 1;
-            }
-        }
-        if lost.is_empty() {
+        // Evicted records are a stream prefix and traces sit in
+        // first-event order, so the traces that lost events are exactly
+        // the leading traces whose first event precedes `base`; every
+        // other trace keeps its events and its relative order.
+        let affected = self.firsts.partition_point(|&first| first < base);
+        if affected == 0 {
             return;
         }
-        for (case, n) in &lost {
-            let n = *n;
+        let log = Arc::make_mut(&mut self.event_log);
+        let mut traces = std::mem::take(log).into_traces().into_iter();
+        // Each affected case loses a *prefix* of its trace: drain it once
+        // (one memmove per trace, not a `remove(0)` per event) and keep
+        // the survivors keyed by their new first position.
+        let mut moved: Vec<(usize, Trace)> = Vec::new();
+        for mut trace in traces.by_ref().take(affected) {
             let queue = self
                 .positions
-                .get_mut(case)
+                .get_mut(&trace.case_id)
                 .expect("open case has positions");
-            for _ in 0..n {
-                queue.pop_front();
-            }
-            let idx = *self.case_trace.get(case).expect("open case has a trace");
-            let log = Arc::make_mut(&mut self.event_log);
-            let trace = log.trace_mut(idx).expect("trace index is valid");
-            for i in 0..n {
+            let lost = queue.partition_point(|&p| p < base);
+            queue.drain(..lost);
+            for i in 0..lost {
                 self.dfg.unrecord_trace_head(
                     &trace.activities[i],
                     trace.activities.get(i + 1).map(String::as_str),
                 );
             }
-            trace.activities.drain(..n);
-            if trace.is_empty() {
-                self.positions.remove(case);
+            trace.activities.drain(..lost);
+            match queue.front() {
+                Some(&first) => moved.push((first, trace)),
+                None => {
+                    self.positions.remove(&trace.case_id);
+                }
             }
         }
-        // Compact and reorder: emptied traces vanish, and a surviving
-        // trace whose head evicted may now first occur later than other
-        // traces' first events — a fresh derivation orders traces by first
-        // occurrence in the suffix, so restore that order (stable sort on
-        // the mostly-sorted list) and re-derive the case → index map.
-        let log = Arc::make_mut(&mut self.event_log);
-        log.retain_traces(|t| !t.is_empty());
-        let positions = &self.positions;
-        log.sort_traces_by_key(|t| {
-            positions
-                .get(&t.case_id)
-                .and_then(|q| q.front().copied())
-                .expect("retained traces have positions")
-        });
-        self.case_trace = log
-            .traces()
-            .iter()
-            .enumerate()
-            .map(|(idx, t)| (t.case_id.clone(), idx))
-            .collect();
+        // A fresh derivation orders traces by first occurrence in the
+        // suffix: merge the re-keyed survivors into the untouched, already
+        // ordered rest.
+        moved.sort_unstable_by_key(|&(first, _)| first);
+        let rest = &self.firsts[affected..];
+        let mut order = Vec::with_capacity(rest.len() + moved.len());
+        let mut firsts = Vec::with_capacity(order.capacity());
+        let mut moved = moved.into_iter().peekable();
+        for (trace, &first) in traces.zip(rest) {
+            while let Some((f, t)) = moved.next_if(|&(f, _)| f < first) {
+                order.push(t);
+                firsts.push(f);
+            }
+            order.push(trace);
+            firsts.push(first);
+        }
+        for (f, t) in moved {
+            order.push(t);
+            firsts.push(f);
+        }
+        *log = EventLog::from_traces(order);
+        self.firsts = firsts;
     }
 
     /// Rebuild the case-id list, event log, and DFG for the current family
     /// (`base` is the absolute stream position of `records[0]`).
     fn rebuild_structures(&mut self, records: &[TxRecord], base: usize) {
-        self.case_ids = Arc::new(std::collections::VecDeque::with_capacity(records.len()));
-        self.case_trace.clear();
+        self.case_ids = Arc::new(VecDeque::with_capacity(records.len()));
+        self.firsts.clear();
         self.positions.clear();
         self.event_log = Arc::new(EventLog::new());
         self.dfg = DirectlyFollowsGraph::default();
@@ -726,36 +758,30 @@ impl CaseTracker {
         self.dfg.absorb(&other.dfg);
         let ids = Arc::make_mut(&mut self.case_ids);
         ids.extend(other.case_ids.iter().cloned());
+        let log = Arc::make_mut(&mut self.event_log);
         for trace in other.event_log.traces() {
             let case = &trace.case_id;
             let queue = other.positions.get(case).expect("open case has positions");
             let shifted = queue.iter().map(|&p| p + shift);
-            match self.case_trace.get(case) {
-                Some(&idx) => {
+            match self.positions.get_mut(case) {
+                Some(open_positions) => {
                     // The case spans the boundary: append the later
                     // fragment's events and replace the two boundary facts
                     // (other's trace start, self's trace end) with the
                     // joining edge.
-                    let log = Arc::make_mut(&mut self.event_log);
+                    let idx = trace_index(&self.firsts, open_positions);
+                    open_positions.extend(shifted);
                     let open = log.trace_mut(idx).expect("trace index is valid");
-                    let tail = open
-                        .activities
-                        .last()
-                        .expect("open traces are non-empty")
-                        .clone();
+                    let tail = open.activities.last().expect("open traces are non-empty");
                     let head = trace.activities.first().expect("traces are non-empty");
-                    self.dfg.stitch_traces(&tail, head);
+                    self.dfg.stitch_traces(tail, head);
                     open.activities.extend(trace.activities.iter().cloned());
-                    self.positions
-                        .get_mut(case)
-                        .expect("open case has positions")
-                        .extend(shifted);
                 }
                 None => {
-                    let log = Arc::make_mut(&mut self.event_log);
-                    self.case_trace.insert(case.clone(), log.len());
+                    let shifted: VecDeque<usize> = shifted.collect();
+                    self.firsts.push(shifted[0]);
+                    self.positions.insert(case.clone(), shifted);
                     log.push(trace.clone());
-                    self.positions.insert(case.clone(), shifted.collect());
                 }
             }
         }
@@ -764,13 +790,11 @@ impl CaseTracker {
     /// Rebase every stored absolute stream position by `delta` (merge
     /// adoption path: a later shard's state becomes the merged state
     /// wholesale, and its shard-local positions move onto the global
-    /// stream axis). Trace indices are positions into the event log, not
-    /// the stream, so `case_trace` is untouched.
+    /// stream axis).
     fn shift_positions(&mut self, delta: usize) {
-        for queue in self.positions.values_mut() {
-            for p in queue.iter_mut() {
-                *p += delta;
-            }
+        let queues = self.positions.values_mut().flat_map(|q| q.iter_mut());
+        for p in queues.chain(&mut self.firsts) {
+            *p += delta;
         }
     }
 
@@ -851,22 +875,18 @@ impl SessionFootprint {
     }
 }
 
-/// A stateful incremental analysis: feed it blocks, take snapshots.
+/// Everything a [`Session`] folds from its retained records: one tracker
+/// per metric family, the case state, and the stream bounds.
 ///
-/// All metric state is maintained *running*: each ingested transaction
-/// updates interval rate buckets, block sizes, endorser/invoker counters,
-/// hot-key counters, the conflict scan, the activity-type histogram, and
-/// the directly-follows graph — so [`snapshot`](Session::snapshot) costs
-/// O(state), not O(log). Cloning a `Session` forks the analysis (the
-/// accumulated log is shared copy-on-write).
+/// It is a field of its own, apart from the log, so that ingest and
+/// eviction read `log.records()` while they write the trackers as a borrow
+/// of the `log` field — never through a cloned `Arc`. When eviction then
+/// takes the log with `Arc::make_mut`, the session is its only owner
+/// (unless a caller still holds a snapshot), so the evicted prefix is
+/// dropped in place instead of the retained window being copied.
 #[derive(Debug, Clone)]
-pub struct Session {
-    config: Analyzer,
-    log: Arc<BlockchainLog>,
+struct Trackers {
     last_block: u64,
-    /// Records evicted since the session opened (the absolute stream
-    /// position of `log.records()[0]`).
-    evicted: usize,
     first_send: Option<SimTime>,
     last_commit: Option<SimTime>,
     rates: RateTracker,
@@ -880,17 +900,13 @@ pub struct Session {
     cases: CaseTracker,
 }
 
-impl Session {
-    fn new(config: Analyzer) -> Self {
-        let rates = RateTracker::new(config.metric_config.interval);
-        Session {
-            config,
-            log: Arc::new(BlockchainLog::default()),
+impl Trackers {
+    fn new(interval: SimDuration) -> Self {
+        Trackers {
             last_block: 0,
-            evicted: 0,
             first_send: None,
             last_commit: None,
-            rates,
+            rates: RateTracker::new(interval),
             block_sizes: BTreeMap::new(),
             endorsers: EndorserMetrics::default(),
             invokers: InvokerMetrics::default(),
@@ -902,261 +918,10 @@ impl Session {
         }
     }
 
-    /// Transactions currently retained (the window size for bounded
-    /// policies; everything ingested for [`WindowPolicy::Unbounded`]).
-    pub fn len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Records evicted by the window policy since the session opened.
-    pub fn evicted(&self) -> usize {
-        self.evicted
-    }
-
-    /// Whether nothing has been ingested yet.
-    pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
-    }
-
-    /// Highest block number ingested (0 before the first block).
-    pub fn last_block(&self) -> u64 {
-        self.last_block
-    }
-
-    /// The accumulated blockchain log (shared; snapshots alias it).
-    pub fn log(&self) -> &BlockchainLog {
-        &self.log
-    }
-
-    /// Ingest one committed block. Returns the number of records added.
-    pub fn ingest_block(&mut self, block: &Block) -> usize {
-        let first_new = self.log.len();
-        let added = Arc::make_mut(&mut self.log).append_block(block, |_| true);
-        self.last_block = self.last_block.max(block.number);
-        self.observe_from(first_new);
-        added
-    }
-
-    /// Ingest every block the ledger has appended since the last call
-    /// (streaming resume: blocks at or below [`last_block`](Self::last_block)
-    /// are skipped). Returns the number of records added.
-    ///
-    /// All new blocks are appended first and folded as **one** batch, so a
-    /// large catch-up (or a one-shot [`Analyzer::analyze_ledger`]) crosses
-    /// the parallel-ingest threshold and shards the per-metric trackers
-    /// across the analyzer's worker threads.
-    pub fn ingest_ledger(&mut self, ledger: &Ledger) -> usize {
-        let first_new = self.log.len();
-        let mut added = 0;
-        let mut last_block = self.last_block;
-        {
-            let log = Arc::make_mut(&mut self.log);
-            for block in ledger.blocks_from(self.last_block + 1) {
-                added += log.append_block(block, |_| true);
-                last_block = last_block.max(block.number);
-            }
-        }
-        self.last_block = last_block;
-        if added > 0 {
-            self.observe_from(first_new);
-        }
-        added
-    }
-
-    /// Ingest an already-extracted log window (e.g. replayed from a JSON
-    /// export). Records keep their commit indices and must arrive in commit
-    /// order, as an export produces them — out-of-order windows are
-    /// rejected with [`AnalyzeError::OutOfOrder`] before any state changes.
-    /// On a session with a bounded [`WindowPolicy`], block numbers must be
-    /// nondecreasing too (every chain-extracted export satisfies this):
-    /// block-count eviction is defined on that order, so a renumbered or
-    /// hand-merged log is rejected rather than silently evicting the wrong
-    /// records. Returns the number of records added.
-    pub fn ingest_log(&mut self, window: BlockchainLog) -> Result<usize, AnalyzeError> {
-        // Commit indices must be strictly increasing: every producer path
-        // (ledger extraction, exports) assigns unique ascending indices, so
-        // an equal index can only be a duplicated window — e.g. a retry
-        // replaying data the session already holds — which would silently
-        // double every metric if accepted.
-        let mut last = self.log.records().last().map(|r| r.commit_index);
-        let windowed = self.config.window != WindowPolicy::Unbounded;
-        let mut last_block = self.log.records().last().map(|r| r.block);
-        for record in window.records() {
-            if let Some(after) = last {
-                if record.commit_index <= after {
-                    return Err(AnalyzeError::OutOfOrder {
-                        index: record.commit_index,
-                        after,
-                    });
-                }
-            }
-            last = Some(record.commit_index);
-            if windowed {
-                if let Some(after) = last_block {
-                    if record.block < after {
-                        return Err(AnalyzeError::BlockOrder {
-                            block: record.block,
-                            after,
-                        });
-                    }
-                }
-                last_block = Some(record.block);
-            }
-        }
-
-        let first_new = self.log.len();
-        let (records, declared_blocks) = window.into_records();
-        let added = records.len();
-        // Blocks can span window boundaries; count a window's declared
-        // block count only for a fresh session (it is then the source
-        // log's own tally, which may include blocks whose transactions
-        // were filtered out) and distinct *new* block numbers afterwards,
-        // so a block cut across two windows is not counted twice.
-        let new_blocks = if first_new == 0 {
-            declared_blocks
-        } else {
-            records
-                .iter()
-                .map(|r| r.block)
-                .filter(|b| !self.block_sizes.contains_key(b))
-                .collect::<BTreeSet<u64>>()
-                .len()
-        };
-        {
-            let log = Arc::make_mut(&mut self.log);
-            for record in records {
-                log.push_record(record);
-            }
-            log.add_blocks(new_blocks);
-        }
-        self.observe_from(first_new);
-        Ok(added)
-    }
-
-    /// Batches below this size ingest serially even on a multi-threaded
-    /// session: spawning scoped threads costs more than folding a handful
-    /// of records.
-    const PARALLEL_INGEST_MIN: usize = 256;
-
-    /// Fold every record at position `first_new..` into the running state.
-    ///
-    /// The per-metric trackers are mutually independent — each reads the
-    /// shared record slice and writes only its own state — so a large
-    /// batch on a multi-threaded session ([`Analyzer::threads`]) shards
-    /// them across scoped threads (one tracker per shard, ROADMAP PR-1
-    /// follow-up). Every tracker still consumes the records in commit
-    /// order, so the merged state — and therefore every
-    /// [`snapshot`](Session::snapshot) — is identical to single-threaded
-    /// ingestion.
-    fn observe_from(&mut self, first_new: usize) {
-        let log = Arc::clone(&self.log);
-        let records = log.records();
-        if self.config.threads > 1 && records.len() - first_new >= Self::PARALLEL_INGEST_MIN {
-            self.observe_from_sharded(records, first_new);
-        } else {
-            self.observe_from_serial(records, first_new);
-        }
-        // With a bounded window, retract everything that aged out of it —
-        // after the fold so the batch itself decides what is oldest.
-        if self.evict_expired() {
-            // Eviction already re-picked the family (fresh, no hysteresis)
-            // and retracted the evicted events from the case state.
-            return;
-        }
-        // Re-check the winning identifier family once per batch, so the
-        // event-log/DFG cache is (re)built here — amortized over ingestion —
-        // and snapshots stay O(state).
-        self.cases.refresh(records, self.evicted);
-    }
-
-    /// Evict every record the window policy no longer covers, retracting
-    /// its contribution from all running state. Returns whether anything
-    /// was evicted (in which case the case cache was rebuilt over the
-    /// retained window).
-    ///
-    /// Eviction is always a prefix of the retained records: commit
-    /// timestamps and (ledger-extracted) block numbers are nondecreasing in
-    /// commit order.
-    fn evict_expired(&mut self) -> bool {
-        if self.log.is_empty() {
-            // Nothing ingested yet (e.g. an empty first batch): there is
-            // nothing to evict, and the duration policies' last-commit
-            // anchor does not exist yet.
-            return false;
-        }
-        // The evictable prefix is found by a linear front scan, not a
-        // binary search: the scan's cost is the eviction's own size, and
-        // "the maximal prefix of too-old records" stays well-defined even
-        // if a caller mixed ingest paths into a non-monotone block/time
-        // sequence (where a binary search could return an arbitrary
-        // boundary).
-        let prefix_while = |too_old: &dyn Fn(&TxRecord) -> bool| {
-            self.log.records().iter().take_while(|r| too_old(r)).count()
-        };
-        let horizon = |d: sim_core::time::SimDuration| {
-            let last = self.last_commit.expect("records were ingested");
-            prefix_while(&|r| last.since(r.commit_ts) > d)
-        };
-        let k = match self.config.window {
-            WindowPolicy::Unbounded => 0,
-            WindowPolicy::LastBlocks(n) => {
-                let n = n.max(1);
-                if self.block_sizes.len() <= n {
-                    0
-                } else {
-                    // The n-th highest block number that still has records
-                    // is the oldest retained block.
-                    let cutoff = *self
-                        .block_sizes
-                        .keys()
-                        .rev()
-                        .nth(n - 1)
-                        .expect("more than n blocks present");
-                    prefix_while(&|r| r.block < cutoff)
-                }
-            }
-            WindowPolicy::LastDuration(d) => horizon(d),
-            WindowPolicy::ExponentialDecay { half_life } => {
-                horizon(half_life.mul(WindowPolicy::DECAY_HORIZON_HALF_LIVES as u64))
-            }
-        };
-        if k == 0 {
-            return false;
-        }
-        debug_assert!(k < self.log.len(), "the newest record is always retained");
-        // Copy the evicted prefix out (O(evicted)): every retraction below
-        // reads it, and dropping the borrow on the shared log before
-        // `Arc::make_mut` lets an uncontended session evict in place —
-        // holding a borrowed `Arc::clone` across the mutation forced a
-        // full O(window) log copy on every evicting batch.
-        let evicted: Vec<TxRecord> = self.log.records()[..k].to_vec();
-        let cutoff_commit = self.log.records()[k].commit_index;
-        for r in &evicted {
-            self.rates.retract(r);
-            crate::metrics::decrement(&mut self.block_sizes, &r.block);
-            self.endorsers.retract(r);
-            self.invokers.retract(r);
-            if r.failed() {
-                self.keys.retract_failure_indexed(r, &mut self.hotkey_index);
-            }
-            crate::recommend::retract_activity_type(&mut self.type_hist, &r.activity, r.tx_type);
-        }
-        self.correlation.evict(&evicted, cutoff_commit);
-        self.evicted += k;
-        // The log's block tally becomes the distinct blocks the retained
-        // records span (windowed sessions count blocks from records).
-        let blocks = self.block_sizes.len();
-        Arc::make_mut(&mut self.log).evict_front(k, blocks);
-        // The evicted prefix may have carried the window's extremes.
-        self.first_send = self.rates.first_send();
-        let log = Arc::clone(&self.log);
-        self.cases.evict(&evicted, log.records(), self.evicted);
-        true
-    }
-
-    /// The single-threaded fold (also the reference semantics the sharded
-    /// path must reproduce exactly).
-    fn observe_from_serial(&mut self, records: &[TxRecord], first_new: usize) {
+    /// The single-threaded fold of `records[first_new..]` (also the
+    /// reference semantics the sharded path must reproduce exactly).
+    /// `base` is the absolute stream position of `records[0]`.
+    fn observe(&mut self, records: &[TxRecord], first_new: usize, base: usize) {
         for (pos, record) in records.iter().enumerate().skip(first_new) {
             self.last_block = self.last_block.max(record.block);
             self.first_send = Some(
@@ -1175,19 +940,25 @@ impl Session {
                 self.keys
                     .observe_failure_indexed(record, &mut self.hotkey_index);
             }
-            self.correlation.observe(records, self.evicted + pos);
+            self.correlation.observe(records, base + pos);
             observe_activity_type(&mut self.type_hist, &record.activity, record.tx_type);
-            self.cases.observe(record, self.evicted + pos);
+            self.cases.observe(record, base + pos);
         }
     }
 
-    /// The tracker families shard across at most [`Analyzer::threads`]
-    /// scoped workers (round-robin, so a given thread budget always runs
-    /// the same families together); the window bounds and block sizes fold
-    /// on the calling thread. Disjoint `&mut` borrows of the session's
-    /// fields make this safe without any locking, and each tracker still
-    /// consumes the records in commit order on exactly one thread.
-    fn observe_from_sharded(&mut self, records: &[TxRecord], first_new: usize) {
+    /// The tracker families shard across at most `threads` scoped workers
+    /// (round-robin, so a given thread budget always runs the same
+    /// families together); the window bounds and block sizes fold on the
+    /// calling thread. Disjoint `&mut` borrows of the trackers make this
+    /// safe without any locking, and each tracker still consumes the
+    /// records in commit order on exactly one thread.
+    fn observe_sharded(
+        &mut self,
+        records: &[TxRecord],
+        first_new: usize,
+        base: usize,
+        threads: usize,
+    ) {
         let new = &records[first_new..];
         for record in new {
             self.last_block = self.last_block.max(record.block);
@@ -1202,7 +973,6 @@ impl Session {
             *self.block_sizes.entry(record.block).or_insert(0) += 1;
         }
 
-        let base = self.evicted;
         let rates = &mut self.rates;
         let endorsers = &mut self.endorsers;
         let invokers = &mut self.invokers;
@@ -1247,7 +1017,7 @@ impl Session {
             }),
         ];
 
-        let workers = self.config.threads.clamp(1, shards.len());
+        let workers = threads.clamp(1, shards.len());
         let mut buckets: Vec<Vec<Box<dyn FnOnce() + Send + '_>>> =
             (0..workers).map(|_| Vec::new()).collect();
         for (i, shard) in shards.into_iter().enumerate() {
@@ -1265,6 +1035,322 @@ impl Session {
         });
     }
 
+    /// How many leading `records` the window policy no longer covers.
+    ///
+    /// Eviction is always a prefix of the retained records: commit
+    /// timestamps and (ledger-extracted) block numbers are nondecreasing in
+    /// commit order. The prefix is found by a linear front scan, not a
+    /// binary search: the scan's cost is the eviction's own size, and "the
+    /// maximal prefix of too-old records" stays well-defined even if a
+    /// caller mixed ingest paths into a non-monotone block/time sequence
+    /// (where a binary search could return an arbitrary boundary).
+    fn expired(&self, records: &[TxRecord], window: WindowPolicy) -> usize {
+        let prefix_while =
+            |too_old: &dyn Fn(&TxRecord) -> bool| records.iter().take_while(|r| too_old(r)).count();
+        let horizon = |d: SimDuration| match self.last_commit {
+            Some(last) => prefix_while(&|r| last.since(r.commit_ts) > d),
+            // Nothing ingested yet (e.g. an empty first batch): there is no
+            // last-commit anchor, and nothing to evict.
+            None => 0,
+        };
+        match window {
+            WindowPolicy::Unbounded => 0,
+            WindowPolicy::LastBlocks(n) => {
+                let n = n.max(1);
+                if self.block_sizes.len() <= n {
+                    0
+                } else {
+                    // The n-th highest block number that still has records
+                    // is the oldest retained block.
+                    let cutoff = *self
+                        .block_sizes
+                        .keys()
+                        .rev()
+                        .nth(n - 1)
+                        .expect("more than n blocks present");
+                    prefix_while(&|r| r.block < cutoff)
+                }
+            }
+            WindowPolicy::LastDuration(d) => horizon(d),
+            WindowPolicy::ExponentialDecay { half_life } => {
+                horizon(half_life.mul(WindowPolicy::DECAY_HORIZON_HALF_LIVES as u64))
+            }
+        }
+    }
+
+    /// Retract `records[..k]` from every tracker, reading the records where
+    /// they lie (no copy of the evicted prefix); `base` is the absolute
+    /// stream position of `records[k]`, the first survivor.
+    fn retract(&mut self, records: &[TxRecord], k: usize, base: usize) {
+        let (evicted, retained) = records.split_at(k);
+        for r in evicted {
+            self.rates.retract(r);
+            crate::metrics::decrement(&mut self.block_sizes, &r.block);
+            self.endorsers.retract(r);
+            self.invokers.retract(r);
+            if r.failed() {
+                self.keys.retract_failure_indexed(r, &mut self.hotkey_index);
+            }
+            crate::recommend::retract_activity_type(&mut self.type_hist, &r.activity, r.tx_type);
+        }
+        self.correlation.evict(evicted, retained[0].commit_index);
+        // The evicted prefix may have carried the window's extremes.
+        self.first_send = self.rates.first_send();
+        self.cases.evict(evicted, retained, base);
+    }
+}
+
+/// A stateful incremental analysis: feed it blocks, take snapshots.
+///
+/// All metric state is maintained *running*: each ingested transaction
+/// updates interval rate buckets, block sizes, endorser/invoker counters,
+/// hot-key counters, the conflict scan, the activity-type histogram, and
+/// the directly-follows graph — so [`snapshot`](Session::snapshot) costs
+/// O(state), not O(log). Cloning a `Session` forks the analysis (the
+/// accumulated log is shared copy-on-write).
+#[derive(Debug, Clone)]
+pub struct Session {
+    config: Analyzer,
+    log: Arc<BlockchainLog>,
+    /// Records evicted since the session opened (the absolute stream
+    /// position of `log.records()[0]`).
+    evicted: usize,
+    state: Trackers,
+}
+
+impl Session {
+    /// The widest client-timestamp span, in metric intervals, that
+    /// [`ingest_log`](Self::ingest_log) accepts (2²², about 48.5 days at the
+    /// default 1 s interval).
+    ///
+    /// The interval rate series holds one dense counter per interval from
+    /// the earliest to the latest client timestamp in the session, so its
+    /// memory follows the timestamp *span*, not the record count: a single
+    /// outlying timestamp such as `u64::MAX` µs would otherwise ask for
+    /// terabytes. At the bound the two series take 64 MiB. A longer
+    /// history fits under a wider [`MetricConfig::interval`].
+    pub const MAX_RATE_INTERVALS: u64 = 1 << 22;
+
+    fn new(config: Analyzer) -> Self {
+        let state = Trackers::new(config.metric_config.interval);
+        Session {
+            config,
+            log: Arc::new(BlockchainLog::default()),
+            evicted: 0,
+            state,
+        }
+    }
+
+    /// Transactions currently retained (the window size for bounded
+    /// policies; everything ingested for [`WindowPolicy::Unbounded`]).
+    pub fn len(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Records evicted by the window policy since the session opened.
+    pub fn evicted(&self) -> usize {
+        self.evicted
+    }
+
+    /// Whether nothing has been ingested yet.
+    pub fn is_empty(&self) -> bool {
+        self.log.is_empty()
+    }
+
+    /// Highest block number ingested (0 before the first block).
+    pub fn last_block(&self) -> u64 {
+        self.state.last_block
+    }
+
+    /// The accumulated blockchain log (shared; snapshots alias it).
+    pub fn log(&self) -> &BlockchainLog {
+        &self.log
+    }
+
+    /// Ingest one committed block. Returns the number of records added.
+    pub fn ingest_block(&mut self, block: &Block) -> usize {
+        let first_new = self.log.len();
+        let added = Arc::make_mut(&mut self.log).append_block(block, |_| true);
+        self.state.last_block = self.state.last_block.max(block.number);
+        self.observe_from(first_new);
+        added
+    }
+
+    /// Ingest every block the ledger has appended since the last call
+    /// (streaming resume: blocks at or below [`last_block`](Self::last_block)
+    /// are skipped). Returns the number of records added.
+    ///
+    /// All new blocks are appended first and folded as **one** batch, so a
+    /// large catch-up (or a one-shot [`Analyzer::analyze_ledger`]) crosses
+    /// the parallel-ingest threshold and shards the per-metric trackers
+    /// across the analyzer's worker threads.
+    pub fn ingest_ledger(&mut self, ledger: &Ledger) -> usize {
+        let first_new = self.log.len();
+        let mut added = 0;
+        let mut last_block = self.state.last_block;
+        {
+            let log = Arc::make_mut(&mut self.log);
+            for block in ledger.blocks_from(self.state.last_block + 1) {
+                added += log.append_block(block, |_| true);
+                last_block = last_block.max(block.number);
+            }
+        }
+        self.state.last_block = last_block;
+        if added > 0 {
+            self.observe_from(first_new);
+        }
+        added
+    }
+
+    /// Ingest an already-extracted log window (e.g. replayed from a JSON
+    /// export). Records keep their commit indices and must arrive in commit
+    /// order, as an export produces them — out-of-order windows are
+    /// rejected with [`AnalyzeError::OutOfOrder`] before any state changes.
+    /// On a session with a bounded [`WindowPolicy`], block numbers must be
+    /// nondecreasing too (every chain-extracted export satisfies this):
+    /// block-count eviction is defined on that order, so a renumbered or
+    /// hand-merged log is rejected rather than silently evicting the wrong
+    /// records. A window whose client timestamps would stretch the session
+    /// over more than [`MAX_RATE_INTERVALS`](Self::MAX_RATE_INTERVALS) is
+    /// rejected with [`AnalyzeError::TimestampSpan`], also before any state
+    /// changes. Returns the number of records added.
+    pub fn ingest_log(&mut self, window: BlockchainLog) -> Result<usize, AnalyzeError> {
+        // Commit indices must be strictly increasing: every producer path
+        // (ledger extraction, exports) assigns unique ascending indices, so
+        // an equal index can only be a duplicated window — e.g. a retry
+        // replaying data the session already holds — which would silently
+        // double every metric if accepted.
+        let mut last = self.log.records().last().map(|r| r.commit_index);
+        let windowed = self.config.window != WindowPolicy::Unbounded;
+        let mut last_block = self.log.records().last().map(|r| r.block);
+        // The client-timestamp extremes the session would hold afterwards.
+        let rates = &self.state.rates;
+        let mut sends = rates.first_send().zip(rates.last_send());
+        for record in window.records() {
+            if let Some(after) = last {
+                if record.commit_index <= after {
+                    return Err(AnalyzeError::OutOfOrder {
+                        index: record.commit_index,
+                        after,
+                    });
+                }
+            }
+            last = Some(record.commit_index);
+            if windowed {
+                if let Some(after) = last_block {
+                    if record.block < after {
+                        return Err(AnalyzeError::BlockOrder {
+                            block: record.block,
+                            after,
+                        });
+                    }
+                }
+                last_block = Some(record.block);
+            }
+            let t = record.client_ts;
+            sends = Some(sends.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
+        }
+        if let Some((first, last)) = sends {
+            let width = self.config.metric_config.interval.as_micros();
+            if last.as_micros() / width - first.as_micros() / width >= Self::MAX_RATE_INTERVALS {
+                return Err(AnalyzeError::TimestampSpan { first, last });
+            }
+        }
+
+        let first_new = self.log.len();
+        let (records, declared_blocks) = window.into_records();
+        let added = records.len();
+        // Blocks can span window boundaries; count a window's declared
+        // block count only for a fresh session (it is then the source
+        // log's own tally, which may include blocks whose transactions
+        // were filtered out) and distinct *new* block numbers afterwards,
+        // so a block cut across two windows is not counted twice.
+        let new_blocks = if first_new == 0 {
+            declared_blocks
+        } else {
+            records
+                .iter()
+                .map(|r| r.block)
+                .filter(|b| !self.state.block_sizes.contains_key(b))
+                .collect::<BTreeSet<u64>>()
+                .len()
+        };
+        {
+            let log = Arc::make_mut(&mut self.log);
+            for record in records {
+                log.push_record(record);
+            }
+            log.add_blocks(new_blocks);
+        }
+        self.observe_from(first_new);
+        Ok(added)
+    }
+
+    /// Batches below this size ingest serially even on a multi-threaded
+    /// session: spawning scoped threads costs more than folding a handful
+    /// of records.
+    const PARALLEL_INGEST_MIN: usize = 256;
+
+    /// Fold every record at position `first_new..` into the running state.
+    ///
+    /// The per-metric trackers are mutually independent — each reads the
+    /// shared record slice and writes only its own state — so a large
+    /// batch on a multi-threaded session ([`Analyzer::threads`]) shards
+    /// them across scoped threads (one tracker per shard, ROADMAP PR-1
+    /// follow-up). Every tracker still consumes the records in commit
+    /// order, so the merged state — and therefore every
+    /// [`snapshot`](Session::snapshot) — is identical to single-threaded
+    /// ingestion.
+    fn observe_from(&mut self, first_new: usize) {
+        let records = self.log.records();
+        if self.config.threads > 1 && records.len() - first_new >= Self::PARALLEL_INGEST_MIN {
+            self.state
+                .observe_sharded(records, first_new, self.evicted, self.config.threads);
+        } else {
+            self.state.observe(records, first_new, self.evicted);
+        }
+        // With a bounded window, retract everything that aged out of it —
+        // after the fold so the batch itself decides what is oldest.
+        if self.evict_expired() {
+            // Eviction already re-picked the family (fresh, no hysteresis)
+            // and retracted the evicted events from the case state.
+            return;
+        }
+        // Re-check the winning identifier family once per batch, so the
+        // event-log/DFG cache is (re)built here — amortized over ingestion —
+        // and snapshots stay O(state).
+        self.state.cases.refresh(self.log.records(), self.evicted);
+    }
+
+    /// Evict every record the window policy no longer covers, retracting
+    /// its contribution from all running state. Returns whether anything
+    /// was evicted (in which case the case state already re-picked the
+    /// family over the retained window, without hysteresis).
+    ///
+    /// Cost: O(evicted records + the traces they touch), plus one pass
+    /// over the retained traces and one over the correlation tracker's
+    /// retained conflicts and key maps; never a copy of the retained
+    /// records. The trackers retract from the log's own prefix before the
+    /// log drops it, and the log is written in place: `records` below
+    /// borrows the `log` field, so the session holds no second `Arc` to it
+    /// and `Arc::make_mut` copies nothing unless a caller still holds a
+    /// snapshot.
+    fn evict_expired(&mut self) -> bool {
+        let records = self.log.records();
+        let k = self.state.expired(records, self.config.window);
+        if k == 0 {
+            return false;
+        }
+        debug_assert!(k < records.len(), "the newest record is always retained");
+        self.evicted += k;
+        self.state.retract(records, k, self.evicted);
+        // The log's block tally becomes the distinct blocks the retained
+        // records span (windowed sessions count blocks from records).
+        let blocks = self.state.block_sizes.len();
+        Arc::make_mut(&mut self.log).evict_front(k, blocks);
+        true
+    }
+
     /// The sizes of every piece of running state — the memory-boundedness
     /// witness: under a bounded [`WindowPolicy`] each field stays flat
     /// (bounded by the window's content) no matter how long the session
@@ -1272,30 +1358,30 @@ impl Session {
     /// retained suffix.
     pub fn footprint(&self) -> SessionFootprint {
         let (conflicts, writer_entries, activity_entries, delta_deps) =
-            self.correlation.footprint();
+            self.state.correlation.footprint();
         SessionFootprint {
             records: self.log.len(),
-            rate_intervals: self.rates.stored_intervals(),
-            send_times: self.rates.distinct_send_times(),
-            blocks: self.block_sizes.len(),
-            endorser_peers: self.endorsers.per_peer.len(),
-            invoker_clients: self.invokers.per_client.len(),
-            failed_keys: self.keys.kfreq.len(),
-            hotkey_entries: self.hotkey_index.tracked_keys(),
+            rate_intervals: self.state.rates.stored_intervals(),
+            send_times: self.state.rates.distinct_send_times(),
+            blocks: self.state.block_sizes.len(),
+            endorser_peers: self.state.endorsers.per_peer.len(),
+            invoker_clients: self.state.invokers.per_client.len(),
+            failed_keys: self.state.keys.kfreq.len(),
+            hotkey_entries: self.state.hotkey_index.tracked_keys(),
             conflicts,
             writer_entries,
             activity_entries,
             delta_deps,
-            activity_types: self.type_hist.len(),
-            case_events: self.cases.event_log.event_count(),
-            dfg_edges: self.cases.dfg.edge_count(),
-            families: self.cases.coverage.len(),
+            activity_types: self.state.type_hist.len(),
+            case_events: self.state.cases.event_log.event_count(),
+            dfg_edges: self.state.cases.dfg.edge_count(),
+            families: self.state.cases.coverage.len(),
         }
     }
 
     /// The observation window in seconds (first client send → last commit).
     pub fn window_secs(&self) -> f64 {
-        match (self.first_send, self.last_commit) {
+        match (self.state.first_send, self.state.last_commit) {
             (Some(first), Some(last)) => last.since(first).as_secs_f64(),
             _ => 0.0,
         }
@@ -1323,20 +1409,21 @@ impl Session {
     /// producing an analysis with empty metrics (the paper-era batch API's
     /// behaviour, which the `BlockOptR` wrappers preserve).
     pub fn snapshot_or_empty(&self) -> Analysis {
-        let rates = self.rates.snapshot();
-        let mut keys = self.keys.clone();
+        let rates = self.state.rates.snapshot();
+        let mut keys = self.state.keys.clone();
         // O(k + log n) via the incrementally maintained count index —
         // equivalent to (but cheaper than) `keys.select_hotkeys`.
         keys.hotkeys = self
+            .state
             .hotkey_index
             .select(keys.total_failures, &self.config.metric_config);
         let metrics = Metrics {
             rates,
-            block: BlockMetrics::from_sizes(&self.block_sizes),
-            endorsers: self.endorsers.clone(),
-            invokers: self.invokers.clone(),
+            block: BlockMetrics::from_sizes(&self.state.block_sizes),
+            endorsers: self.state.endorsers.clone(),
+            invokers: self.state.invokers.clone(),
             keys,
-            correlation: self.correlation.snapshot(),
+            correlation: self.state.correlation.snapshot(),
         };
         let thresholds = if self.config.auto_tune {
             tune_from_rates(&metrics.rates, self.window_secs()).thresholds
@@ -1346,17 +1433,17 @@ impl Session {
         // The case cache is refreshed at the end of every ingest batch
         // (observe_from), so it is already current here — snapshots are
         // read-only.
-        let model = mine_from_dfg(&self.cases.dfg, &self.config.mining);
+        let model = mine_from_dfg(&self.state.cases.dfg, &self.config.mining);
         let recommendations = self.config.rules.recommendations(&RuleCtx {
             metrics: &metrics,
             thresholds: &thresholds,
-            type_hist: &self.type_hist,
+            type_hist: &self.state.type_hist,
             log: Some(&self.log),
         });
         Analysis {
             log: Arc::clone(&self.log),
-            case_derivation: self.cases.derivation(self.log.len()),
-            event_log: Arc::clone(&self.cases.event_log),
+            case_derivation: self.state.cases.derivation(self.log.len()),
+            event_log: Arc::clone(&self.state.cases.event_log),
             model,
             metrics,
             thresholds,
@@ -1458,8 +1545,8 @@ impl Session {
             *self = other;
             self.config = config;
             self.evicted += prior;
-            self.correlation.shift_positions(prior);
-            self.cases.shift_positions(prior);
+            self.state.correlation.shift_positions(prior);
+            self.state.cases.shift_positions(prior);
             // Idempotent safety pass (a no-op: other evicted at its final
             // batch boundary, and the cutoff only depends on the tail).
             self.evict_expired();
@@ -1469,34 +1556,36 @@ impl Session {
         // Main path: other never evicted, so its trackers are exactly the
         // monoid elements of its record multiset. The boundary-crossing
         // conflict scan needs self's record slice *before* the logs join.
-        self.correlation.merge(
-            &other.correlation,
+        let state = &mut self.state;
+        let theirs = &other.state;
+        state.correlation.merge(
+            &theirs.correlation,
             self.log.records(),
             other.log.records(),
             shift,
         );
-        self.rates.merge(&other.rates);
+        state.rates.merge(&theirs.rates);
         // Distinct new blocks must be counted before the per-block sizes
         // merge (a block cut across the shard boundary is not re-counted).
-        let new_blocks = other
+        let new_blocks = theirs
             .block_sizes
             .keys()
-            .filter(|b| !self.block_sizes.contains_key(b))
+            .filter(|b| !state.block_sizes.contains_key(b))
             .count();
-        BlockMetrics::merge_sizes(&mut self.block_sizes, &other.block_sizes);
-        self.endorsers.merge(&other.endorsers);
-        self.invokers.merge(&other.invokers);
-        self.keys.merge(&other.keys);
+        BlockMetrics::merge_sizes(&mut state.block_sizes, &theirs.block_sizes);
+        state.endorsers.merge(&theirs.endorsers);
+        state.invokers.merge(&theirs.invokers);
+        state.keys.merge(&theirs.keys);
         // The count index is derivable state; rebuilding it from the merged
         // frequencies equals maintaining it incrementally.
-        self.hotkey_index = HotkeyIndex::rebuild_from(&self.keys.kfreq);
-        crate::recommend::merge_activity_type_histograms(&mut self.type_hist, &other.type_hist);
-        self.last_block = self.last_block.max(other.last_block);
-        self.first_send = match (self.first_send, other.first_send) {
+        state.hotkey_index = HotkeyIndex::rebuild_from(&state.keys.kfreq);
+        crate::recommend::merge_activity_type_histograms(&mut state.type_hist, &theirs.type_hist);
+        state.last_block = state.last_block.max(theirs.last_block);
+        state.first_send = match (state.first_send, theirs.first_send) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        self.last_commit = match (self.last_commit, other.last_commit) {
+        state.last_commit = match (state.last_commit, theirs.last_commit) {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         };
@@ -1509,9 +1598,9 @@ impl Session {
             }
             log.add_blocks(new_blocks);
         }
-        let log = Arc::clone(&self.log);
-        self.cases
-            .merge(&other.cases, shift, log.records(), self.evicted);
+        state
+            .cases
+            .merge(&other.state.cases, shift, self.log.records(), self.evicted);
         // With a bounded window the merged batch decides what aged out —
         // exactly like the end of an ingest batch.
         self.evict_expired();
@@ -1949,6 +2038,48 @@ mod tests {
         let err = session.ingest_log(window).unwrap_err();
         assert_eq!(err, AnalyzeError::OutOfOrder { index: 0, after: 1 });
         assert_eq!(session.len(), 2);
+    }
+
+    /// A window that would stretch the rate series past
+    /// `MAX_RATE_INTERVALS` is rejected before any state changes, whether
+    /// the outlier is later or earlier than what the session holds.
+    #[test]
+    fn implausible_timestamp_spans_are_rejected_before_any_state_changes() {
+        let mut session = Analyzer::new().session().unwrap();
+        session
+            .ingest_log(log_of(vec![Rec::new(0, "a").build()]))
+            .unwrap();
+        let before = merge_witness(&session);
+        let span_secs = Session::MAX_RATE_INTERVALS;
+        for outlier in [SimTime::from_secs(span_secs), SimTime(u64::MAX)] {
+            let late = Rec::new(1, "a").build();
+            let window = log_of(vec![TxRecord {
+                client_ts: outlier,
+                ..late
+            }]);
+            let err = session.ingest_log(window).unwrap_err();
+            assert!(
+                matches!(err, AnalyzeError::TimestampSpan { last, .. } if last == outlier),
+                "{err:?}"
+            );
+        }
+        assert_eq!(merge_witness(&session), before);
+        // One interval short of the bound is fine on a wider grid: the
+        // bound counts intervals, not microseconds.
+        let wide = MetricConfig {
+            interval: SimDuration::from_secs(2),
+            ..MetricConfig::default()
+        };
+        let mut session = Analyzer::new().metric_config(wide).session().unwrap();
+        let far = Rec::new(1, "a").build();
+        let window = log_of(vec![
+            Rec::new(0, "a").client_ts_ms(0).build(),
+            TxRecord {
+                client_ts: SimTime::from_secs(span_secs),
+                ..far
+            },
+        ]);
+        assert_eq!(session.ingest_log(window), Ok(2));
     }
 
     #[test]
@@ -2485,6 +2616,70 @@ mod tests {
         assert_eq!(tail.evicted(), 0, "two blocks fit the window");
         merged.merge(tail).unwrap();
         assert_eq!(merge_witness(&merged), expected);
+    }
+
+    /// An evicting batch drops the aged-out prefix in place. With no
+    /// snapshot held the session is the log's only owner, so no evicting
+    /// `ingest_block`, `ingest_log` or `merge` may copy the retained window
+    /// — a copy would move the log to a new allocation.
+    #[test]
+    fn evicting_batches_never_copy_the_retained_log() {
+        /// Runs `step`; when it evicted, asserts the log did not move.
+        /// Returns whether it evicted.
+        fn evicts_in_place(session: &mut Session, step: impl FnOnce(&mut Session)) -> bool {
+            let before: *const BlockchainLog = session.log();
+            let evicted = session.evicted();
+            step(session);
+            let evicting = session.evicted() > evicted;
+            assert!(
+                !evicting || std::ptr::eq(session.log(), before),
+                "an evicting batch copied the retained log"
+            );
+            evicting
+        }
+        let cv = ControlVariables {
+            transactions: 600,
+            ..Default::default()
+        };
+        let output = workload::synthetic::generate(&cv).run(cv.network_config());
+        let analyzer = Analyzer::new().window(WindowPolicy::LastBlocks(2));
+
+        let mut session = analyzer.session().unwrap();
+        let evicting = output
+            .ledger
+            .blocks()
+            .iter()
+            .filter(|block| {
+                evicts_in_place(&mut session, |s| {
+                    s.ingest_block(block);
+                })
+            })
+            .count();
+        assert!(evicting >= 2, "ingest_block: the ledger spans > 3 blocks");
+
+        let full = BlockchainLog::from_ledger(&output.ledger);
+        let records = full.records();
+        let mut session = analyzer.session().unwrap();
+        let evicting = records
+            .chunk_by(|a, b| a.block == b.block)
+            .filter(|block| {
+                evicts_in_place(&mut session, |s| {
+                    s.ingest_log(chunk_log(block)).unwrap();
+                })
+            })
+            .count();
+        assert!(evicting >= 2, "ingest_log: the log spans > 3 blocks");
+
+        // Main merge path: the tail shard (the last block) fits the window
+        // on its own, so the merge itself evicts.
+        let last_block = records.last().expect("non-empty log").block;
+        let cut = records.partition_point(|r| r.block < last_block);
+        let mut merged = analyzer.session().unwrap();
+        merged.ingest_log(chunk_log(&records[..cut])).unwrap();
+        let mut tail = analyzer.session().unwrap();
+        tail.ingest_log(chunk_log(&records[cut..])).unwrap();
+        assert_eq!(tail.evicted(), 0);
+        assert!(evicts_in_place(&mut merged, |s| s.merge(tail).unwrap()));
     }
 
     /// Snapshots detach cheaply, merge like sessions, and can resume

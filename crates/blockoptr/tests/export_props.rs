@@ -4,7 +4,7 @@
 
 use blockoptr::export::{from_json, to_csv, to_json, CSV_HEADER};
 use blockoptr::log::{BlockchainLog, TxRecord};
-use blockoptr::session::AnalyzeError;
+use blockoptr::session::{AnalyzeError, Analyzer};
 use fabric_sim::ledger::TxStatus;
 use fabric_sim::rwset::{ReadWriteSet, Version};
 use fabric_sim::types::{ClientId, OrgId, PeerId, TxType, Value};
@@ -212,4 +212,27 @@ fn malformed_inputs_surface_typed_errors() {
         assert!(matches!(err, AnalyzeError::Json(_)), "{bad:?} → {err:?}");
         assert!(err.to_string().contains("malformed log JSON"), "{err}");
     }
+}
+
+/// Regression: the committed example log with one record's client
+/// timestamp set to `u64::MAX` aborted the process — the dense rate series
+/// tried to allocate one counter per second of the span. It is now a typed
+/// error, raised before any state changes.
+#[test]
+fn analyze_json_rejects_an_implausible_timestamp_span() {
+    let demo = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/demo_blocks.json"
+    ));
+    let (mut records, blocks) = from_json(demo).unwrap().into_records();
+    records[1].client_ts = SimTime(u64::MAX);
+    let mutated = to_json(&BlockchainLog::from_records(records, blocks));
+
+    let err = Analyzer::new().analyze_json(&mutated).unwrap_err();
+    assert!(
+        matches!(err, AnalyzeError::TimestampSpan { last, .. } if last == SimTime(u64::MAX)),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("implausible timestamp"), "{err}");
+    assert!(Analyzer::new().analyze_json(demo).is_ok());
 }

@@ -260,6 +260,76 @@ proptest! {
     }
 }
 
+/// A commit-ordered ledger over many cases: 400–700 records in blocks of
+/// 12–40, each record's case id drifting with its position (about 200 ids
+/// in all, each alive for a few blocks). Every evicted block therefore
+/// pops the heads of many traces at once, some emptied and others
+/// surviving, which must then be re-placed by their new first event.
+fn arb_many_case_ledger() -> impl Strategy<Value = BlockchainLog> {
+    (
+        prop::collection::vec((arb_record(), 0usize..24), 400..700),
+        12usize..41, // records per block
+    )
+        .prop_map(|(specs, per_block)| {
+            let records: Vec<TxRecord> = specs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (mut r, drift))| {
+                    let case = (i / 3 + drift) % 200;
+                    r.commit_index = i;
+                    r.block = (i / per_block) as u64 + 1;
+                    r.commit_ts = SimTime::from_micros(i as u64 * 50_000);
+                    r.client_ts = SimTime::from_micros((i as u64 * 50_000).saturating_sub(30_000));
+                    r.args = vec![Value::Str(format!("CASE{case:03}"))];
+                    r.invoker.org = OrgId((case % 2) as u16);
+                    r
+                })
+                .collect();
+            let count = records.last().map_or(0, |r| r.block as usize);
+            BlockchainLog::from_records(records, count)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Re-placing many surviving traces per evicting batch: a large first
+    /// batch (sharded at 4 threads), then one block per batch, each of
+    /// which evicts a block. The final state is byte-equal to a fresh
+    /// analysis of the retained suffix, serially and at 4 threads.
+    #[test]
+    fn many_case_window_matches_fresh_suffix(
+        log in arb_many_case_ledger(),
+        n in 1usize..7,
+    ) {
+        let policy = WindowPolicy::LastBlocks(n);
+        let records = log.records();
+        let last_block = records.last().unwrap().block;
+        // All but the last three blocks: at least 280 records, above the
+        // sharded-ingest threshold.
+        let split = records.partition_point(|r| r.block + 3 <= last_block);
+        let batch = |records: &[TxRecord]| {
+            let blocks: std::collections::BTreeSet<u64> =
+                records.iter().map(|r| r.block).collect();
+            BlockchainLog::from_records(records.to_vec(), blocks.len())
+        };
+        for threads in [1, 4] {
+            let mut session = Analyzer::new()
+                .threads(threads)
+                .window(policy)
+                .session()
+                .unwrap();
+            session.ingest_log(batch(&records[..split])).unwrap();
+            for block in records[split..].chunk_by(|a, b| a.block == b.block) {
+                let before = session.evicted();
+                session.ingest_log(batch(block)).unwrap();
+                prop_assert!(session.evicted() > before, "every later block evicts one");
+            }
+            assert_byte_equality(&session, policy, &log);
+        }
+    }
+}
+
 /// The incremental trace-eviction edge the ring design must get right:
 /// when a trace's *head* evicts but the trace survives, its first retained
 /// event may now come after another trace's first event — a fresh suffix

@@ -69,19 +69,11 @@ impl EventLog {
         self.traces.get_mut(idx)
     }
 
-    /// Drop every trace `keep` rejects (sliding-window eviction drops
-    /// traces whose last event aged out). Indices held by callers are
-    /// invalidated — re-derive them from [`traces`](Self::traces).
-    pub fn retain_traces(&mut self, keep: impl FnMut(&Trace) -> bool) {
-        self.traces.retain(keep);
-    }
-
-    /// Stably reorder traces by a key. Windowed consumers restore
-    /// *first-event order* after evicting trace heads, so an incrementally
-    /// maintained log stays identical to one built fresh from the retained
-    /// events (where a trace's position is its first occurrence).
-    pub fn sort_traces_by_key<K: Ord>(&mut self, key: impl FnMut(&Trace) -> K) {
-        self.traces.sort_by_key(key);
+    /// Take the traces back out (the inverse of
+    /// [`from_traces`](Self::from_traces)) — windowed consumers rebuild the
+    /// trace order after evicting trace heads without cloning any trace.
+    pub fn into_traces(self) -> Vec<Trace> {
+        self.traces
     }
 
     /// Number of traces (cases).
