@@ -1,7 +1,7 @@
 //! Simulator throughput: how many simulated transactions per second of
 //! wall-clock the EOV pipeline processes, across workload shapes and
-//! schedulers. Supports the substitution argument in DESIGN.md — the
-//! substrate is cheap enough to sweep every experiment configuration.
+//! schedulers: the simulated substrate must stay cheap enough to sweep
+//! every experiment configuration.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fabric_sim::config::SchedulerKind;

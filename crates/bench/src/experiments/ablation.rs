@@ -6,8 +6,8 @@
 //!   experiment quantifies it.
 //! * [`abl2`] — **resource-profile sensitivity**: how the calibrated
 //!   bottleneck structure (clients / endorsers / orderer / validator) shifts
-//!   as each stage's service time scales — the evidence behind DESIGN.md's
-//!   substitution argument.
+//!   as each stage's service time scales — how far the reproduced findings
+//!   depend on the simulator's calibration.
 //! * [`abl3`] — **threshold sensitivity**: how the recommendation set reacts
 //!   to the user-configurable thresholds (`Kt`, `reorder_share`, `Rt1`),
 //!   the paper's §4.4 tuning discussion.

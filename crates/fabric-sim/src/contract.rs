@@ -1,10 +1,11 @@
 //! The chaincode execution interface.
 //!
 //! A [`Contract`] is a deterministic function from `(activity, args, state)`
-//! to a [`ReadWriteSet`]. Endorsers call [`Contract::execute`] with a
-//! [`TxContext`] that wraps the committed world state *at endorsement time*;
-//! every accessed key is recorded with its observed version, exactly like
-//! Fabric's shim records `GetState`/`PutState`/`GetStateByRange` calls.
+//! to a [`ReadWriteSet`]. An endorsement's result is [`Contract::execute`]
+//! run with a [`TxContext`] that wraps the committed world state *at
+//! endorsement time*; every accessed key is recorded with its observed
+//! version, exactly like Fabric's shim records
+//! `GetState`/`PutState`/`GetStateByRange` calls.
 //!
 //! Contracts can *early-abort* a transaction (`ExecStatus::Abort`) — the
 //! mechanism used by the paper's *process model pruning* optimization, where
@@ -149,6 +150,14 @@ impl<'a> TxContext<'a> {
 }
 
 /// A deterministic smart contract.
+///
+/// [`execute`](Contract::execute) must be a pure function of the committed
+/// state it reads through the [`TxContext`], the activity and the
+/// arguments: no interior mutability, no I/O, no clock and no RNG. The
+/// simulator relies on this. It runs a proposal's chaincode once per
+/// world-state generation and gives that one result to every endorsement
+/// starting at the same generation, so a contract cannot count on being
+/// called once per endorsement.
 pub trait Contract: Send + Sync {
     /// Chaincode name; doubles as the world-state namespace.
     fn name(&self) -> &str;

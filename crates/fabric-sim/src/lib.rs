@@ -3,7 +3,7 @@
 //! A deterministic discrete-event simulator of Hyperledger Fabric's
 //! **execute-order-validate (EOV)** transaction pipeline — the substrate on
 //! which the BlockOptR evaluation runs (the paper used a real Fabric 2.2
-//! cluster; see `DESIGN.md` for the substitution argument).
+//! cluster, which this simulator stands in for).
 //!
 //! The simulated pipeline mirrors Fabric §2.1 of the paper:
 //!

@@ -22,6 +22,24 @@
 //! racing events: a size/byte-triggered cut versus a timeout timer that is
 //! cancelled when the size cut wins and re-armed on the first arrival of a
 //! fresh buffer.
+//!
+//! Two invariants keep the run loop lean without changing a byte of output:
+//!
+//! * **One execution per proposal per state generation.** Only `Validate`
+//!   writes the world state, and it bumps a generation counter when it does.
+//!   `Propose` executes the chaincode once (its access count prices the
+//!   endorsement) and keeps the result stamped with the generation. An
+//!   endorser starting at the same generation reuses that result, since a
+//!   [`Contract`] is a pure function of committed state, activity and
+//!   arguments; one starting later re-executes and re-stamps it. All slots
+//!   served by one run share its read-write set through an `Rc`, which the
+//!   commit moves into the envelope without a copy.
+//! * **Lazy arrivals.** Each `Submit` schedules the next request in
+//!   injection order (send time, then index), so the event heap holds the
+//!   in-flight events and one pending arrival rather than the whole
+//!   schedule. Only one `Submit` is ever pending and every other kind has a
+//!   different priority, so the dispatch order is the one a pre-filled heap
+//!   would give.
 
 use crate::client::{EndorserFleet, EndorserSelector, WorkerFleet};
 use crate::config::NetworkConfig;
@@ -41,6 +59,7 @@ use sim_core::rng::SimRng;
 use sim_core::server::QueueServer;
 use sim_core::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Seed-stream label for the engine's service-time draws. Like
@@ -195,9 +214,11 @@ impl Target {
     }
 }
 
+/// One chaincode run's outcome. Every endorsement slot the run serves holds
+/// the same `Rc`, so sharing it costs no copy of the read-write set.
 #[derive(Debug, Clone)]
 enum EndorseResult {
-    Ok(ReadWriteSet),
+    Ok(Rc<ReadWriteSet>),
     Abort(String),
 }
 
@@ -210,6 +231,9 @@ struct Pending {
     endorse_peers: Vec<PeerId>,
     endorse_starts: Vec<SimTime>,
     results: Vec<Option<EndorseResult>>,
+    /// The current attempt's latest chaincode run and the state generation
+    /// it executed at; an endorsement at that generation reuses it.
+    exec: Option<(u64, EndorseResult)>,
     /// Per-slot: the endorsement reply was lost in transit (fault drop).
     response_dropped: Vec<bool>,
     /// Proposal attempts so far (1 after the first fan-out).
@@ -252,7 +276,13 @@ pub struct Simulation {
 struct Engine<'a> {
     sim: &'a Simulation,
     requests: &'a [TxRequest],
+    /// Request indices not yet submitted, in injection order; each `Submit`
+    /// schedules the next one.
+    arrivals: std::vec::IntoIter<usize>,
     state: WorldState,
+    /// Bumped by every `Validate`, the only phase that writes `state`: two
+    /// runs of a request at one generation see the same committed state.
+    generation: u64,
     workers: WorkerFleet,
     endorsers: EndorserFleet,
     selector: EndorserSelector,
@@ -314,6 +344,13 @@ impl Handler<Phase, Target> for Engine<'_> {
 
 impl Engine<'_> {
     fn submit(&mut self, now: SimTime, i: usize, queue: &mut Queue) {
+        if let Some(next) = self.arrivals.next() {
+            queue.schedule(
+                self.requests[next].send_time,
+                Phase::Submit,
+                Target::tx(next),
+            );
+        }
         let req = &self.requests[i];
         let worker = self.workers.assign(req.invoker_org);
         self.pending[i].worker = Some(worker);
@@ -324,21 +361,34 @@ impl Engine<'_> {
         queue.schedule(done, Phase::Propose, Target::tx(i));
     }
 
-    fn propose(&mut self, now: SimTime, i: usize, epoch: u32, queue: &mut Queue) {
-        if self.pending[i].dropped || self.pending[i].epoch != epoch {
-            return;
-        }
-        let res = &self.sim.config.resources;
+    /// Run request `i`'s chaincode against the committed state. Also
+    /// returns the number of state accesses, which prices an endorsement.
+    fn execute(&self, i: usize) -> (EndorseResult, usize) {
         let req = &self.requests[i];
         let contract = self
             .sim
             .contracts
             .get(req.contract.as_ref())
             .unwrap_or_else(|| panic!("contract {:?} not installed", req.contract));
-        // Cost estimate from a dry execution at proposal time.
-        let mut est_ctx = TxContext::new(&self.state, contract.name());
-        let _ = contract.execute(&mut est_ctx, &req.activity, &req.args);
-        let accesses = est_ctx.access_count();
+        let mut ctx = TxContext::new(&self.state, contract.name());
+        let status = contract.execute(&mut ctx, &req.activity, &req.args);
+        let accesses = ctx.access_count();
+        let result = match status {
+            ExecStatus::Ok => EndorseResult::Ok(Rc::new(ctx.into_rwset())),
+            ExecStatus::Abort(reason) => EndorseResult::Abort(reason),
+        };
+        (result, accesses)
+    }
+
+    fn propose(&mut self, now: SimTime, i: usize, epoch: u32, queue: &mut Queue) {
+        if self.pending[i].dropped || self.pending[i].epoch != epoch {
+            return;
+        }
+        let res = &self.sim.config.resources;
+        // The proposal-time run prices the endorsement and is kept for the
+        // endorsers to reuse while the state generation holds.
+        let (result, accesses) = self.execute(i);
+        self.pending[i].exec = Some((self.generation, result));
         let service = res.endorse_exec_base + res.endorse_exec_per_access.mul(accesses as u64);
 
         let orgs: Vec<OrgId> = self
@@ -423,14 +473,16 @@ impl Engine<'_> {
                 return;
             }
         }
-        let req = &self.requests[tx];
-        let contract = &self.sim.contracts[req.contract.as_ref()];
-        let mut ctx = TxContext::new(&self.state, contract.name());
-        let status = contract.execute(&mut ctx, &req.activity, &req.args);
-        self.pending[tx].results[slot] = Some(match status {
-            ExecStatus::Ok => EndorseResult::Ok(ctx.into_rwset()),
-            ExecStatus::Abort(reason) => EndorseResult::Abort(reason),
-        });
+        let generation = self.generation;
+        let result = match &self.pending[tx].exec {
+            Some((at, result)) if *at == generation => result.clone(),
+            _ => {
+                let (result, _) = self.execute(tx);
+                self.pending[tx].exec = Some((generation, result.clone()));
+                result
+            }
+        };
+        self.pending[tx].results[slot] = Some(result);
     }
 
     fn assemble(&mut self, now: SimTime, i: usize, epoch: u32, queue: &mut Queue) {
@@ -443,6 +495,8 @@ impl Engine<'_> {
             queue.cancel(timer);
         }
         let p = &mut self.pending[i];
+        // Every endorsement of this attempt has run.
+        p.exec = None;
         let mut first_ok: Option<usize> = None;
         let mut aborted = false;
         let mut missing = false;
@@ -481,19 +535,19 @@ impl Engine<'_> {
             Some(EndorseResult::Ok(rw)) => rw,
             _ => unreachable!("first_ok indexes an Ok result"),
         };
-        p.mismatch = p
-            .results
-            .iter()
-            .flatten()
-            .any(|r| matches!(r, EndorseResult::Ok(rw) if rw != canonical));
+        p.mismatch = p.results.iter().flatten().any(
+            |r| matches!(r, EndorseResult::Ok(rw) if !Rc::ptr_eq(rw, canonical) && rw != canonical),
+        );
         let worker = p.worker.expect("assigned at Submit");
         let (_, done) = self
             .workers
             .submit(worker, now, self.sim.config.resources.assemble_time());
         let p = &mut self.pending[i];
         p.submit_ts = done;
-        // Move the canonical rwset into slot 0 (no clone).
+        // Keep only the canonical rwset, in slot 0: with the other slots'
+        // handles gone, the envelope becomes its sole owner at commit.
         p.results.swap(0, first);
+        p.results.truncate(1);
         queue.schedule(done + self.net_delay(), Phase::Order, Target::tx(i));
     }
 
@@ -686,6 +740,7 @@ impl Engine<'_> {
             .collect();
         let tolerance = stale_tolerance_blocks(self.sim.config.scheduler);
         let verdicts = validate_block(&mut self.state, number, &to_validate, tolerance);
+        self.generation += 1;
         let fb = &mut self.inflight[block];
         fb.number = number;
         fb.verdicts = verdicts;
@@ -714,11 +769,11 @@ impl Engine<'_> {
                 self.degradation.degraded_success += 1;
             }
             // Each transaction commits exactly once, so the canonical rwset
-            // and endorser list move into the envelope instead of being
-            // cloned.
+            // (solely owned since assembly) and endorser list move into the
+            // envelope instead of being cloned.
             let p = &mut self.pending[tx_idx];
             let rwset = match p.results[0].take() {
-                Some(EndorseResult::Ok(rw)) => rw,
+                Some(EndorseResult::Ok(rw)) => Rc::unwrap_or_clone(rw),
                 _ => unreachable!("committed tx has canonical rwset"),
             };
             let req = &self.requests[tx_idx];
@@ -855,14 +910,19 @@ impl Simulation {
             let _ = queue.schedule_timer(start, Phase::FaultStart, Target::window(w));
             let _ = queue.schedule_timer(end, Phase::FaultEnd, Target::window(w));
         }
-        for &i in &order {
-            queue.schedule(requests[i].send_time, Phase::Submit, Target::tx(i));
+        // Only the first arrival is scheduled up front; each `Submit`
+        // schedules the next.
+        let mut arrivals = order.into_iter();
+        if let Some(first) = arrivals.next() {
+            queue.schedule(requests[first].send_time, Phase::Submit, Target::tx(first));
         }
 
         let mut engine = Engine {
             sim: self,
             requests,
+            arrivals,
             state,
+            generation: 0,
             workers,
             endorsers: EndorserFleet::new(cfg.orgs, cfg.endorsers_per_org()),
             selector: EndorserSelector::new(
@@ -1313,6 +1373,86 @@ mod tests {
         let plain = sim().run(&reqs);
         assert_eq!(plain.report.committed, out.report.committed);
         assert_eq!(plain.ledger.height(), out.ledger.height());
+    }
+
+    /// [`KvContract`] that counts its executions.
+    #[derive(Default)]
+    struct CountingKv {
+        runs: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingKv {
+        fn runs(&self) -> usize {
+            self.runs.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl Contract for CountingKv {
+        fn name(&self) -> &str {
+            "kv"
+        }
+        fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
+            self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            KvContract.execute(ctx, activity, args)
+        }
+        fn activities(&self) -> Vec<&'static str> {
+            KvContract.activities()
+        }
+    }
+
+    /// [`sim`]'s network, counting chaincode runs, with a half-second
+    /// network hop so a block can validate between a proposal and its
+    /// endorsements.
+    fn counting_sim() -> (Simulation, Arc<CountingKv>) {
+        let mut cfg = sim().config.clone();
+        cfg.resources.net_delay = SimDuration::from_millis(500);
+        let mut s = Simulation::new(cfg);
+        let kv = Arc::new(CountingKv::default());
+        s.install(kv.clone());
+        s.seed("kv", "counter", Value::Int(0));
+        (s, kv)
+    }
+
+    #[test]
+    fn two_org_endorsement_reuses_the_proposal_run() {
+        let (s, kv) = counting_sim();
+        let out = s.run(&[req(0, "upd", vec!["counter".into()])]);
+        let tx = out.ledger.transactions().next().unwrap();
+        assert_eq!(tx.endorsers.len(), 2, "both orgs endorse");
+        assert_eq!(tx.status, TxStatus::Success);
+        assert_eq!(
+            kv.runs(),
+            1,
+            "one run serves the proposal and both endorsers"
+        );
+    }
+
+    #[test]
+    fn endorsement_after_a_validated_write_re_executes() {
+        use crate::rwset::Version;
+        let (s, kv) = counting_sim();
+        let put = req(0, "put", vec!["counter".into(), Value::Int(7)]);
+        let written_at = s.run(std::slice::from_ref(&put)).ledger.blocks()[0].commit_ts;
+        // The reader proposes 0.25 s before the writer's block validates
+        // and reaches its endorsers 0.5 s after proposing.
+        let get = TxRequest {
+            send_time: SimTime::from_micros(written_at.as_micros() - 250_000),
+            ..req(1, "get", vec!["counter".into()])
+        };
+        let runs_before = kv.runs();
+        let out = s.run(&[put, get]);
+        assert_eq!(out.ledger.blocks()[0].commit_ts, written_at);
+        // The writer runs once; the reader runs at proposal, then once more
+        // for both endorsers at the new state generation.
+        assert_eq!(kv.runs() - runs_before, 3);
+        let reader = out.ledger.transactions().find(|t| t.id.0 == 1).unwrap();
+        assert_eq!(reader.status, TxStatus::Success, "{}", out.report);
+        assert_eq!(reader.rwset.reads[0].key, "kv/counter");
+        assert_eq!(
+            reader.rwset.reads[0].version,
+            Some(Version::new(1, 0)),
+            "the endorsement read the writer's version, not genesis"
+        );
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! The discrete-event simulation core.
 //!
-//! [`events::EventQueue`](crate::events::EventQueue) is a plain timed queue
-//! with FIFO tie-breaking over an opaque payload; this module is the typed
-//! engine built on the same idea, in the style of a classic DES runner:
-//! pop the next event → advance the clock → dispatch to a handler → the
-//! handler schedules follow-up events. It adds the three things a
-//! multi-phase pipeline simulation needs:
+//! [`DesQueue`] is a binary-heap event clock, driven in the style of a
+//! classic DES runner: pop the next event → advance the clock (which never
+//! runs backwards) → dispatch to a handler → the handler schedules
+//! follow-up events. It provides the three things a multi-phase pipeline
+//! simulation needs:
 //!
 //! * **Targeted events** — [`Event`]`{ at, kind, subject }`: a timestamp, a
 //!   typed phase kind (what to do), and a subject (which entity to do it
 //!   to). Handlers dispatch on the kind and index state by the subject.
 //! * **Deterministic kind-aware tie-breaking** — events at the same instant
 //!   pop ordered by [`EventKind::priority`] first and schedule order
-//!   (sequence number) second. Within one kind the FIFO guarantee of the
-//!   plain queue is preserved; across kinds the priority pins a documented
+//!   (sequence number) second. Within one kind, events scheduled for the
+//!   same instant pop FIFO; across kinds the priority pins a documented
 //!   pipeline order instead of leaving it to incidental scheduling order.
 //! * **Cancellable timers** — [`DesQueue::schedule_timer`] returns a
 //!   [`TimerId`]; [`DesQueue::cancel`] guarantees the timer never fires.
@@ -325,6 +324,27 @@ mod tests {
         q.cancel(far);
         while q.pop().is_some() {}
         assert_eq!(q.now(), at(1), "disarmed timer leaves no clock trace");
+    }
+
+    #[test]
+    fn clock_never_runs_backwards() {
+        let mut q: DesQueue<Phase, &str> = DesQueue::new();
+        q.schedule(at(5), Phase::Late, "future");
+        assert_eq!(q.pop().unwrap().at, at(5));
+        // An event scheduled in the past fires at the current clock.
+        q.schedule(at(1), Phase::Early, "past");
+        assert_eq!(q.pop().unwrap().at, at(5));
+        assert_eq!(q.now(), at(5));
+    }
+
+    #[test]
+    fn peek_does_not_advance_clock() {
+        let mut q: DesQueue<Phase, ()> = DesQueue::new();
+        q.schedule(at(2) + SimDuration::from_millis(1), Phase::Early, ());
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(2_001_000)));
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]

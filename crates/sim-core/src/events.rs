@@ -1,153 +1,41 @@
-//! Deterministic event queue.
+//! Plain event-queue checks on [`DesQueue`](crate::des::DesQueue).
 //!
-//! A thin wrapper over a binary heap keyed by `(time, sequence)`. The
-//! monotonically increasing sequence number guarantees that events scheduled
-//! for the same instant pop in FIFO order, which makes simulation runs
-//! reproducible regardless of heap internals.
+//! With a single event kind every event shares one priority, so the DES
+//! queue behaves as a plain timed event queue: only the timestamp and the
+//! schedule order decide what pops next.
 
-use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+mod tests {
+    use crate::des::{DesQueue, EventKind};
+    use crate::time::SimTime;
 
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
+    /// The one event kind of a plain queue.
+    #[derive(Debug, Clone, Copy)]
+    struct Plain;
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A priority queue of timed events with deterministic FIFO tie-breaking.
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    now: SimTime,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            now: SimTime::ZERO,
+    impl EventKind for Plain {
+        fn priority(&self) -> u8 {
+            0
         }
     }
 
-    /// Schedule `payload` to fire at `time`. Scheduling in the past is allowed
-    /// (the event fires "now"); the clock itself never runs backwards.
-    pub fn schedule(&mut self, time: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, payload });
-    }
-
-    /// Pop the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| {
-            self.now = self.now.max(e.time);
-            (self.now, e.payload)
-        })
-    }
-
-    /// The timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// The current simulated clock (timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue has no pending events.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::time::SimDuration;
-
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(3), "c");
-        q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(2), "b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        let mut q: DesQueue<Plain, &str> = DesQueue::new();
+        q.schedule(SimTime::from_secs(3), Plain, "c");
+        q.schedule(SimTime::from_secs(1), Plain, "a");
+        q.schedule(SimTime::from_secs(2), Plain, "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.subject).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn simultaneous_events_pop_fifo() {
-        let mut q = EventQueue::new();
+        let mut q: DesQueue<Plain, u32> = DesQueue::new();
         let t = SimTime::from_secs(1);
         for i in 0..100 {
-            q.schedule(t, i);
+            q.schedule(t, Plain, i);
         }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.subject).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clock_never_runs_backwards() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(5), "future");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(5));
-        // An event scheduled in the past fires at the current clock.
-        q.schedule(SimTime::from_secs(1), "past");
-        let (t2, _) = q.pop().unwrap();
-        assert_eq!(t2, SimTime::from_secs(5));
-        assert_eq!(q.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn peek_does_not_advance_clock() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(2) + SimDuration::from_millis(1), ());
-        assert_eq!(
-            q.peek_time(),
-            Some(SimTime::from_micros(2_001_000)),
-            "peek returns scheduled time"
-        );
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

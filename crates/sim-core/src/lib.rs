@@ -7,7 +7,6 @@
 //!
 //! * [`time`] — a microsecond-resolution simulated clock ([`SimTime`],
 //!   [`SimDuration`]);
-//! * [`events`] — a deterministic event queue with stable FIFO tie-breaking;
 //! * [`des`] — the typed DES engine: targeted events (`{ at, kind, subject }`),
 //!   kind-priority-then-sequence tie-breaking, cancellable timers, and a
 //!   handler-driven runner (pop → advance clock → dispatch → schedule);
@@ -31,7 +30,8 @@
 
 pub mod des;
 pub mod dist;
-pub mod events;
+#[cfg(test)]
+mod events;
 pub mod pool;
 pub mod rng;
 pub mod server;
@@ -41,10 +41,9 @@ pub mod time;
 
 pub use des::{DesQueue, Event, EventKind, Handler, TimerId};
 pub use dist::{DiscreteWeighted, Exponential, Zipf};
-pub use events::EventQueue;
 pub use pool::ThreadPool;
 pub use rng::SimRng;
-pub use server::{MultiServer, QueueServer};
+pub use server::QueueServer;
 pub use sketch::QuantileSketch;
 pub use stats::{Summary, TimeBuckets};
 pub use time::{SimDuration, SimTime};

@@ -8,8 +8,6 @@
 //! service order and keeps the whole pipeline O(1) per job.
 
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A single work-conserving FIFO server.
 #[derive(Debug, Clone, Default)]
@@ -60,70 +58,6 @@ impl QueueServer {
     }
 }
 
-/// A pool of `k` identical FIFO servers with a shared queue
-/// (jobs go to whichever server frees up first — an M/G/k-style discipline).
-#[derive(Debug, Clone)]
-pub struct MultiServer {
-    // Min-heap of per-server next-free instants.
-    free_at: BinaryHeap<Reverse<SimTime>>,
-    servers: usize,
-    busy: SimDuration,
-    jobs: u64,
-}
-
-impl MultiServer {
-    /// A pool of `servers ≥ 1` idle servers.
-    pub fn new(servers: usize) -> Self {
-        assert!(servers >= 1, "need at least one server");
-        let mut free_at = BinaryHeap::with_capacity(servers);
-        for _ in 0..servers {
-            free_at.push(Reverse(SimTime::ZERO));
-        }
-        MultiServer {
-            free_at,
-            servers,
-            busy: SimDuration::ZERO,
-            jobs: 0,
-        }
-    }
-
-    /// Submit a job arriving at `arrival` with demand `service`;
-    /// returns `(start, completion)` on the first server to free up.
-    pub fn submit(&mut self, arrival: SimTime, service: SimDuration) -> (SimTime, SimTime) {
-        let Reverse(earliest) = self.free_at.pop().expect("pool is never empty");
-        let start = arrival.max(earliest);
-        let done = start + service;
-        self.free_at.push(Reverse(done));
-        self.busy += service;
-        self.jobs += 1;
-        (start, done)
-    }
-
-    /// Number of servers in the pool.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
-    /// Total service time delivered across the pool.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Number of jobs served.
-    pub fn jobs_served(&self) -> u64 {
-        self.jobs
-    }
-
-    /// Pool utilization over `[0, horizon]` (fraction of aggregate capacity).
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.as_micros() == 0 {
-            return 0.0;
-        }
-        let capacity = horizon.as_micros() as f64 * self.servers as f64;
-        (self.busy.as_micros() as f64 / capacity).min(1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,41 +97,5 @@ mod tests {
         s.submit(SimTime::ZERO, MS(30));
         assert!((s.utilization(SimTime::from_millis(100)) - 0.3).abs() < 1e-9);
         assert_eq!(s.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn multi_server_runs_jobs_in_parallel() {
-        let mut m = MultiServer::new(2);
-        let (_, d1) = m.submit(SimTime::ZERO, MS(10));
-        let (_, d2) = m.submit(SimTime::ZERO, MS(10));
-        let (_, d3) = m.submit(SimTime::ZERO, MS(10));
-        assert_eq!(d1, SimTime::from_millis(10));
-        assert_eq!(d2, SimTime::from_millis(10), "second server in parallel");
-        assert_eq!(d3, SimTime::from_millis(20), "third job queues");
-    }
-
-    #[test]
-    fn multi_server_prefers_earliest_free() {
-        let mut m = MultiServer::new(2);
-        m.submit(SimTime::ZERO, MS(100)); // server A busy till 100
-        m.submit(SimTime::ZERO, MS(10)); // server B busy till 10
-        let (start, _) = m.submit(SimTime::from_millis(20), MS(5));
-        assert_eq!(start, SimTime::from_millis(20), "server B is free again");
-    }
-
-    #[test]
-    fn multi_server_utilization_accounts_for_pool_size() {
-        let mut m = MultiServer::new(4);
-        m.submit(SimTime::ZERO, MS(100));
-        assert!((m.utilization(SimTime::from_millis(100)) - 0.25).abs() < 1e-9);
-        assert_eq!(m.servers(), 4);
-        assert_eq!(m.jobs_served(), 1);
-        assert_eq!(m.busy_time(), MS(100));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn zero_servers_rejected() {
-        let _ = MultiServer::new(0);
     }
 }

@@ -3,34 +3,39 @@
 use proptest::prelude::*;
 use sim_core::des::{DesQueue, EventKind};
 use sim_core::dist::{DiscreteWeighted, Exponential, Zipf};
-use sim_core::events::EventQueue;
 use sim_core::rng::SimRng;
-use sim_core::server::{MultiServer, QueueServer};
+use sim_core::server::QueueServer;
 use sim_core::stats::{Summary, TimeBuckets};
 use sim_core::time::{SimDuration, SimTime};
 
 proptest! {
-    /// The event queue pops in non-decreasing time order and FIFO on ties,
-    /// regardless of insertion order.
+    /// With one event kind the DES queue is a plain event queue: it pops
+    /// in nondecreasing time order and FIFO on ties, regardless of
+    /// insertion order.
     #[test]
     fn event_queue_total_order(times in prop::collection::vec(0u64..10_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), i);
+        #[derive(Debug, Clone, Copy)]
+        struct Plain;
+        impl EventKind for Plain {
+            fn priority(&self) -> u8 { 0 }
         }
-        let mut last: Option<(SimTime, usize)> = None;
-        let mut popped = 0;
-        while let Some((now, payload)) = q.pop() {
-            let t = times[payload];
-            prop_assert!(now >= SimTime::from_micros(t));
-            if let Some((lt, lp)) = last {
-                let lt_orig = times[lp];
-                prop_assert!(lt_orig <= t || lt >= SimTime::from_micros(t));
-                if lt_orig == t {
-                    prop_assert!(lp < payload, "FIFO on equal timestamps");
+
+        let mut q: DesQueue<Plain, usize> = DesQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_micros(t), Plain, i);
+        }
+        let mut last: Option<usize> = None;
+        let mut popped = 0usize;
+        while let Some(e) = q.pop() {
+            let t = times[e.subject];
+            prop_assert_eq!(e.at, SimTime::from_micros(t));
+            if let Some(lp) = last {
+                prop_assert!(times[lp] <= t);
+                if times[lp] == t {
+                    prop_assert!(lp < e.subject, "FIFO on equal timestamps");
                 }
             }
-            last = Some((now, payload));
+            last = Some(e.subject);
             popped += 1;
         }
         prop_assert_eq!(popped, times.len());
@@ -149,30 +154,6 @@ proptest! {
         }
         prop_assert_eq!(s.busy_time(), SimDuration::from_micros(total));
         prop_assert_eq!(s.jobs_served(), sorted.len() as u64);
-    }
-
-    /// Multi-server pool: never worse than a single server, never better
-    /// than perfect parallelism.
-    #[test]
-    fn multi_server_bounds(
-        jobs in prop::collection::vec(1u64..2_000, 1..80),
-        servers in 1usize..6
-    ) {
-        let mut pool = MultiServer::new(servers);
-        let mut single = QueueServer::new();
-        let mut pool_last = SimTime::ZERO;
-        let mut single_last = SimTime::ZERO;
-        let total: u64 = jobs.iter().sum();
-        for &service in &jobs {
-            let d = SimDuration::from_micros(service);
-            let (_, pd) = pool.submit(SimTime::ZERO, d);
-            let (_, sd) = single.submit(SimTime::ZERO, d);
-            pool_last = pool_last.max(pd);
-            single_last = single_last.max(sd);
-        }
-        prop_assert!(pool_last <= single_last);
-        let perfect = total / servers as u64;
-        prop_assert!(pool_last.as_micros() >= perfect);
     }
 
     /// Zipf samples stay in range and the top rank dominates under skew.

@@ -4,7 +4,7 @@
 //! BPI Challenge 2017 event log of a Dutch financial institute. That log is
 //! a data gate, so this module generates a **statistically equivalent
 //! synthetic log** preserving the three properties the experiment depends
-//! on (see DESIGN.md's substitution table):
+//! on:
 //!
 //! 1. **Skewed employee assignment** — one employee handles far more
 //!    applications than anyone else (the hot `employeeID 1` key the paper's

@@ -431,6 +431,27 @@ fn check_min(field: &str, value: usize, min: usize) -> Result<(), SpecError> {
     }
 }
 
+/// A count must lie in `[min, max]`.
+fn check_range(field: &str, value: usize, min: usize, max: usize) -> Result<(), SpecError> {
+    check_min(field, value, min)?;
+    if value <= max {
+        Ok(())
+    } else {
+        Err(bad(field, format!("must be at most {max}, got {value}")))
+    }
+}
+
+/// Upper bound on the organizations of a spec, and on the client workers or
+/// endorsing peers of one organization: the simulator numbers them with
+/// `u16` ids (`OrgId`, `ClientId::index`, `PeerId::index`), so a larger
+/// count would silently alias ids.
+pub const MAX_IDS: usize = u16::MAX as usize + 1;
+
+/// Upper bound on the client workers, and separately on the endorsing
+/// peers, of a whole network: the simulator allocates one queueing server
+/// per worker and per peer before the run starts.
+pub const MAX_FLEET: usize = 1 << 16;
+
 impl ScenarioSpec {
     /// The spec of a built-in scenario under its default parameters and
     /// the default network configuration — what `blockoptr spec <name>`
@@ -664,16 +685,104 @@ impl ScenarioSpec {
                 workload: self.workload.kind().to_string(),
             });
         }
-        check_min("network.orgs", self.network.orgs, 1)?;
+        self.validate_fleets()?;
+        self.validate_invokers()?;
         check_min("network.block_count", self.network.block_count, 1)?;
-        check_min(
-            "network.total_endorser_peers",
-            self.network.total_endorser_peers,
-            1,
-        )?;
-        check_min("network.clients_per_org", self.network.clients_per_org, 1)?;
         self.validate_fault()?;
         self.validate_retry()?;
+        Ok(())
+    }
+
+    /// Network dimensions: every org, worker and peer needs a distinct
+    /// `u16` id ([`MAX_IDS`]), and each fleet is allocated up front, so its
+    /// total is capped ([`MAX_FLEET`]).
+    fn validate_fleets(&self) -> Result<(), SpecError> {
+        let net = &self.network;
+        check_range("network.orgs", net.orgs, 1, MAX_IDS)?;
+        check_range("network.clients_per_org", net.clients_per_org, 1, MAX_IDS)?;
+        check_min("network.total_endorser_peers", net.total_endorser_peers, 1)?;
+        let per_org = net.endorsers_per_org();
+        if per_org > MAX_IDS {
+            return Err(bad(
+                "network.total_endorser_peers",
+                format!("{per_org} endorsers per org exceeds the {MAX_IDS} a peer id can name"),
+            ));
+        }
+        let mut workers = net.orgs.saturating_mul(net.clients_per_org);
+        if let Some((org, factor)) = net.client_boost {
+            if usize::from(org) >= net.orgs {
+                return Err(bad(
+                    "network.client_boost",
+                    format!("org {org} does not exist (network has {} orgs)", net.orgs),
+                ));
+            }
+            let boosted = net.clients_per_org.saturating_mul(factor.max(1));
+            if boosted > MAX_IDS {
+                return Err(bad(
+                    "network.client_boost",
+                    format!(
+                        "boosting {} workers by {factor} gives org {org} {boosted}, more than \
+                         the {MAX_IDS} a worker id can name",
+                        net.clients_per_org
+                    ),
+                ));
+            }
+            workers = workers - net.clients_per_org + boosted;
+        }
+        if workers > MAX_FLEET {
+            return Err(bad(
+                "network.clients_per_org",
+                format!("{workers} client workers in total exceeds the cap of {MAX_FLEET}"),
+            ));
+        }
+        let peers = net.orgs.saturating_mul(per_org);
+        if peers > MAX_FLEET {
+            return Err(bad(
+                "network.total_endorser_peers",
+                format!("{peers} endorsing peers in total exceeds the cap of {MAX_FLEET}"),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Every org the workload invokes from must exist in the network: the
+    /// simulator indexes its worker fleet by the invoking org. As
+    /// `network.orgs` is within [`MAX_IDS`], so is every workload
+    /// `*.orgs`. Not yet covered: a synthetic policy that names more orgs
+    /// than `synthetic.orgs` (P1 and P2 widen the invokers to four).
+    fn validate_invokers(&self) -> Result<(), SpecError> {
+        let orgs = self.network.orgs;
+        let (field, invokers) = match &self.workload {
+            WorkloadSpec::Synthetic(cv) => ("synthetic.orgs", cv.orgs),
+            WorkloadSpec::Scm(s) => ("scm.orgs", s.orgs),
+            WorkloadSpec::Drm(s) => ("drm.orgs", s.orgs),
+            WorkloadSpec::Ehr(s) => ("ehr.orgs", s.orgs),
+            WorkloadSpec::Dv(s) => ("dv.orgs", s.orgs),
+            WorkloadSpec::Lap(s) => ("lap.orgs", s.orgs),
+            WorkloadSpec::Schedule(s) => {
+                let stray = s
+                    .requests
+                    .iter()
+                    .enumerate()
+                    .find(|(_, r)| usize::from(r.invoker_org.0) >= orgs);
+                return match stray {
+                    Some((i, r)) => Err(bad(
+                        &format!("schedule.requests[{i}].invoker_org"),
+                        format!(
+                            "org {} does not exist (network has {orgs} orgs)",
+                            r.invoker_org.0
+                        ),
+                    )),
+                    None => Ok(()),
+                };
+            }
+        };
+        if invokers > orgs {
+            return Err(bad(
+                field,
+                format!("{invokers} invoking orgs, but the network has {orgs}"),
+            ));
+        }
         Ok(())
     }
 
@@ -1379,6 +1488,97 @@ mod tests {
                 SpecError::BadParameter { field: f, .. } => assert_eq!(f, field),
                 other => panic!("expected BadParameter for {field}, got {other:?}"),
             }
+        }
+    }
+
+    /// Network and workload dimensions past the `u16` id space, fleets past
+    /// [`MAX_FLEET`], and invokers from orgs the network lacks fail
+    /// validation with a dotted path instead of aliasing ids, allocating by
+    /// the input or indexing past the worker fleet.
+    #[test]
+    fn out_of_range_dimensions_are_rejected_with_dotted_paths() {
+        let demo = include_str!("../../../examples/demo_spec.json");
+        let base = ScenarioSpec::from_json(demo).unwrap();
+        base.validate().unwrap();
+        type Poison = Box<dyn Fn(&mut ScenarioSpec)>;
+        let cases: Vec<(&str, Poison)> = vec![
+            ("network.orgs", Box::new(|s| s.network.orgs = MAX_IDS + 1)),
+            ("network.orgs", Box::new(|s| s.network.orgs = usize::MAX)),
+            (
+                "network.clients_per_org",
+                Box::new(|s| s.network.clients_per_org = MAX_IDS + 1),
+            ),
+            (
+                "network.clients_per_org",
+                Box::new(|s| s.network.clients_per_org = MAX_FLEET / 2 + 1),
+            ),
+            (
+                "network.client_boost",
+                Box::new(|s| s.network.client_boost = Some((1, MAX_IDS))),
+            ),
+            (
+                "network.client_boost",
+                Box::new(|s| s.network.client_boost = Some((1, usize::MAX))),
+            ),
+            (
+                "network.client_boost",
+                Box::new(|s| s.network.client_boost = Some((2, 2))),
+            ),
+            (
+                "network.total_endorser_peers",
+                Box::new(|s| s.network.total_endorser_peers = 2 * (MAX_IDS + 1)),
+            ),
+            (
+                "network.total_endorser_peers",
+                Box::new(|s| {
+                    s.network.orgs = 4;
+                    s.network.total_endorser_peers = 4 * (MAX_FLEET / 4 + 1);
+                }),
+            ),
+            (
+                "scm.orgs",
+                Box::new(|s| match &mut s.workload {
+                    WorkloadSpec::Scm(scm) => scm.orgs = MAX_IDS + 1,
+                    other => panic!("demo spec is scm, got {}", other.kind()),
+                }),
+            ),
+            // More invoking orgs than the network runs: the invokers would
+            // index past the worker fleet.
+            (
+                "scm.orgs",
+                Box::new(|s| match &mut s.workload {
+                    WorkloadSpec::Scm(scm) => scm.orgs = 3,
+                    other => panic!("demo spec is scm, got {}", other.kind()),
+                }),
+            ),
+        ];
+        for (field, poison) in cases {
+            let mut spec = base.clone();
+            poison(&mut spec);
+            match spec.validate().unwrap_err() {
+                SpecError::BadParameter { field: f, .. } => assert_eq!(f, field),
+                other => panic!("expected BadParameter for {field}, got {other:?}"),
+            }
+            assert!(spec.build().is_err(), "{field}: build validates first");
+        }
+        // The largest accepted shapes stay accepted.
+        let mut edge = base.clone();
+        edge.network.clients_per_org = MAX_FLEET / 2;
+        edge.network.client_boost = Some((1, 1));
+        edge.network.total_endorser_peers = MAX_FLEET;
+        edge.validate().unwrap();
+
+        let (bundle, config) = base.build().unwrap();
+        let mut frozen = freeze("demo", &bundle, &config).unwrap();
+        let WorkloadSpec::Schedule(schedule) = &mut frozen.workload else {
+            panic!("freeze yields an explicit schedule");
+        };
+        schedule.requests[3].invoker_org = fabric_sim::types::OrgId(2);
+        match frozen.validate().unwrap_err() {
+            SpecError::BadParameter { field, .. } => {
+                assert_eq!(field, "schedule.requests[3].invoker_org")
+            }
+            other => panic!("expected BadParameter, got {other:?}"),
         }
     }
 

@@ -30,7 +30,7 @@
 //! );
 //! ```
 //!
-//! See `README.md` for a tour and `DESIGN.md` for the system inventory.
+//! See `README.md` for a tour.
 
 pub use blockoptr;
 pub use chaincode;

@@ -14,6 +14,11 @@
 //!    example reports degradation and emits a tuned, replayable spec whose
 //!    re-measured goodput improves with a seed-paired 95 % CI excluding
 //!    zero.
+//! 4. **Faulty goldens** — the fault, retry and open-loop paths reproduce
+//!    the fingerprints committed in `tests/goldens/faulty.json`. Replay
+//!    determinism alone cannot catch an engine change that is deterministic
+//!    but different (say, chaincode results reused across a retry epoch);
+//!    the pinned ledger hashes and counters do.
 //!
 //! CI runs this suite under both `BLOCKOPTR_THREADS=1` and `=4`.
 
@@ -188,15 +193,141 @@ proptest! {
     }
 }
 
+fn example_spec(file: &str) -> ScenarioSpec {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("examples")
+        .join(file);
+    ScenarioSpec::from_json(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+/// A builtin scenario under every fault kind at once: a single-peer outage
+/// and a whole-org outage, a latency spike, an orderer stall, seeded
+/// proposal and reply drops, and a jittered retry policy. The windows fall
+/// inside the ~2.7 s over which the 800 requests arrive at 300 tx/s.
+fn everything_faulty(name: &str, seed: u64) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::builtin(name)
+        .unwrap()
+        .with_transactions(TXS)
+        .with_seed(seed);
+    spec.fault.endorser_outages = vec![
+        OutageWindow {
+            org: 0,
+            peer: Some(1),
+            start: 0.4,
+            duration: 1.0,
+        },
+        OutageWindow {
+            org: 1,
+            peer: None,
+            start: 1.6,
+            duration: 0.4,
+        },
+    ];
+    spec.fault.latency_spikes.push(LatencySpike {
+        start: 0.9,
+        duration: 0.8,
+        multiplier: 4.0,
+    });
+    spec.fault.orderer_stalls.push(StallWindow {
+        start: 2.1,
+        duration: 0.5,
+    });
+    spec.fault.drop = Some(DropSpec {
+        proposal_rate: 0.03,
+        endorsement_rate: 0.03,
+    });
+    spec.retry = RetryPolicy {
+        endorse_timeout: Some(0.25),
+        max_attempts: 3,
+        backoff_base: 0.05,
+        backoff_multiplier: 2.0,
+        jitter: 0.3,
+    };
+    spec
+}
+
+/// The pinned specs: both committed fault/open-loop examples, then scm,
+/// drm and ehr under [`everything_faulty`] at both seeds.
+fn faulty_specs() -> Vec<(String, ScenarioSpec)> {
+    let mut specs = vec![
+        (
+            "examples/endorser_outage.json".to_string(),
+            example_spec("endorser_outage.json"),
+        ),
+        (
+            "examples/open_loop_poisson.json".to_string(),
+            example_spec("open_loop_poisson.json"),
+        ),
+    ];
+    for name in ["scm", "drm", "ehr"] {
+        for seed in SEEDS {
+            specs.push((format!("{name}+faults"), everything_faulty(name, seed)));
+        }
+    }
+    specs
+}
+
+/// One pinned run, rendered as its row of `tests/goldens/faulty.json`.
+fn faulty_row(label: &str, spec: &ScenarioSpec) -> String {
+    let (bundle, config) = spec.build().unwrap();
+    let out = bundle.run(config);
+    let json = serde_json::to_string(&out.ledger).expect("ledger serializes");
+    let (report, degradation) = (&out.report, &out.report.degradation);
+    format!(
+        "{{ \"spec\": \"{label}\", \"seed\": {}, \"ledger_hash\": \"{:016x}\", \
+         \"committed\": {}, \"successes\": {}, \"early_aborted\": {}, \
+         \"retries\": {}, \"timeouts\": {}, \"events\": {} }}",
+        spec.seed(),
+        fnv1a(json.as_bytes()),
+        report.committed,
+        report.successes,
+        report.early_aborted,
+        degradation.retries,
+        degradation.timeouts,
+        report.events,
+    )
+}
+
+/// The fault, retry and open-loop paths reproduce the committed
+/// fingerprints byte for byte. Regenerate only for a deliberate, documented
+/// behaviour change: `FAULT_GOLDEN_REGEN=1 cargo test --test fault_injection`.
+#[test]
+fn faulty_and_open_loop_specs_match_the_committed_goldens() {
+    let current: Vec<String> = faulty_specs()
+        .iter()
+        .map(|(label, spec)| faulty_row(label, spec))
+        .collect();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/faulty.json");
+    if std::env::var("FAULT_GOLDEN_REGEN").is_ok() {
+        std::fs::write(&path, format!("[\n  {}\n]\n", current.join(",\n  "))).unwrap();
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing goldens at {} ({e}); run with FAULT_GOLDEN_REGEN=1 once",
+            path.display()
+        )
+    });
+    let expected: Vec<&str> = committed
+        .lines()
+        .map(|line| line.trim().trim_end_matches(','))
+        .filter(|row| row.starts_with('{'))
+        .collect();
+    assert_eq!(expected.len(), current.len(), "golden row count");
+    for (want, got) in expected.iter().zip(&current) {
+        assert_eq!(
+            want, got,
+            "the engine diverged from a committed faulty golden"
+        );
+    }
+}
+
 /// Plan execution over a faulty spec is byte-identical for any worker
 /// thread count — the PR-7 equivalence guarantee extends to fault state.
 #[test]
 fn faulty_plan_execution_is_thread_count_invariant() {
-    let json = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/endorser_outage.json"),
-    )
-    .unwrap();
-    let spec = ScenarioSpec::from_json(&json).unwrap();
+    let spec = example_spec("endorser_outage.json");
     let (plan, _) = OptimizationPlan::from_spec(&spec, &Analyzer::new()).unwrap();
     assert!(!plan.is_empty(), "the outage example triggers actions");
 
@@ -235,11 +366,7 @@ fn faulty_plan_execution_is_thread_count_invariant() {
 /// 95 % confidence interval excluding zero.
 #[test]
 fn tuned_outage_spec_improves_goodput_with_ci_excluding_zero() {
-    let json = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/endorser_outage.json"),
-    )
-    .unwrap();
-    let spec = ScenarioSpec::from_json(&json).unwrap();
+    let spec = example_spec("endorser_outage.json");
     let (plan, _) = OptimizationPlan::from_spec(&spec, &Analyzer::new()).unwrap();
     let outcome = plan
         .execute_spec_with(&spec, &PlanConfig::new(5, 4))
