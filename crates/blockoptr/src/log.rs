@@ -109,21 +109,21 @@ impl Serialize for BlockchainLog {
 }
 
 impl Deserialize for BlockchainLog {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        let serde::value::Value::Object(fields) = v else {
-            return Err(serde::de::Error::expected("object (BlockchainLog)", v));
-        };
-        let field = |name: &str| {
-            fields
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| serde::de::Error::msg(format!("missing field {name}")))
-        };
+    fn deserialize(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
+        // The derive's rules: first occurrence wins, unknown keys skipped.
+        let (mut records, mut blocks) = (None, None);
+        r.map("object (BlockchainLog)", |r| {
+            match &*r.key()? {
+                "records" if records.is_none() => records = Some(Deserialize::deserialize(r)?),
+                "blocks" if blocks.is_none() => blocks = Some(Deserialize::deserialize(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
         Ok(BlockchainLog {
-            records: Vec::<TxRecord>::from_value(field("records")?)?,
+            records: records.ok_or_else(|| r.missing_field("records"))?,
             head: 0,
-            blocks: usize::from_value(field("blocks")?)?,
+            blocks: blocks.ok_or_else(|| r.missing_field("blocks"))?,
         })
     }
 }

@@ -85,7 +85,10 @@ pub struct CorrelationTracker {
     /// position → activity. A predecessor is the earlier of the pair, so
     /// its eviction is the moment the contribution leaves the window.
     delta_deps: BTreeMap<usize, String>,
-    distance_sum: usize,
+    /// Sum of the identified conflicts' commit distances. Wider than a
+    /// distance, so commit indices near `usize::MAX` in a user log cannot
+    /// overflow it.
+    distance_sum: u128,
 }
 
 impl CorrelationTracker {
@@ -122,7 +125,7 @@ impl CorrelationTracker {
                 let writer_keys = writer.rwset.write_keys();
                 let reorderable = write_keys.is_disjoint(&writer_keys);
                 let distance = r.commit_index - writer.commit_index;
-                self.distance_sum += distance;
+                self.distance_sum += distance as u128;
                 m.identified += 1;
                 let per_activity = m.activity_conflicts.entry(r.activity.clone()).or_default();
                 per_activity.0 += 1;
@@ -270,7 +273,7 @@ impl CorrelationTracker {
                         let reorderable =
                             r.rwset.write_keys().is_disjoint(&writer.rwset.write_keys());
                         let distance = r.commit_index - writer.commit_index;
-                        self.distance_sum += distance;
+                        self.distance_sum += distance as u128;
                         m.identified += 1;
                         let per_activity =
                             m.activity_conflicts.entry(r.activity.clone()).or_default();
@@ -417,7 +420,7 @@ impl CorrelationTracker {
                 continue;
             }
             m.identified -= 1;
-            self.distance_sum -= c.distance;
+            self.distance_sum -= c.distance as u128;
             let pair = (c.failed_activity.clone(), c.writer_activity.clone());
             crate::metrics::decrement(&mut m.pair_counts, &pair);
             let per_activity = m

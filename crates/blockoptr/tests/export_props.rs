@@ -199,6 +199,16 @@ proptest! {
 
 #[test]
 fn malformed_inputs_surface_typed_errors() {
+    // Deep nesting overflowed the stack of the old recursive parser. Now a
+    // bare `[[…]]` is a type error at byte 0, and nesting the log's types
+    // allow (chaincode values) or a skipped unknown field stops at the
+    // reader's nesting cap.
+    let deep = "[".repeat(200_000);
+    let deep_args = format!(
+        "{{\"records\": [{{\"args\": [{}",
+        "{\"List\": [".repeat(200_000)
+    );
+    let deep_unknown = format!("{{\"blocks\": 1, \"extra\": {}", "{\"k\": ".repeat(200_000));
     for bad in [
         "",
         "{",
@@ -207,10 +217,18 @@ fn malformed_inputs_surface_typed_errors() {
         "{\"records\": 5, \"blocks\": 1}",
         "{\"records\": [], \"blocks\": \"one\"}",
         "{\"records\": []}",
+        &deep,
+        &deep_args,
+        &deep_unknown,
     ] {
         let err = from_json(bad).expect_err(bad);
-        assert!(matches!(err, AnalyzeError::Json(_)), "{bad:?} → {err:?}");
+        assert!(matches!(err, AnalyzeError::Json(_)), "{bad:.40?} → {err:?}");
         assert!(err.to_string().contains("malformed log JSON"), "{err}");
+        assert!(err.to_string().contains(" at byte "), "{err}");
+    }
+    for deep in [&deep_args, &deep_unknown] {
+        let err = from_json(deep).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
     }
 }
 

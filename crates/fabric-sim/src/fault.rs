@@ -42,11 +42,13 @@ pub const RETRY_EXHAUSTED_REASON: &str = "endorsement retry budget exhausted";
 pub const NO_ENDORSEMENT_REASON: &str = "no endorsement result";
 
 /// An availability hole for one endorsing peer, or a whole organization.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OutageWindow {
     /// Organization index (`0`-based, must be `< NetworkConfig::orgs`).
     pub org: u16,
-    /// Peer index within the organization; `None` takes the whole org down.
+    /// Peer index within the organization; `None` (or absent in JSON) takes
+    /// the whole org down.
+    #[serde(default)]
     pub peer: Option<u16>,
     /// Window start, seconds from the simulation origin.
     pub start: f64,
@@ -55,7 +57,7 @@ pub struct OutageWindow {
 }
 
 /// A window during which every network hop is slowed by a multiplier.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencySpike {
     /// Window start, seconds from the simulation origin.
     pub start: f64,
@@ -67,7 +69,7 @@ pub struct LatencySpike {
 
 /// A window during which the ordering service accepts no work; cuts that
 /// arrive inside the window are serviced when the stall lifts.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StallWindow {
     /// Window start, seconds from the simulation origin.
     pub start: f64,
@@ -76,8 +78,10 @@ pub struct StallWindow {
 }
 
 /// Probabilistic message loss on the client↔endorser path, drawn from the
-/// dedicated [`DROP_STREAM`] so results stay seed-reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// dedicated [`DROP_STREAM`] so results stay seed-reproducible. A rate
+/// absent in JSON is zero.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[serde(default)]
 pub struct DropSpec {
     /// Probability in `[0, 1)` that a proposal never reaches its endorser.
     pub proposal_rate: f64,
@@ -86,8 +90,10 @@ pub struct DropSpec {
 }
 
 /// Declarative fault plan for one simulation run. The default carries no
-/// faults and is guaranteed not to change simulation output.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// faults and is guaranteed not to change simulation output. Every field is
+/// optional in JSON: `{}` is the no-op plan.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(default)]
 pub struct FaultSpec {
     /// Endorser availability holes.
     pub endorser_outages: Vec<OutageWindow>,
@@ -116,8 +122,10 @@ impl FaultSpec {
 
 /// How the simulated client arm reacts to missing endorsements. The default
 /// (`endorse_timeout: None`) reproduces the pre-fault engine exactly: the
-/// client waits for the fan-out forever and never retries.
-#[derive(Debug, Clone, PartialEq)]
+/// client waits for the fan-out forever and never retries. A field absent
+/// in JSON takes its default.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct RetryPolicy {
     /// Client-side deadline in seconds for one endorsement fan-out; `None`
     /// disables the timeout arm entirely.
@@ -168,216 +176,6 @@ impl RetryPolicy {
             secs *= 1.0 + self.jitter * (2.0 * rng.f64() - 1.0);
         }
         SimDuration::from_secs_f64(secs)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization. All of these are hand-written so missing sub-fields fall
-// back to defaults — derived struct deserialization requires every field,
-// which would break forward compatibility of user-authored fault JSON.
-// ---------------------------------------------------------------------------
-
-impl Serialize for OutageWindow {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Object(vec![
-            ("org".to_string(), self.org.to_value()),
-            ("peer".to_string(), self.peer.to_value()),
-            ("start".to_string(), self.start.to_value()),
-            ("duration".to_string(), self.duration.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for OutageWindow {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        if !matches!(v, serde::value::Value::Object(_)) {
-            return Err(serde::de::Error::expected("object (OutageWindow)", v));
-        }
-        let field = |name: &'static str| {
-            v.field(name)
-                .ok_or_else(|| serde::de::Error::missing_field(name))
-        };
-        Ok(OutageWindow {
-            org: Deserialize::from_value(field("org")?)?,
-            peer: match v.field("peer") {
-                Some(p) => Deserialize::from_value(p)?,
-                None => None,
-            },
-            start: Deserialize::from_value(field("start")?)?,
-            duration: Deserialize::from_value(field("duration")?)?,
-        })
-    }
-}
-
-impl Serialize for LatencySpike {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Object(vec![
-            ("start".to_string(), self.start.to_value()),
-            ("duration".to_string(), self.duration.to_value()),
-            ("multiplier".to_string(), self.multiplier.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for LatencySpike {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        if !matches!(v, serde::value::Value::Object(_)) {
-            return Err(serde::de::Error::expected("object (LatencySpike)", v));
-        }
-        let field = |name: &'static str| {
-            v.field(name)
-                .ok_or_else(|| serde::de::Error::missing_field(name))
-        };
-        Ok(LatencySpike {
-            start: Deserialize::from_value(field("start")?)?,
-            duration: Deserialize::from_value(field("duration")?)?,
-            multiplier: Deserialize::from_value(field("multiplier")?)?,
-        })
-    }
-}
-
-impl Serialize for StallWindow {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Object(vec![
-            ("start".to_string(), self.start.to_value()),
-            ("duration".to_string(), self.duration.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for StallWindow {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        if !matches!(v, serde::value::Value::Object(_)) {
-            return Err(serde::de::Error::expected("object (StallWindow)", v));
-        }
-        let field = |name: &'static str| {
-            v.field(name)
-                .ok_or_else(|| serde::de::Error::missing_field(name))
-        };
-        Ok(StallWindow {
-            start: Deserialize::from_value(field("start")?)?,
-            duration: Deserialize::from_value(field("duration")?)?,
-        })
-    }
-}
-
-impl Serialize for DropSpec {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Object(vec![
-            ("proposal_rate".to_string(), self.proposal_rate.to_value()),
-            (
-                "endorsement_rate".to_string(),
-                self.endorsement_rate.to_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for DropSpec {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        if !matches!(v, serde::value::Value::Object(_)) {
-            return Err(serde::de::Error::expected("object (DropSpec)", v));
-        }
-        let rate = |name: &'static str| -> Result<f64, serde::de::Error> {
-            match v.field(name) {
-                Some(r) => Deserialize::from_value(r),
-                None => Ok(0.0),
-            }
-        };
-        Ok(DropSpec {
-            proposal_rate: rate("proposal_rate")?,
-            endorsement_rate: rate("endorsement_rate")?,
-        })
-    }
-}
-
-impl Serialize for FaultSpec {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Object(vec![
-            (
-                "endorser_outages".to_string(),
-                self.endorser_outages.to_value(),
-            ),
-            ("latency_spikes".to_string(), self.latency_spikes.to_value()),
-            ("orderer_stalls".to_string(), self.orderer_stalls.to_value()),
-            ("drop".to_string(), self.drop.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for FaultSpec {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        if !matches!(v, serde::value::Value::Object(_)) {
-            return Err(serde::de::Error::expected("object (FaultSpec)", v));
-        }
-        // Every sub-field is optional: `{"fault": {}}` is the no-op spec.
-        Ok(FaultSpec {
-            endorser_outages: match v.field("endorser_outages") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => Vec::new(),
-            },
-            latency_spikes: match v.field("latency_spikes") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => Vec::new(),
-            },
-            orderer_stalls: match v.field("orderer_stalls") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => Vec::new(),
-            },
-            drop: match v.field("drop") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => None,
-            },
-        })
-    }
-}
-
-impl Serialize for RetryPolicy {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Object(vec![
-            (
-                "endorse_timeout".to_string(),
-                self.endorse_timeout.to_value(),
-            ),
-            ("max_attempts".to_string(), self.max_attempts.to_value()),
-            ("backoff_base".to_string(), self.backoff_base.to_value()),
-            (
-                "backoff_multiplier".to_string(),
-                self.backoff_multiplier.to_value(),
-            ),
-            ("jitter".to_string(), self.jitter.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for RetryPolicy {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        if !matches!(v, serde::value::Value::Object(_)) {
-            return Err(serde::de::Error::expected("object (RetryPolicy)", v));
-        }
-        let defaults = RetryPolicy::default();
-        Ok(RetryPolicy {
-            endorse_timeout: match v.field("endorse_timeout") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => defaults.endorse_timeout,
-            },
-            max_attempts: match v.field("max_attempts") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => defaults.max_attempts,
-            },
-            backoff_base: match v.field("backoff_base") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => defaults.backoff_base,
-            },
-            backoff_multiplier: match v.field("backoff_multiplier") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => defaults.backoff_multiplier,
-            },
-            jitter: match v.field("jitter") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => defaults.jitter,
-            },
-        })
     }
 }
 
@@ -588,18 +386,15 @@ mod tests {
             }),
         };
         let json = spec.to_value().render(false);
-        let back: FaultSpec =
-            Deserialize::from_value(&serde_json::value_from_str(&json).expect("parse"))
-                .expect("deserialize");
+        let back: FaultSpec = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, spec);
     }
 
     #[test]
     fn empty_object_deserializes_to_no_faults_and_default_retry() {
-        let v = serde_json::value_from_str("{}").expect("parse");
-        let fault: FaultSpec = Deserialize::from_value(&v).expect("fault");
+        let fault: FaultSpec = serde_json::from_str("{}").expect("fault");
         assert_eq!(fault, FaultSpec::default());
-        let retry: RetryPolicy = Deserialize::from_value(&v).expect("retry");
+        let retry: RetryPolicy = serde_json::from_str("{}").expect("retry");
         assert_eq!(retry, RetryPolicy::default());
     }
 
@@ -613,14 +408,11 @@ mod tests {
             jitter: 0.1,
         };
         let json = policy.to_value().render(false);
-        let back: RetryPolicy =
-            Deserialize::from_value(&serde_json::value_from_str(&json).expect("parse"))
-                .expect("deserialize");
+        let back: RetryPolicy = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, policy);
 
-        let partial = serde_json::value_from_str(r#"{"endorse_timeout": 2.0, "max_attempts": 3}"#)
-            .expect("parse");
-        let p: RetryPolicy = Deserialize::from_value(&partial).expect("partial");
+        let p: RetryPolicy = serde_json::from_str(r#"{"endorse_timeout": 2.0, "max_attempts": 3}"#)
+            .expect("partial");
         assert_eq!(p.endorse_timeout, Some(2.0));
         assert_eq!(p.max_attempts, 3);
         assert_eq!(p.backoff_base, RetryPolicy::default().backoff_base);

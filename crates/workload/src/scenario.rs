@@ -319,10 +319,10 @@ impl ArrivalSpec {
 /// One fully described, serializable, replayable workload scenario. See
 /// the [module docs](self) for the shape and guarantees.
 ///
-/// Serde is hand-written (below) rather than derived: a spec saved before
-/// the open-loop layer existed has no `arrival` field, and such JSON must
-/// keep parsing — a missing `arrival` means [`ArrivalSpec::Closed`].
-#[derive(Debug, Clone, PartialEq)]
+/// Specs saved before the open-loop or the fault layer existed lack the
+/// `arrival`, `fault` and `retry` fields; such JSON keeps parsing, with
+/// each absent field at its default.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Display name (the built-in scenario name, or a user label).
     pub name: String,
@@ -330,7 +330,9 @@ pub struct ScenarioSpec {
     // detlint: allow(spec-validate, reason = "validated structurally: every validate() arm names this field's contents by workload-kind prefix (scm., dv., …)")
     pub workload: WorkloadSpec,
     /// How transactions enter the network: the schedule's own closed-loop
-    /// timestamps, or an open-loop re-stamping ([`ArrivalSpec`]).
+    /// timestamps, or an open-loop re-stamping ([`ArrivalSpec`]). Absent in
+    /// JSON ⇒ the closed loop.
+    #[serde(default)]
     pub arrival: ArrivalSpec,
     /// Declarative schedule rewrites, applied in order after generation.
     pub transforms: Vec<SpecTransform>,
@@ -342,58 +344,12 @@ pub struct ScenarioSpec {
     pub network: NetworkConfig,
     /// Declarative fault plan (outages, latency spikes, orderer stalls,
     /// message drops). Absent in JSON ⇒ no faults.
+    #[serde(default)]
     pub fault: FaultSpec,
     /// Client resilience policy (endorsement timeout, retries, backoff).
     /// Absent in JSON ⇒ the legacy wait-forever client.
+    #[serde(default)]
     pub retry: RetryPolicy,
-}
-
-impl Serialize for ScenarioSpec {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Object(vec![
-            ("name".to_string(), self.name.to_value()),
-            ("workload".to_string(), self.workload.to_value()),
-            ("arrival".to_string(), self.arrival.to_value()),
-            ("transforms".to_string(), self.transforms.to_value()),
-            ("variants".to_string(), self.variants.to_value()),
-            ("network".to_string(), self.network.to_value()),
-            ("fault".to_string(), self.fault.to_value()),
-            ("retry".to_string(), self.retry.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        if !matches!(v, serde::value::Value::Object(_)) {
-            return Err(serde::de::Error::expected("object (ScenarioSpec)", v));
-        }
-        let field = |name: &'static str| {
-            v.field(name)
-                .ok_or_else(|| serde::de::Error::missing_field(name))
-        };
-        Ok(ScenarioSpec {
-            name: Deserialize::from_value(field("name")?)?,
-            workload: Deserialize::from_value(field("workload")?)?,
-            // Pre-open-loop specs carry no arrival field: closed loop.
-            arrival: match v.field("arrival") {
-                Some(a) => Deserialize::from_value(a)?,
-                None => ArrivalSpec::Closed,
-            },
-            transforms: Deserialize::from_value(field("transforms")?)?,
-            variants: Deserialize::from_value(field("variants")?)?,
-            network: Deserialize::from_value(field("network")?)?,
-            // Pre-fault specs carry neither field: no faults, legacy client.
-            fault: match v.field("fault") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => FaultSpec::default(),
-            },
-            retry: match v.field("retry") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => RetryPolicy::default(),
-            },
-        })
-    }
 }
 
 /// Shorthand for [`SpecError::BadParameter`].
@@ -441,6 +397,11 @@ fn check_range(field: &str, value: usize, min: usize, max: usize) -> Result<(), 
     }
 }
 
+/// A count a generator allocates by must lie in `[min, MAX_GENERATED]`.
+fn check_count(field: &str, value: usize, min: usize) -> Result<(), SpecError> {
+    check_range(field, value, min, MAX_GENERATED)
+}
+
 /// Upper bound on the organizations of a spec, and on the client workers or
 /// endorsing peers of one organization: the simulator numbers them with
 /// `u16` ids (`OrgId`, `ClientId::index`, `PeerId::index`), so a larger
@@ -451,6 +412,15 @@ pub const MAX_IDS: usize = u16::MAX as usize + 1;
 /// peers, of a whole network: the simulator allocates one queueing server
 /// per worker and per peer before the run starts.
 pub const MAX_FLEET: usize = 1 << 16;
+
+/// Upper bound on every count a workload generator allocates by: its
+/// transactions, and its products, audits, batch, catalogue, patients,
+/// institutes, parties, queries, votes, applications or employees. The
+/// generators size their schedules, genesis states and weight tables by
+/// these counts before anything runs, so an unbounded count is an
+/// input-sized allocation. 2²⁰ is ~50× the largest workload the repository
+/// runs (20 000 transactions).
+pub const MAX_GENERATED: usize = 1 << 20;
 
 impl ScenarioSpec {
     /// The spec of a built-in scenario under its default parameters and
@@ -542,7 +512,7 @@ impl ScenarioSpec {
         match &self.workload {
             WorkloadSpec::Synthetic(cv) => {
                 check_rate("synthetic.send_rate", cv.send_rate)?;
-                check_min("synthetic.transactions", cv.transactions, 1)?;
+                check_count("synthetic.transactions", cv.transactions, 1)?;
                 check_min("synthetic.orgs", cv.orgs, 1)?;
                 check_min("synthetic.block_count", cv.block_count, 1)?;
                 check_share("synthetic.tx_dist_skew", cv.tx_dist_skew)?;
@@ -555,10 +525,10 @@ impl ScenarioSpec {
             }
             WorkloadSpec::Scm(s) => {
                 check_rate("scm.send_rate", s.send_rate)?;
-                check_min("scm.transactions", s.transactions, 1)?;
-                check_min("scm.products", s.products, 1)?;
-                check_min("scm.audits", s.audits, 1)?;
-                check_min("scm.batch", s.batch, 1)?;
+                check_count("scm.transactions", s.transactions, 1)?;
+                check_count("scm.products", s.products, 1)?;
+                check_count("scm.audits", s.audits, 1)?;
+                check_count("scm.batch", s.batch, 1)?;
                 check_min("scm.orgs", s.orgs, 1)?;
                 check_share("scm.query_share", s.query_share)?;
                 check_share("scm.audit_share", s.audit_share)?;
@@ -572,8 +542,8 @@ impl ScenarioSpec {
             }
             WorkloadSpec::Drm(s) => {
                 check_rate("drm.send_rate", s.send_rate)?;
-                check_min("drm.transactions", s.transactions, 1)?;
-                check_min("drm.catalogue", s.catalogue, 1)?;
+                check_count("drm.transactions", s.transactions, 1)?;
+                check_count("drm.catalogue", s.catalogue, 1)?;
                 check_min("drm.orgs", s.orgs, 1)?;
                 check_share("drm.play_share", s.play_share)?;
                 if !s.popularity_skew.is_finite() || s.popularity_skew < 0.0 {
@@ -582,9 +552,9 @@ impl ScenarioSpec {
             }
             WorkloadSpec::Ehr(s) => {
                 check_rate("ehr.send_rate", s.send_rate)?;
-                check_min("ehr.transactions", s.transactions, 1)?;
-                check_min("ehr.patients", s.patients, 1)?;
-                check_min("ehr.institutes", s.institutes, 1)?;
+                check_count("ehr.transactions", s.transactions, 1)?;
+                check_count("ehr.patients", s.patients, 1)?;
+                check_count("ehr.institutes", s.institutes, 1)?;
                 check_min("ehr.orgs", s.orgs, 1)?;
                 check_share("ehr.update_share", s.update_share)?;
                 check_share("ehr.anomalous_revoke_rate", s.anomalous_revoke_rate)?;
@@ -592,15 +562,15 @@ impl ScenarioSpec {
             WorkloadSpec::Dv(s) => {
                 check_rate("dv.query_rate", s.query_rate)?;
                 check_rate("dv.vote_rate", s.vote_rate)?;
-                check_min("dv.parties", s.parties, 1)?;
-                check_min("dv.queries", s.queries, 1)?;
-                check_min("dv.votes", s.votes, 1)?;
+                check_count("dv.parties", s.parties, 1)?;
+                check_count("dv.queries", s.queries, 1)?;
+                check_count("dv.votes", s.votes, 1)?;
                 check_min("dv.orgs", s.orgs, 1)?;
             }
             WorkloadSpec::Lap(s) => {
                 check_rate("lap.send_rate", s.send_rate)?;
-                check_min("lap.applications", s.applications, 1)?;
-                check_min("lap.employees", s.employees, 2)?;
+                check_count("lap.applications", s.applications, 1)?;
+                check_count("lap.employees", s.employees, 2)?;
                 check_min("lap.orgs", s.orgs, 1)?;
                 check_share("lap.hot_employee_share", s.hot_employee_share)?;
                 check_share("lap.rework_rate", s.rework_rate)?;
@@ -1491,10 +1461,43 @@ mod tests {
         }
     }
 
+    /// Every count field of a workload that its generator allocates by.
+    fn counts(workload: &mut WorkloadSpec) -> Vec<(&'static str, &mut usize)> {
+        match workload {
+            WorkloadSpec::Synthetic(cv) => vec![("synthetic.transactions", &mut cv.transactions)],
+            WorkloadSpec::Scm(s) => vec![
+                ("scm.transactions", &mut s.transactions),
+                ("scm.products", &mut s.products),
+                ("scm.audits", &mut s.audits),
+                ("scm.batch", &mut s.batch),
+            ],
+            WorkloadSpec::Drm(s) => vec![
+                ("drm.transactions", &mut s.transactions),
+                ("drm.catalogue", &mut s.catalogue),
+            ],
+            WorkloadSpec::Ehr(s) => vec![
+                ("ehr.transactions", &mut s.transactions),
+                ("ehr.patients", &mut s.patients),
+                ("ehr.institutes", &mut s.institutes),
+            ],
+            WorkloadSpec::Dv(s) => vec![
+                ("dv.parties", &mut s.parties),
+                ("dv.queries", &mut s.queries),
+                ("dv.votes", &mut s.votes),
+            ],
+            WorkloadSpec::Lap(s) => vec![
+                ("lap.applications", &mut s.applications),
+                ("lap.employees", &mut s.employees),
+            ],
+            WorkloadSpec::Schedule(_) => vec![],
+        }
+    }
+
     /// Network and workload dimensions past the `u16` id space, fleets past
-    /// [`MAX_FLEET`], and invokers from orgs the network lacks fail
-    /// validation with a dotted path instead of aliasing ids, allocating by
-    /// the input or indexing past the worker fleet.
+    /// [`MAX_FLEET`], generator counts past [`MAX_GENERATED`], and invokers
+    /// from orgs the network lacks fail validation with a dotted path
+    /// instead of aliasing ids, allocating by the input or indexing past
+    /// the worker fleet.
     #[test]
     fn out_of_range_dimensions_are_rejected_with_dotted_paths() {
         let demo = include_str!("../../../examples/demo_spec.json");
@@ -1567,6 +1570,27 @@ mod tests {
         edge.network.client_boost = Some((1, 1));
         edge.network.total_endorser_peers = MAX_FLEET;
         edge.validate().unwrap();
+
+        // Every count a generator allocates by is capped: 10¹² scm
+        // transactions tried a 400 GB schedule, 10¹² products an 80 TB one.
+        for name in BUILTIN_NAMES {
+            let spec = ScenarioSpec::builtin(name).unwrap();
+            spec.clone().with_transactions(20_000).validate().unwrap();
+            for i in 0..counts(&mut spec.clone().workload).len() {
+                for n in [MAX_GENERATED, MAX_GENERATED + 1, 1_000_000_000_000] {
+                    let mut sized = spec.clone();
+                    let (field, count) = counts(&mut sized.workload).swap_remove(i);
+                    *count = n;
+                    match sized.validate() {
+                        Ok(()) => assert_eq!(n, MAX_GENERATED, "{field}"),
+                        Err(SpecError::BadParameter { field: f, .. }) if n > MAX_GENERATED => {
+                            assert_eq!(f, field)
+                        }
+                        other => panic!("{field} = {n}: {other:?}"),
+                    }
+                }
+            }
+        }
 
         let (bundle, config) = base.build().unwrap();
         let mut frozen = freeze("demo", &bundle, &config).unwrap();

@@ -150,16 +150,31 @@ proptest! {
 
 #[test]
 fn malformed_json_is_a_typed_error() {
+    // A `network` whose endorsement policy nests 100 000 levels deep
+    // overflowed the stack of the old recursive parser; the reader stops
+    // at its nesting cap.
+    let mut deep_network = ScenarioSpec::builtin("scm").unwrap().to_json();
+    let key = "\"endorsement_policy\": ";
+    let at = deep_network.find(key).unwrap() + key.len();
+    deep_network.insert_str(at, &"{\"And\": [".repeat(100_000));
+    let err = ScenarioSpec::from_json(&deep_network)
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("nesting deeper than 128 levels at byte"),
+        "{err}"
+    );
     for garbage in [
         "",
         "{",
         "[1, 2, 3]",
         r#"{"name": "x"}"#,
         r#"{"name": "x", "workload": {"NoSuchKind": {}}, "transforms": [], "variants": [], "network": {}}"#,
+        &deep_network,
     ] {
         match ScenarioSpec::from_json(garbage) {
             Err(SpecError::Json(_)) => {}
-            other => panic!("{garbage:?} → {other:?}"),
+            other => panic!("{garbage:.40?} → {other:?}"),
         }
     }
 }
