@@ -39,47 +39,40 @@ impl ExecStatus {
 /// Writes are buffered in the read-write set (they do **not** become visible
 /// to subsequent reads within the same execution — matching Fabric, where
 /// `GetState` reads committed state only).
+///
+/// The namespace is borrowed for the context's lifetime, like the state:
+/// opening a context allocates nothing, and qualifying a key as
+/// `"namespace/key"` is one exactly-sized allocation.
 pub struct TxContext<'a> {
     state: &'a WorldState,
-    /// The cached `"namespace/"` prefix: qualifying a key is one exactly-
-    /// sized allocation, with no per-access namespace formatting.
-    prefix: String,
+    namespace: &'a str,
     rwset: ReadWriteSet,
 }
 
 impl<'a> TxContext<'a> {
     /// A context over `state`, scoping keys under `namespace`.
-    pub fn new(state: &'a WorldState, namespace: &str) -> Self {
-        let mut prefix = String::with_capacity(namespace.len() + 1);
-        prefix.push_str(namespace);
-        prefix.push('/');
+    pub fn new(state: &'a WorldState, namespace: &'a str) -> Self {
         TxContext {
             state,
-            prefix,
+            namespace,
             rwset: ReadWriteSet::new(),
         }
     }
 
     fn qualify(&self, key: &str) -> Key {
-        let mut out = String::with_capacity(self.prefix.len() + key.len());
-        out.push_str(&self.prefix);
-        out.push_str(key);
-        out
+        crate::types::qualified_key(self.namespace, key)
     }
 
     /// Current namespace (chaincode name).
     pub fn namespace(&self) -> &str {
-        &self.prefix[..self.prefix.len() - 1]
+        self.namespace
     }
 
     /// Switch namespace for a cross-contract invocation
     /// (`invokeChaincode` in Fabric merges the callee's accesses into the
     /// caller's read-write set on the same channel).
-    pub fn set_namespace(&mut self, namespace: &str) {
-        self.prefix.clear();
-        self.prefix.reserve(namespace.len() + 1);
-        self.prefix.push_str(namespace);
-        self.prefix.push('/');
+    pub fn set_namespace(&mut self, namespace: &'a str) {
+        self.namespace = namespace;
     }
 
     /// Read a key from committed state, recording the observed version.
@@ -123,7 +116,11 @@ impl<'a> TxContext<'a> {
         let mut out = Vec::new();
         for (k, vv) in self.state.range(&qstart, &qend).take(limit) {
             observed.push((k.clone(), vv.version));
-            let short = k.strip_prefix(&self.prefix).unwrap_or(k).to_string();
+            let short = k
+                .strip_prefix(self.namespace)
+                .and_then(|rest| rest.strip_prefix('/'))
+                .unwrap_or(k)
+                .to_string();
             out.push((short, vv.value.clone()));
         }
         self.rwset.record_range(qstart, qend, observed);

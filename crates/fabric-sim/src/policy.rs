@@ -18,6 +18,12 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
+/// The most distinct organizations a policy may mention. Its minimal
+/// satisfying sets are found by sweeping every subset of those orgs, so the
+/// sweep costs 2^n policy evaluations; scenario validation rejects wider
+/// policies before any simulation expands one.
+pub const MAX_POLICY_ORGS: usize = 16;
+
 /// A boolean endorsement expression over organizations.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EndorsementPolicy {
@@ -74,12 +80,18 @@ impl EndorsementPolicy {
 
     /// Whether endorsements from `orgs` satisfy the policy.
     pub fn satisfied_by(&self, orgs: &BTreeSet<OrgId>) -> bool {
+        self.satisfied_when(&|o| orgs.contains(&o))
+    }
+
+    /// Whether the policy holds when exactly the orgs `endorsed` accepts
+    /// have endorsed.
+    fn satisfied_when<F: Fn(OrgId) -> bool>(&self, endorsed: &F) -> bool {
         match self {
-            EndorsementPolicy::Org(o) => orgs.contains(o),
-            EndorsementPolicy::And(ps) => ps.iter().all(|p| p.satisfied_by(orgs)),
-            EndorsementPolicy::Or(ps) => ps.iter().any(|p| p.satisfied_by(orgs)),
+            EndorsementPolicy::Org(o) => endorsed(*o),
+            EndorsementPolicy::And(ps) => ps.iter().all(|p| p.satisfied_when(endorsed)),
+            EndorsementPolicy::Or(ps) => ps.iter().any(|p| p.satisfied_when(endorsed)),
             EndorsementPolicy::OutOf(k, ps) => {
-                ps.iter().filter(|p| p.satisfied_by(orgs)).count() >= *k
+                ps.iter().filter(|p| p.satisfied_when(endorsed)).count() >= *k
             }
         }
     }
@@ -106,34 +118,40 @@ impl EndorsementPolicy {
         }
     }
 
-    /// All *minimal* satisfying organization sets (no satisfying proper
-    /// subset). Policies in practice mention ≤ a handful of orgs, so the
-    /// power-set sweep is cheap and exact.
+    /// All *minimal* satisfying organization sets (no satisfying non-empty
+    /// proper subset), in the order of their bit masks over the sorted
+    /// mentioned orgs. The power-set sweep is exact for up to
+    /// [`MAX_POLICY_ORGS`] orgs.
+    ///
+    /// These policies are monotone (adding an org never breaks one), so a
+    /// satisfying set is minimal exactly when removing any one of its orgs
+    /// leaves the empty set or a set that fails: each candidate costs n
+    /// evaluations, not a scan of every other satisfying set.
     pub fn minimal_satisfying_sets(&self) -> Vec<BTreeSet<OrgId>> {
         let orgs: Vec<OrgId> = self.orgs().into_iter().collect();
         let n = orgs.len();
-        assert!(n <= 16, "policy mentions too many orgs for exact expansion");
-        let mut satisfying: Vec<BTreeSet<OrgId>> = Vec::new();
-        for mask in 1u32..(1 << n) {
-            let set: BTreeSet<OrgId> = (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| orgs[i])
-                .collect();
-            if self.satisfied_by(&set) {
-                satisfying.push(set);
-            }
-        }
-        satisfying
-            .iter()
-            .filter(|s| {
-                !satisfying
-                    .iter()
-                    .any(|other| other.len() < s.len() && other.is_subset(s))
-                    && !satisfying
-                        .iter()
-                        .any(|other| other.len() == s.len() && *other != **s && other.is_subset(s))
+        assert!(
+            n <= MAX_POLICY_ORGS,
+            "policy mentions too many orgs for exact expansion"
+        );
+        // Bit i of a mask stands for `orgs[i]`.
+        let satisfied = |mask: u32| {
+            self.satisfied_when(&|o| orgs.binary_search(&o).is_ok_and(|i| mask & (1 << i) != 0))
+        };
+        (1u32..(1 << n))
+            .filter(|&mask| {
+                satisfied(mask)
+                    && (0..n).all(|i| {
+                        let rest = mask & !(1 << i);
+                        rest == mask || rest == 0 || !satisfied(rest)
+                    })
             })
-            .cloned()
+            .map(|mask| {
+                (0..n)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| orgs[i])
+                    .collect()
+            })
             .collect()
     }
 
@@ -276,6 +294,86 @@ mod tests {
         assert!(!p.satisfied_by(&set(&[0])));
         assert_eq!(p.min_endorsers(), 1);
         assert_eq!(p.mandatory_orgs(), set(&[1]));
+    }
+
+    /// The pre-filter definition of minimality: a satisfying set with no
+    /// smaller satisfying subset, collected in mask order.
+    fn minimal_sets_by_subset_filter(p: &EndorsementPolicy) -> Vec<BTreeSet<OrgId>> {
+        let orgs: Vec<OrgId> = p.orgs().into_iter().collect();
+        let satisfying: Vec<BTreeSet<OrgId>> = (1u32..(1 << orgs.len()))
+            .map(|mask| {
+                (0..orgs.len())
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| orgs[i])
+                    .collect()
+            })
+            .filter(|s| p.satisfied_by(s))
+            .collect();
+        satisfying
+            .iter()
+            .filter(|s| {
+                !satisfying
+                    .iter()
+                    .any(|o| o.len() < s.len() && o.is_subset(s))
+            })
+            .cloned()
+            .collect()
+    }
+
+    /// A random policy over orgs 0..6, up to three levels deep, with
+    /// `OutOf` thresholds from 0 to one past the child count.
+    fn random_policy(state: &mut u64, depth: u32) -> EndorsementPolicy {
+        let mut next = |bound: u64| {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *state % bound
+        };
+        let kind = if depth == 0 { 0 } else { next(4) };
+        if kind == 0 {
+            return EndorsementPolicy::Org(OrgId(next(6) as u16));
+        }
+        let width = 1 + next(3) as usize;
+        let k = next(width as u64 + 2) as usize;
+        let children = (0..width)
+            .map(|_| random_policy(state, depth - 1))
+            .collect();
+        match kind {
+            1 => EndorsementPolicy::And(children),
+            2 => EndorsementPolicy::Or(children),
+            _ => EndorsementPolicy::OutOf(k, children),
+        }
+    }
+
+    #[test]
+    fn single_removal_test_matches_the_subset_filter() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut policies = vec![
+            EndorsementPolicy::p1(),
+            EndorsementPolicy::p2(),
+            EndorsementPolicy::p3(5),
+            EndorsementPolicy::p4(),
+            EndorsementPolicy::out_of(0, 3),
+            EndorsementPolicy::out_of(4, 3),
+        ];
+        policies.extend((0..2_000).map(|_| random_policy(&mut state, 3)));
+        for p in &policies {
+            assert_eq!(
+                p.minimal_satisfying_sets(),
+                minimal_sets_by_subset_filter(p),
+                "{p}"
+            );
+        }
+    }
+
+    #[test]
+    fn widest_policy_expands_exactly() {
+        let p = EndorsementPolicy::out_of(8, MAX_POLICY_ORGS);
+        let sets = p.minimal_satisfying_sets();
+        assert_eq!(sets.len(), 12_870, "C(16, 8)");
+        assert!(sets.iter().all(|s| s.len() == 8));
+        assert_eq!(sets[0], (0..8).map(OrgId).collect(), "mask order");
+        assert_eq!(p.min_endorsers(), 8);
     }
 
     #[test]

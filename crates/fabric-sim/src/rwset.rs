@@ -150,9 +150,12 @@ impl ReadWriteSet {
     }
 
     /// Whether the point-read and write key sets overlap (an "update").
+    /// Compares keys pairwise: a read-write set holds a handful of keys, and
+    /// the engine asks this of every committed transaction.
     pub fn reads_overlap_writes(&self) -> bool {
-        let writes = self.write_keys();
-        self.reads.iter().any(|r| writes.contains(r.key.as_str()))
+        self.reads
+            .iter()
+            .any(|r| self.writes.iter().any(|w| w.key == r.key))
     }
 
     /// Rough serialized size in bytes (keys + values + versions), used for

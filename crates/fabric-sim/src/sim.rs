@@ -227,14 +227,17 @@ struct Pending {
     worker: Option<ClientId>,
     client_ts: SimTime,
     submit_ts: SimTime,
-    endorse_orgs: Vec<OrgId>,
     endorse_peers: Vec<PeerId>,
-    endorse_starts: Vec<SimTime>,
+    /// Earliest and latest endorsement start of the current attempt; the
+    /// block scheduler prices their spread.
+    endorse_span: Option<(SimTime, SimTime)>,
     results: Vec<Option<EndorseResult>>,
     /// The current attempt's latest chaincode run and the state generation
     /// it executed at; an endorsement at that generation reuses it.
     exec: Option<(u64, EndorseResult)>,
     /// Per-slot: the endorsement reply was lost in transit (fault drop).
+    /// Filled only when the fault plan drops messages; a missing entry
+    /// means the reply arrived.
     response_dropped: Vec<bool>,
     /// Proposal attempts so far (1 after the first fan-out).
     attempt: usize,
@@ -247,6 +250,24 @@ struct Pending {
     timeout_timer: Option<TimerId>,
     mismatch: bool,
     dropped: bool,
+}
+
+impl Pending {
+    /// Open an endorsement slot of the current fan-out.
+    fn add_slot(&mut self, peer: PeerId, start: SimTime) {
+        self.endorse_peers.push(peer);
+        self.results.push(None);
+        self.endorse_span = Some(match self.endorse_span {
+            Some((first, last)) => (first.min(start), last.max(start)),
+            None => (start, start),
+        });
+    }
+
+    /// Time between the first and the last endorsement start.
+    fn endorse_spread(&self) -> SimDuration {
+        self.endorse_span
+            .map_or(SimDuration::ZERO, |(first, last)| last.since(first))
+    }
 }
 
 /// Blocks in flight between cutting and commit. `number` and `verdicts`
@@ -391,22 +412,17 @@ impl Engine<'_> {
         self.pending[i].exec = Some((self.generation, result));
         let service = res.endorse_exec_base + res.endorse_exec_per_access.mul(accesses as u64);
 
-        let orgs: Vec<OrgId> = self
-            .selector
-            .choose(&mut self.rng)
-            .iter()
-            .copied()
-            .collect();
         let arrival = now + self.net_delay();
         let mut last_done = now;
-        self.pending[i].attempt += 1;
         let drops = self.sim.fault.drop;
+        let p = &mut self.pending[i];
+        p.attempt += 1;
         // Whether every selected endorser can be expected to answer this
         // fan-out. Peer availability is predicted with the static window
         // test at the execution start instant, which agrees exactly with
         // the live flags the `Endorse` handler will observe there.
         let mut all_responsive = true;
-        for (slot, &org) in orgs.iter().enumerate() {
+        for (slot, &org) in self.selector.choose(&mut self.rng).iter().enumerate() {
             let proposal_lost = drops.is_some_and(|d| self.drop_rng.chance(d.proposal_rate));
             if proposal_lost {
                 // The proposal never reaches the peer: nothing executes and
@@ -416,10 +432,8 @@ impl Engine<'_> {
                 // either retries (vectors cleared) or aborts.
                 self.degradation.dropped_proposals += 1;
                 all_responsive = false;
-                self.pending[i].endorse_peers.push(PeerId { org, index: 0 });
-                self.pending[i].endorse_starts.push(arrival);
-                self.pending[i].results.push(None);
-                self.pending[i].response_dropped.push(false);
+                p.add_slot(PeerId { org, index: 0 }, arrival);
+                p.response_dropped.push(false);
                 continue;
             }
             let (peer, start, done) = self.endorsers.submit(org, arrival, service);
@@ -430,14 +444,13 @@ impl Engine<'_> {
             if response_lost || self.faults.peer_down_at(peer, start) {
                 all_responsive = false;
             }
-            self.pending[i].endorse_peers.push(peer);
-            self.pending[i].endorse_starts.push(start);
-            self.pending[i].results.push(None);
-            self.pending[i].response_dropped.push(response_lost);
+            p.add_slot(peer, start);
+            if drops.is_some() {
+                p.response_dropped.push(response_lost);
+            }
             last_done = last_done.max(done);
             queue.schedule(start, Phase::Endorse, Target::endorse(i, slot, epoch));
         }
-        self.pending[i].endorse_orgs = orgs;
         // The client races its endorsement deadline against the fan-out.
         // Assembly is only scheduled when every slot will answer (or when
         // no timeout is configured — the legacy client waits forever and
@@ -578,9 +591,8 @@ impl Engine<'_> {
         }
         self.degradation.retries += 1;
         p.epoch += 1;
-        p.endorse_orgs.clear();
         p.endorse_peers.clear();
-        p.endorse_starts.clear();
+        p.endorse_span = None;
         p.results.clear();
         p.response_dropped.clear();
         p.mismatch = false;
@@ -641,22 +653,9 @@ impl Engine<'_> {
                     EndorseResult::Ok(rw) => rw,
                     EndorseResult::Abort(_) => unreachable!(),
                 };
-                let spread = p
-                    .endorse_starts
-                    .iter()
-                    .max()
-                    .copied()
-                    .unwrap_or(SimTime::ZERO)
-                    .since(
-                        p.endorse_starts
-                            .iter()
-                            .min()
-                            .copied()
-                            .unwrap_or(SimTime::ZERO),
-                    );
                 SchedTx {
                     rwset,
-                    endorse_spread: spread,
+                    endorse_spread: p.endorse_spread(),
                 }
             })
             .collect();

@@ -63,19 +63,26 @@ impl WorldState {
         );
     }
 
-    /// Apply the write set of a validated transaction at `version`.
+    /// Apply the write set of a validated transaction at `version`. An
+    /// existing key is updated in place; only a new key is cloned in.
     pub fn apply(&mut self, writes: &[WriteItem], version: Version) {
         for w in writes {
             match &w.value {
-                Some(v) => {
-                    self.map.insert(
-                        w.key.clone(),
-                        VersionedValue {
-                            value: v.clone(),
-                            version,
-                        },
-                    );
-                }
+                Some(v) => match self.map.get_mut(w.key.as_str()) {
+                    Some(slot) => {
+                        slot.value = v.clone();
+                        slot.version = version;
+                    }
+                    None => {
+                        self.map.insert(
+                            w.key.clone(),
+                            VersionedValue {
+                                value: v.clone(),
+                                version,
+                            },
+                        );
+                    }
+                },
                 None => {
                     self.map.remove(&w.key);
                 }

@@ -121,35 +121,42 @@ fn validate_one(
         };
     }
 
-    // Range scans: re-execute and compare.
+    // Range scans: re-execute each one and walk it in lockstep with the
+    // observed result. A changed key set (a key added, removed or replaced)
+    // is a phantom, and outranks a changed version anywhere in the same
+    // scan, so the first untolerated version change is only reported once
+    // the scan has matched to its end.
     for rr in &tx.rwset.range_reads {
-        let fresh: Vec<(&String, crate::rwset::Version)> = state
-            .range(&rr.start, &rr.end)
-            .map(|(k, vv)| (k, vv.version))
-            .collect();
-        if fresh.len() != rr.observed.len()
-            || fresh
-                .iter()
-                .zip(rr.observed.iter())
-                .any(|((fk, _), (ok, _))| *fk != ok)
-        {
-            return Verdict {
-                status: TxStatus::PhantomReadConflict,
-                intra_block: false,
-            };
-        }
-        for ((_, fresh_v), (_, seen_v)) in fresh.iter().zip(rr.observed.iter()) {
-            if fresh_v != seen_v {
-                let tolerated = tolerance > 0
-                    && fresh_v.block < block_number
-                    && block_number - fresh_v.block <= tolerance;
-                if !tolerated {
+        let mut fresh = state.range(&rr.start, &rr.end);
+        let mut observed = rr.observed.iter();
+        let mut stale: Option<Verdict> = None;
+        loop {
+            match (fresh.next(), observed.next()) {
+                (None, None) => break,
+                (Some((fresh_k, vv)), Some((seen_k, seen_v))) if fresh_k == seen_k => {
+                    let fresh_v = vv.version;
+                    if stale.is_none() && fresh_v != *seen_v {
+                        let tolerated = tolerance > 0
+                            && fresh_v.block < block_number
+                            && block_number - fresh_v.block <= tolerance;
+                        if !tolerated {
+                            stale = Some(Verdict {
+                                status: TxStatus::MvccReadConflict,
+                                intra_block: fresh_v.block == block_number,
+                            });
+                        }
+                    }
+                }
+                _ => {
                     return Verdict {
-                        status: TxStatus::MvccReadConflict,
-                        intra_block: fresh_v.block == block_number,
-                    };
+                        status: TxStatus::PhantomReadConflict,
+                        intra_block: false,
+                    }
                 }
             }
+        }
+        if let Some(verdict) = stale {
+            return verdict;
         }
     }
 
@@ -275,6 +282,16 @@ mod tests {
         let mut insert = ReadWriteSet::new();
         insert.record_write("r/b".into(), Some(Value::Unit));
         validate_block(&mut state, 1, &[plain(&insert)], 0);
+        let v = validate_block(&mut state, 2, &[plain(&scan)], 0);
+        assert_eq!(v[0].status, TxStatus::PhantomReadConflict);
+
+        // A version change met earlier in the scan than the key-set change
+        // still loses to the phantom.
+        let mut state = WorldState::new();
+        state.seed("r/a".into(), Value::Int(0));
+        let mut upd_and_insert = update_tx("r/a", Some(Version::new(0, 0)), 5);
+        upd_and_insert.record_write("r/b".into(), Some(Value::Unit));
+        validate_block(&mut state, 1, &[plain(&upd_and_insert)], 0);
         let v = validate_block(&mut state, 2, &[plain(&scan)], 0);
         assert_eq!(v[0].status, TxStatus::PhantomReadConflict);
     }

@@ -35,6 +35,7 @@ use crate::spec::ControlVariables;
 use crate::{drm, dv, ehr, lap, optimize, scm, synthetic};
 use fabric_sim::config::NetworkConfig;
 use fabric_sim::fault::{FaultSpec, RetryPolicy};
+use fabric_sim::policy::MAX_POLICY_ORGS;
 use fabric_sim::sim::TxRequest;
 use fabric_sim::types::Value;
 use serde::{Deserialize, Serialize};
@@ -656,6 +657,7 @@ impl ScenarioSpec {
             });
         }
         self.validate_fleets()?;
+        self.validate_policy()?;
         self.validate_invokers()?;
         check_min("network.block_count", self.network.block_count, 1)?;
         self.validate_fault()?;
@@ -715,14 +717,59 @@ impl ScenarioSpec {
         Ok(())
     }
 
+    /// The endorsement policy must be expandable, name only orgs the
+    /// network runs (the simulator indexes its endorser fleet by them) and
+    /// be satisfiable: every run expands it into its minimal satisfying
+    /// sets, which takes 2^n steps for n mentioned orgs
+    /// ([`MAX_POLICY_ORGS`]).
+    fn validate_policy(&self) -> Result<(), SpecError> {
+        const FIELD: &str = "network.endorsement_policy";
+        let policy = &self.network.endorsement_policy;
+        let mentioned = policy.orgs();
+        if mentioned.len() > MAX_POLICY_ORGS {
+            return Err(bad(
+                FIELD,
+                format!(
+                    "the policy names {} orgs; at most {MAX_POLICY_ORGS} can be expanded",
+                    mentioned.len()
+                ),
+            ));
+        }
+        if let Some(stray) = mentioned
+            .iter()
+            .find(|o| usize::from(o.0) >= self.network.orgs)
+        {
+            return Err(bad(
+                FIELD,
+                format!(
+                    "org {} does not exist (network has {} orgs)",
+                    stray.0, self.network.orgs
+                ),
+            ));
+        }
+        if mentioned.is_empty() {
+            return Err(bad(FIELD, "the policy names no organization"));
+        }
+        // Policies are monotone, so a non-empty set of their orgs satisfies
+        // one exactly when all of them together do.
+        if !policy.satisfied_by(&mentioned) {
+            return Err(bad(FIELD, "no set of the policy's orgs satisfies it"));
+        }
+        Ok(())
+    }
+
     /// Every org the workload invokes from must exist in the network: the
     /// simulator indexes its worker fleet by the invoking org. As
     /// `network.orgs` is within [`MAX_IDS`], so is every workload
-    /// `*.orgs`. Not yet covered: a synthetic policy that names more orgs
-    /// than `synthetic.orgs` (P1 and P2 widen the invokers to four).
+    /// `*.orgs`. A synthetic workload invokes from
+    /// [`ControlVariables::effective_orgs`]: P1, P2 and P4 name four orgs,
+    /// so they widen the invokers past `synthetic.orgs`.
     fn validate_invokers(&self) -> Result<(), SpecError> {
         let orgs = self.network.orgs;
         let (field, invokers) = match &self.workload {
+            WorkloadSpec::Synthetic(cv) if cv.effective_orgs() > cv.orgs => {
+                ("synthetic.policy", cv.effective_orgs())
+            }
             WorkloadSpec::Synthetic(cv) => ("synthetic.orgs", cv.orgs),
             WorkloadSpec::Scm(s) => ("scm.orgs", s.orgs),
             WorkloadSpec::Drm(s) => ("drm.orgs", s.orgs),
@@ -1015,6 +1062,8 @@ impl WorkloadBundle {
 mod tests {
     use super::*;
     use fabric_sim::fault::{DropSpec, LatencySpike, OutageWindow, StallWindow};
+    use fabric_sim::policy::EndorsementPolicy;
+    use fabric_sim::types::OrgId;
 
     #[test]
     fn builtin_names_cover_all_generators() {
@@ -1554,6 +1603,26 @@ mod tests {
                     other => panic!("demo spec is scm, got {}", other.kind()),
                 }),
             ),
+            // Policies the simulator cannot expand or satisfy: no two of
+            // two orgs make three, org 5 has no endorsers on a 2-org
+            // network, and 17 orgs are past the exact-expansion bound.
+            (
+                "network.endorsement_policy",
+                Box::new(|s| s.network.endorsement_policy = EndorsementPolicy::out_of(3, 2)),
+            ),
+            (
+                "network.endorsement_policy",
+                Box::new(|s| {
+                    s.network.endorsement_policy =
+                        EndorsementPolicy::OutOf(1, vec![EndorsementPolicy::Org(OrgId(5))])
+                }),
+            ),
+            (
+                "network.endorsement_policy",
+                Box::new(|s| {
+                    s.network.endorsement_policy = EndorsementPolicy::out_of(1, MAX_POLICY_ORGS + 1)
+                }),
+            ),
         ];
         for (field, poison) in cases {
             let mut spec = base.clone();
@@ -1564,12 +1633,42 @@ mod tests {
             }
             assert!(spec.build().is_err(), "{field}: build validates first");
         }
+        // An empty `And` is satisfied by every set: what is wrong is that it
+        // names no org to endorse.
+        let mut empty = base.clone();
+        empty.network.endorsement_policy = EndorsementPolicy::And(vec![]);
+        match empty.validate().unwrap_err() {
+            SpecError::BadParameter { field, message } => {
+                assert_eq!(field, "network.endorsement_policy");
+                assert_eq!(message, "the policy names no organization");
+            }
+            other => panic!("expected BadParameter, got {other:?}"),
+        }
         // The largest accepted shapes stay accepted.
         let mut edge = base.clone();
         edge.network.clients_per_org = MAX_FLEET / 2;
         edge.network.client_boost = Some((1, 1));
         edge.network.total_endorser_peers = MAX_FLEET;
         edge.validate().unwrap();
+        let mut widest = base.clone();
+        widest.network.orgs = MAX_POLICY_ORGS;
+        widest.network.endorsement_policy = EndorsementPolicy::out_of(8, MAX_POLICY_ORGS);
+        widest.validate().unwrap();
+
+        // P1 names four orgs, so a synthetic P1 workload invokes from four
+        // orgs, which the builtin 2-org network does not run.
+        let mut widened = ScenarioSpec::builtin("synthetic").unwrap();
+        let WorkloadSpec::Synthetic(cv) = &mut widened.workload else {
+            panic!("synthetic builtin");
+        };
+        cv.policy = crate::spec::PolicyChoice::P1;
+        let four_orgs = cv.network_config();
+        match widened.validate().unwrap_err() {
+            SpecError::BadParameter { field, .. } => assert_eq!(field, "synthetic.policy"),
+            other => panic!("expected BadParameter, got {other:?}"),
+        }
+        widened.network = four_orgs;
+        widened.validate().unwrap();
 
         // Every count a generator allocates by is capped: 10¹² scm
         // transactions tried a 400 GB schedule, 10¹² products an 80 TB one.

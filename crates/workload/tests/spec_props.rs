@@ -45,6 +45,10 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                             1 => PolicyChoice::P3,
                             _ => PolicyChoice::P4,
                         };
+                        // P1 and P4 name four orgs: the network the control
+                        // variables imply runs every org the workload
+                        // invokes from.
+                        spec.network = cv.network_config();
                     }
                     WorkloadSpec::Scm(s) => {
                         s.send_rate = rate;
