@@ -11,9 +11,9 @@
 
 use super::{run_and_analyze, ExpCtx};
 use crate::table::FigureTable;
-use blockoptr::action::{Action, ScheduleRewrite};
+use blockoptr::action::Action;
 use blockoptr::plan::{OptimizationPlan, PlanConfig, PlanOutcome, PlannedAction};
-use workload::{ScenarioSpec, WorkloadSpec};
+use workload::{ScenarioSpec, SpecTransform, WorkloadSpec};
 
 /// Guarantee the plan carries an action for `source`, appending the given
 /// fallback when the analysis did not recommend it.
@@ -28,7 +28,7 @@ fn ensure(plan: &mut OptimizationPlan, source: &str, action: Action) {
 
 /// Table 4's universal rate-control setting.
 fn throttle_100() -> Action {
-    Action::RewriteSchedule(ScheduleRewrite::Throttle { rate: 100.0 })
+    Action::RewriteSchedule(SpecTransform::Throttle { rate: 100.0 })
 }
 
 /// The figure row label for a recommendation name.
@@ -77,7 +77,7 @@ fn usecase_outcome(
     ensured: &[(&str, Action)],
 ) -> PlanOutcome {
     let (bundle, cfg) = spec.build().expect("figure specs validate");
-    let (baseline, analysis) = run_and_analyze(&bundle, cfg.clone());
+    let (baseline, analysis) = run_and_analyze(&bundle, cfg);
     let mut plan = OptimizationPlan::from_analysis(&analysis).select(sources);
     for (source, action) in ensured {
         ensure(&mut plan, source, action.clone());
@@ -85,14 +85,9 @@ fn usecase_outcome(
     // The per-action and combined re-runs are independent simulations:
     // fan them out over the context's inner thread budget (the grid
     // runner already parallelizes across experiments, so this avoids
-    // nested-pool oversubscription). The bundle carries the spec as
-    // provenance, so the outcome also records the optimized spec.
-    plan.execute_from_with(
-        &bundle,
-        &cfg,
-        baseline,
-        &PlanConfig::new(1, ctx.plan_threads),
-    )
+    // nested-pool oversubscription). One seed runs the spec verbatim.
+    plan.execute_spec_from_with(spec, baseline, &PlanConfig::new(1, ctx.plan_threads))
+        .expect("figure plans apply to their specs")
 }
 
 /// Figure 13: SCM — rate control, reordering, pruning, all.

@@ -7,7 +7,8 @@
 //! implementation sites (Figure 6):
 //!
 //! * [`Action::RewriteSchedule`] — the client / workflow engine: reorder
-//!   the request schedule, throttle the send rate;
+//!   the request schedule, throttle the send rate (a
+//!   [`SpecTransform`]);
 //! * [`Action::ReconfigureNetwork`] — the channel configuration: block
 //!   count, endorsement policy, client fleet;
 //! * [`Action::SelectContractVariant`] — the smart contract: swap in a
@@ -16,37 +17,24 @@
 //!   be manually implemented by the user" — a workload that ships no
 //!   prepared variant reports the action as manual).
 //!
-//! Actions are serializable, so a plan can be exported, reviewed, and
-//! replayed. The [`plan`](crate::plan) module executes them in a closed
-//! loop; [`apply_user_level`](crate::apply::apply_user_level) /
+//! An action is a *spec edit*: [`Action::apply_to_spec`] is the one way to
+//! apply it, and the [`plan`](crate::plan) module measures every
+//! configuration as the spec it yields. Schedule rewrites join
+//! `spec.transforms`, which [`ScenarioSpec::finish`] applies after the
+//! arrival process has re-stamped the schedule, so a throttle also
+//! re-spaces an open-loop schedule. Actions are serializable, so a plan can
+//! be exported, reviewed, and replayed.
+//! [`apply_user_level`](crate::apply::apply_user_level) /
 //! [`apply_system_level`](crate::apply::apply_system_level) remain as thin
 //! wrappers for the paper-era call sites.
 
 use crate::recommend::Recommendation;
 use fabric_sim::config::NetworkConfig;
 use fabric_sim::policy::EndorsementPolicy;
-use fabric_sim::sim::TxRequest;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
-use workload::{optimize, ScenarioSpec, SpecTransform, VariantKind};
-
-/// A rewrite of the request schedule (client-side, Table 4's Caliper
-/// settings).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ScheduleRewrite {
-    /// Reschedule the named activities after all others, keeping the
-    /// original injection timestamps.
-    DeferActivities {
-        /// Activities moved to the end of the schedule.
-        activities: Vec<String>,
-    },
-    /// Re-space the schedule at a lower rate (Table 4: 100 tps).
-    Throttle {
-        /// The target rate, tx/s.
-        rate: f64,
-    },
-}
+use workload::{ScenarioSpec, SpecTransform, VariantKind};
 
 /// A change to the network configuration (channel-side).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -111,8 +99,9 @@ impl RetryChange {
 /// One individually applicable optimization.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Action {
-    /// Rewrite the request schedule.
-    RewriteSchedule(ScheduleRewrite),
+    /// Rewrite the request schedule (client-side, Table 4's Caliper
+    /// settings: deferral, and rate control at 100 tps).
+    RewriteSchedule(SpecTransform),
     /// Rewrite the network configuration.
     ReconfigureNetwork(NetworkChange),
     /// Install a prepared smart-contract rewrite.
@@ -131,10 +120,10 @@ impl Action {
     /// Human-readable description of the change.
     pub fn describe(&self) -> String {
         match self {
-            Action::RewriteSchedule(ScheduleRewrite::DeferActivities { activities }) => {
+            Action::RewriteSchedule(SpecTransform::DeferActivities { activities }) => {
                 format!("activity reordering: deferred {}", activities.join(", "))
             }
-            Action::RewriteSchedule(ScheduleRewrite::Throttle { rate }) => {
+            Action::RewriteSchedule(SpecTransform::Throttle { rate }) => {
                 format!("rate control: {rate:.0} tps")
             }
             Action::ReconfigureNetwork(NetworkChange::SetBlockCount { count }) => {
@@ -171,23 +160,9 @@ impl Action {
         }
     }
 
-    /// Apply to a request schedule; `None` when this action does not touch
-    /// the schedule.
-    pub fn apply_to_schedule(&self, requests: &[TxRequest]) -> Option<Vec<TxRequest>> {
-        match self {
-            Action::RewriteSchedule(ScheduleRewrite::DeferActivities { activities }) => {
-                let names: Vec<&str> = activities.iter().map(String::as_str).collect();
-                Some(optimize::move_to_end(requests, &names))
-            }
-            Action::RewriteSchedule(ScheduleRewrite::Throttle { rate }) => {
-                Some(optimize::rate_control(requests, *rate))
-            }
-            _ => None,
-        }
-    }
-
     /// Apply to a network configuration; `None` when this action does not
-    /// touch the configuration.
+    /// touch the configuration. This is the network half of
+    /// [`apply_to_spec`](Self::apply_to_spec).
     pub fn apply_to_config(&self, config: &NetworkConfig) -> Option<NetworkConfig> {
         match self {
             Action::ReconfigureNetwork(NetworkChange::SetBlockCount { count }) => {
@@ -222,43 +197,21 @@ impl Action {
         }
     }
 
-    /// The retry-policy patch this action carries, if any.
-    pub fn retry_change(&self) -> Option<&RetryChange> {
-        match self {
-            Action::TuneRetry(change) => Some(change),
-            _ => None,
-        }
-    }
-
-    /// The contract variant this action selects, if any.
-    pub fn variant(&self) -> Option<VariantKind> {
-        match self {
-            Action::SelectContractVariant(kind) => Some(*kind),
-            _ => None,
-        }
-    }
-
-    /// Lower the action to a *spec transform*: apply it to a declarative
-    /// [`ScenarioSpec`] instead of a materialized bundle, so an optimized
+    /// Apply the action to a declarative [`ScenarioSpec`], so an optimized
     /// configuration is itself a serializable, replayable spec (the
-    /// artifact [`PlanOutcome`](crate::plan::PlanOutcome) emits).
+    /// artifact [`PlanOutcome`](crate::plan::PlanOutcome) emits, and the
+    /// configuration the plan grid measures).
     ///
     /// Schedule rewrites append to `spec.transforms`, network changes
-    /// rewrite `spec.network`, and variant selections join `spec.variants`.
-    /// Returns `None` when the spec's workload ships no prepared rewrite
-    /// for a selected variant — the action stays manual (paper §7), and
-    /// recording it anyway would make the emitted spec unbuildable.
+    /// rewrite `spec.network`, variant selections join `spec.variants`, and
+    /// retry patches rewrite `spec.retry`. Returns `None` when the spec's
+    /// workload ships no prepared rewrite for a selected variant — the
+    /// action stays manual (paper §7), and recording it anyway would make
+    /// the emitted spec unbuildable.
     pub fn apply_to_spec(&self, spec: &ScenarioSpec) -> Option<ScenarioSpec> {
         let mut out = spec.clone();
         match self {
-            Action::RewriteSchedule(ScheduleRewrite::DeferActivities { activities }) => {
-                out.transforms.push(SpecTransform::DeferActivities {
-                    activities: activities.clone(),
-                });
-            }
-            Action::RewriteSchedule(ScheduleRewrite::Throttle { rate }) => {
-                out.transforms.push(SpecTransform::Throttle { rate: *rate });
-            }
+            Action::RewriteSchedule(transform) => out.transforms.push(transform.clone()),
             Action::ReconfigureNetwork(_) => {
                 out.network = self.apply_to_config(&spec.network)?;
             }
@@ -287,13 +240,13 @@ impl Recommendation {
                 if deferred.is_empty() {
                     Vec::new()
                 } else {
-                    vec![Action::RewriteSchedule(ScheduleRewrite::DeferActivities {
+                    vec![Action::RewriteSchedule(SpecTransform::DeferActivities {
                         activities: deferred,
                     })]
                 }
             }
             Recommendation::TransactionRateControl { suggested_rate, .. } => {
-                vec![Action::RewriteSchedule(ScheduleRewrite::Throttle {
+                vec![Action::RewriteSchedule(SpecTransform::Throttle {
                     rate: *suggested_rate,
                 })]
             }
@@ -367,8 +320,17 @@ fn parse_org_index(display: &str) -> Option<u16> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabric_sim::sim::TxRequest;
     use fabric_sim::types::OrgId;
     use sim_core::time::SimTime;
+
+    /// The schedule rewrite an action carries.
+    fn transform(action: &Action) -> &SpecTransform {
+        match action {
+            Action::RewriteSchedule(t) => t,
+            other => panic!("not a schedule rewrite: {other:?}"),
+        }
+    }
 
     fn req(i: u64, activity: &str) -> TxRequest {
         TxRequest {
@@ -389,13 +351,12 @@ mod tests {
         let actions = rec.actions();
         assert_eq!(
             actions,
-            vec![Action::RewriteSchedule(ScheduleRewrite::DeferActivities {
+            vec![Action::RewriteSchedule(SpecTransform::DeferActivities {
                 activities: vec!["query".into()],
             })]
         );
-        let out = actions[0]
-            .apply_to_schedule(&[req(0, "query"), req(1, "write"), req(2, "query")])
-            .unwrap();
+        let out =
+            transform(&actions[0]).apply(&[req(0, "query"), req(1, "write"), req(2, "query")]);
         let acts: Vec<&str> = out.iter().map(|r| r.activity.as_ref()).collect();
         assert_eq!(acts, vec!["write", "query", "query"]);
     }
@@ -412,7 +373,7 @@ mod tests {
             share: 0.5,
         };
         match &rec.actions()[..] {
-            [Action::RewriteSchedule(ScheduleRewrite::DeferActivities { activities })] => {
+            [Action::RewriteSchedule(SpecTransform::DeferActivities { activities })] => {
                 assert_eq!(activities, &vec!["query".to_string()]);
             }
             other => panic!("{other:?}"),
@@ -429,9 +390,7 @@ mod tests {
         let actions = rec.actions();
         assert_eq!(actions.len(), 1);
         assert!(actions[0].describe().contains("10 tps"));
-        let out = actions[0]
-            .apply_to_schedule(&[req(0, "a"), req(1, "a"), req(2, "a")])
-            .unwrap();
+        let out = transform(&actions[0]).apply(&[req(0, "a"), req(1, "a"), req(2, "a")]);
         assert_eq!(
             out[2].send_time.as_micros() - out[0].send_time.as_micros(),
             200_000,
@@ -486,12 +445,18 @@ mod tests {
             rec.actions(),
             vec![Action::SelectContractVariant(VariantKind::DeltaWrites)]
         );
-        assert_eq!(rec.actions()[0].variant(), Some(VariantKind::DeltaWrites));
-        // Variant selection touches neither schedule nor config.
-        assert!(rec.actions()[0].apply_to_schedule(&[]).is_none());
+        // Variant selection touches neither the schedule nor the config, and
+        // is manual on a workload that ships no such rewrite.
         assert!(rec.actions()[0]
             .apply_to_config(&NetworkConfig::default())
             .is_none());
+        let drm = ScenarioSpec::builtin("drm").unwrap();
+        let tuned = rec.actions()[0].apply_to_spec(&drm).unwrap();
+        assert!(tuned.transforms.is_empty());
+        assert_eq!(tuned.network, drm.network);
+        assert!(tuned.variants.contains(&VariantKind::DeltaWrites));
+        let scm = ScenarioSpec::builtin("scm").unwrap();
+        assert!(rec.actions()[0].apply_to_spec(&scm).is_none());
     }
 
     #[test]
@@ -512,10 +477,10 @@ mod tests {
     #[test]
     fn actions_round_trip_through_json() {
         let actions = vec![
-            Action::RewriteSchedule(ScheduleRewrite::DeferActivities {
+            Action::RewriteSchedule(SpecTransform::DeferActivities {
                 activities: vec!["query".into()],
             }),
-            Action::RewriteSchedule(ScheduleRewrite::Throttle { rate: 100.0 }),
+            Action::RewriteSchedule(SpecTransform::Throttle { rate: 100.0 }),
             Action::ReconfigureNetwork(NetworkChange::SetBlockCount { count: 300 }),
             Action::ReconfigureNetwork(NetworkChange::GeneralizeEndorsementPolicy),
             Action::ReconfigureNetwork(NetworkChange::BoostClients { org: 1, factor: 2 }),
@@ -567,12 +532,13 @@ mod tests {
         assert_eq!(tuned.backoff_multiplier, base.backoff_multiplier);
         let action = Action::TuneRetry(change);
         assert!(action.describe().contains("timeout 1.50 s"));
-        assert!(action.apply_to_schedule(&[]).is_none());
         assert!(action.apply_to_config(&NetworkConfig::default()).is_none());
-        // Through the spec layer the patch lands on spec.retry.
-        let spec = workload::ScenarioSpec::builtin("scm").unwrap();
+        // Through the spec layer the patch lands on spec.retry only.
+        let spec = ScenarioSpec::builtin("scm").unwrap();
         let tuned_spec = action.apply_to_spec(&spec).unwrap();
         assert_eq!(tuned_spec.retry.max_attempts, 5);
+        assert!(tuned_spec.transforms.is_empty());
+        assert_eq!(tuned_spec.network, spec.network);
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub fn apply_user_level(
     let mut out = requests.to_vec();
     let mut applied = Vec::new();
     for action in recommendations.iter().flat_map(Recommendation::actions) {
-        if let Some(rewritten) = action.apply_to_schedule(&out) {
-            out = rewritten;
+        if let Action::RewriteSchedule(transform) = &action {
+            out = transform.apply(&out);
             applied.push(action.describe());
         }
     }

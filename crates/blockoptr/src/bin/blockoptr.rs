@@ -576,9 +576,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
                 );
             }
             let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let spec = ScenarioSpec::from_json(&json).map_err(|e| e.to_string())?;
-            spec.validate().map_err(|e| e.to_string())?;
-            spec
+            ScenarioSpec::from_json(&json).map_err(|e| e.to_string())?
         }
         (None, None) => {
             return Err(
@@ -586,6 +584,9 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
             );
         }
     };
+    // Built-in or not, a bad spec fails here, before any log is read or
+    // anything simulates: a `--log` dry run never builds the spec.
+    spec.validate().map_err(|e| e.to_string())?;
     if plan_config.seeds > 1 && matches!(spec.workload, workload::WorkloadSpec::Schedule(_)) {
         // A frozen schedule replays identically; only the network seed
         // varies across derived seeds, which under deterministic
@@ -644,9 +645,8 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
                 serde_json::to_string_pretty(&plan).map_err(|e| e.to_string())?
             );
         } else {
-            let bundle = spec.build().map_err(|e| e.to_string())?.0;
             print!("{}", blockoptr::report::render(&analysis));
-            print!("{}", blockoptr::report::render_plan(&plan, Some(&bundle)));
+            print!("{}", blockoptr::report::render_plan(&plan, Some(&spec)));
         }
         return Ok(());
     }
@@ -660,11 +660,8 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     }
     .map_err(|e| e.to_string())?;
     if let Some(path) = args.value("emit-spec") {
-        let optimized = outcome
-            .optimized_spec
-            .as_ref()
-            .expect("spec-driven outcomes carry the optimized spec");
-        std::fs::write(path, optimized.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, outcome.optimized_spec.to_json())
+            .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("optimized spec written to {path}");
     }
     if args.switch("json") {

@@ -85,7 +85,7 @@ pub mod report;
 pub mod resilience;
 pub mod session;
 
-pub use action::{Action, NetworkChange, RetryChange, ScheduleRewrite};
+pub use action::{Action, NetworkChange, RetryChange};
 pub use apply::{apply_system_level, apply_user_level};
 pub use autotune::auto_tune;
 pub use caseid::derive_case_ids;
@@ -104,7 +104,7 @@ pub use session::{AnalyzeError, Analyzer, Session, SessionFootprint, Snapshot, W
 
 /// One-stop imports for the common pipeline.
 pub mod prelude {
-    pub use crate::action::{Action, NetworkChange, RetryChange, ScheduleRewrite};
+    pub use crate::action::{Action, NetworkChange, RetryChange};
     pub use crate::apply::{apply_system_level, apply_user_level};
     pub use crate::autotune::auto_tune;
     pub use crate::compliance::{verify_rollout, ComplianceReport};
@@ -121,5 +121,5 @@ pub mod prelude {
     pub use fabric_sim::sim::{SimOutput, Simulation, TxRequest};
     pub use fabric_sim::types::Value;
     pub use process_mining;
-    pub use workload::{self, VariantKind, WorkloadBundle};
+    pub use workload::{self, SpecTransform, VariantKind, WorkloadBundle};
 }

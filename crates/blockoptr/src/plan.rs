@@ -6,30 +6,45 @@
 //! *measured* (§4.5: "the user implements them … and verifies the effect").
 //! [`OptimizationPlan`] packages that loop:
 //!
-//! 1. lower an [`Analysis`]'s recommendations to typed
-//!    [`Action`]s ([`OptimizationPlan::from_analysis`]);
-//! 2. [`execute`](OptimizationPlan::execute) against the workload bundle
-//!    and network configuration that produced the log: run the baseline,
-//!    re-run with each action applied alone, then with all actions
-//!    combined;
+//! 1. simulate a [`ScenarioSpec`], analyze its ledger and lower the
+//!    recommendations to typed [`Action`]s
+//!    ([`OptimizationPlan::from_spec`]);
+//! 2. [`execute_spec_with`](OptimizationPlan::execute_spec_with) the plan
+//!    against that spec: run the baseline, re-run with each action applied
+//!    alone, then with all actions combined;
 //! 3. read the [`PlanOutcome`]: per-action before/after success-rate,
-//!    latency, and throughput deltas — the Table 4 → Figures 13–17 loop.
+//!    latency, and throughput deltas — the Table 4 → Figures 13–17 loop —
+//!    and the optimized spec.
+//!
+//! # One grid, on specs only
+//!
+//! Every measured configuration is a spec. The baseline is the spec
+//! itself, each single-action configuration is [`Action::apply_to_spec`]
+//! of it, and the combination is [`OptimizationPlan::apply_to_spec`]. The
+//! grid generates each seed's workload once ([`ScenarioSpec::generate`])
+//! and [`finish`](ScenarioSpec::finish)es every configuration's spec from
+//! it. The emitted [`PlanOutcome::optimized_spec`] is therefore the very
+//! spec the combined row's primary seed measured: building and running it
+//! replays `combined.primary` byte for byte.
 //!
 //! # Seeds, threads, and confidence intervals
 //!
 //! A plan execution is configured by a [`PlanConfig`]:
 //!
 //! * **`seeds`** — every measured configuration (baseline, each action,
-//!   the combination) is simulated once per seed. Seed 0 is the network
-//!   configuration's own seed; seed *i* is derived from it by XOR-ing a
-//!   golden-ratio multiple, so the list is deterministic and collision
-//!   free. Each [`MeasuredReport`] keeps the primary seed's full report,
-//!   one scalar [`SeedReport`] row per seed, the merged latency sketch,
-//!   and mean / sample standard deviation / 95 % confidence half-width
+//!   the combination) is simulated once per seed. Seed 0 runs the spec
+//!   verbatim; seed *i* re-seeds it ([`ScenarioSpec::with_seed`]) with the
+//!   spec's seed XOR-ed with a golden-ratio multiple, so the list is
+//!   deterministic and collision free, and the seeds vary the workload
+//!   itself (schedules, keys, invokers), not just endorser selection. Each
+//!   [`MeasuredReport`] keeps the primary seed's full report, one scalar
+//!   [`SeedReport`] row per seed, the merged latency sketch, and mean /
+//!   sample standard deviation / 95 % confidence half-width
 //!   ([`MetricStats`]) for the three figure metrics. Deltas are computed
-//!   **pairwise per seed** (action seed *i* minus baseline seed *i*) and
-//!   then aggregated, which cancels the common per-seed workload noise —
-//!   the same design as the seed-averaged directional tests.
+//!   **pairwise per seed** (action seed *i* minus baseline seed *i*, both
+//!   finished from the same generated workload) and then aggregated, which
+//!   cancels the common per-seed workload noise — the same design as the
+//!   seed-averaged directional tests.
 //! * **`threads`** — the independent `(configuration, seed)` simulations
 //!   fan out over a [`sim_core::pool::ThreadPool`]. Results are collected
 //!   in job order, and every simulation is deterministic in its seed, so
@@ -41,24 +56,23 @@
 //! --threads N`.
 //!
 //! Contract-level actions ([`Action::SelectContractVariant`]) apply only
-//! when the workload ships a prepared rewrite
-//! ([`WorkloadBundle::supports_variant`]); otherwise the outcome records
-//! them as [`ActionResult::ManualRequired`] — the paper's §7 caveat that
-//! smart-contract changes "need to be manually implemented by the user".
+//! when the spec's workload ships a prepared rewrite
+//! ([`WorkloadSpec::variant_table`](workload::WorkloadSpec::variant_table));
+//! otherwise the outcome records them as [`ActionResult::ManualRequired`] —
+//! the paper's §7 caveat that smart-contract changes "need to be manually
+//! implemented by the user".
 //!
 //! ```no_run
 //! use blockoptr::plan::{OptimizationPlan, PlanConfig};
 //! use blockoptr::session::Analyzer;
-//! use workload::scm;
+//! use workload::ScenarioSpec;
 //!
-//! let bundle = scm::generate(&scm::ScmSpec::default());
-//! let config = fabric_sim::config::NetworkConfig::default();
-//! let output = bundle.run(config.clone());
-//! let analysis = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
-//!
-//! let plan = OptimizationPlan::from_analysis(&analysis);
+//! let spec = ScenarioSpec::builtin("scm").unwrap();
+//! let (plan, baseline) = OptimizationPlan::from_spec(&spec, &Analyzer::new()).unwrap();
 //! // Five seeds per configuration, fanned out over four worker threads.
-//! let outcome = plan.execute_with(&bundle, &config, &PlanConfig::new(5, 4));
+//! let outcome = plan
+//!     .execute_spec_from_with(&spec, baseline.report, &PlanConfig::new(5, 4))
+//!     .unwrap();
 //! for action in &outcome.actions {
 //!     if let Some(stats) = action.success_rate_delta_stats(&outcome.baseline) {
 //!         println!(
@@ -69,19 +83,19 @@
 //!         );
 //!     }
 //! }
+//! // The measured combination, as a replayable spec.
+//! println!("{}", outcome.optimized_spec.to_json());
 //! ```
 
 use crate::action::Action;
 use crate::pipeline::Analysis;
 use crate::recommend::Recommendation;
 use crate::session::{AnalyzeError, Analyzer};
-use fabric_sim::config::NetworkConfig;
 use fabric_sim::report::SimReport;
 use fabric_sim::sim::SimOutput;
 use serde::{Deserialize, Serialize};
 use sim_core::pool::{self, ThreadPool};
 use sim_core::sketch::QuantileSketch;
-use std::collections::BTreeSet;
 use workload::{ScenarioSpec, VariantKind, WorkloadBundle};
 
 /// One action with the recommendation that motivated it.
@@ -107,7 +121,7 @@ pub struct OptimizationPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanConfig {
     /// Simulation runs per measured configuration (clamped to ≥ 1). Seed 0
-    /// is the network configuration's own seed.
+    /// is the spec's own seed.
     pub seeds: usize,
     /// Worker threads for the `(configuration, seed)` fan-out (clamped to
     /// ≥ 1). Thread count never changes results, only wall-clock time.
@@ -265,8 +279,8 @@ impl SeedReport {
 /// statistics for the figure metrics.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MeasuredReport {
-    /// The primary seed's full report (seed 0: the configuration's own
-    /// seed) — what single-seed callers and the figure tables read.
+    /// The primary seed's full report (seed 0: the spec's own seed) — what
+    /// single-seed callers and the figure tables read.
     pub primary: SimReport,
     /// Scalar rows in seed-list order; index 0 mirrors `primary`.
     pub per_seed: Vec<SeedReport>,
@@ -324,8 +338,8 @@ impl MeasuredReport {
         }
     }
 
-    /// The primary seed's report (seed 0: the configuration's own seed) —
-    /// what single-seed callers and the figure tables read.
+    /// The primary seed's report (seed 0: the spec's own seed) — what
+    /// single-seed callers and the figure tables read.
     pub fn primary(&self) -> &SimReport {
         &self.primary
     }
@@ -435,13 +449,13 @@ pub struct PlanOutcome {
     /// All applicable actions together (the figures' "all optimizations"
     /// row). `None` when no action could be applied.
     pub combined: Option<MeasuredReport>,
-    /// The *optimized scenario spec* — the baseline spec with every
-    /// applicable action lowered to a spec transform
-    /// ([`OptimizationPlan::apply_to_spec`]). Present whenever the
-    /// execution knew its spec (spec-driven runs, or bundles carrying
-    /// provenance); serialize it, hand it to the operator, and the tuned
-    /// configuration is replayable as data.
-    pub optimized_spec: Option<ScenarioSpec>,
+    /// The *optimized scenario spec*: the baseline spec with every
+    /// applicable action applied ([`OptimizationPlan::apply_to_spec`]). It
+    /// is the spec `combined`'s primary seed measured, so building and
+    /// running it replays `combined.primary`; with no applicable action it
+    /// is the baseline spec. Serialize it, hand it to the operator, and the
+    /// tuned configuration is replayable as data.
+    pub optimized_spec: ScenarioSpec,
 }
 
 impl PlanOutcome {
@@ -459,14 +473,6 @@ impl PlanOutcome {
             )
             .any(|rate| rate > base)
     }
-}
-
-/// One measured configuration, before any simulation ran: the transformed
-/// pair (boxed — a bundle is large and `Manual` is a bare marker), or the
-/// §7 manual marker.
-enum PreparedAction {
-    Applied(Box<(WorkloadBundle, NetworkConfig)>),
-    Manual,
 }
 
 impl OptimizationPlan {
@@ -508,70 +514,19 @@ impl OptimizationPlan {
         self.actions.is_empty()
     }
 
-    /// Apply every applicable action to `(bundle, config)` without running
-    /// anything: schedule rewrites in plan order, then configuration
-    /// changes, then the contract-variant set through the bundle's
-    /// resolver. Returns the transformed pair and the variants that could
-    /// not be applied.
+    /// Apply every action, in plan order, to a declarative spec
+    /// ([`Action::apply_to_spec`]): schedule rewrites join
+    /// `spec.transforms`, configuration changes rewrite `spec.network`,
+    /// variant selections join `spec.variants`, and retry patches rewrite
+    /// `spec.retry`. Returns the optimized spec plus the variant kinds the
+    /// workload ships no rewrite for (manual, paper §7).
     ///
-    /// Variants are always applied as a *set* (after dropping kinds the
-    /// workload ships no rewrite for): single-variant rewrites rebuild the
-    /// contract list wholesale, so applying them sequentially would
-    /// silently discard earlier rewrites. A supported combination the
-    /// resolver cannot build is therefore reported manual in full, never
-    /// mis-composed.
-    pub fn transform(
-        &self,
-        bundle: &WorkloadBundle,
-        config: &NetworkConfig,
-    ) -> (WorkloadBundle, NetworkConfig, Vec<VariantKind>) {
-        let mut out_bundle = bundle.clone();
-        let mut out_config = config.clone();
-        let mut variants = BTreeSet::new();
-        for planned in &self.actions {
-            if let Some(requests) = planned.action.apply_to_schedule(&out_bundle.requests) {
-                out_bundle = out_bundle.with_requests(requests);
-            } else if let Some(cfg) = planned.action.apply_to_config(&out_config) {
-                out_config = cfg;
-            } else if let Some(change) = planned.action.retry_change() {
-                out_bundle.retry = change.apply(&out_bundle.retry);
-            } else if let Some(kind) = planned.action.variant() {
-                variants.insert(kind);
-            }
-        }
-        // Kinds without a prepared rewrite are manual up front; the rest
-        // must resolve as one set.
-        let supported: BTreeSet<VariantKind> = variants
-            .iter()
-            .copied()
-            .filter(|k| out_bundle.supports_variant(*k))
-            .collect();
-        let mut manual: Vec<VariantKind> = variants.difference(&supported).copied().collect();
-        if !supported.is_empty() {
-            match out_bundle.apply_variants(&supported) {
-                Some(rewritten) => out_bundle = rewritten,
-                // The workload ships each kind but not this combination:
-                // composing the single rewrites would drop all but the
-                // last, so the whole combination is manual (paper §7).
-                None => manual.extend(supported),
-            }
-        }
-        manual.sort_unstable();
-        (out_bundle, out_config, manual)
-    }
-
-    /// Apply every action to a *declarative spec* instead of a
-    /// materialized bundle: schedule rewrites become
-    /// [`workload::SpecTransform`]s in plan order, configuration changes
-    /// rewrite `spec.network`, and variant selections join
-    /// `spec.variants`. Returns the optimized spec plus the variant kinds
-    /// the workload ships no rewrite for (manual, paper §7).
-    ///
-    /// The optimized spec is the plan's durable artifact: serialize it and
-    /// the tuned configuration can be rebuilt, re-measured, or diffed
-    /// against the baseline spec. (A supported-but-unresolvable variant
-    /// *combination* — which only a variant resolver can detect — still
-    /// surfaces as a typed error when the spec is built.)
+    /// The optimized spec is the plan's durable artifact, and the
+    /// configuration the plan grid measures as "all actions combined":
+    /// serialize it and the tuned configuration can be rebuilt,
+    /// re-measured, or diffed against the baseline spec. (A variant
+    /// combination the workload's resolver cannot build surfaces as a typed
+    /// error when the spec is finished.)
     pub fn apply_to_spec(&self, spec: &ScenarioSpec) -> (ScenarioSpec, Vec<VariantKind>) {
         let mut out = spec.clone();
         let mut manual: Vec<VariantKind> = Vec::new();
@@ -579,7 +534,7 @@ impl OptimizationPlan {
             match planned.action.apply_to_spec(&out) {
                 Some(next) => out = next,
                 None => {
-                    if let Some(kind) = planned.action.variant() {
+                    if let Action::SelectContractVariant(kind) = planned.action {
                         manual.push(kind);
                     }
                 }
@@ -621,206 +576,16 @@ impl OptimizationPlan {
         Ok((plan, output))
     }
 
-    /// Describe the single-action configuration for each planned action
-    /// without simulating anything.
-    fn prepare_actions(
-        &self,
-        bundle: &WorkloadBundle,
-        config: &NetworkConfig,
-    ) -> Vec<PreparedAction> {
-        self.actions
-            .iter()
-            .map(|planned| {
-                if let Some(requests) = planned.action.apply_to_schedule(&bundle.requests) {
-                    PreparedAction::Applied(Box::new((
-                        bundle.clone().with_requests(requests),
-                        config.clone(),
-                    )))
-                } else if let Some(cfg) = planned.action.apply_to_config(config) {
-                    PreparedAction::Applied(Box::new((bundle.clone(), cfg)))
-                } else if let Some(change) = planned.action.retry_change() {
-                    let mut tuned = bundle.clone();
-                    tuned.retry = change.apply(&tuned.retry);
-                    PreparedAction::Applied(Box::new((tuned, config.clone())))
-                } else if let Some(kind) = planned.action.variant() {
-                    let single: BTreeSet<VariantKind> = [kind].into_iter().collect();
-                    match bundle.apply_variants(&single) {
-                        Some(rewritten) => {
-                            PreparedAction::Applied(Box::new((rewritten, config.clone())))
-                        }
-                        None => PreparedAction::Manual,
-                    }
-                } else {
-                    PreparedAction::Manual
-                }
-            })
-            .collect()
-    }
-
-    /// Execute the closed loop with the default [`PlanConfig`] (one seed):
-    /// run the baseline, re-run with each action applied alone, then with
-    /// all applicable actions combined.
-    ///
-    /// Simulation runs are deterministic (the configuration carries the
-    /// seed), so the deltas measure the optimizations, not run-to-run
-    /// noise.
-    pub fn execute(&self, bundle: &WorkloadBundle, config: &NetworkConfig) -> PlanOutcome {
-        self.execute_with(bundle, config, &PlanConfig::default())
-    }
-
-    /// Execute the closed loop under an explicit [`PlanConfig`]: every
-    /// measured configuration runs once per seed, fanned out over
-    /// `plan_config.threads` workers. Identical results for any thread
-    /// count.
-    pub fn execute_with(
-        &self,
-        bundle: &WorkloadBundle,
-        config: &NetworkConfig,
-        plan_config: &PlanConfig,
-    ) -> PlanOutcome {
-        self.run_grid(bundle, config, plan_config, None)
-    }
-
-    /// Like [`execute`](Self::execute) but reusing an already-measured
-    /// primary-seed baseline report for `(bundle, config)` — the common
-    /// case when the plan was lowered from an analysis of that very run.
-    pub fn execute_from(
-        &self,
-        bundle: &WorkloadBundle,
-        config: &NetworkConfig,
-        baseline: SimReport,
-    ) -> PlanOutcome {
-        self.execute_from_with(bundle, config, baseline, &PlanConfig::default())
-    }
-
-    /// [`execute_with`](Self::execute_with) reusing an already-measured
-    /// primary-seed baseline report (additional seeds still re-run the
-    /// baseline).
-    pub fn execute_from_with(
-        &self,
-        bundle: &WorkloadBundle,
-        config: &NetworkConfig,
-        baseline: SimReport,
-        plan_config: &PlanConfig,
-    ) -> PlanOutcome {
-        self.run_grid(bundle, config, plan_config, Some(baseline))
-    }
-
-    /// Build and execute the `(configuration, seed)` grid.
-    fn run_grid(
-        &self,
-        bundle: &WorkloadBundle,
-        config: &NetworkConfig,
-        plan_config: &PlanConfig,
-        reused_baseline: Option<SimReport>,
-    ) -> PlanOutcome {
-        let seeds = plan_config.seed_list(config.seed);
-        let prepared = self.prepare_actions(bundle, config);
-        let any_applied = prepared
-            .iter()
-            .any(|p| matches!(p, PreparedAction::Applied(..)));
-        let combined_pair = any_applied.then(|| {
-            let (all_bundle, all_config, _manual) = self.transform(bundle, config);
-            (all_bundle, all_config)
-        });
-
-        // The job grid, slot-major then seed order. Slot 0 is the
-        // baseline, slots 1..=n the actions, slot n+1 the combination.
-        // The pool returns results in job order, so regrouping by slot
-        // preserves seed order deterministically.
-        let mut jobs: Vec<(usize, WorkloadBundle, NetworkConfig)> = Vec::new();
-        for (si, &seed) in seeds.iter().enumerate() {
-            if si == 0 && reused_baseline.is_some() {
-                continue;
-            }
-            jobs.push((0, bundle.clone(), config.clone().with_seed(seed)));
-        }
-        for (ai, prep) in prepared.iter().enumerate() {
-            if let PreparedAction::Applied(pair) = prep {
-                let (b, c) = pair.as_ref();
-                for &seed in &seeds {
-                    jobs.push((ai + 1, b.clone(), c.clone().with_seed(seed)));
-                }
-            }
-        }
-        let combined_slot = self.actions.len() + 1;
-        if let Some((b, c)) = &combined_pair {
-            for &seed in &seeds {
-                jobs.push((combined_slot, b.clone(), c.clone().with_seed(seed)));
-            }
-        }
-
-        let results =
-            ThreadPool::new(plan_config.threads).map(jobs, |(slot, b, c)| (slot, b.run(c).report));
-        let mut per_slot: Vec<Vec<SimReport>> = vec![Vec::new(); combined_slot + 1];
-        for (slot, report) in results {
-            per_slot[slot].push(report);
-        }
-        if let Some(report) = reused_baseline {
-            per_slot[0].insert(0, report);
-        }
-
-        let mut slots = per_slot.into_iter();
-        let baseline = MeasuredReport::from_reports(slots.next().expect("baseline slot"));
-        let actions = self
-            .actions
-            .iter()
-            .zip(prepared.iter().zip(&mut slots))
-            .map(|(planned, (prep, reports))| {
-                let after = match prep {
-                    PreparedAction::Applied(..) => Some(MeasuredReport::from_reports(reports)),
-                    PreparedAction::Manual => None,
-                };
-                ActionOutcome {
-                    source: planned.source.clone(),
-                    action: planned.action.clone(),
-                    result: if after.is_some() {
-                        ActionResult::Applied
-                    } else {
-                        ActionResult::ManualRequired
-                    },
-                    after,
-                }
-            })
-            .collect();
-        let combined = combined_pair
-            .is_some()
-            .then(|| MeasuredReport::from_reports(slots.next().expect("combined slot")));
-
-        PlanOutcome {
-            seeds,
-            baseline,
-            actions,
-            combined,
-            // A bundle built from a spec carries it as provenance, so even
-            // the bundle-shaped entry points emit the optimized spec.
-            optimized_spec: bundle.spec().map(|spec| self.apply_to_spec(spec).0),
-        }
-    }
-
-    /// Execute the closed loop against a declarative [`ScenarioSpec`] with
-    /// the default [`PlanConfig`]. See
-    /// [`execute_spec_with`](Self::execute_spec_with).
-    pub fn execute_spec(&self, spec: &ScenarioSpec) -> Result<PlanOutcome, AnalyzeError> {
-        self.execute_spec_with(spec, &PlanConfig::default())
-    }
-
-    /// Execute the closed loop against a declarative [`ScenarioSpec`]:
-    /// every measured configuration runs once per seed, and — unlike the
-    /// bundle-shaped [`execute_with`](Self::execute_with), which replays
-    /// one materialized schedule under different network seeds — **each
-    /// seed rebuilds the workload from a re-seeded spec**
-    /// ([`ScenarioSpec::with_seed`]). The resulting confidence intervals
-    /// therefore reflect workload variance (schedules, key choices,
-    /// invokers), not just endorser selection. Deltas stay seed-paired:
-    /// action seed *i* and baseline seed *i* share the same generated
-    /// workload, so the per-seed workload noise still cancels.
+    /// Execute the closed loop against a declarative [`ScenarioSpec`]: the
+    /// baseline, each action applied alone, and all applicable actions
+    /// combined, each simulated once per seed of `plan_config` and fanned
+    /// out over its threads. See the [module docs](self) for the grid.
     pub fn execute_spec_with(
         &self,
         spec: &ScenarioSpec,
         plan_config: &PlanConfig,
     ) -> Result<PlanOutcome, AnalyzeError> {
-        self.run_spec_grid(spec, plan_config, None)
+        self.run_grid(spec, plan_config, None)
     }
 
     /// [`execute_spec_with`](Self::execute_spec_with) reusing an
@@ -833,96 +598,97 @@ impl OptimizationPlan {
         baseline: SimReport,
         plan_config: &PlanConfig,
     ) -> Result<PlanOutcome, AnalyzeError> {
-        self.run_spec_grid(spec, plan_config, Some(baseline))
+        self.run_grid(spec, plan_config, Some(baseline))
     }
 
-    /// Build and execute the `(configuration, seed)` grid for a spec, with
-    /// per-seed workload generation.
-    fn run_spec_grid(
+    /// The spec grid slot `slot` measures on top of `seed_spec`: slot 0 is
+    /// the baseline, slots 1..=n each action alone (`None` when it is
+    /// manual), slot n + 1 all actions combined.
+    fn slot_spec(&self, slot: usize, seed_spec: &ScenarioSpec) -> Option<ScenarioSpec> {
+        match slot {
+            0 => Some(seed_spec.clone()),
+            s if s <= self.actions.len() => self.actions[s - 1].action.apply_to_spec(seed_spec),
+            _ => Some(self.apply_to_spec(seed_spec).0),
+        }
+    }
+
+    /// Measure the `(configuration, seed)` grid of a spec.
+    fn run_grid(
         &self,
         spec: &ScenarioSpec,
         plan_config: &PlanConfig,
         reused_baseline: Option<SimReport>,
     ) -> Result<PlanOutcome, AnalyzeError> {
         let seeds = plan_config.seed_list(spec.seed());
-        // One freshly generated workload per seed, fanned out over the
-        // same pool the simulations use: at `--seeds 32` the generation
-        // phase is itself a visible serial prefix, and each build is
-        // independent and deterministic in its seed. The pool returns
-        // results in job order, so the pair list — and every downstream
-        // byte — is identical for any thread count. Failures (malformed
-        // parameters, unknown contracts, unresolvable variant
-        // combinations) still surface here before any simulation runs,
-        // reported for the lowest failing seed.
-        //
-        // Seed 0 builds the spec *verbatim*: `with_seed` would overwrite
-        // the network seed with the workload seed, and a hand-edited spec
-        // may deliberately keep them different — re-seeding would measure
-        // a different primary configuration than the one a reused
+        let pool = ThreadPool::new(plan_config.threads);
+        // Seed 0 runs the spec *verbatim*: `with_seed` would overwrite the
+        // network seed with the workload seed, and a hand-edited spec may
+        // deliberately keep them different — re-seeding would measure a
+        // different primary configuration than the one a reused
         // `from_spec` baseline was taken from, skewing every seed-paired
         // delta.
-        let build_jobs: Vec<(usize, u64)> = seeds.iter().copied().enumerate().collect();
-        let pairs: Vec<(WorkloadBundle, NetworkConfig)> = ThreadPool::new(plan_config.threads)
-            .map(build_jobs, |(i, seed)| {
+        let seed_specs: Vec<ScenarioSpec> = seeds
+            .iter()
+            .enumerate()
+            .map(|(i, &seed)| {
                 if i == 0 {
-                    spec.build()
+                    spec.clone()
                 } else {
-                    spec.clone().with_seed(seed).build()
+                    spec.clone().with_seed(seed)
                 }
             })
+            .collect();
+
+        // Seed 0's slots. Neither whether an action applies nor whether its
+        // spec validates depends on the seed, so checking them here fails a
+        // bad configuration before any simulation runs — and the grid never
+        // measures a configuration whose spec would not build. The combined
+        // slot's spec is the optimized spec.
+        let combined_slot = self.actions.len() + 1;
+        let mut primary: Vec<Option<ScenarioSpec>> = (0..=combined_slot)
+            .map(|slot| self.slot_spec(slot, spec))
+            .collect();
+        for slot_spec in primary.iter().flatten() {
+            slot_spec.validate()?;
+        }
+        let any_applied = primary[1..combined_slot].iter().any(Option::is_some);
+
+        // One generated workload per seed, fanned out over the same pool the
+        // simulations use: at `--seeds 32` the generation phase is itself a
+        // visible serial prefix, and each generation is independent and
+        // deterministic in its seed. Every slot of a seed is finished from
+        // this one workload.
+        let generated: Vec<WorkloadBundle> = pool
+            .map(seed_specs.iter().collect(), ScenarioSpec::generate)
             .into_iter()
             .collect::<Result<_, _>>()?;
 
-        // Classify each action once per seed. Applied-ness is structural
-        // (variant support does not depend on the seed), so the slot
-        // layout matches across seeds.
-        let prepared: Vec<Vec<PreparedAction>> = pairs
-            .iter()
-            .map(|(bundle, config)| self.prepare_actions(bundle, config))
-            .collect();
-        let primary = &prepared[0];
-        debug_assert!(
-            prepared.iter().all(|p| {
-                p.iter().zip(primary).all(|(a, b)| {
-                    matches!(a, PreparedAction::Applied(..))
-                        == matches!(b, PreparedAction::Applied(..))
-                })
-            }),
-            "applied-ness must not depend on the seed"
-        );
-        let any_applied = primary
-            .iter()
-            .any(|p| matches!(p, PreparedAction::Applied(..)));
-
-        let mut jobs: Vec<(usize, WorkloadBundle, NetworkConfig)> = Vec::new();
-        for (si, (bundle, config)) in pairs.iter().enumerate() {
-            if si == 0 && reused_baseline.is_some() {
+        // The job grid, slot-major then seed order. The pool returns results
+        // in job order, so regrouping by slot preserves seed order, and the
+        // outcome is byte-identical for any thread count.
+        let mut jobs: Vec<(usize, usize)> = Vec::new();
+        for (slot, slot_spec) in primary.iter().enumerate() {
+            if slot_spec.is_none() || (slot == combined_slot && !any_applied) {
                 continue;
             }
-            jobs.push((0, bundle.clone(), config.clone()));
-        }
-        for (ai, prep0) in primary.iter().enumerate() {
-            if matches!(prep0, PreparedAction::Applied(..)) {
-                for per_seed in &prepared {
-                    if let PreparedAction::Applied(pair) = &per_seed[ai] {
-                        let (b, c) = pair.as_ref();
-                        jobs.push((ai + 1, b.clone(), c.clone()));
-                    }
+            for si in 0..seeds.len() {
+                if slot == 0 && si == 0 && reused_baseline.is_some() {
+                    continue;
                 }
+                jobs.push((slot, si));
             }
         }
-        let combined_slot = self.actions.len() + 1;
-        if any_applied {
-            for (bundle, config) in &pairs {
-                let (all_bundle, all_config, _manual) = self.transform(bundle, config);
-                jobs.push((combined_slot, all_bundle, all_config));
-            }
-        }
-
-        let results =
-            ThreadPool::new(plan_config.threads).map(jobs, |(slot, b, c)| (slot, b.run(c).report));
+        let results = pool.map(jobs, |(slot, si)| {
+            let slot_spec = self
+                .slot_spec(slot, &seed_specs[si])
+                .expect("whether an action applies does not depend on the seed");
+            slot_spec
+                .finish(&generated[si])
+                .map(|(bundle, config)| (slot, bundle.run(config).report))
+        });
         let mut per_slot: Vec<Vec<SimReport>> = vec![Vec::new(); combined_slot + 1];
-        for (slot, report) in results {
+        for result in results {
+            let (slot, report) = result?;
             per_slot[slot].push(report);
         }
         if let Some(report) = reused_baseline {
@@ -934,12 +700,12 @@ impl OptimizationPlan {
         let actions = self
             .actions
             .iter()
-            .zip(primary.iter().zip(&mut slots))
-            .map(|(planned, (prep, reports))| {
-                let after = match prep {
-                    PreparedAction::Applied(..) => Some(MeasuredReport::from_reports(reports)),
-                    PreparedAction::Manual => None,
-                };
+            .zip(&primary[1..combined_slot])
+            .zip(&mut slots)
+            .map(|((planned, slot_spec), reports)| {
+                let after = slot_spec
+                    .is_some()
+                    .then(|| MeasuredReport::from_reports(reports));
                 ActionOutcome {
                     source: planned.source.clone(),
                     action: planned.action.clone(),
@@ -960,7 +726,10 @@ impl OptimizationPlan {
             baseline,
             actions,
             combined,
-            optimized_spec: Some(self.apply_to_spec(spec).0),
+            optimized_spec: primary
+                .pop()
+                .flatten()
+                .expect("the combined slot always has a spec"),
         })
     }
 }
@@ -968,29 +737,33 @@ impl OptimizationPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::ScheduleRewrite;
     use crate::pipeline::BlockOptR;
-    use workload::scm;
-    use workload::spec::ControlVariables;
+    use std::collections::BTreeSet;
+    use workload::SpecTransform;
 
-    fn scm_setup() -> (WorkloadBundle, NetworkConfig, Analysis) {
+    /// A built-in spec scaled to `txs` transactions.
+    fn spec_of(name: &str, txs: usize) -> ScenarioSpec {
+        ScenarioSpec::builtin(name).unwrap().with_transactions(txs)
+    }
+
+    /// The analysis of one baseline run of `spec`.
+    fn analysis_of(spec: &ScenarioSpec) -> Analysis {
+        let (bundle, config) = spec.build().unwrap();
+        BlockOptR::new().analyze_ledger(&bundle.run(config).ledger)
+    }
+
+    fn scm_setup() -> (ScenarioSpec, Analysis) {
         // 6 000 transactions: the same regime the directional
         // optimization-effects tests use (pruning's benefit needs enough
         // anomalous flows to outweigh its extra early-abort latency).
-        let spec = scm::ScmSpec {
-            transactions: 6_000,
-            ..Default::default()
-        };
-        let bundle = scm::generate(&spec);
-        let config = NetworkConfig::default();
-        let output = bundle.run(config.clone());
-        let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
-        (bundle, config, analysis)
+        let spec = spec_of("scm", 6_000);
+        let analysis = analysis_of(&spec);
+        (spec, analysis)
     }
 
     #[test]
     fn scm_plan_lowers_the_expected_actions() {
-        let (_, _, analysis) = scm_setup();
+        let (_, analysis) = scm_setup();
         let plan = OptimizationPlan::from_analysis(&analysis);
         let sources: Vec<&str> = plan.actions.iter().map(|a| a.source.as_str()).collect();
         assert!(sources.contains(&"Activity reordering"), "{sources:?}");
@@ -1001,20 +774,22 @@ mod tests {
         assert_eq!(only.len(), 1);
         assert!(matches!(
             only.actions[0].action,
-            Action::RewriteSchedule(ScheduleRewrite::Throttle { .. })
+            Action::RewriteSchedule(SpecTransform::Throttle { .. })
         ));
     }
 
     #[test]
     fn scm_closed_loop_reproduces_the_improvement_direction() {
-        let (bundle, config, analysis) = scm_setup();
+        let (spec, analysis) = scm_setup();
         let plan = OptimizationPlan::from_analysis(&analysis).select(&[
             "Activity reordering",
             "Transaction rate control",
             "Process model pruning",
         ]);
-        let outcome = plan.execute(&bundle, &config);
-        assert_eq!(outcome.seeds, vec![config.seed]);
+        let outcome = plan
+            .execute_spec_with(&spec, &PlanConfig::default())
+            .unwrap();
+        assert_eq!(outcome.seeds, vec![spec.seed()]);
         assert!(outcome.improved(), "at least one optimization helps");
         for action in &outcome.actions {
             let report = action.report().expect("all SCM actions are applicable");
@@ -1040,16 +815,13 @@ mod tests {
     #[test]
     fn unsupported_variants_are_reported_as_manual() {
         // The synthetic workload ships no contract rewrites.
-        let cv = ControlVariables {
-            transactions: 1_000,
-            ..Default::default()
-        };
-        let bundle = workload::synthetic::generate(&cv);
-        let config = cv.network_config();
+        let spec = spec_of("synthetic", 1_000);
         let plan = OptimizationPlan::from_recommendations(&[Recommendation::DeltaWrites {
             activities: vec![("update".into(), 9)],
         }]);
-        let outcome = plan.execute(&bundle, &config);
+        let outcome = plan
+            .execute_spec_with(&spec, &PlanConfig::default())
+            .unwrap();
         assert_eq!(outcome.actions.len(), 1);
         assert!(matches!(
             outcome.actions[0].result,
@@ -1058,30 +830,37 @@ mod tests {
         assert!(outcome.actions[0].report().is_none());
         assert!(outcome.combined.is_none(), "nothing was applicable");
         assert!(!outcome.improved());
+        assert_eq!(outcome.optimized_spec, spec, "nothing to emit");
     }
 
     #[test]
     fn transform_composes_schedule_config_and_variants() {
-        let (bundle, config, analysis) = scm_setup();
+        let (spec, analysis) = scm_setup();
         let plan = OptimizationPlan::from_analysis(&analysis);
-        let (new_bundle, new_config, manual) = plan.transform(&bundle, &config);
+        let (optimized, manual) = plan.apply_to_spec(&spec);
         assert!(manual.is_empty(), "{manual:?}");
-        // Rate control re-spaced the schedule (same multiset, longer span).
-        assert_eq!(new_bundle.len(), bundle.len());
-        // Block size adaptation fired for the default SCM demo, so the
-        // config changed; the contract was swapped for the pruned variant.
-        assert_ne!(new_config.block_count, config.block_count);
+        // Rate control and reordering became transforms; block size
+        // adaptation fired for the default SCM demo, so the network
+        // changed; the contract was swapped for the pruned variant.
+        assert!(optimized
+            .transforms
+            .iter()
+            .any(|t| matches!(t, SpecTransform::Throttle { .. })));
+        assert_ne!(optimized.network.block_count, spec.network.block_count);
+        assert!(optimized.variants.contains(&VariantKind::Pruned));
+        // The transforms keep the volume.
+        let (bundle, _) = spec.build().unwrap();
+        let (tuned, _) = optimized.build().unwrap();
+        assert_eq!(tuned.len(), bundle.len());
     }
 
     #[test]
     fn transform_resolves_supported_combos_despite_manual_kinds() {
-        use workload::drm;
-        let spec = drm::DrmSpec {
-            transactions: 2_000,
-            ..Default::default()
+        use workload::{drm, WorkloadSpec};
+        let spec = spec_of("drm", 2_000);
+        let WorkloadSpec::Drm(drm_spec) = &spec.workload else {
+            panic!("drm builtin");
         };
-        let bundle = drm::generate(&spec);
-        let config = NetworkConfig::default();
         // Pruned is not shipped by DRM; the other two are — and their
         // combination resolves to the Figure-14 partitioned-delta contract
         // set. The unsupported kind must not degrade the combo to
@@ -1094,39 +873,48 @@ mod tests {
             },
             Recommendation::SmartContractPartitioning { hotkeys: vec![] },
         ]);
-        let (transformed, cfg, manual) = plan.transform(&bundle, &config);
+        let (optimized, manual) = plan.apply_to_spec(&spec);
         assert_eq!(manual, vec![VariantKind::Pruned]);
-        // Deterministic runs: the transformed bundle must behave exactly
-        // like the explicit partitioned-delta combo, and differently from
+        // Deterministic runs: the optimized spec must behave exactly like
+        // the explicit partitioned-delta combo, and differently from
         // partitioned-only.
-        let expected = drm::partitioned_delta(bundle.clone(), &spec)
-            .run(config.clone())
+        let generated = drm::generate(drm_spec);
+        let expected = drm::partitioned_delta(generated.clone(), drm_spec)
+            .run(spec.network.clone())
             .report;
-        let got = transformed.run(cfg).report;
-        assert_eq!(got.successes, expected.successes);
-        assert_eq!(got.mvcc_conflicts, expected.mvcc_conflicts);
-        let partitioned_only = drm::partitioned(bundle, &spec).run(config).report;
+        let (bundle, config) = optimized.build().unwrap();
+        let got = bundle.run(config).report;
+        assert_eq!(format!("{got:?}"), format!("{expected:?}"));
+        let partitioned_only = drm::partitioned(generated, drm_spec)
+            .run(spec.network.clone())
+            .report;
         assert_ne!(
             got.successes, partitioned_only.successes,
             "delta rewrite was not discarded"
         );
+        // The grid measures exactly that combination.
+        let outcome = plan
+            .execute_spec_with(&spec, &PlanConfig::new(1, 1))
+            .unwrap();
+        assert_eq!(outcome.actions[0].result, ActionResult::ManualRequired);
+        let combined = outcome.combined.as_ref().expect("two variants applied");
+        assert_eq!(format!("{:?}", combined.primary), format!("{expected:?}"));
+        assert_eq!(outcome.optimized_spec, optimized);
     }
 
     /// The tentpole equivalence guarantee: a parallel execution (threads=4)
     /// produces byte-identical per-seed metrics to the serial one.
     #[test]
     fn parallel_execution_is_byte_identical_to_serial() {
-        let spec = scm::ScmSpec {
-            transactions: 2_000,
-            ..Default::default()
-        };
-        let bundle = scm::generate(&spec);
-        let config = NetworkConfig::default();
-        let analysis = BlockOptR::new().analyze_ledger(&bundle.run(config.clone()).ledger);
-        let plan = OptimizationPlan::from_analysis(&analysis);
+        let spec = spec_of("scm", 2_000);
+        let plan = OptimizationPlan::from_analysis(&analysis_of(&spec));
 
-        let serial = plan.execute_with(&bundle, &config, &PlanConfig::new(3, 1));
-        let parallel = plan.execute_with(&bundle, &config, &PlanConfig::new(3, 4));
+        let serial = plan
+            .execute_spec_with(&spec, &PlanConfig::new(3, 1))
+            .unwrap();
+        let parallel = plan
+            .execute_spec_with(&spec, &PlanConfig::new(3, 4))
+            .unwrap();
 
         assert_eq!(serial.seeds, parallel.seeds);
         let fingerprint = |m: &MeasuredReport| {
@@ -1166,30 +954,23 @@ mod tests {
 
     #[test]
     fn multi_seed_outcome_carries_statistics() {
-        let spec = scm::ScmSpec {
-            transactions: 2_000,
-            ..Default::default()
-        };
-        let bundle = scm::generate(&spec);
         // Four orgs under the 2-of-4 policy: endorser selection consumes
-        // the seed, so different seeds genuinely produce different runs
-        // (the default two-org majority policy is deterministic and would
-        // collapse the spread to zero).
-        let config = NetworkConfig {
-            orgs: 4,
-            endorsement_policy: fabric_sim::policy::EndorsementPolicy::p4(),
-            ..NetworkConfig::default()
-        };
+        // the seed on top of the re-seeded workload.
+        let mut spec = spec_of("scm", 2_000);
+        spec.network.orgs = 4;
+        spec.network.endorsement_policy = fabric_sim::policy::EndorsementPolicy::p4();
         let plan =
             OptimizationPlan::from_recommendations(&[Recommendation::TransactionRateControl {
                 intervals: vec![0],
                 peak_rate: 300.0,
                 suggested_rate: 100.0,
             }]);
-        let outcome = plan.execute_with(&bundle, &config, &PlanConfig::new(4, 2));
+        let outcome = plan
+            .execute_spec_with(&spec, &PlanConfig::new(4, 2))
+            .unwrap();
 
         assert_eq!(outcome.seeds.len(), 4);
-        assert_eq!(outcome.seeds[0], config.seed, "seed 0 is the config's own");
+        assert_eq!(outcome.seeds[0], spec.seed(), "seed 0 is the spec's own");
         let distinct: BTreeSet<u64> = outcome.seeds.iter().copied().collect();
         assert_eq!(distinct.len(), 4, "derived seeds never collide");
 
@@ -1227,21 +1008,18 @@ mod tests {
 
     #[test]
     fn execute_from_reuses_the_primary_baseline() {
-        let spec = scm::ScmSpec {
-            transactions: 1_500,
-            ..Default::default()
-        };
-        let bundle = scm::generate(&spec);
-        let config = NetworkConfig::default();
-        let baseline = bundle.run(config.clone()).report;
+        let spec = spec_of("scm", 1_500);
+        let (bundle, config) = spec.build().unwrap();
+        let baseline = bundle.run(config).report;
         let plan =
             OptimizationPlan::from_recommendations(&[Recommendation::TransactionRateControl {
                 intervals: vec![0],
                 peak_rate: 300.0,
                 suggested_rate: 100.0,
             }]);
-        let outcome =
-            plan.execute_from_with(&bundle, &config, baseline.clone(), &PlanConfig::new(2, 2));
+        let outcome = plan
+            .execute_spec_from_with(&spec, baseline.clone(), &PlanConfig::new(2, 2))
+            .unwrap();
         assert_eq!(outcome.baseline.seeds(), 2);
         assert_eq!(
             outcome.baseline.primary().successes,
@@ -1249,10 +1027,12 @@ mod tests {
             "seed 0 reuses the provided report"
         );
         // And the reused report is identical to a fresh run of seed 0.
-        let fresh = plan.execute_with(&bundle, &config, &PlanConfig::new(2, 2));
+        let fresh = plan
+            .execute_spec_with(&spec, &PlanConfig::new(2, 2))
+            .unwrap();
         assert_eq!(
-            fresh.baseline.primary().successes,
-            outcome.baseline.primary().successes
+            format!("{:?}", fresh.baseline.primary()),
+            format!("{:?}", outcome.baseline.primary())
         );
     }
 
@@ -1298,9 +1078,11 @@ mod tests {
 
     #[test]
     fn plan_outcome_round_trips_through_json() {
-        let (bundle, config, analysis) = scm_setup();
+        let (spec, analysis) = scm_setup();
         let plan = OptimizationPlan::from_analysis(&analysis).select(&["Transaction rate control"]);
-        let outcome = plan.execute(&bundle, &config);
+        let outcome = plan
+            .execute_spec_with(&spec, &PlanConfig::default())
+            .unwrap();
         let json = serde_json::to_string(&outcome).unwrap();
         let back: PlanOutcome = serde_json::from_str(&json).unwrap();
         assert_eq!(back.actions.len(), outcome.actions.len());
@@ -1313,5 +1095,6 @@ mod tests {
             back.baseline.primary().success_rate_pct,
             outcome.baseline.primary().success_rate_pct
         );
+        assert_eq!(back.optimized_spec, outcome.optimized_spec);
     }
 }

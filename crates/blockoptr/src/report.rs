@@ -8,7 +8,7 @@ use crate::pipeline::Analysis;
 use crate::plan::{MeasuredReport, MetricStats, OptimizationPlan, PlanOutcome};
 use crate::recommend::Level;
 use std::fmt::Write as _;
-use workload::WorkloadBundle;
+use workload::ScenarioSpec;
 
 /// Render the full text report.
 pub fn render(analysis: &Analysis) -> String {
@@ -91,9 +91,10 @@ pub fn render(analysis: &Analysis) -> String {
 }
 
 /// Render a plan before execution (the `optimize --dry-run` view). With a
-/// `bundle`, contract-variant actions the workload ships no rewrite for are
-/// annotated as manual (paper §7).
-pub fn render_plan(plan: &OptimizationPlan, bundle: Option<&WorkloadBundle>) -> String {
+/// `spec`, an action is annotated as manual (paper §7) exactly when
+/// [`Action::apply_to_spec`](crate::action::Action::apply_to_spec) cannot
+/// apply it — the rule the plan grid uses.
+pub fn render_plan(plan: &OptimizationPlan, spec: Option<&ScenarioSpec>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "── optimization plan ({} actions) ──", plan.len());
     if plan.is_empty() {
@@ -103,8 +104,8 @@ pub fn render_plan(plan: &OptimizationPlan, bundle: Option<&WorkloadBundle>) -> 
         );
     }
     for planned in &plan.actions {
-        let manual = match (planned.action.variant(), bundle) {
-            (Some(kind), Some(b)) if !b.supports_variant(kind) => {
+        let manual = match spec {
+            Some(spec) if planned.action.apply_to_spec(spec).is_none() => {
                 " [manual: no prepared contract variant]"
             }
             _ => "",
@@ -255,15 +256,13 @@ pub fn render_outcome(outcome: &PlanOutcome) -> String {
         let _ = writeln!(out, "── all applicable actions combined ──");
         let _ = writeln!(out, "{}", outcome_line(combined, Some(&outcome.baseline)));
     }
-    if let Some(spec) = &outcome.optimized_spec {
-        let _ = writeln!(
-            out,
-            "optimized spec available ({} transform(s), {} variant(s)) — \
-             export with --emit-spec or read it from the JSON outcome",
-            spec.transforms.len(),
-            spec.variants.len()
-        );
-    }
+    let _ = writeln!(
+        out,
+        "optimized spec available ({} transform(s), {} variant(s)) — \
+         export with --emit-spec or read it from the JSON outcome",
+        outcome.optimized_spec.transforms.len(),
+        outcome.optimized_spec.variants.len()
+    );
     out
 }
 
@@ -293,12 +292,9 @@ mod tests {
         use crate::plan::OptimizationPlan;
         use crate::recommend::Recommendation;
 
-        let spec = workload::scm::ScmSpec {
-            transactions: 2_000,
-            ..Default::default()
-        };
-        let bundle = workload::scm::generate(&spec);
-        let config = fabric_sim::config::NetworkConfig::default();
+        let spec = ScenarioSpec::builtin("scm")
+            .unwrap()
+            .with_transactions(2_000);
         let plan = OptimizationPlan::from_recommendations(&[
             Recommendation::TransactionRateControl {
                 intervals: vec![0],
@@ -310,7 +306,7 @@ mod tests {
                 activities: vec![("x".into(), 5)],
             },
         ]);
-        let dry = render_plan(&plan, Some(&bundle));
+        let dry = render_plan(&plan, Some(&spec));
         assert!(dry.contains("optimization plan (2 actions)"), "{dry}");
         assert!(dry.contains("rate control"));
         assert!(
@@ -318,7 +314,9 @@ mod tests {
             "{dry}"
         );
 
-        let outcome = plan.execute(&bundle, &config);
+        let outcome = plan
+            .execute_spec_with(&spec, &crate::plan::PlanConfig::default())
+            .unwrap();
         let text = render_outcome(&outcome);
         assert!(text.contains("baseline"), "{text}");
         assert!(

@@ -30,6 +30,7 @@ use fabric_sim::fault::{RetryPolicy, NO_ENDORSEMENT_REASON, RETRY_EXHAUSTED_REAS
 use fabric_sim::report::SimReport;
 use std::fmt;
 use std::sync::Arc;
+use workload::scenario::MAX_RETRY_ATTEMPTS;
 
 /// Everything a resilience rule may look at for one measured run.
 #[derive(Debug, Clone, Copy)]
@@ -134,7 +135,8 @@ fn abort_share(report: &SimReport, reason: &str) -> f64 {
 ///   small retry budget;
 /// * a retrying client still exhausts its budget
 ///   ([`Degradation::retry_exhausted`](fabric_sim::report::Degradation::retry_exhausted))
-///   — double the attempt cap.
+///   — double the attempt cap, saturating at [`MAX_RETRY_ATTEMPTS`] so
+///   the tuned spec still validates.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryBudget;
 
@@ -165,7 +167,13 @@ impl ResilienceRule for RetryBudget {
         } else if deg.retry_exhausted > 0 {
             RetryChange {
                 endorse_timeout: None,
-                max_attempts: Some(ctx.retry.max_attempts.max(1) * 2),
+                max_attempts: Some(
+                    ctx.retry
+                        .max_attempts
+                        .max(1)
+                        .saturating_mul(2)
+                        .min(MAX_RETRY_ATTEMPTS),
+                ),
                 backoff_base: None,
                 backoff_multiplier: None,
             }
@@ -271,6 +279,14 @@ mod tests {
     use super::*;
     use fabric_sim::report::{Degradation, FaultWindowStats};
 
+    /// The retry patch a planned action carries.
+    fn retry_patch(planned: &PlannedAction) -> &RetryChange {
+        match &planned.action {
+            Action::TuneRetry(change) => change,
+            other => panic!("not a retry patch: {other:?}"),
+        }
+    }
+
     fn report_with(requests: usize, deg: Degradation) -> SimReport {
         let ledger = fabric_sim::ledger::Ledger::new();
         let mut r = SimReport::from_ledger(&ledger, requests, sim_core::time::SimTime::ZERO);
@@ -318,7 +334,7 @@ mod tests {
         let fired = ResilienceRuleSet::paper().evaluate(&ctx);
         assert_eq!(fired.len(), 1, "{fired:?}");
         assert_eq!(fired[0].source, "Retry budget tuning");
-        let change = fired[0].action.retry_change().unwrap();
+        let change = retry_patch(&fired[0]);
         assert!(change.endorse_timeout.is_some());
         assert!(change.max_attempts.unwrap_or(0) > 1);
     }
@@ -356,7 +372,63 @@ mod tests {
             .iter()
             .find(|a| a.source == "Retry budget tuning")
             .unwrap();
-        assert_eq!(budget.action.retry_change().unwrap().max_attempts, Some(6));
+        assert_eq!(retry_patch(budget).max_attempts, Some(6));
+    }
+
+    #[test]
+    fn doubled_retry_budget_saturates_at_the_cap() {
+        let report = report_with(
+            100,
+            Degradation {
+                retry_exhausted: 5,
+                ..Degradation::default()
+            },
+        );
+        let config = NetworkConfig::default();
+        for (attempts, doubled) in [
+            (MAX_RETRY_ATTEMPTS / 2 - 1, MAX_RETRY_ATTEMPTS - 2),
+            (MAX_RETRY_ATTEMPTS / 2 + 1, MAX_RETRY_ATTEMPTS),
+            (MAX_RETRY_ATTEMPTS, MAX_RETRY_ATTEMPTS),
+            (usize::MAX, MAX_RETRY_ATTEMPTS),
+        ] {
+            let retry = RetryPolicy {
+                endorse_timeout: Some(0.5),
+                max_attempts: attempts,
+                ..RetryPolicy::default()
+            };
+            let ctx = ResilienceCtx {
+                report: &report,
+                retry: &retry,
+                config: &config,
+            };
+            let fired = ResilienceRuleSet::paper().evaluate(&ctx);
+            let budget = fired
+                .iter()
+                .find(|a| a.source == "Retry budget tuning")
+                .expect("a drained budget fires the rule");
+            assert_eq!(
+                retry_patch(budget).max_attempts,
+                Some(doubled),
+                "{attempts}"
+            );
+        }
+        // The tuned spec of a spec already at the cap still validates.
+        let mut spec = workload::ScenarioSpec::builtin("scm").unwrap();
+        spec.retry.endorse_timeout = Some(0.5);
+        spec.retry.max_attempts = MAX_RETRY_ATTEMPTS;
+        let ctx = ResilienceCtx {
+            report: &report,
+            retry: &spec.retry,
+            config: &spec.network,
+        };
+        for planned in ResilienceRuleSet::paper().evaluate(&ctx) {
+            planned
+                .action
+                .apply_to_spec(&spec)
+                .expect("resilience actions always apply")
+                .validate()
+                .unwrap();
+        }
     }
 
     #[test]
@@ -387,7 +459,7 @@ mod tests {
             .iter()
             .find(|a| a.source == "Backoff widening")
             .expect("storm detected");
-        let change = widen.action.retry_change().unwrap();
+        let change = retry_patch(widen);
         assert!(change.backoff_base.unwrap() >= 0.5, "{change:?}");
         assert_eq!(change.backoff_multiplier, Some(2.0));
     }

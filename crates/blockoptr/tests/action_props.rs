@@ -2,11 +2,12 @@
 //! permutations (never drop, duplicate, or mutate a request) and rate
 //! control must actually bound the instantaneous send rate.
 
-use blockoptr::action::{Action, ScheduleRewrite};
+use blockoptr::action::Action;
 use fabric_sim::sim::TxRequest;
 use fabric_sim::types::OrgId;
 use proptest::prelude::*;
 use sim_core::time::SimTime;
+use workload::SpecTransform;
 
 const ACTIVITIES: [&str; 4] = ["pushASN", "ship", "queryProducts", "updateAuditInfo"];
 
@@ -26,6 +27,14 @@ fn schedule(pairs: &[(u64, u8)]) -> Vec<TxRequest> {
             invoker_org: OrgId((i % 3) as u16),
         })
         .collect()
+}
+
+/// Apply a schedule-rewrite action to a request schedule.
+fn rewrite(action: &Action, requests: &[TxRequest]) -> Vec<TxRequest> {
+    match action {
+        Action::RewriteSchedule(transform) => transform.apply(requests),
+        other => panic!("not a schedule rewrite: {other:?}"),
+    }
 }
 
 /// The multiset fingerprint of a schedule, ignoring send times.
@@ -68,10 +77,10 @@ proptest! {
             .filter(|(i, _)| defer_mask & (1 << i) != 0)
             .map(|(_, a)| a.to_string())
             .collect();
-        let action = Action::RewriteSchedule(ScheduleRewrite::DeferActivities {
+        let action = Action::RewriteSchedule(SpecTransform::DeferActivities {
             activities: deferred.clone(),
         });
-        let out = action.apply_to_schedule(&requests).expect("schedule action");
+        let out = rewrite(&action, &requests);
         prop_assert_eq!(out.len(), requests.len());
         prop_assert_eq!(payload_multiset(&out), payload_multiset(&requests));
         prop_assert_eq!(time_multiset(&out), time_multiset(&requests));
@@ -96,8 +105,8 @@ proptest! {
     ) {
         let rate = rate_tenths as f64 / 10.0;
         let requests = schedule(&pairs);
-        let action = Action::RewriteSchedule(ScheduleRewrite::Throttle { rate });
-        let out = action.apply_to_schedule(&requests).expect("schedule action");
+        let action = Action::RewriteSchedule(SpecTransform::Throttle { rate });
+        let out = rewrite(&action, &requests);
         prop_assert_eq!(out.len(), requests.len());
         prop_assert_eq!(payload_multiset(&out), payload_multiset(&requests));
         let min_gap_us = (1_000_000.0 / rate).floor() as u64;

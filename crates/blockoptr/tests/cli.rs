@@ -246,10 +246,33 @@ fn optimize_spec_flag_validation() {
         "{}",
         stderr(&out)
     );
+
+    // A built-in scaled past its bounds fails the same validation, even
+    // on a dry run whose plan comes from a log.
+    let log = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/demo_blocks.json"
+    );
+    let out = blockoptr(&[
+        "optimize",
+        "scm",
+        "--txs",
+        "2000000",
+        "--log",
+        log,
+        "--dry-run",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains("bad spec parameter scm.transactions"),
+        "{}",
+        stderr(&out)
+    );
 }
 
-/// Malformed fault windows fail spec validation with the dotted field path
-/// (exit 1), before any simulation runs.
+/// Malformed fault windows, and a retry budget or a window list past its
+/// cap, fail spec validation with the dotted field path (exit 1), before
+/// any simulation runs.
 #[test]
 fn optimize_rejects_malformed_fault_windows() {
     use workload::{OutageWindow, StallWindow};
@@ -308,6 +331,41 @@ fn optimize_rejects_malformed_fault_windows() {
     assert_eq!(out.status.code(), Some(1));
     assert!(
         stderr(&out).contains("bad spec parameter fault.orderer_stalls[1]"),
+        "{}",
+        stderr(&out)
+    );
+
+    // A million attempts under a permanent outage, and one stall window
+    // past the cap.
+    let mut spec = base.clone();
+    spec.fault.endorser_outages.push(OutageWindow {
+        org: 0,
+        peer: None,
+        start: 0.0,
+        duration: 1e9,
+    });
+    spec.retry.endorse_timeout = Some(0.1);
+    spec.retry.max_attempts = 1_000_000;
+    std::fs::write(&path, spec.to_json()).unwrap();
+    let out = blockoptr(&["optimize", "--spec", path.to_str().unwrap(), "--dry-run"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains("bad spec parameter retry.max_attempts: must be at most"),
+        "{}",
+        stderr(&out)
+    );
+    let mut spec = base.clone();
+    spec.fault.orderer_stalls = (0..=workload::scenario::MAX_FAULT_WINDOWS)
+        .map(|i| StallWindow {
+            start: i as f64,
+            duration: 0.5,
+        })
+        .collect();
+    std::fs::write(&path, spec.to_json()).unwrap();
+    let out = blockoptr(&["optimize", "--spec", path.to_str().unwrap(), "--dry-run"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains("bad spec parameter fault.orderer_stalls: must be at most"),
         "{}",
         stderr(&out)
     );

@@ -17,7 +17,7 @@
 //! * [`conformance`] — token-replay fitness and footprint conformance
 //!   (used to "verify compliance with the new process model", §1);
 //! * [`dot`] — Graphviz DOT export of the mined models;
-//! * [`xes`] — IEEE-1849 XES export/import, the interchange format of the
+//! * [`xes`] — IEEE-1849 XES export, the interchange format of the
 //!   ProM/Disco/Celonis ecosystem the paper mentions in §2.2.
 
 pub mod alpha;
@@ -37,4 +37,4 @@ pub use eventlog::{EventLog, Trace};
 pub use footprint::{Footprint, Relation};
 pub use heuristics::{heuristics_miner, DependencyGraph, HeuristicsConfig};
 pub use petri::PetriNet;
-pub use xes::{from_xes, to_xes};
+pub use xes::to_xes;

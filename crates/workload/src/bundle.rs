@@ -79,9 +79,6 @@ pub struct WorkloadBundle {
     pub fault: FaultSpec,
     /// Client resilience policy (default: the legacy wait-forever client).
     pub retry: RetryPolicy,
-    /// Provenance: the declarative spec this bundle was built from (set by
-    /// [`crate::scenario::ScenarioSpec::build`], cleared by any rewrite).
-    pub(crate) source: Option<Arc<crate::scenario::ScenarioSpec>>,
 }
 
 impl WorkloadBundle {
@@ -98,7 +95,6 @@ impl WorkloadBundle {
             variants: VariantTable::default(),
             fault: FaultSpec::default(),
             retry: RetryPolicy::default(),
-            source: None,
         }
     }
 
@@ -132,16 +128,6 @@ impl WorkloadBundle {
         self.with_variants(&[kind], resolver)
     }
 
-    /// Whether a prepared rewrite exists for `kind`.
-    pub fn supports_variant(&self, kind: VariantKind) -> bool {
-        self.variants.supported.contains(&kind)
-    }
-
-    /// The variant kinds this workload ships rewrites for.
-    pub fn supported_variants(&self) -> &[VariantKind] {
-        &self.variants.supported
-    }
-
     /// Build the bundle with the given contract variants applied. Returns
     /// `None` when any requested kind (or the specific combination) has no
     /// prepared rewrite — the caller should report the optimization as
@@ -151,7 +137,7 @@ impl WorkloadBundle {
         if kinds.is_empty() {
             return Some(self.clone());
         }
-        if kinds.iter().any(|k| !self.supports_variant(*k)) {
+        if kinds.iter().any(|k| !self.variants.supported.contains(k)) {
             return None;
         }
         let resolver = self.variants.resolver.clone()?;
@@ -193,19 +179,16 @@ impl WorkloadBundle {
 
     /// Replace the contract set (used when applying smart-contract-level
     /// optimizations: pruning, delta writes, partitioning, data-model
-    /// alteration — the workload schedule stays the same). Clears the
-    /// spec provenance: the rewritten bundle no longer matches its spec.
+    /// alteration — the workload schedule stays the same).
     pub fn with_contracts(mut self, contracts: Vec<Arc<dyn Contract>>) -> Self {
         self.contracts = contracts;
-        self.source = None;
         self
     }
 
     /// Replace the request schedule (used by workload-level optimizations:
-    /// activity reordering, rate control). Clears the spec provenance.
+    /// activity reordering, rate control).
     pub fn with_requests(mut self, requests: Vec<TxRequest>) -> Self {
         self.requests = requests;
-        self.source = None;
         self
     }
 
@@ -296,8 +279,6 @@ mod tests {
     #[test]
     fn unregistered_variants_are_unsupported() {
         let b = tiny_bundle();
-        assert!(b.supported_variants().is_empty());
-        assert!(!b.supports_variant(VariantKind::Pruned));
         let none: BTreeSet<VariantKind> = [VariantKind::Pruned].into_iter().collect();
         assert!(b.apply_variants(&none).is_none());
         // The empty set is the identity even without a resolver.
@@ -317,7 +298,6 @@ mod tests {
                 }
             }),
         );
-        assert!(b.supports_variant(VariantKind::Pruned));
         // The table survives a schedule rewrite (with_requests keeps it).
         let rewritten = b.clone().with_requests(b.requests[..5].to_vec());
         let pruned: BTreeSet<VariantKind> = [VariantKind::Pruned].into_iter().collect();

@@ -11,8 +11,8 @@
 //!   or an explicit, replayable schedule ([`WorkloadSpec::Schedule`]:
 //!   contract set by registry name, genesis state, timestamped requests);
 //! * the **transforms** — declarative schedule rewrites (activity deferral,
-//!   rate control) applied after generation, so an optimized configuration
-//!   is expressible as data;
+//!   rate control) applied after generation and arrival re-stamping, so an
+//!   optimized configuration is expressible as data;
 //! * the **variants** — the prepared contract rewrites to install
 //!   ([`VariantKind`]), resolved through the workload's variant table;
 //! * the **arrival process** — how requests enter the network
@@ -21,10 +21,14 @@
 //! * the **network** — the full [`NetworkConfig`].
 //!
 //! [`ScenarioSpec::build`] lowers a spec back to a ready-to-run
-//! `(WorkloadBundle, NetworkConfig)` pair; the bundle records the spec as
-//! its provenance ([`WorkloadBundle::spec`]), so `spec → bundle → spec` is
-//! the identity and a spec-rebuilt bundle simulates byte-identically to the
-//! generator-built one (test-enforced in `tests/scenario_roundtrip.rs`).
+//! `(WorkloadBundle, NetworkConfig)` pair in two steps:
+//! [`generate`](ScenarioSpec::generate) runs the seed-dependent, expensive
+//! generator (or replays the schedule), and [`finish`](ScenarioSpec::finish)
+//! applies the cheap rest — variants, arrivals, transforms, fault and retry.
+//! The closed loop generates once per seed and `finish`es every measured
+//! configuration's spec from that one workload. A spec-rebuilt bundle
+//! simulates byte-identically to the generator-built one (test-enforced in
+//! `tests/scenario_roundtrip.rs`).
 //!
 //! Generation is **seed-parameterized**: [`ScenarioSpec::with_seed`]
 //! re-seeds both the generator and the network, so a multi-seed measurement
@@ -44,7 +48,6 @@ use sim_core::rng::SimRng;
 use sim_core::time::{SimDuration, SimTime};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 
 /// Why a spec could not be validated or built. Every failure mode of the
 /// declarative layer is typed — malformed user JSON must surface as an
@@ -116,8 +119,11 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// A declarative schedule rewrite, applied after the workload is generated
-/// (or replayed). These are the data form of the paper's client-side
-/// Table-4 settings, so an *optimized* configuration is itself a spec.
+/// (or replayed) and after the arrival process ([`ArrivalSpec`]) has
+/// re-stamped it: a `Throttle` re-spaces an open-loop schedule instead of
+/// being overwritten by it. These are the data form of the paper's
+/// client-side Table-4 settings, so an *optimized* configuration is itself
+/// a spec.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SpecTransform {
     /// Reschedule the named activities after all others, keeping the
@@ -335,7 +341,8 @@ pub struct ScenarioSpec {
     /// JSON ⇒ the closed loop.
     #[serde(default)]
     pub arrival: ArrivalSpec,
-    /// Declarative schedule rewrites, applied in order after generation.
+    /// Declarative schedule rewrites, applied in order after generation and
+    /// arrival re-stamping.
     pub transforms: Vec<SpecTransform>,
     /// Prepared contract rewrites to install (resolved as one set through
     /// the workload's variant table).
@@ -423,6 +430,16 @@ pub const MAX_FLEET: usize = 1 << 16;
 /// runs (20 000 transactions).
 pub const MAX_GENERATED: usize = 1 << 20;
 
+/// Upper bound on `retry.max_attempts`. Under a permanent outage every
+/// transaction spends its whole budget, so a run's work grows linearly
+/// with it.
+pub const MAX_RETRY_ATTEMPTS: usize = 64;
+
+/// Upper bound on the windows of each fault list (`fault.endorser_outages`,
+/// `fault.latency_spikes`, `fault.orderer_stalls`). It also bounds the
+/// pairwise orderer-stall overlap check.
+pub const MAX_FAULT_WINDOWS: usize = 1 << 10;
+
 impl ScenarioSpec {
     /// The spec of a built-in scenario under its default parameters and
     /// the default network configuration — what `blockoptr spec <name>`
@@ -503,9 +520,9 @@ impl ScenarioSpec {
     }
 
     /// Validate every parameter domain without generating anything.
-    /// [`build`](Self::build) calls this first; malformed user specs fail
-    /// here with a typed [`SpecError`] instead of tripping a generator
-    /// assertion.
+    /// [`generate`](Self::generate) and [`finish`](Self::finish) call this
+    /// first; malformed user specs fail here with a typed [`SpecError`]
+    /// instead of tripping a generator assertion.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.name.trim().is_empty() {
             return Err(bad("name", "scenario name must be non-empty"));
@@ -803,11 +820,11 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Domain checks for the fault plan: every window must be a real,
-    /// positive span of time, outages must name peers the network actually
-    /// has, spikes must not *speed up* the network, and orderer stalls
-    /// must not overlap (two concurrent stalls have no defined release
-    /// order).
+    /// Domain checks for the fault plan: each list holds at most
+    /// [`MAX_FAULT_WINDOWS`] windows, every window must be a real, positive
+    /// span of time, outages must name peers the network actually has,
+    /// spikes must not *speed up* the network, and orderer stalls must not
+    /// overlap (two concurrent stalls have no defined release order).
     fn validate_fault(&self) -> Result<(), SpecError> {
         fn check_window(prefix: &str, start: f64, duration: f64) -> Result<(), SpecError> {
             if !start.is_finite() || start < 0.0 {
@@ -823,6 +840,13 @@ impl ScenarioSpec {
                 ));
             }
             Ok(())
+        }
+        for (field, windows) in [
+            ("fault.endorser_outages", self.fault.endorser_outages.len()),
+            ("fault.latency_spikes", self.fault.latency_spikes.len()),
+            ("fault.orderer_stalls", self.fault.orderer_stalls.len()),
+        ] {
+            check_range(field, windows, 0, MAX_FAULT_WINDOWS)?;
         }
         for (i, w) in self.fault.endorser_outages.iter().enumerate() {
             let prefix = format!("fault.endorser_outages[{i}]");
@@ -878,7 +902,12 @@ impl ScenarioSpec {
 
     /// Domain checks for the client resilience policy.
     fn validate_retry(&self) -> Result<(), SpecError> {
-        check_min("retry.max_attempts", self.retry.max_attempts, 1)?;
+        check_range(
+            "retry.max_attempts",
+            self.retry.max_attempts,
+            1,
+            MAX_RETRY_ATTEMPTS,
+        )?;
         if let Some(t) = self.retry.endorse_timeout {
             if !t.is_finite() || t <= 0.0 {
                 return Err(bad(
@@ -911,12 +940,19 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Lower the spec to a ready-to-run `(bundle, config)` pair: validate,
-    /// generate (or replay), resolve variants, apply transforms, and attach
-    /// the spec to the bundle as provenance.
+    /// Lower the spec to a ready-to-run `(bundle, config)` pair:
+    /// [`finish`](Self::finish) applied to [`generate`](Self::generate).
     pub fn build(&self) -> Result<(WorkloadBundle, NetworkConfig), SpecError> {
+        self.finish(&self.generate()?)
+    }
+
+    /// Validate, then run the workload generator (or replay the explicit
+    /// schedule). This is the seed-dependent, expensive half of
+    /// [`build`](Self::build); its output is the raw workload, before
+    /// variants, arrivals, transforms, fault and retry.
+    pub fn generate(&self) -> Result<WorkloadBundle, SpecError> {
         self.validate()?;
-        let mut bundle = match &self.workload {
+        Ok(match &self.workload {
             WorkloadSpec::Synthetic(cv) => synthetic::generate(cv),
             WorkloadSpec::Scm(s) => scm::generate(s),
             WorkloadSpec::Drm(s) => drm::generate(s),
@@ -931,28 +967,42 @@ impl ScenarioSpec {
                     .collect();
                 WorkloadBundle::new(contracts, s.genesis.clone(), s.requests.clone())
             }
-        };
-        if !self.variants.is_empty() {
-            bundle = bundle.apply_variants(&self.variants).ok_or_else(|| {
-                // validate() filtered kinds outside the variant table, so
-                // this is a combination the resolver cannot build.
-                SpecError::UnsupportedVariant {
-                    variants: self.variants.iter().copied().collect(),
-                    workload: self.workload.kind().to_string(),
-                }
-            })?;
+        })
+    }
+
+    /// Validate, then turn `generated` — the [`generate`](Self::generate)
+    /// output of a spec with the same workload and seed — into this spec's
+    /// ready-to-run pair: resolve the variants, re-stamp the arrivals, apply
+    /// the transforms in order, then attach the fault plan and the retry
+    /// policy.
+    ///
+    /// Arrivals come before transforms, so a `Throttle` re-spaces an
+    /// open-loop schedule instead of being erased by the re-stamping.
+    /// Deferral keeps the send order either way.
+    pub fn finish(
+        &self,
+        generated: &WorkloadBundle,
+    ) -> Result<(WorkloadBundle, NetworkConfig), SpecError> {
+        self.validate()?;
+        let mut bundle = generated.apply_variants(&self.variants).ok_or_else(|| {
+            // validate() filtered kinds outside the variant table, so this
+            // is a combination the resolver cannot build.
+            SpecError::UnsupportedVariant {
+                variants: self.variants.iter().copied().collect(),
+                workload: self.workload.kind().to_string(),
+            }
+        })?;
+        if self.arrival.is_open() {
+            let restamped = self.arrival.restamp(&bundle.requests, self.seed());
+            bundle = bundle.with_requests(restamped);
         }
         for transform in &self.transforms {
             let rewritten = transform.apply(&bundle.requests);
             bundle = bundle.with_requests(rewritten);
         }
-        if self.arrival.is_open() {
-            let restamped = self.arrival.restamp(&bundle.requests, self.seed());
-            bundle = bundle.with_requests(restamped);
-        }
         bundle.fault = self.fault.clone();
         bundle.retry = self.retry.clone();
-        Ok((bundle.with_spec(self.clone()), self.network.clone()))
+        Ok((bundle, self.network.clone()))
     }
 
     /// The registry ids of the contract set [`build`](Self::build)
@@ -1042,22 +1092,6 @@ pub fn freeze(
     })
 }
 
-/// Internal hook for [`ScenarioSpec::build`]: attach provenance.
-impl WorkloadBundle {
-    pub(crate) fn with_spec(mut self, spec: ScenarioSpec) -> WorkloadBundle {
-        self.source = Some(Arc::new(spec));
-        self
-    }
-
-    /// The spec this bundle was built from, when it came through
-    /// [`ScenarioSpec::build`]. Rewriting the bundle (`with_requests`,
-    /// `with_contracts`) clears the provenance — a diverged bundle no
-    /// longer speaks for its spec.
-    pub fn spec(&self) -> Option<&ScenarioSpec> {
-        self.source.as_deref()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1138,14 +1172,31 @@ mod tests {
     }
 
     #[test]
-    fn build_attaches_provenance() {
+    fn build_is_finish_of_generate() {
         let spec = ScenarioSpec::builtin("dv").unwrap();
         let (bundle, config) = spec.build().unwrap();
-        assert_eq!(bundle.spec(), Some(&spec));
         assert_eq!(config, spec.network);
-        // Divergence clears it.
-        let rewritten = bundle.clone().with_requests(bundle.requests[..5].to_vec());
-        assert!(rewritten.spec().is_none());
+        let generated = spec.generate().unwrap();
+        let (finished, finished_config) = spec.finish(&generated).unwrap();
+        assert_eq!(finished.requests, bundle.requests);
+        assert_eq!(finished_config, config);
+        // One generated workload finishes any spec that shares its
+        // workload and seed.
+        let mut tuned = spec.clone();
+        tuned.variants.insert(VariantKind::Rekeyed);
+        tuned
+            .transforms
+            .push(SpecTransform::Throttle { rate: 50.0 });
+        let (from_generated, _) = tuned.finish(&generated).unwrap();
+        let (rebuilt, _) = tuned.build().unwrap();
+        assert_eq!(from_generated.requests, rebuilt.requests);
+        assert_eq!(from_generated.contracts[0].id(), "dv:per-voter");
+        // finish validates like build does.
+        tuned.transforms.push(SpecTransform::Throttle { rate: 0.0 });
+        match tuned.finish(&generated).err() {
+            Some(SpecError::BadParameter { field, .. }) => assert_eq!(field, "transforms[1].rate"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -1687,6 +1738,72 @@ mod tests {
                         }
                         other => panic!("{field} = {n}: {other:?}"),
                     }
+                }
+            }
+        }
+
+        // The retry budget is capped: under a permanent outage a run's work
+        // grows with it.
+        for n in [
+            MAX_RETRY_ATTEMPTS,
+            MAX_RETRY_ATTEMPTS + 1,
+            1_000_000_000_000,
+        ] {
+            let mut budget = base.clone();
+            budget.retry.max_attempts = n;
+            match budget.validate() {
+                Ok(()) => assert_eq!(n, MAX_RETRY_ATTEMPTS),
+                Err(SpecError::BadParameter { field, .. }) if n > MAX_RETRY_ATTEMPTS => {
+                    assert_eq!(field, "retry.max_attempts")
+                }
+                other => panic!("retry.max_attempts = {n}: {other:?}"),
+            }
+        }
+        // So is every fault-window list, which also bounds the pairwise
+        // orderer-stall overlap check. (A list of 10¹² windows cannot be
+        // built to test; cap + 1 takes the same branch.)
+        type Fill = fn(&mut FaultSpec, usize);
+        let lists: [(&str, Fill); 3] = [
+            ("fault.endorser_outages", |f, n| {
+                f.endorser_outages = vec![
+                    OutageWindow {
+                        org: 0,
+                        peer: None,
+                        start: 0.0,
+                        duration: 1.0,
+                    };
+                    n
+                ]
+            }),
+            ("fault.latency_spikes", |f, n| {
+                f.latency_spikes = vec![
+                    LatencySpike {
+                        start: 0.0,
+                        duration: 1.0,
+                        multiplier: 2.0,
+                    };
+                    n
+                ]
+            }),
+            ("fault.orderer_stalls", |f, n| {
+                f.orderer_stalls = (0..n)
+                    .map(|i| StallWindow {
+                        start: i as f64,
+                        duration: 0.5,
+                    })
+                    .collect()
+            }),
+        ];
+        for (field, fill) in lists {
+            for n in [MAX_FAULT_WINDOWS, MAX_FAULT_WINDOWS + 1] {
+                let mut windows = base.clone();
+                fill(&mut windows.fault, n);
+                match windows.validate() {
+                    Ok(()) => assert_eq!(n, MAX_FAULT_WINDOWS, "{field}"),
+                    Err(SpecError::BadParameter { field: f, .. }) if n > MAX_FAULT_WINDOWS => {
+                        assert_eq!(f, field)
+                    }
+                    other => panic!("{field} with {n} windows: {other:?}"),
                 }
             }
         }

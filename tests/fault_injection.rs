@@ -407,7 +407,7 @@ fn tuned_outage_spec_improves_goodput_with_ci_excluding_zero() {
 
     // The loop closes: a replayable tuned spec with a widened retry
     // budget comes back out.
-    let tuned = outcome.optimized_spec.as_ref().expect("spec emitted");
+    let tuned = &outcome.optimized_spec;
     assert_ne!(tuned.retry, spec.retry, "the retry policy was tuned");
     assert!(tuned.retry.max_attempts > spec.retry.max_attempts);
     tuned.build().expect("the tuned spec replays");

@@ -1,8 +1,7 @@
-//! The declarative-scenario guarantees, test-enforced (ISSUE 5 acceptance
-//! criteria):
+//! The declarative-scenario guarantees, test-enforced:
 //!
-//! 1. **spec → bundle → spec is the identity** — a bundle built by
-//!    [`ScenarioSpec::build`] carries the very spec as provenance;
+//! 1. **spec → bundle → spec is the identity** for explicit schedules: a
+//!    frozen spec rebuilds into a bundle that freezes back to the same spec;
 //! 2. **a spec-rebuilt bundle simulates byte-identically** to the
 //!    imperatively generator-built one, for every built-in scenario and
 //!    several seeds (report *and* extracted log compared verbatim);
@@ -13,15 +12,20 @@
 //!    seeds produce different schedules but identical specs modulo the
 //!    seed fields;
 //! 5. the spec-driven plan executor emits a buildable optimized spec and
-//!    the whole outcome round-trips through JSON.
+//!    the whole outcome round-trips through JSON;
+//! 6. **the emitted spec replays what was measured**: building and running
+//!    `optimized_spec` reproduces the combined row's primary report, and
+//!    each applied action's spec reproduces its own row.
 
 use blockoptr::plan::{OptimizationPlan, PlanConfig};
 use blockoptr::session::{AnalyzeError, Analyzer};
 use fabric_sim::config::NetworkConfig;
-use workload::scenario::BUILTIN_NAMES;
+use workload::scenario::{freeze, BUILTIN_NAMES};
 use workload::spec::ControlVariables;
 use workload::{drm, dv, ehr, lap, scm, synthetic};
-use workload::{ScenarioSpec, SpecError, VariantKind, WorkloadBundle, WorkloadSpec};
+use workload::{
+    ArrivalSpec, ScenarioSpec, SpecError, SpecTransform, VariantKind, WorkloadBundle, WorkloadSpec,
+};
 
 const TXS: usize = 800;
 
@@ -100,13 +104,24 @@ fn spec_to_bundle_to_spec_is_identity() {
     for name in BUILTIN_NAMES {
         let spec = spec_for(name, TXS, 42);
         let (bundle, config) = spec.build().unwrap();
-        assert_eq!(bundle.spec(), Some(&spec), "{name}: provenance");
         assert_eq!(config, spec.network, "{name}: network");
-        // …and through JSON: the serialized provenance re-parses equal.
+        // …and through JSON: the serialized spec re-parses equal and
+        // rebuilds the same schedule.
         let back = ScenarioSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back, spec, "{name}: JSON round trip");
         let (rebuilt, _) = back.build().unwrap();
-        assert_eq!(rebuilt.spec(), Some(&spec), "{name}: rebuilt provenance");
+        assert_eq!(
+            rebuilt.requests, bundle.requests,
+            "{name}: rebuilt schedule"
+        );
+        // An explicit schedule is a fixed point: freeze, build, freeze.
+        let frozen = freeze(name, &bundle, &config).unwrap();
+        let (replayed, replay_config) = frozen.build().unwrap();
+        assert_eq!(
+            freeze(name, &replayed, &replay_config).unwrap(),
+            frozen,
+            "{name}: frozen identity"
+        );
     }
 }
 
@@ -215,13 +230,12 @@ fn spec_driven_plan_emits_a_buildable_optimized_spec() {
     assert_eq!(outcome.seeds.len(), 2);
     assert_eq!(outcome.baseline.seeds(), 2);
 
-    let optimized = outcome.optimized_spec.as_ref().expect("spec-driven");
+    let optimized = &outcome.optimized_spec;
     assert!(
         !optimized.transforms.is_empty() || !optimized.variants.is_empty(),
         "the plan lowered something declarative"
     );
-    let (tuned_bundle, tuned_config) = optimized.build().unwrap();
-    assert_eq!(tuned_bundle.spec(), Some(optimized));
+    let (_, tuned_config) = optimized.build().unwrap();
     assert_eq!(tuned_config, optimized.network);
 
     // Multi-seed workload variance is real: the two baseline seeds saw
@@ -283,11 +297,121 @@ fn plan_execution_maps_spec_errors() {
     if let WorkloadSpec::Drm(s) = &mut spec.workload {
         s.send_rate = f64::NAN;
     }
-    let err = OptimizationPlan::default().execute_spec(&spec).unwrap_err();
+    let err = OptimizationPlan::default()
+        .execute_spec_with(&spec, &PlanConfig::default())
+        .unwrap_err();
     match err {
         AnalyzeError::Spec(SpecError::BadParameter { field, .. }) => {
             assert_eq!(field, "drm.send_rate")
         }
         other => panic!("{other:?}"),
+    }
+}
+
+/// A committed example spec.
+fn example_spec(file: &str) -> ScenarioSpec {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("examples")
+        .join(file);
+    ScenarioSpec::from_json(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+/// One run of `spec`'s report, serialized.
+fn replay(spec: &ScenarioSpec) -> String {
+    let (bundle, config) = spec.build().unwrap();
+    serde_json::to_string(&bundle.run(config).report).unwrap()
+}
+
+/// The closed loop hands its result over as `optimized_spec`: replaying
+/// that spec must reproduce the combined configuration the plan measured,
+/// byte for byte, and each applied action's spec must reproduce its own
+/// row. The inputs cover every built-in at two seeds, the fault and
+/// open-loop examples, open-loop SCM specs whose plan throttles (the
+/// throttle must survive the arrival re-stamping), and a DRM spec that
+/// already carries a variant (the plan's other variant must resolve
+/// together with it).
+#[test]
+fn emitted_spec_replays_what_was_measured() {
+    let mut cases: Vec<(String, ScenarioSpec)> = Vec::new();
+    for name in BUILTIN_NAMES {
+        for seed in [42, 1337] {
+            cases.push((format!("{name}/{seed}"), spec_for(name, 2_000, seed)));
+        }
+    }
+    for file in ["endorser_outage.json", "open_loop_poisson.json"] {
+        cases.push((file.to_string(), example_spec(file)));
+    }
+    for (label, arrival) in [
+        (
+            "open-loop scm/poisson",
+            ArrivalSpec::Poisson { rate: 400.0 },
+        ),
+        (
+            "open-loop scm/uniform",
+            ArrivalSpec::Uniform { gap: 0.0025 },
+        ),
+    ] {
+        let spec = ScenarioSpec::builtin("scm")
+            .unwrap()
+            .with_transactions(3_000)
+            .with_arrival(arrival);
+        cases.push((label.to_string(), spec));
+    }
+    for seed in [42, 1337] {
+        let mut spec = spec_for("drm", 6_000, seed);
+        spec.variants.insert(VariantKind::Partitioned);
+        cases.push((format!("drm-partitioned/{seed}"), spec));
+    }
+
+    let analyzer = Analyzer::new();
+    for (label, spec) in &cases {
+        let (plan, output) = OptimizationPlan::from_spec(spec, &analyzer).unwrap();
+        let outcome = plan
+            .execute_spec_from_with(spec, output.report, &PlanConfig::new(1, 2))
+            .unwrap();
+        let measured = outcome.combined.as_ref().unwrap_or(&outcome.baseline);
+        assert_eq!(
+            replay(&outcome.optimized_spec),
+            serde_json::to_string(&measured.primary).unwrap(),
+            "{label}: the emitted spec replays the measured combination"
+        );
+        for action in &outcome.actions {
+            if let Some(after) = action.measured() {
+                let single = action.action.apply_to_spec(spec).expect("applied");
+                assert_eq!(
+                    replay(&single),
+                    serde_json::to_string(&after.primary).unwrap(),
+                    "{label}: {} replays its row",
+                    action.action.describe()
+                );
+            }
+        }
+
+        // The throttle and the second variant are what those inputs are
+        // for: the plan must apply them.
+        let applied = |wanted: &dyn Fn(&blockoptr::Action) -> bool| {
+            outcome
+                .actions
+                .iter()
+                .any(|a| wanted(&a.action) && a.measured().is_some())
+        };
+        if label.starts_with("open-loop scm/") {
+            assert!(
+                applied(&|a| matches!(
+                    a,
+                    blockoptr::Action::RewriteSchedule(SpecTransform::Throttle { .. })
+                )),
+                "{label}: the plan throttles"
+            );
+        }
+        if label.starts_with("drm-partitioned/") {
+            assert!(
+                applied(&|a| matches!(
+                    a,
+                    blockoptr::Action::SelectContractVariant(VariantKind::DeltaWrites)
+                )),
+                "{label}: delta writes apply on top of the partitioned variant"
+            );
+        }
     }
 }
