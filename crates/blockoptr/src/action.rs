@@ -308,13 +308,11 @@ fn deferrable_activities(pairs: &[((String, String), usize)]) -> Vec<String> {
         .collect()
 }
 
-/// Parse `"Org3"` → organization index 2.
+/// Parse `"Org3"` → organization index 2: the inverse of `OrgId`'s
+/// display, whose 1-based numbers run up to `Org65536`.
 fn parse_org_index(display: &str) -> Option<u16> {
-    display
-        .strip_prefix("Org")?
-        .parse::<u16>()
-        .ok()
-        .and_then(|n| n.checked_sub(1))
+    let number = display.strip_prefix("Org")?.parse::<u32>().ok()?;
+    u16::try_from(number.checked_sub(1)?).ok()
 }
 
 #[cfg(test)]
@@ -546,5 +544,15 @@ mod tests {
         assert_eq!(parse_org_index("Org1"), Some(0));
         assert_eq!(parse_org_index("Org12"), Some(11));
         assert_eq!(parse_org_index("weird"), None);
+        assert_eq!(parse_org_index("Org0"), None);
+        assert_eq!(parse_org_index("Org65537"), None);
+    }
+
+    #[test]
+    fn org_names_round_trip_through_parsing() {
+        for index in [0, 1, 65534, u16::MAX] {
+            assert_eq!(parse_org_index(&OrgId(index).to_string()), Some(index));
+            assert_eq!(parse_org_index(&OrgId(index).name()), Some(index));
+        }
     }
 }

@@ -16,16 +16,20 @@
 //! winning family.
 
 use crate::log::{BlockchainLog, TxRecord};
+use crate::metrics::{decrement, increment, update};
 use fabric_sim::types::Value;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Per-family distinct-value statistics: value → candidate-occurrence
 /// count. A multiset rather than a set so sliding-window eviction can
 /// *retract* a record's contribution exactly
 /// ([`retract_family_candidates`]); the distinct-value count a family
-/// reports is the map's length, identical to the old set semantics.
-pub(crate) type FamilyValues = BTreeMap<String, BTreeMap<String, usize>>;
+/// reports is the map's length, identical to the old set semantics. The
+/// values are hashed: a window holds hundreds of them per family, every
+/// record looks its own up on ingest and again on eviction, and nothing
+/// reads them in order.
+pub(crate) type FamilyValues = BTreeMap<String, HashMap<String, usize>>;
 
 /// How a case id was derived for the log.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,50 +58,80 @@ pub(crate) fn family_of(ident: &str) -> Option<&str> {
     Some(&ident[..digit_at])
 }
 
-pub(crate) fn candidates(record: &TxRecord) -> Vec<&str> {
-    let mut out: Vec<&str> = Vec::new();
-    for arg in &record.args {
-        if let Value::Str(s) = arg {
-            out.push(s.as_str());
+/// A record's candidate identifiers, in order: its string arguments, then
+/// its distinct accessed keys (sorted by full key) without the namespace
+/// prefix. Borrowed from the record; the key list is its one allocation.
+pub(crate) struct Candidates<'r> {
+    args: &'r [Value],
+    keys: Vec<&'r str>,
+}
+
+impl<'r> Candidates<'r> {
+    /// Past this many candidates, [`for_each_family`](Self::for_each_family)
+    /// switches from a look-back to a set.
+    const LOOK_BACK: usize = 32;
+
+    pub(crate) fn of(record: &'r TxRecord) -> Candidates<'r> {
+        let mut keys = record.rwset.all_keys();
+        for key in &mut keys {
+            // Strip the namespace prefix: "scm/P0001" → "P0001".
+            *key = key.rsplit('/').next().unwrap_or(key);
+        }
+        Candidates {
+            args: &record.args,
+            keys,
         }
     }
-    for key in record.rwset.all_keys() {
-        // Strip the namespace prefix: "scm/P0001" → "P0001".
-        let short = key.rsplit('/').next().unwrap_or(key);
-        out.push(short);
+
+    fn iter(&self) -> impl Iterator<Item = &'r str> + '_ {
+        let args = self.args.iter().filter_map(|arg| match arg {
+            Value::Str(s) => Some(s.as_str()),
+            _ => None,
+        });
+        args.chain(self.keys.iter().copied())
     }
-    out
+
+    /// Call `f` once per distinct family among the candidates. A record
+    /// holds a handful of candidates, so each looks back over the earlier
+    /// ones instead of filling a per-record set; only a hand-made log with
+    /// more than [`Self::LOOK_BACK`] of them pays for a set, which keeps
+    /// the scan from going quadratic.
+    fn for_each_family(&self, mut f: impl FnMut(&'r str)) {
+        let families = || self.iter().filter_map(family_of);
+        if self.args.len() + self.keys.len() <= Self::LOOK_BACK {
+            for (i, fam) in families().enumerate() {
+                if !families().take(i).any(|seen| seen == fam) {
+                    f(fam);
+                }
+            }
+        } else {
+            let mut seen = BTreeSet::new();
+            for fam in families().filter(|fam| seen.insert(*fam)) {
+                f(fam);
+            }
+        }
+    }
 }
 
 /// Fold one record's candidates into the family statistics (streaming
 /// update; `coverage` counts records contributing to each family,
 /// `distinct` the family's identifier values with occurrence counts).
-pub(crate) fn observe_families(
-    record: &TxRecord,
-    coverage: &mut BTreeMap<String, usize>,
-    distinct: &mut FamilyValues,
-) {
-    observe_family_candidates(&candidates(record), coverage, distinct);
-}
-
-/// [`observe_families`] over an already-extracted candidate list, so hot
-/// paths that also need [`case_from_candidates`] extract candidates once.
+/// Counters are bumped by borrowed key, so only a family or value seen for
+/// the first time allocates.
 pub(crate) fn observe_family_candidates(
-    cands: &[&str],
+    cands: &Candidates<'_>,
     coverage: &mut BTreeMap<String, usize>,
     distinct: &mut FamilyValues,
 ) {
-    let mut seen_families: BTreeSet<&str> = BTreeSet::new();
-    for cand in cands {
+    cands.for_each_family(|fam| increment(coverage, fam));
+    for cand in cands.iter() {
         if let Some(fam) = family_of(cand) {
-            if seen_families.insert(fam) {
-                *coverage.entry(fam.to_string()).or_insert(0) += 1;
-            }
-            *distinct
-                .entry(fam.to_string())
-                .or_default()
-                .entry(cand.to_string())
-                .or_insert(0) += 1;
+            update(distinct, fam, |values| match values.get_mut(cand) {
+                Some(n) => *n += 1,
+                None => {
+                    values.insert(cand.to_string(), 1);
+                }
+            });
         }
     }
 }
@@ -107,18 +141,23 @@ pub(crate) fn observe_family_candidates(
 /// removed, so the statistics equal a fresh derivation over the retained
 /// suffix (the sliding-window equivalence contract).
 pub(crate) fn retract_family_candidates(
-    cands: &[&str],
+    cands: &Candidates<'_>,
     coverage: &mut BTreeMap<String, usize>,
     distinct: &mut FamilyValues,
 ) {
-    let mut seen_families: BTreeSet<&str> = BTreeSet::new();
-    for cand in cands {
+    cands.for_each_family(|fam| {
+        decrement(coverage, fam);
+    });
+    for cand in cands.iter() {
         if let Some(fam) = family_of(cand) {
-            if seen_families.insert(fam) {
-                crate::metrics::decrement(coverage, fam);
-            }
             if let Some(values) = distinct.get_mut(fam) {
-                crate::metrics::decrement(values, *cand);
+                match values.get_mut(cand) {
+                    Some(n) if *n > 1 => *n -= 1,
+                    Some(_) => {
+                        values.remove(cand);
+                    }
+                    None => panic!("retract without a matching observe for {cand:?}"),
+                }
                 if values.is_empty() {
                     distinct.remove(fam);
                 }
@@ -130,38 +169,31 @@ pub(crate) fn retract_family_candidates(
 /// Pick the winning family: highest coverage, near-ties (within 5 % of
 /// `total`) broken toward more distinct values, then family name for
 /// determinism. Returns `(family, covered, distinct)`.
-pub(crate) fn pick_family(
-    coverage: &BTreeMap<String, usize>,
+pub(crate) fn pick_family<'m>(
+    coverage: &'m BTreeMap<String, usize>,
     distinct: &FamilyValues,
     total: usize,
-) -> Option<(String, usize, usize)> {
+) -> Option<(&'m str, usize, usize)> {
     coverage
         .iter()
         .map(|(fam, &cov)| {
-            let d = distinct.get(fam).map(BTreeMap::len).unwrap_or(0);
-            (fam.clone(), cov, d)
+            let d = distinct.get(fam).map(HashMap::len).unwrap_or(0);
+            (fam.as_str(), cov, d)
         })
         .max_by(|a, b| {
             let band = (total as f64 * 0.05) as usize;
             if a.1.abs_diff(b.1) <= band {
-                a.2.cmp(&b.2).then_with(|| b.0.cmp(&a.0))
+                a.2.cmp(&b.2).then_with(|| b.0.cmp(a.0))
             } else {
                 a.1.cmp(&b.1)
             }
         })
 }
 
-/// The case id of one record under a given family.
-pub(crate) fn case_of(record: &TxRecord, family: &str) -> Option<String> {
-    case_from_candidates(&candidates(record), family)
-}
-
-/// [`case_of`] over an already-extracted candidate list.
-pub(crate) fn case_from_candidates(cands: &[&str], family: &str) -> Option<String> {
-    cands
-        .iter()
-        .find(|c| family_of(c) == Some(family))
-        .map(|c| c.to_string())
+/// The case id of a record under `family`, borrowed from the record: its
+/// first candidate of that family.
+pub(crate) fn case_from_candidates<'r>(cands: &Candidates<'r>, family: &str) -> Option<&'r str> {
+    cands.iter().find(|c| family_of(c) == Some(family))
 }
 
 /// Derive case ids for every transaction in the log.
@@ -170,7 +202,7 @@ pub fn derive_case_ids(log: &BlockchainLog) -> CaseDerivation {
     let mut coverage: BTreeMap<String, usize> = BTreeMap::new();
     let mut distinct: FamilyValues = BTreeMap::new();
     for record in log.records() {
-        observe_families(record, &mut coverage, &mut distinct);
+        observe_family_candidates(&Candidates::of(record), &mut coverage, &mut distinct);
     }
 
     let total = log.len().max(1);
@@ -183,11 +215,11 @@ pub fn derive_case_ids(log: &BlockchainLog) -> CaseDerivation {
         };
     };
 
-    let case_ids: VecDeque<Option<String>> =
-        log.records().iter().map(|r| case_of(r, &family)).collect();
+    let case_of = |r| case_from_candidates(&Candidates::of(r), family).map(str::to_string);
+    let case_ids: VecDeque<Option<String>> = log.records().iter().map(case_of).collect();
 
     CaseDerivation {
-        family,
+        family: family.to_string(),
         coverage: covered as f64 / total as f64,
         distinct_cases: d,
         case_ids: Arc::new(case_ids),

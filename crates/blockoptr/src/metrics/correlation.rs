@@ -10,7 +10,7 @@
 //!   transactions of the same activity; adjacent failed increment-writes are
 //!   the *delta write* candidates.
 
-use crate::log::BlockchainLog;
+use crate::log::{BlockchainLog, TxRecord};
 use fabric_sim::ledger::TxStatus;
 use fabric_sim::types::Value;
 use serde::{Deserialize, Serialize};
@@ -101,75 +101,19 @@ impl CorrelationTracker {
         let r = &records[pos - base];
         if r.status.is_read_conflict() {
             m.read_conflicts += 1;
-            // Find the most recent writer of any key this tx read.
-            let mut best: Option<(usize, &str)> = None;
-            for read in &r.rwset.reads {
-                if let Some(&wpos) = self.last_writer.get(read.key.as_str()) {
-                    if best.is_none_or(|(b, _)| wpos > b) {
-                        best = Some((wpos, read.key.as_str()));
-                    }
-                }
-            }
-            for rr in &r.rwset.range_reads {
-                for (key, _) in &rr.observed {
-                    if let Some(&wpos) = self.last_writer.get(key.as_str()) {
-                        if best.is_none_or(|(b, _)| wpos > b) {
-                            best = Some((wpos, key.as_str()));
-                        }
-                    }
-                }
-            }
-            if let Some((wpos, key)) = best {
-                let writer = &records[wpos - base];
-                let write_keys = r.rwset.write_keys();
-                let writer_keys = writer.rwset.write_keys();
-                let reorderable = write_keys.is_disjoint(&writer_keys);
-                let distance = r.commit_index - writer.commit_index;
-                self.distance_sum += distance as u128;
-                m.identified += 1;
-                let per_activity = m.activity_conflicts.entry(r.activity.clone()).or_default();
-                per_activity.0 += 1;
-                if reorderable {
-                    m.reorderable += 1;
-                    per_activity.1 += 1;
-                    *m.reorderable_pairs
-                        .entry((r.activity.clone(), writer.activity.clone()))
-                        .or_insert(0) += 1;
-                }
-                *m.pair_counts
-                    .entry((r.activity.clone(), writer.activity.clone()))
-                    .or_insert(0) += 1;
-                std::sync::Arc::make_mut(&mut m.conflicts).push(ConflictPair {
-                    failed_index: r.commit_index,
-                    failed_activity: r.activity.clone(),
-                    writer_index: writer.commit_index,
-                    writer_activity: writer.activity.clone(),
-                    key: key.to_string(),
-                    distance,
-                    reorderable,
-                });
+            if let Some((wpos, key)) = latest_writer(&self.last_writer, r) {
+                let pair = count_conflict(m, &mut self.distance_sum, r, &records[wpos - base], key);
+                std::sync::Arc::make_mut(&mut m.conflicts).push(pair);
             }
         }
 
         // Delta-write candidates: this tx and the previous tx of the
         // same activity are adjacent in the activity's own sequence
-        // (corPA(x, y) == 1); the earlier failed with an MVCC conflict;
-        // both write a single key; the written values differ by one.
+        // (corPA(x, y) == 1).
         if let Some(&ppos) = self.prev_of_activity.get(r.activity.as_str()) {
-            let prev = &records[ppos - base];
-            if prev.status == TxStatus::MvccReadConflict
-                && prev.rwset.writes.len() == 1
-                && r.rwset.writes.len() == 1
-                && prev.rwset.writes[0].key == r.rwset.writes[0].key
-            {
-                let delta = value_delta(
-                    prev.rwset.writes[0].value.as_ref(),
-                    r.rwset.writes[0].value.as_ref(),
-                );
-                if matches!(delta, Some(d) if d.abs() == 1) {
-                    *m.delta_candidates.entry(r.activity.clone()).or_insert(0) += 1;
-                    self.delta_deps.insert(ppos, r.activity.clone());
-                }
+            if is_delta_write(&records[ppos - base], r) {
+                crate::metrics::increment(&mut m.delta_candidates, r.activity.as_str());
+                self.delta_deps.insert(ppos, r.activity.clone());
             }
         }
         // Avoid re-allocating the activity key on every record.
@@ -251,52 +195,9 @@ impl CorrelationTracker {
                     // precedes `r` within other, so the serial scan would
                     // have matched self's most recent writer — re-run that
                     // exact lookup.
-                    let mut best: Option<(usize, &str)> = None;
-                    for read in &r.rwset.reads {
-                        if let Some(&wpos) = self.last_writer.get(read.key.as_str()) {
-                            if best.is_none_or(|(b, _)| wpos > b) {
-                                best = Some((wpos, read.key.as_str()));
-                            }
-                        }
-                    }
-                    for rr in &r.rwset.range_reads {
-                        for (key, _) in &rr.observed {
-                            if let Some(&wpos) = self.last_writer.get(key.as_str()) {
-                                if best.is_none_or(|(b, _)| wpos > b) {
-                                    best = Some((wpos, key.as_str()));
-                                }
-                            }
-                        }
-                    }
-                    if let Some((wpos, key)) = best {
+                    if let Some((wpos, key)) = latest_writer(&self.last_writer, r) {
                         let writer = &self_records[wpos - self.base];
-                        let reorderable =
-                            r.rwset.write_keys().is_disjoint(&writer.rwset.write_keys());
-                        let distance = r.commit_index - writer.commit_index;
-                        self.distance_sum += distance as u128;
-                        m.identified += 1;
-                        let per_activity =
-                            m.activity_conflicts.entry(r.activity.clone()).or_default();
-                        per_activity.0 += 1;
-                        if reorderable {
-                            m.reorderable += 1;
-                            per_activity.1 += 1;
-                            *m.reorderable_pairs
-                                .entry((r.activity.clone(), writer.activity.clone()))
-                                .or_insert(0) += 1;
-                        }
-                        *m.pair_counts
-                            .entry((r.activity.clone(), writer.activity.clone()))
-                            .or_insert(0) += 1;
-                        tail.push(ConflictPair {
-                            failed_index: r.commit_index,
-                            failed_activity: r.activity.clone(),
-                            writer_index: writer.commit_index,
-                            writer_activity: writer.activity.clone(),
-                            key: key.to_string(),
-                            distance,
-                            reorderable,
-                        });
+                        tail.push(count_conflict(m, &mut self.distance_sum, r, writer, key));
                     }
                 }
             }
@@ -305,20 +206,9 @@ impl CorrelationTracker {
             // other by its own scan.
             if seen_activities.insert(r.activity.as_str()) {
                 if let Some(&ppos) = self.prev_of_activity.get(r.activity.as_str()) {
-                    let prev = &self_records[ppos - self.base];
-                    if prev.status == TxStatus::MvccReadConflict
-                        && prev.rwset.writes.len() == 1
-                        && r.rwset.writes.len() == 1
-                        && prev.rwset.writes[0].key == r.rwset.writes[0].key
-                    {
-                        let delta = value_delta(
-                            prev.rwset.writes[0].value.as_ref(),
-                            r.rwset.writes[0].value.as_ref(),
-                        );
-                        if matches!(delta, Some(d) if d.abs() == 1) {
-                            *m.delta_candidates.entry(r.activity.clone()).or_insert(0) += 1;
-                            boundary_deltas.push((ppos, r.activity.clone()));
-                        }
+                    if is_delta_write(&self_records[ppos - self.base], r) {
+                        crate::metrics::increment(&mut m.delta_candidates, r.activity.as_str());
+                        boundary_deltas.push((ppos, r.activity.clone()));
                     }
                 }
             }
@@ -412,31 +302,35 @@ impl CorrelationTracker {
                 m.read_conflicts -= 1;
             }
         }
-        let conflicts = std::sync::Arc::make_mut(&mut m.conflicts);
-        let kept = std::mem::take(conflicts);
-        for c in kept {
+        // In place: an evicted pair's own strings become its lookup key.
+        std::sync::Arc::make_mut(&mut m.conflicts).retain_mut(|c| {
             if c.writer_index >= cutoff_commit {
-                conflicts.push(c);
-                continue;
+                return true;
             }
             m.identified -= 1;
             self.distance_sum -= c.distance as u128;
-            let pair = (c.failed_activity.clone(), c.writer_activity.clone());
-            crate::metrics::decrement(&mut m.pair_counts, &pair);
             let per_activity = m
                 .activity_conflicts
                 .get_mut(&c.failed_activity)
                 .expect("evicted conflict was counted");
             per_activity.0 -= 1;
             if c.reorderable {
-                m.reorderable -= 1;
                 per_activity.1 -= 1;
-                crate::metrics::decrement(&mut m.reorderable_pairs, &pair);
             }
             if *per_activity == (0, 0) {
                 m.activity_conflicts.remove(&c.failed_activity);
             }
-        }
+            let pair = (
+                std::mem::take(&mut c.failed_activity),
+                std::mem::take(&mut c.writer_activity),
+            );
+            crate::metrics::decrement(&mut m.pair_counts, &pair);
+            if c.reorderable {
+                m.reorderable -= 1;
+                crate::metrics::decrement(&mut m.reorderable_pairs, &pair);
+            }
+            false
+        });
         // Positional state referring to evicted records can never match
         // again (any rewrite overwrites the entry), so purge it — both for
         // correctness (a fresh suffix scan has no such entries) and to keep
@@ -520,6 +414,79 @@ impl CorrelationMetrics {
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v
+    }
+}
+
+/// Whether `r` and `prev`, the previous transaction of its activity, form
+/// a delta write: `prev` failed with an MVCC conflict, both write a single
+/// key, the same one, and the written values differ by one.
+fn is_delta_write(prev: &TxRecord, r: &TxRecord) -> bool {
+    let ([p], [w]) = (&prev.rwset.writes[..], &r.rwset.writes[..]) else {
+        return false;
+    };
+    prev.status == TxStatus::MvccReadConflict
+        && p.key == w.key
+        && matches!(value_delta(p.value.as_ref(), w.value.as_ref()), Some(d) if d.abs() == 1)
+}
+
+/// The most recent committed writer (absolute position) of any key `r`
+/// read, point or range, and that key.
+fn latest_writer<'r>(
+    last_writer: &HashMap<String, usize>,
+    r: &'r TxRecord,
+) -> Option<(usize, &'r str)> {
+    let reads = r.rwset.reads.iter().map(|read| read.key.as_str());
+    let ranges = r.rwset.range_reads.iter();
+    let scanned = ranges.flat_map(|rr| rr.observed.iter().map(|(key, _)| key.as_str()));
+    let mut best: Option<(usize, &str)> = None;
+    for key in reads.chain(scanned) {
+        if let Some(&wpos) = last_writer.get(key) {
+            if best.is_none_or(|(b, _)| wpos > b) {
+                best = Some((wpos, key));
+            }
+        }
+    }
+    best
+}
+
+/// Count the identified conflict of `r` against `writer` on `key` and
+/// return its pair record for the caller to append. Allocates the record,
+/// the `(failed, writer)` activity-pair keys and the writer's key list.
+fn count_conflict(
+    m: &mut CorrelationMetrics,
+    distance_sum: &mut u128,
+    r: &TxRecord,
+    writer: &TxRecord,
+    key: &str,
+) -> ConflictPair {
+    // The paper's reorderability condition: `WS(x) ∩ WS(y) = ∅`.
+    let writer_keys = writer.rwset.write_keys();
+    let reorderable = !r
+        .rwset
+        .writes
+        .iter()
+        .any(|w| writer_keys.binary_search(&w.key.as_str()).is_ok());
+    let distance = r.commit_index - writer.commit_index;
+    *distance_sum += distance as u128;
+    m.identified += 1;
+    crate::metrics::update(&mut m.activity_conflicts, r.activity.as_str(), |n| {
+        n.0 += 1;
+        n.1 += usize::from(reorderable);
+    });
+    let pair = (r.activity.clone(), writer.activity.clone());
+    if reorderable {
+        m.reorderable += 1;
+        *m.reorderable_pairs.entry(pair.clone()).or_insert(0) += 1;
+    }
+    *m.pair_counts.entry(pair).or_insert(0) += 1;
+    ConflictPair {
+        failed_index: r.commit_index,
+        failed_activity: r.activity.clone(),
+        writer_index: writer.commit_index,
+        writer_activity: writer.activity.clone(),
+        key: key.to_string(),
+        distance,
+        reorderable,
     }
 }
 

@@ -4,6 +4,7 @@
 //! restructuring recommendation compares each organization's share with the
 //! even-participation expectation.
 
+use super::Name;
 use crate::log::BlockchainLog;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -29,22 +30,24 @@ impl EndorserMetrics {
         m
     }
 
-    /// Fold one transaction into the counts (streaming update).
+    /// Fold one transaction into the counts (streaming update). Names are
+    /// rendered on the stack, so only a peer or organization seen for the
+    /// first time allocates (its owned key).
     pub fn observe(&mut self, r: &crate::log::TxRecord) {
         for peer in &r.endorsers {
-            *self.per_peer.entry(peer.to_string()).or_insert(0) += 1;
-            *self.per_org.entry(peer.org.to_string()).or_insert(0) += 1;
+            super::increment(&mut self.per_peer, Name::peer(*peer).as_str());
+            super::increment(&mut self.per_org, Name::org(peer.org).as_str());
             self.total_endorsements += 1;
         }
     }
 
     /// Reverse one earlier [`observe`](Self::observe) of `r`
     /// (sliding-window eviction); peers and organizations whose count
-    /// reaches zero are removed.
+    /// reaches zero are removed. Allocates nothing.
     pub fn retract(&mut self, r: &crate::log::TxRecord) {
         for peer in &r.endorsers {
-            super::decrement(&mut self.per_peer, &peer.to_string());
-            super::decrement(&mut self.per_org, &peer.org.to_string());
+            super::decrement(&mut self.per_peer, Name::peer(*peer).as_str());
+            super::decrement(&mut self.per_org, Name::org(peer.org).as_str());
             self.total_endorsements -= 1;
         }
     }

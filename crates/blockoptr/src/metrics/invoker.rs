@@ -3,6 +3,7 @@
 //! Which clients — and thereby which organizations — invoke the majority of
 //! transactions; drives the *client resource boost* recommendation.
 
+use super::Name;
 use crate::log::BlockchainLog;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -28,19 +29,21 @@ impl InvokerMetrics {
         m
     }
 
-    /// Fold one transaction into the counts (streaming update).
+    /// Fold one transaction into the counts (streaming update). Names are
+    /// rendered on the stack, so only a client or organization seen for the
+    /// first time allocates (its owned key).
     pub fn observe(&mut self, r: &crate::log::TxRecord) {
-        *self.per_client.entry(r.invoker.to_string()).or_insert(0) += 1;
-        *self.per_org.entry(r.invoker.org.to_string()).or_insert(0) += 1;
+        super::increment(&mut self.per_client, Name::client(r.invoker).as_str());
+        super::increment(&mut self.per_org, Name::org(r.invoker.org).as_str());
         self.total += 1;
     }
 
     /// Reverse one earlier [`observe`](Self::observe) of `r`
     /// (sliding-window eviction); clients and organizations whose count
-    /// reaches zero are removed.
+    /// reaches zero are removed. Allocates nothing.
     pub fn retract(&mut self, r: &crate::log::TxRecord) {
-        super::decrement(&mut self.per_client, &r.invoker.to_string());
-        super::decrement(&mut self.per_org, &r.invoker.org.to_string());
+        super::decrement(&mut self.per_client, Name::client(r.invoker).as_str());
+        super::decrement(&mut self.per_org, Name::org(r.invoker.org).as_str());
         self.total -= 1;
     }
 

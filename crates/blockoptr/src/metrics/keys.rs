@@ -34,23 +34,25 @@ pub struct HotkeyIndex {
     by_count: Arc<BTreeMap<usize, BTreeSet<String>>>,
 }
 
+/// Take `key`'s owned string out of the bucket at `count`, dropping the
+/// bucket once it empties.
+fn take(index: &mut BTreeMap<usize, BTreeSet<String>>, count: usize, key: &str) -> Option<String> {
+    let bucket = index.get_mut(&count)?;
+    let owned = bucket.take(key);
+    if bucket.is_empty() {
+        index.remove(&count);
+    }
+    owned
+}
+
 impl HotkeyIndex {
     /// Record that `key`'s failure count moved from `old_count` to
-    /// `old_count + 1`.
+    /// `old_count + 1`. The key's owned string moves between buckets, so
+    /// only a key seen for the first time allocates.
     pub fn observe(&mut self, key: &str, old_count: usize) {
         let index = Arc::make_mut(&mut self.by_count);
-        if old_count > 0 {
-            if let Some(bucket) = index.get_mut(&old_count) {
-                bucket.remove(key);
-                if bucket.is_empty() {
-                    index.remove(&old_count);
-                }
-            }
-        }
-        index
-            .entry(old_count + 1)
-            .or_default()
-            .insert(key.to_string());
+        let owned = take(index, old_count, key).unwrap_or_else(|| key.to_string());
+        index.entry(old_count + 1).or_default().insert(owned);
     }
 
     /// Record that `key`'s failure count moved from `old_count` down to
@@ -58,21 +60,14 @@ impl HotkeyIndex {
     /// zero leaves the index entirely, so the index never outgrows the live
     /// window; the move is the same O(log n) bucket hop as
     /// [`observe`](Self::observe), keeping hotkey selection O(k + log n)
-    /// under eviction.
+    /// under eviction, and reuses the key's owned string the same way.
     pub fn retract(&mut self, key: &str, old_count: usize) {
         assert!(old_count > 0, "retract of a key with no recorded failures");
         let index = Arc::make_mut(&mut self.by_count);
-        if let Some(bucket) = index.get_mut(&old_count) {
-            bucket.remove(key);
-            if bucket.is_empty() {
-                index.remove(&old_count);
-            }
-        }
+        let owned = take(index, old_count, key);
         if old_count > 1 {
-            index
-                .entry(old_count - 1)
-                .or_default()
-                .insert(key.to_string());
+            let owned = owned.unwrap_or_else(|| key.to_string());
+            index.entry(old_count - 1).or_default().insert(owned);
         }
     }
 
@@ -143,27 +138,33 @@ impl KeyMetrics {
     /// Call [`select_hotkeys`](Self::select_hotkeys) before reading
     /// [`hotkeys`](Self::hotkeys).
     pub fn observe_failure(&mut self, r: &crate::log::TxRecord) {
-        self.total_failures += 1;
-        for key in r.rwset.all_keys() {
-            *std::sync::Arc::make_mut(&mut self.kfreq)
-                .entry(key.to_string())
-                .or_insert(0) += 1;
-            *std::sync::Arc::make_mut(&mut self.failing_activity_counts)
-                .entry(key.to_string())
-                .or_default()
-                .entry(r.activity.clone())
-                .or_insert(0) += 1;
-        }
+        self.fold_failure(r, |_, _| {});
     }
 
     /// Fold one **failed** transaction into the counters while keeping a
     /// [`HotkeyIndex`] in lockstep (the streaming path: the index makes
     /// snapshot-time hotkey selection O(k + log n)).
     pub fn observe_failure_indexed(&mut self, r: &crate::log::TxRecord, index: &mut HotkeyIndex) {
+        self.fold_failure(r, |key, old| index.observe(key, old));
+    }
+
+    /// Count one failed transaction against each of its distinct keys,
+    /// listed once in one `Vec`; `moved(key, old)` sees each key's count
+    /// before the bump. Counters are bumped by borrowed key, so only a key
+    /// or (key, activity) pair seen for the first time allocates.
+    fn fold_failure(&mut self, r: &crate::log::TxRecord, mut moved: impl FnMut(&str, usize)) {
+        self.total_failures += 1;
+        let kfreq = Arc::make_mut(&mut self.kfreq);
+        let by_key = Arc::make_mut(&mut self.failing_activity_counts);
         for key in r.rwset.all_keys() {
-            index.observe(key, self.kfreq_of(key));
+            super::update(kfreq, key, |n| {
+                moved(key, *n);
+                *n += 1;
+            });
+            super::update(by_key, key, |acts| {
+                super::increment(acts, r.activity.as_str())
+            });
         }
-        self.observe_failure(r);
     }
 
     /// Reverse one earlier
@@ -171,18 +172,13 @@ impl KeyMetrics {
     /// (sliding-window eviction), keeping the [`HotkeyIndex`] in lockstep.
     /// Counters that reach zero are removed, so the maps shrink back to
     /// exactly what observing only the retained failures would have built.
+    /// Allocates only the one `Vec` listing `r`'s keys.
     pub fn retract_failure_indexed(&mut self, r: &crate::log::TxRecord, index: &mut HotkeyIndex) {
         self.total_failures -= 1;
+        let kfreq = Arc::make_mut(&mut self.kfreq);
+        let by_key = Arc::make_mut(&mut self.failing_activity_counts);
         for key in r.rwset.all_keys() {
-            let old = self.kfreq_of(key);
-            index.retract(key, old);
-            let kfreq = std::sync::Arc::make_mut(&mut self.kfreq);
-            if old > 1 {
-                *kfreq.get_mut(key).expect("key counted above") = old - 1;
-            } else {
-                kfreq.remove(key);
-            }
-            let by_key = std::sync::Arc::make_mut(&mut self.failing_activity_counts);
+            index.retract(key, super::decrement(kfreq, key));
             let acts = by_key
                 .get_mut(key)
                 .expect("retracted key has recorded activities");

@@ -391,13 +391,12 @@ pub fn activity_type_histogram(log: &BlockchainLog) -> ActivityTypeHistogram {
     hist
 }
 
-/// Fold one transaction into an [`ActivityTypeHistogram`].
+/// Fold one transaction into an [`ActivityTypeHistogram`]. Only an
+/// activity seen for the first time allocates (its owned name).
 pub fn observe_activity_type(hist: &mut ActivityTypeHistogram, activity: &str, tx_type: TxType) {
-    *hist
-        .entry(activity.to_string())
-        .or_default()
-        .entry(tx_type)
-        .or_insert(0) += 1;
+    crate::metrics::update(hist, activity, |types| {
+        crate::metrics::increment(types, &tx_type)
+    });
 }
 
 /// Fold another histogram into `into` (sharded-ingest merge): per-activity

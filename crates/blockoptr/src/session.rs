@@ -53,9 +53,8 @@ use fabric_sim::ledger::{Block, Ledger};
 use process_mining::dfg::DirectlyFollowsGraph;
 use process_mining::eventlog::{EventLog, Trace};
 use process_mining::heuristics::{mine_from_dfg, HeuristicsConfig};
-use sim_core::pool;
 use sim_core::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -288,7 +287,6 @@ pub struct Analyzer {
     mining: HeuristicsConfig,
     rules: RuleSet,
     auto_tune: bool,
-    threads: usize,
     window: WindowPolicy,
 }
 
@@ -305,7 +303,6 @@ impl Default for Analyzer {
             mining: HeuristicsConfig::default(),
             rules: RuleSet::default(),
             auto_tune: false,
-            threads: pool::default_threads(),
             window: WindowPolicy::from_env(),
         }
     }
@@ -389,14 +386,13 @@ impl Analyzer {
         }
     }
 
-    /// Worker threads sessions opened from this analyzer may use for
-    /// ingestion (default: [`pool::default_threads`], which honours
-    /// `BLOCKOPTR_THREADS`). With more than one thread, large ingest
-    /// batches shard the per-metric trackers across scoped threads — each
-    /// tracker still folds the records in commit order, so snapshots are
-    /// identical to single-threaded ingestion.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// Accepted for compatibility; ingest ignores it. A session folds every
+    /// batch on the calling thread, in one fold: the per-tracker sharding
+    /// this knob used to enable was no faster than that fold on a 2-vCPU
+    /// host. To ingest in parallel, partition the stream into sessions,
+    /// fold those on a [`ThreadPool`](sim_core::pool::ThreadPool) and join
+    /// them with [`Session::merge`], which equals one session's fold.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -503,7 +499,9 @@ struct CaseTracker {
     case_ids: Arc<VecDeque<Option<String>>>,
     /// Absolute stream positions of each open case's retained events —
     /// the front is the trace's first event, which decides trace order.
-    positions: BTreeMap<String, VecDeque<usize>>,
+    /// Hashed: every event looks its case up, and trace order lives in
+    /// `firsts`, never in this map.
+    positions: HashMap<String, VecDeque<usize>>,
     /// First-event position of each trace of `event_log`, index for index.
     /// Traces are kept in first-occurrence order, so this is strictly
     /// increasing and a case's trace is found by binary search on the
@@ -527,7 +525,7 @@ impl CaseTracker {
     fn observe(&mut self, record: &TxRecord, pos: usize) {
         // Extract the candidate identifiers once; both the family
         // statistics and the case lookup read the same list.
-        let cands = caseid::candidates(record);
+        let cands = caseid::Candidates::of(record);
         caseid::observe_family_candidates(&cands, &mut self.coverage, &mut self.distinct);
         let case = if self.family.is_empty() {
             None
@@ -539,14 +537,19 @@ impl CaseTracker {
 
     /// Extend the incremental event log / DFG with one event. `pos` exceeds
     /// every stored position, so a new case's trace goes last.
-    fn append(&mut self, case: Option<String>, activity: &str, pos: usize) {
+    ///
+    /// Allocates the record's case id once (its slot in the case-id ring)
+    /// and the event's activity name once (its trace entry); a new case
+    /// also owns its id as the positions key and the trace id, and the DFG
+    /// only allocates for an activity or edge it has not seen.
+    fn append(&mut self, case: Option<&str>, activity: &str, pos: usize) {
         let ids = Arc::make_mut(&mut self.case_ids);
-        ids.push_back(case.clone());
+        ids.push_back(case.map(str::to_string));
         let Some(case) = case else {
             return;
         };
         let log = Arc::make_mut(&mut self.event_log);
-        match self.positions.get_mut(&case) {
+        match self.positions.get_mut(case) {
             Some(queue) => {
                 let idx = trace_index(&self.firsts, queue);
                 queue.push_back(pos);
@@ -556,9 +559,10 @@ impl CaseTracker {
                 trace.activities.push(activity.to_string());
             }
             None => {
-                self.positions.insert(case.clone(), VecDeque::from([pos]));
+                self.positions
+                    .insert(case.to_string(), VecDeque::from([pos]));
                 self.firsts.push(pos);
-                log.push(Trace::new(case, vec![activity.to_string()]));
+                log.push(Trace::new(case.to_string(), vec![activity.to_string()]));
                 self.dfg.record_trace_start(activity);
             }
         }
@@ -590,12 +594,12 @@ impl CaseTracker {
         if !self.family.is_empty() {
             let band = ((total as f64 * 0.05) as usize).max(1);
             let cached = self.coverage.get(&self.family).copied().unwrap_or(0);
-            let won = self.coverage.get(&winner).copied().unwrap_or(0);
+            let won = self.coverage.get(winner).copied().unwrap_or(0);
             if cached.abs_diff(won) <= band {
                 return;
             }
         }
-        self.family = winner;
+        self.family = winner.to_string();
         self.rebuild_structures(records, base);
     }
 
@@ -614,19 +618,22 @@ impl CaseTracker {
     /// Cost: O(evicted + affected · log affected), with `affected` the
     /// traces that lost events, plus one pass that moves each retained
     /// trace once; the unaffected traces are neither looked up nor cloned.
+    /// Allocations: one candidate `Vec` per evicted record and a few
+    /// per-batch `Vec`s for the re-placed traces; counters and DFG entries
+    /// are decremented by borrowed key.
     ///
     /// `retained` is the record suffix that survives the eviction; `base`
     /// is the absolute stream position of `retained[0]`.
     fn evict(&mut self, evicted: &[TxRecord], retained: &[TxRecord], base: usize) {
         for record in evicted {
-            let cands = caseid::candidates(record);
+            let cands = caseid::Candidates::of(record);
             caseid::retract_family_candidates(&cands, &mut self.coverage, &mut self.distinct);
         }
         let winner = caseid::pick_family(&self.coverage, &self.distinct, retained.len().max(1))
             .map(|(family, _, _)| family)
             .unwrap_or_default();
         if winner != self.family {
-            self.family = winner;
+            self.family = winner.to_string();
             self.rebuild_structures(retained, base);
             return;
         }
@@ -703,7 +710,7 @@ impl CaseTracker {
             let case = if self.family.is_empty() {
                 None
             } else {
-                caseid::case_of(record, &self.family)
+                caseid::case_from_candidates(&caseid::Candidates::of(record), &self.family)
             };
             self.append(case, &record.activity, base + i);
         }
@@ -746,7 +753,7 @@ impl CaseTracker {
                 .map(|(family, _, _)| family)
                 .unwrap_or_default();
         if winner != self.family || winner != other.family {
-            self.family = winner;
+            self.family = winner.to_string();
             self.rebuild_structures(merged_records, base);
             return;
         }
@@ -792,6 +799,7 @@ impl CaseTracker {
     /// wholesale, and its shard-local positions move onto the global
     /// stream axis).
     fn shift_positions(&mut self, delta: usize) {
+        // detlint: allow(hash-iter, reason = "in-place value rewrite; no cross-entry effects")
         let queues = self.positions.values_mut().flat_map(|q| q.iter_mut());
         for p in queues.chain(&mut self.firsts) {
             *p += delta;
@@ -811,7 +819,7 @@ impl CaseTracker {
             distinct_cases: self
                 .distinct
                 .get(&self.family)
-                .map(BTreeMap::len)
+                .map(HashMap::len)
                 .unwrap_or(0),
             case_ids: self.case_ids.clone(),
         }
@@ -918,9 +926,15 @@ impl Trackers {
         }
     }
 
-    /// The single-threaded fold of `records[first_new..]` (also the
-    /// reference semantics the sharded path must reproduce exactly).
+    /// Fold `records[first_new..]` into every tracker, in commit order;
     /// `base` is the absolute stream position of `records[0]`.
+    ///
+    /// Counters are bumped by borrowed key and names are rendered on the
+    /// stack, so a record allocates only for what is new to the window (a
+    /// key, peer, activity, family or DFG edge seen for the first time),
+    /// for its conflict pair when it is a read conflict with an identified
+    /// writer, for its candidate-identifier and failed-key lists (one `Vec`
+    /// each), and for its case id and event-log activity.
     fn observe(&mut self, records: &[TxRecord], first_new: usize, base: usize) {
         for (pos, record) in records.iter().enumerate().skip(first_new) {
             self.last_block = self.last_block.max(record.block);
@@ -944,95 +958,6 @@ impl Trackers {
             observe_activity_type(&mut self.type_hist, &record.activity, record.tx_type);
             self.cases.observe(record, base + pos);
         }
-    }
-
-    /// The tracker families shard across at most `threads` scoped workers
-    /// (round-robin, so a given thread budget always runs the same
-    /// families together); the window bounds and block sizes fold on the
-    /// calling thread. Disjoint `&mut` borrows of the trackers make this
-    /// safe without any locking, and each tracker still consumes the
-    /// records in commit order on exactly one thread.
-    fn observe_sharded(
-        &mut self,
-        records: &[TxRecord],
-        first_new: usize,
-        base: usize,
-        threads: usize,
-    ) {
-        let new = &records[first_new..];
-        for record in new {
-            self.last_block = self.last_block.max(record.block);
-            self.first_send = Some(
-                self.first_send
-                    .map_or(record.client_ts, |t| t.min(record.client_ts)),
-            );
-            self.last_commit = Some(
-                self.last_commit
-                    .map_or(record.commit_ts, |t| t.max(record.commit_ts)),
-            );
-            *self.block_sizes.entry(record.block).or_insert(0) += 1;
-        }
-
-        let rates = &mut self.rates;
-        let endorsers = &mut self.endorsers;
-        let invokers = &mut self.invokers;
-        let keys = &mut self.keys;
-        let hotkey_index = &mut self.hotkey_index;
-        let correlation = &mut self.correlation;
-        let type_hist = &mut self.type_hist;
-        let cases = &mut self.cases;
-        let shards: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(move || {
-                for record in new {
-                    rates.observe(record);
-                }
-            }),
-            Box::new(move || {
-                for record in new {
-                    endorsers.observe(record);
-                }
-            }),
-            Box::new(move || {
-                for record in new {
-                    invokers.observe(record);
-                }
-            }),
-            Box::new(move || {
-                for record in new {
-                    if record.failed() {
-                        keys.observe_failure_indexed(record, hotkey_index);
-                    }
-                }
-            }),
-            Box::new(move || {
-                for pos in first_new..records.len() {
-                    correlation.observe(records, base + pos);
-                }
-            }),
-            Box::new(move || {
-                for (i, record) in new.iter().enumerate() {
-                    observe_activity_type(type_hist, &record.activity, record.tx_type);
-                    cases.observe(record, base + first_new + i);
-                }
-            }),
-        ];
-
-        let workers = threads.clamp(1, shards.len());
-        let mut buckets: Vec<Vec<Box<dyn FnOnce() + Send + '_>>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (i, shard) in shards.into_iter().enumerate() {
-            buckets[i % workers].push(shard);
-        }
-        std::thread::scope(|scope| {
-            for bucket in buckets {
-                // detlint: allow(thread-spawn, reason = "scoped workers borrow &mut tracker shards; results land in the shards themselves so no collection-order exists, and worker count is the session's own threads knob")
-                scope.spawn(move || {
-                    for shard in bucket {
-                        shard();
-                    }
-                });
-            }
-        });
     }
 
     /// How many leading `records` the window policy no longer covers.
@@ -1081,6 +1006,10 @@ impl Trackers {
     /// Retract `records[..k]` from every tracker, reading the records where
     /// they lie (no copy of the evicted prefix); `base` is the absolute
     /// stream position of `records[k]`, the first survivor.
+    ///
+    /// Counters are decremented by borrowed key, so an evicted record
+    /// allocates only its candidate-identifier and failed-key lists (one
+    /// `Vec` each); see [`Session::evict_expired`].
     fn retract(&mut self, records: &[TxRecord], k: usize, base: usize) {
         let (evicted, retained) = records.split_at(k);
         for r in evicted {
@@ -1181,9 +1110,8 @@ impl Session {
     /// are skipped). Returns the number of records added.
     ///
     /// All new blocks are appended first and folded as **one** batch, so a
-    /// large catch-up (or a one-shot [`Analyzer::analyze_ledger`]) crosses
-    /// the parallel-ingest threshold and shards the per-metric trackers
-    /// across the analyzer's worker threads.
+    /// large catch-up (or a one-shot [`Analyzer::analyze_ledger`]) evicts
+    /// and re-checks the case family once, not once per block.
     pub fn ingest_ledger(&mut self, ledger: &Ledger) -> usize {
         let first_new = self.log.len();
         let mut added = 0;
@@ -1286,29 +1214,11 @@ impl Session {
         Ok(added)
     }
 
-    /// Batches below this size ingest serially even on a multi-threaded
-    /// session: spawning scoped threads costs more than folding a handful
-    /// of records.
-    const PARALLEL_INGEST_MIN: usize = 256;
-
-    /// Fold every record at position `first_new..` into the running state.
-    ///
-    /// The per-metric trackers are mutually independent — each reads the
-    /// shared record slice and writes only its own state — so a large
-    /// batch on a multi-threaded session ([`Analyzer::threads`]) shards
-    /// them across scoped threads (one tracker per shard, ROADMAP PR-1
-    /// follow-up). Every tracker still consumes the records in commit
-    /// order, so the merged state — and therefore every
-    /// [`snapshot`](Session::snapshot) — is identical to single-threaded
-    /// ingestion.
+    /// Fold every record at position `first_new..` into the running state,
+    /// on the calling thread: one fold, whatever the batch size.
     fn observe_from(&mut self, first_new: usize) {
-        let records = self.log.records();
-        if self.config.threads > 1 && records.len() - first_new >= Self::PARALLEL_INGEST_MIN {
-            self.state
-                .observe_sharded(records, first_new, self.evicted, self.config.threads);
-        } else {
-            self.state.observe(records, first_new, self.evicted);
-        }
+        self.state
+            .observe(self.log.records(), first_new, self.evicted);
         // With a bounded window, retract everything that aged out of it —
         // after the fold so the batch itself decides what is oldest.
         if self.evict_expired() {
@@ -1335,6 +1245,11 @@ impl Session {
     /// borrows the `log` field, so the session holds no second `Arc` to it
     /// and `Arc::make_mut` copies nothing unless a caller still holds a
     /// snapshot.
+    ///
+    /// Allocations: every counter is decremented by borrowed key and the
+    /// conflict list is filtered in place, so an evicted record allocates
+    /// only its candidate-identifier and failed-key lists (one `Vec` each);
+    /// each evicting batch adds the few `Vec`s that re-place its traces.
     fn evict_expired(&mut self) -> bool {
         let records = self.log.records();
         let k = self.state.expired(records, self.config.window);
@@ -1803,21 +1718,20 @@ mod tests {
         assert_eq!(analysis.log.len(), 0);
     }
 
-    /// The parallel-ingest equivalence guarantee: sharding the per-metric
-    /// trackers across threads produces a snapshot identical to the
-    /// single-threaded fold over the same ledger.
+    /// The thread knob never changes an analysis: a session opened with
+    /// four threads folds the same ledger into the same snapshot as one
+    /// opened with one (ingest folds on the calling thread either way).
     #[test]
     fn sharded_ingest_matches_serial_observe() {
         let output = small_output();
-        // Serial reference: one thread, whole ledger.
+        // Reference: one thread, whole ledger.
         let mut serial = Analyzer::new().threads(1).session().unwrap();
         serial.ingest_ledger(&output.ledger);
         let a = serial.snapshot().unwrap();
-        // Sharded: four threads, same ledger in one batch (2 000 records,
-        // far above the parallel-ingest threshold).
-        let mut sharded = Analyzer::new().threads(4).session().unwrap();
-        sharded.ingest_ledger(&output.ledger);
-        let b = sharded.snapshot().unwrap();
+        // Four threads, same ledger in one 2 000-record batch.
+        let mut four = Analyzer::new().threads(4).session().unwrap();
+        four.ingest_ledger(&output.ledger);
+        let b = four.snapshot().unwrap();
 
         assert_eq!(a.log.len(), b.log.len());
         assert_eq!(
@@ -1851,9 +1765,8 @@ mod tests {
         assert_eq!(a.recommendation_names(), b.recommendation_names());
     }
 
-    /// A sharded whole-ledger ingest must also equal the block-by-block
-    /// streaming fold (`observe_from` per block never crosses the
-    /// threshold, so it is always the serial reference).
+    /// A whole-ledger ingest at four threads must also equal the
+    /// block-by-block streaming fold at one.
     #[test]
     fn sharded_ledger_ingest_matches_blockwise_streaming() {
         let output = small_output();
@@ -1862,9 +1775,9 @@ mod tests {
             blockwise.ingest_block(block);
         }
         let a = blockwise.snapshot().unwrap();
-        let mut sharded = Analyzer::new().threads(4).session().unwrap();
-        sharded.ingest_ledger(&output.ledger);
-        let b = sharded.snapshot().unwrap();
+        let mut four = Analyzer::new().threads(4).session().unwrap();
+        four.ingest_ledger(&output.ledger);
+        let b = four.snapshot().unwrap();
         assert_eq!(
             a.metrics.rates.tx_per_interval,
             b.metrics.rates.tx_per_interval
@@ -2265,21 +2178,20 @@ mod tests {
         );
     }
 
-    /// Sharded (multi-threaded) ingest under eviction must match the
-    /// serial fold exactly.
+    /// Under eviction too, four threads and one fold identically.
     #[test]
     fn sharded_windowed_ingest_matches_serial() {
         let output = small_output();
         let policy = WindowPolicy::LastBlocks(6);
         let mut serial = Analyzer::new().threads(1).window(policy).session().unwrap();
         serial.ingest_ledger(&output.ledger);
-        let mut sharded = Analyzer::new().threads(4).window(policy).session().unwrap();
-        sharded.ingest_ledger(&output.ledger);
-        assert_eq!(serial.evicted(), sharded.evicted());
-        assert_eq!(serial.footprint(), sharded.footprint());
+        let mut four = Analyzer::new().threads(4).window(policy).session().unwrap();
+        four.ingest_ledger(&output.ledger);
+        assert_eq!(serial.evicted(), four.evicted());
+        assert_eq!(serial.footprint(), four.footprint());
         assert_eq!(
             format!("{:?}", serial.snapshot().unwrap()),
-            format!("{:?}", sharded.snapshot().unwrap())
+            format!("{:?}", four.snapshot().unwrap())
         );
     }
 

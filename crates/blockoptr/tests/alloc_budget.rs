@@ -1,0 +1,142 @@
+//! Allocation budget of the session fold.
+//!
+//! A monitoring loop folds every committed block into the running metric
+//! trackers, so heap allocations per record set its ingest rate as much as
+//! the arithmetic does. This binary counts them with its own global
+//! allocator and holds two paths to a committed budget:
+//!
+//! * `ingest_log` of a whole log into an unbounded session (the fold
+//!   alone: the records are built before counting starts);
+//! * a `LastBlocks(10)` watch, block by block with a snapshot per block, as
+//!   a live monitor runs it (record conversion, fold, eviction and
+//!   snapshot).
+//!
+//! The counter is a `const` thread-local, so only allocations made on the
+//! test's own thread count; the harness's threads cannot skew it. Budgets
+//! sit a little above the counts of the allocation-lean fold, well below
+//! what a `String` per counter bump costs.
+
+use blockoptr::log::BlockchainLog;
+use blockoptr::session::{Analyzer, WindowPolicy};
+use fabric_sim::ledger::Ledger;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use workload::ScenarioSpec;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the slot may already be gone while a thread shuts down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// destructor-free thread-local `Cell`, so touching it never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (including reallocations) `f` makes on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+const TRANSACTIONS: usize = 2_000;
+const SEED: u64 = 42;
+
+fn ledger(scenario: &str) -> Ledger {
+    let spec = ScenarioSpec::builtin(scenario)
+        .expect("builtin scenario")
+        .with_transactions(TRANSACTIONS)
+        .with_seed(SEED);
+    let (bundle, config) = spec.build().expect("builtin spec builds");
+    bundle.run(config).ledger
+}
+
+/// Every knob the library would otherwise read from the environment is
+/// set, so `BLOCKOPTR_WINDOW` and `BLOCKOPTR_THREADS` leave the counts be.
+fn analyzer(window: WindowPolicy) -> Analyzer {
+    Analyzer::new().threads(1).window(window)
+}
+
+/// Allocations per record of one `ingest_log` into an unbounded session.
+fn ingest_log_per_record(ledger: &Ledger) -> f64 {
+    let log = BlockchainLog::from_ledger(ledger);
+    let records = log.len();
+    let mut session = analyzer(WindowPolicy::Unbounded).session().unwrap();
+    let (added, n) = allocations(|| session.ingest_log(log).unwrap());
+    assert_eq!(added, records);
+    n as f64 / records as f64
+}
+
+/// Allocations per record of a `LastBlocks(10)` watch: each block is
+/// ingested, then snapshotted, and the snapshot dropped before the next.
+fn watch_per_record(ledger: &Ledger) -> f64 {
+    let mut session = analyzer(WindowPolicy::LastBlocks(10)).session().unwrap();
+    let (records, n) = allocations(|| {
+        let mut records = 0;
+        for block in ledger.blocks() {
+            records += session.ingest_block(block);
+            drop(session.snapshot().unwrap());
+        }
+        records
+    });
+    assert!(session.evicted() > 0, "the window evicts");
+    n as f64 / records as f64
+}
+
+fn check(scenario: &str, budget_ingest_log: f64, budget_watch: f64) {
+    let ledger = ledger(scenario);
+    let ingest = ingest_log_per_record(&ledger);
+    let watch = watch_per_record(&ledger);
+    eprintln!("{scenario}: ingest_log {ingest:.2}, watch {watch:.2} allocations per record");
+    assert!(
+        ingest <= budget_ingest_log,
+        "{scenario} ingest_log: {ingest:.2} allocations per record, budget {budget_ingest_log}"
+    );
+    assert!(
+        watch <= budget_watch,
+        "{scenario} LastBlocks(10) watch: {watch:.2} allocations per record, budget {budget_watch}"
+    );
+}
+
+// Budgets: the fold's own counts at 2 000 transactions, seed 42, plus
+// about 10 % headroom (scm 9.41 and 19.56, drm 11.59 and 26.39 allocations
+// per record). Building a `String` for every counter bump costs about 38
+// and 56 on scm, 43 and 66 on drm.
+
+#[test]
+fn scm_session_fold_stays_within_its_allocation_budget() {
+    check("scm", 10.5, 21.5);
+}
+
+#[test]
+fn drm_session_fold_stays_within_its_allocation_budget() {
+    check("drm", 12.5, 29.0);
+}

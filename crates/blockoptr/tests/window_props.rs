@@ -6,7 +6,7 @@
 //! recommendations, and (whenever the last ingest batch evicted, i.e. the
 //! steady state of a live run) the whole analysis byte-for-byte. Verified
 //! over random commit-ordered ledgers, arbitrary ingest batch splits, and
-//! both serial and sharded (4-thread) ingestion.
+//! sessions opened at one and at four threads.
 
 use blockoptr::log::{BlockchainLog, TxRecord};
 use blockoptr::session::{Analyzer, Session, WindowPolicy};
@@ -240,7 +240,7 @@ proptest! {
         assert_byte_equality(&session, policy, &log);
     }
 
-    /// Sharded (4-thread) windowed ingest is identical to the serial fold.
+    /// A windowed session folds identically at four threads and at one.
     #[test]
     fn sharded_windowed_ingest_matches_serial(
         log in arb_ledger(),
@@ -249,13 +249,13 @@ proptest! {
         let policy = WindowPolicy::LastBlocks(n);
         let mut serial = Analyzer::new().threads(1).window(policy).session().unwrap();
         serial.ingest_log(log.clone()).unwrap();
-        let mut sharded = Analyzer::new().threads(4).window(policy).session().unwrap();
-        sharded.ingest_log(log.clone()).unwrap();
-        prop_assert_eq!(serial.evicted(), sharded.evicted());
-        prop_assert_eq!(serial.footprint(), sharded.footprint());
+        let mut four = Analyzer::new().threads(4).window(policy).session().unwrap();
+        four.ingest_log(log.clone()).unwrap();
+        prop_assert_eq!(serial.evicted(), four.evicted());
+        prop_assert_eq!(serial.footprint(), four.footprint());
         prop_assert_eq!(
             format!("{:?}", serial.snapshot().unwrap()),
-            format!("{:?}", sharded.snapshot().unwrap())
+            format!("{:?}", four.snapshot().unwrap())
         );
     }
 }
@@ -294,9 +294,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Re-placing many surviving traces per evicting batch: a large first
-    /// batch (sharded at 4 threads), then one block per batch, each of
-    /// which evicts a block. The final state is byte-equal to a fresh
-    /// analysis of the retained suffix, serially and at 4 threads.
+    /// batch, then one block per batch, each of which evicts a block. The
+    /// final state is byte-equal to a fresh analysis of the retained
+    /// suffix, at one thread and at four.
     #[test]
     fn many_case_window_matches_fresh_suffix(
         log in arb_many_case_ledger(),
@@ -305,8 +305,7 @@ proptest! {
         let policy = WindowPolicy::LastBlocks(n);
         let records = log.records();
         let last_block = records.last().unwrap().block;
-        // All but the last three blocks: at least 280 records, above the
-        // sharded-ingest threshold.
+        // All but the last three blocks: at least 280 records.
         let split = records.partition_point(|r| r.block + 3 <= last_block);
         let batch = |records: &[TxRecord]| {
             let blocks: std::collections::BTreeSet<u64> =

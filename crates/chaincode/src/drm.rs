@@ -328,7 +328,7 @@ mod tests {
             let mut ctx = TxContext::new(&s, cc.name());
             assert!(cc.execute(&mut ctx, act, &["M0001".into()]).is_ok());
             let rw = ctx.into_rwset();
-            assert!(rw.read_keys().contains("drm/M0001"), "{act}");
+            assert!(rw.read_keys().contains(&"drm/M0001"), "{act}");
         }
     }
 
@@ -384,7 +384,7 @@ mod tests {
         let play_keys = play_rw.all_keys();
         let meta_keys = meta_rw.all_keys();
         assert!(
-            play_keys.is_disjoint(&meta_keys),
+            !play_keys.iter().any(|k| meta_keys.contains(k)),
             "partitioning separates the world states: {play_keys:?} vs {meta_keys:?}"
         );
     }
@@ -397,8 +397,8 @@ mod tests {
         assert!(play.execute(&mut ctx, "create", &["M0002".into()]).is_ok());
         let rw = ctx.into_rwset();
         let keys = rw.write_keys();
-        assert!(keys.contains("drm-play/M0002"));
-        assert!(keys.contains("drm-meta/M0002"), "cross-contract create");
+        assert!(keys.contains(&"drm-play/M0002"));
+        assert!(keys.contains(&"drm-meta/M0002"), "cross-contract create");
     }
 
     #[test]

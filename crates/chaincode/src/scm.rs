@@ -236,9 +236,8 @@ mod tests {
         );
         assert!(st.is_ok());
         let reads = rw.read_keys();
-        assert!(reads.contains("scm/P0001") && reads.contains("scm/A0001"));
-        assert_eq!(rw.write_keys().len(), 1);
-        assert!(rw.write_keys().contains("scm/A0001"));
+        assert!(reads.contains(&"scm/P0001") && reads.contains(&"scm/A0001"));
+        assert_eq!(rw.write_keys(), ["scm/A0001"]);
     }
 
     #[test]

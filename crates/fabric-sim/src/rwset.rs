@@ -7,8 +7,16 @@
 
 use crate::types::{Key, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
+
+/// `keys` sorted and deduplicated, in one allocation of exactly their count.
+fn sorted_distinct<'a>(keys: impl Iterator<Item = &'a str> + Clone) -> Vec<&'a str> {
+    let mut out = Vec::with_capacity(keys.clone().count());
+    out.extend(keys);
+    out.sort_unstable();
+    out.dedup();
+    out
+}
 
 /// The MVCC version of a committed value: the block height and the position
 /// of the writing transaction within that block (Fabric's `(blockNum, txNum)`).
@@ -119,24 +127,28 @@ impl ReadWriteSet {
         });
     }
 
-    /// Distinct keys read (point reads only).
-    pub fn read_keys(&self) -> BTreeSet<&str> {
-        self.reads.iter().map(|r| r.key.as_str()).collect()
+    /// Distinct keys read (point reads only), sorted.
+    pub fn read_keys(&self) -> Vec<&str> {
+        sorted_distinct(self.reads.iter().map(|r| r.key.as_str()))
     }
 
-    /// Distinct keys written (including deletes).
-    pub fn write_keys(&self) -> BTreeSet<&str> {
-        self.writes.iter().map(|w| w.key.as_str()).collect()
+    /// Distinct keys written (including deletes), sorted.
+    pub fn write_keys(&self) -> Vec<&str> {
+        sorted_distinct(self.writes.iter().map(|w| w.key.as_str()))
     }
 
-    /// Distinct keys accessed in any way (reads, writes, range results).
-    pub fn all_keys(&self) -> BTreeSet<&str> {
-        let mut keys = self.read_keys();
-        keys.extend(self.writes.iter().map(|w| w.key.as_str()));
-        for rr in &self.range_reads {
-            keys.extend(rr.observed.iter().map(|(k, _)| k.as_str()));
-        }
-        keys
+    /// Distinct keys accessed in any way (reads, writes, range results),
+    /// sorted. One exactly-sized `Vec`: the analysis folds call this for
+    /// every record they ingest or evict.
+    pub fn all_keys(&self) -> Vec<&str> {
+        let ranges = self.range_reads.iter();
+        sorted_distinct(
+            self.reads
+                .iter()
+                .map(|r| r.key.as_str())
+                .chain(self.writes.iter().map(|w| w.key.as_str()))
+                .chain(ranges.flat_map(|rr| rr.observed.iter().map(|(k, _)| k.as_str()))),
+        )
     }
 
     /// Whether this transaction writes anything.
@@ -282,10 +294,10 @@ mod tests {
             "z".into(),
             vec![("s1".into(), Version::new(0, 0))],
         );
-        assert_eq!(rw.read_keys().len(), 1);
-        assert_eq!(rw.write_keys().len(), 1);
-        let all = rw.all_keys();
-        assert!(all.contains("r1") && all.contains("w1") && all.contains("s1"));
+        rw.record_read("w1".into(), None);
+        assert_eq!(rw.read_keys(), ["r1", "w1"]);
+        assert_eq!(rw.write_keys(), ["w1"]);
+        assert_eq!(rw.all_keys(), ["r1", "s1", "w1"], "sorted, each key once");
     }
 
     #[test]

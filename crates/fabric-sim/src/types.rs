@@ -46,7 +46,8 @@ pub fn qualified_key(namespace: &str, key: &str) -> Key {
     out
 }
 
-/// An organization in the consortium (`Org1`, `Org2`, …: 1-based display).
+/// An organization in the consortium (`Org1`, `Org2`, …: 1-based display,
+/// so `OrgId(u16::MAX)` is `Org65536`).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
@@ -55,13 +56,14 @@ pub struct OrgId(pub u16);
 impl OrgId {
     /// Display name used by policies and logs (`Org1` for index 0).
     pub fn name(self) -> String {
-        format!("Org{}", self.0 + 1)
+        self.to_string()
     }
 }
 
 impl fmt::Display for OrgId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Org{}", self.0 + 1)
+        // Widened: the 1-based number of the last index exceeds `u16`.
+        write!(f, "Org{}", u32::from(self.0) + 1)
     }
 }
 
@@ -275,6 +277,12 @@ mod tests {
             index: 7,
         };
         assert_eq!(c.to_string(), "client7.Org1");
+        let last = ClientId {
+            org: OrgId(u16::MAX),
+            index: u16::MAX,
+        };
+        assert_eq!(OrgId(u16::MAX).name(), "Org65536");
+        assert_eq!(last.to_string(), "client65535.Org65536");
     }
 
     #[test]

@@ -133,8 +133,9 @@ proptest! {
         prop_assert_eq!(order, expected);
         // An isolated tx (keys disjoint from all others) is never aborted.
         for (i, rw) in rwsets.iter().enumerate() {
+            let keys = rw.all_keys();
             let isolated = rwsets.iter().enumerate().all(|(j, other)| {
-                j == i || rw.all_keys().is_disjoint(&other.all_keys())
+                j == i || !other.all_keys().iter().any(|k| keys.contains(k))
             });
             if isolated {
                 prop_assert!(!out.aborted.contains(&i), "{kind:?} aborted isolated tx");

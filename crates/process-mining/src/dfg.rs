@@ -5,16 +5,104 @@
 //! the frequency annotations of Figure-2-style model renderings.
 
 use crate::eventlog::EventLog;
+use serde::de::{Error, Reader};
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Directly-follows counts plus start/end frequencies.
+///
+/// Every update looks its counters up by borrowed activity name, so
+/// recording or retracting an event allocates only for an activity or edge
+/// the graph has not seen.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DirectlyFollowsGraph {
-    edges: BTreeMap<(String, String), usize>,
+    edges: Edges,
     starts: BTreeMap<String, usize>,
     ends: BTreeMap<String, usize>,
     activity_counts: BTreeMap<String, usize>,
+}
+
+/// Edge counts nested by predecessor (`a → b → count`), so an edge is found
+/// from two borrowed names. Serializes as a `(String, String)`-keyed map
+/// does: a `[[a, b], count]` list, or `{}` when empty.
+#[derive(Debug, Clone, Default)]
+struct Edges(BTreeMap<String, BTreeMap<String, usize>>);
+
+impl Edges {
+    fn get(&self, a: &str, b: &str) -> Option<usize> {
+        self.0.get(a)?.get(b).copied()
+    }
+
+    fn add(&mut self, a: &str, b: &str, n: usize) {
+        match self.0.get_mut(a) {
+            Some(next) => add(next, b, n),
+            None => {
+                self.0
+                    .insert(a.to_string(), BTreeMap::from([(b.to_string(), n)]));
+            }
+        }
+    }
+
+    /// Remove one count of `a ≻ b`, dropping emptied entries.
+    fn remove_one(&mut self, a: &str, b: &str) {
+        let Some(next) = self.0.get_mut(a) else {
+            panic!("unrecord of untracked edge {a:?} ≻ {b:?}");
+        };
+        remove_one(next, b, "unrecord of untracked edge");
+        if next.is_empty() {
+            self.0.remove(a);
+        }
+    }
+
+    /// Edges in `(a, b)` order, with counts.
+    fn iter(&self) -> impl Iterator<Item = (&str, &str, usize)> {
+        self.0
+            .iter()
+            .flat_map(|(a, next)| next.iter().map(move |(b, &n)| (a.as_str(), b.as_str(), n)))
+    }
+}
+
+impl Serialize for Edges {
+    fn to_value(&self) -> Value {
+        let flat: BTreeMap<(&str, &str), usize> =
+            self.iter().map(|(a, b, n)| ((a, b), n)).collect();
+        flat.to_value()
+    }
+}
+
+impl Deserialize for Edges {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut edges = Edges::default();
+        for ((a, b), n) in BTreeMap::<(String, String), usize>::deserialize(r)? {
+            edges.0.entry(a).or_default().insert(b, n);
+        }
+        Ok(edges)
+    }
+}
+
+/// Add `n` to the counter at a borrowed `key`, allocating it only when new.
+fn add(map: &mut BTreeMap<String, usize>, key: &str, n: usize) {
+    match map.get_mut(key) {
+        Some(count) => *count += n,
+        None => {
+            map.insert(key.to_string(), n);
+        }
+    }
+}
+
+/// Remove one count at `key`, dropping the entry at zero.
+///
+/// # Panics
+/// Panics with `what` when `key` has no count.
+fn remove_one(map: &mut BTreeMap<String, usize>, key: &str, what: &str) {
+    match map.get_mut(key) {
+        Some(n) if *n > 1 => *n -= 1,
+        Some(_) => {
+            map.remove(key);
+        }
+        None => panic!("{what} for {key:?}"),
+    }
 }
 
 impl DirectlyFollowsGraph {
@@ -23,16 +111,16 @@ impl DirectlyFollowsGraph {
         let mut g = DirectlyFollowsGraph::default();
         for trace in log.traces() {
             if let Some(first) = trace.activities.first() {
-                *g.starts.entry(first.clone()).or_insert(0) += 1;
+                add(&mut g.starts, first, 1);
             }
             if let Some(last) = trace.activities.last() {
-                *g.ends.entry(last.clone()).or_insert(0) += 1;
+                add(&mut g.ends, last, 1);
             }
             for a in &trace.activities {
-                *g.activity_counts.entry(a.clone()).or_insert(0) += 1;
+                add(&mut g.activity_counts, a, 1);
             }
             for w in trace.activities.windows(2) {
-                *g.edges.entry((w[0].clone(), w[1].clone())).or_insert(0) += 1;
+                g.edges.add(&w[0], &w[1], 1);
             }
         }
         g
@@ -42,32 +130,23 @@ impl DirectlyFollowsGraph {
     /// (for now) ends it. Part of the incremental-update entry point used by
     /// streaming consumers that maintain a DFG as events arrive.
     pub fn record_trace_start(&mut self, activity: &str) {
-        *self.starts.entry(activity.to_string()).or_insert(0) += 1;
-        *self.ends.entry(activity.to_string()).or_insert(0) += 1;
-        *self
-            .activity_counts
-            .entry(activity.to_string())
-            .or_insert(0) += 1;
+        add(&mut self.starts, activity, 1);
+        add(&mut self.ends, activity, 1);
+        add(&mut self.activity_counts, activity, 1);
     }
 
     /// Record that a trace previously ending in `prev` gained `activity`:
     /// the `prev ≻ activity` edge appears and the trace's end shifts.
     pub fn record_trace_extension(&mut self, prev: &str, activity: &str) {
-        *self
-            .edges
-            .entry((prev.to_string(), activity.to_string()))
-            .or_insert(0) += 1;
+        self.edges.add(prev, activity, 1);
         if let Some(n) = self.ends.get_mut(prev) {
             *n -= 1;
             if *n == 0 {
                 self.ends.remove(prev);
             }
         }
-        *self.ends.entry(activity.to_string()).or_insert(0) += 1;
-        *self
-            .activity_counts
-            .entry(activity.to_string())
-            .or_insert(0) += 1;
+        add(&mut self.ends, activity, 1);
+        add(&mut self.activity_counts, activity, 1);
     }
 
     /// Retract a trace's evicted *head* event (sliding-window eviction,
@@ -78,31 +157,16 @@ impl DirectlyFollowsGraph {
     /// end too. Entries whose counts reach zero are removed, so the graph
     /// stays identical to one built fresh from the retained traces.
     pub fn unrecord_trace_head(&mut self, head: &str, next: Option<&str>) {
-        fn dec(map: &mut BTreeMap<String, usize>, key: &str) {
-            match map.get_mut(key) {
-                Some(n) if *n > 1 => *n -= 1,
-                Some(_) => {
-                    map.remove(key);
-                }
-                None => panic!("unrecord without a matching record for {key:?}"),
-            }
-        }
-        dec(&mut self.starts, head);
+        const WHAT: &str = "unrecord without a matching record";
+        remove_one(&mut self.starts, head, WHAT);
         match next {
             Some(next) => {
-                let edge = (head.to_string(), next.to_string());
-                match self.edges.get_mut(&edge) {
-                    Some(n) if *n > 1 => *n -= 1,
-                    Some(_) => {
-                        self.edges.remove(&edge);
-                    }
-                    None => panic!("unrecord of untracked edge {edge:?}"),
-                }
-                *self.starts.entry(next.to_string()).or_insert(0) += 1;
+                self.edges.remove_one(head, next);
+                add(&mut self.starts, next, 1);
             }
-            None => dec(&mut self.ends, head),
+            None => remove_one(&mut self.ends, head, WHAT),
         }
-        dec(&mut self.activity_counts, head);
+        remove_one(&mut self.activity_counts, head, WHAT);
     }
 
     /// Fold another DFG into this one (sharded-ingest merge): every count —
@@ -111,17 +175,17 @@ impl DirectlyFollowsGraph {
     /// actually spans the shard boundary, follow up with
     /// [`stitch_traces`](Self::stitch_traces) per spanning case.
     pub fn absorb(&mut self, other: &DirectlyFollowsGraph) {
-        for (edge, &n) in &other.edges {
-            *self.edges.entry(edge.clone()).or_insert(0) += n;
+        for (a, b, n) in other.edges.iter() {
+            self.edges.add(a, b, n);
         }
-        for (a, &n) in &other.starts {
-            *self.starts.entry(a.clone()).or_insert(0) += n;
-        }
-        for (a, &n) in &other.ends {
-            *self.ends.entry(a.clone()).or_insert(0) += n;
-        }
-        for (a, &n) in &other.activity_counts {
-            *self.activity_counts.entry(a.clone()).or_insert(0) += n;
+        for (mine, theirs) in [
+            (&mut self.starts, &other.starts),
+            (&mut self.ends, &other.ends),
+            (&mut self.activity_counts, &other.activity_counts),
+        ] {
+            for (a, &n) in theirs {
+                add(mine, a, n);
+            }
         }
     }
 
@@ -133,29 +197,15 @@ impl DirectlyFollowsGraph {
     /// boundary facts with the `prev_tail ≻ head` edge — exactly what one
     /// continuous trace would have recorded.
     pub fn stitch_traces(&mut self, prev_tail: &str, head: &str) {
-        fn dec(map: &mut BTreeMap<String, usize>, key: &str) {
-            match map.get_mut(key) {
-                Some(n) if *n > 1 => *n -= 1,
-                Some(_) => {
-                    map.remove(key);
-                }
-                None => panic!("stitch without a matching boundary count for {key:?}"),
-            }
-        }
-        dec(&mut self.starts, head);
-        dec(&mut self.ends, prev_tail);
-        *self
-            .edges
-            .entry((prev_tail.to_string(), head.to_string()))
-            .or_insert(0) += 1;
+        const WHAT: &str = "stitch without a matching boundary count";
+        remove_one(&mut self.starts, head, WHAT);
+        remove_one(&mut self.ends, prev_tail, WHAT);
+        self.edges.add(prev_tail, head, 1);
     }
 
     /// How often `b` directly follows `a`.
     pub fn count(&self, a: &str, b: &str) -> usize {
-        self.edges
-            .get(&(a.to_string(), b.to_string()))
-            .copied()
-            .unwrap_or(0)
+        self.edges.get(a, b).unwrap_or(0)
     }
 
     /// Whether `a ≻ b` occurs at least once.
@@ -163,11 +213,9 @@ impl DirectlyFollowsGraph {
         self.count(a, b) > 0
     }
 
-    /// All edges with counts.
+    /// All edges with counts, sorted by `(a, b)`.
     pub fn edges(&self) -> impl Iterator<Item = (&str, &str, usize)> {
-        self.edges
-            .iter()
-            .map(|((a, b), c)| (a.as_str(), b.as_str(), *c))
+        self.edges.iter()
     }
 
     /// Activities that start traces, with frequencies.
@@ -192,7 +240,7 @@ impl DirectlyFollowsGraph {
 
     /// Number of distinct edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edges.0.values().map(BTreeMap::len).sum()
     }
 }
 
@@ -275,6 +323,23 @@ mod tests {
         let before = format!("{merged:?}");
         merged.absorb(&DirectlyFollowsGraph::default());
         assert_eq!(format!("{merged:?}"), before);
+    }
+
+    /// The nested edge map serializes as the flat `(a, b) → count` map it
+    /// replaced, `{}` when empty, and reads both back.
+    #[test]
+    fn edges_serialize_as_the_flat_pair_map() {
+        let g = DirectlyFollowsGraph::from_log(&log_from(&[&["a", "b", "a"], &["c"]]));
+        let flat: BTreeMap<(String, String), usize> =
+            BTreeMap::from([(("a".into(), "b".into()), 1), (("b".into(), "a".into()), 1)]);
+        let json = g.to_value().render(false);
+        assert!(json.starts_with(&format!("{{\"edges\":{}", flat.to_value().render(false))));
+        let empty = DirectlyFollowsGraph::default().to_value().render(false);
+        assert!(empty.starts_with("{\"edges\":{}"), "{empty}");
+        for text in [json, empty] {
+            let back: DirectlyFollowsGraph = serde::de::from_str(&text).unwrap();
+            assert_eq!(back.to_value().render(false), text);
+        }
     }
 
     #[test]

@@ -47,8 +47,16 @@ const MAX_BUILD_TXS: usize = 2_000;
 /// an escape, number and literal starts, whitespace and a control byte.
 const SUBSTITUTES: &[u8] = b"\"{}[],:\\-0nx \x01";
 
-/// Replacement literals for the numeric extremes.
-const EXTREMES: [&str; 4] = ["0", "-1", "18446744073709551615", "1e308"];
+/// Replacement literals for the numeric extremes: zero, a negative, the
+/// `u16`, `u32` and `u64` maxima, and a huge float.
+const EXTREMES: [&str; 6] = [
+    "0",
+    "-1",
+    "65535",
+    "4294967295",
+    "18446744073709551615",
+    "1e308",
+];
 
 /// Nesting far past the reader's cap.
 const DEEP: usize = 100_000;
