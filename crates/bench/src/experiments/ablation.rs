@@ -12,14 +12,15 @@
 //!   to the user-configurable thresholds (`Kt`, `reorder_share`, `Rt1`),
 //!   the paper's §4.4 tuning discussion.
 
-use super::{run_and_analyze, ExpCtx};
+use super::{run, run_and_analyze, synthetic_spec, ExpCtx};
 use crate::table::FigureTable;
-use blockoptr::apply::{apply_system_level, apply_user_level};
 use blockoptr::metrics::MetricConfig;
-use blockoptr::pipeline::BlockOptR;
+use blockoptr::plan::OptimizationPlan;
 use blockoptr::recommend::Thresholds;
+use blockoptr::session::Analyzer;
 use std::fmt::Write as _;
 use workload::spec::ControlVariables;
+use workload::ScenarioSpec;
 
 /// Ablation 1: apply recommendations derived from one traffic regime to a
 /// fluctuated workload, versus re-running BlockOptR on the new regime.
@@ -36,8 +37,7 @@ pub fn abl1(ctx: &ExpCtx) -> String {
         transactions: n,
         ..Default::default()
     };
-    let bundle_a = workload::synthetic::generate(&cv_a);
-    let (_, analysis_a) = run_and_analyze(&bundle_a, cv_a.network_config());
+    let (_, analysis_a) = run_and_analyze(&synthetic_spec(&cv_a));
 
     // Regime B: the workload surges to 700 tps (different seed too).
     let cv_b = ControlVariables {
@@ -47,21 +47,25 @@ pub fn abl1(ctx: &ExpCtx) -> String {
         transactions: n,
         ..Default::default()
     };
-    let bundle_b = workload::synthetic::generate(&cv_b);
-    let (wo_b, analysis_b) = run_and_analyze(&bundle_b, cv_b.network_config());
+    let spec_b = synthetic_spec(&cv_b);
+    let (wo_b, analysis_b) = run_and_analyze(&spec_b);
     t.add("surged to 700 tps", "W/O", &wo_b);
 
     // Stale: calm-regime recommendations applied to the surge.
-    let (requests, _) = apply_user_level(&bundle_b.requests, &analysis_a.recommendations);
-    let (cfg, _) = apply_system_level(&cv_b.network_config(), &analysis_a.recommendations);
-    let (stale, _) = run_and_analyze(&bundle_b.clone().with_requests(requests), cfg);
-    t.add("surged to 700 tps", "stale recs (from 50 tps)", &stale);
+    let (stale, _) = OptimizationPlan::from_analysis(&analysis_a).apply_to_spec(&spec_b);
+    t.add(
+        "surged to 700 tps",
+        "stale recs (from 50 tps)",
+        &run(&stale).report,
+    );
 
     // Fresh: re-run BlockOptR on the surge and apply its recommendations.
-    let (requests, _) = apply_user_level(&bundle_b.requests, &analysis_b.recommendations);
-    let (cfg, _) = apply_system_level(&cv_b.network_config(), &analysis_b.recommendations);
-    let (fresh, _) = run_and_analyze(&bundle_b.clone().with_requests(requests), cfg);
-    t.add("surged to 700 tps", "fresh recs (re-run)", &fresh);
+    let (fresh, _) = OptimizationPlan::from_analysis(&analysis_b).apply_to_spec(&spec_b);
+    t.add(
+        "surged to 700 tps",
+        "fresh recs (re-run)",
+        &run(&fresh).report,
+    );
 
     let mut out = t.render();
     let _ = writeln!(
@@ -144,12 +148,10 @@ pub fn abl2(ctx: &ExpCtx) -> String {
 /// Ablation 3: the recommendation set as a function of the detection
 /// thresholds, on the DRM workload (the richest recommendation mix).
 pub fn abl3(ctx: &ExpCtx) -> String {
-    let spec = workload::drm::DrmSpec {
-        transactions: ctx.txs(8_000),
-        ..Default::default()
-    };
-    let bundle = workload::drm::generate(&spec);
-    let output = bundle.run(fabric_sim::config::NetworkConfig::default());
+    let spec = ScenarioSpec::builtin("drm")
+        .expect("drm is a built-in")
+        .with_transactions(ctx.txs(8_000));
+    let output = run(&spec);
 
     let mut out = String::from(
         "\n=== Ablation 3: threshold sensitivity of the recommendation set (DRM) ===\n",
@@ -207,12 +209,11 @@ pub fn abl3(ctx: &ExpCtx) -> String {
         ),
     ];
     for (label, metric_config, thresholds) in cases {
-        let analyzer = BlockOptR {
-            metric_config,
-            thresholds,
-            ..Default::default()
-        };
-        let analysis = analyzer.analyze_ledger(&output.ledger);
+        let analysis = Analyzer::new()
+            .metric_config(metric_config)
+            .thresholds(thresholds)
+            .analyze_ledger(&output.ledger)
+            .expect("the DRM run commits transactions");
         let _ = writeln!(
             out,
             "{:<44} {}",

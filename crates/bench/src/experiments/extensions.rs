@@ -2,13 +2,27 @@
 //! baselines (§6.4) — the paper's demonstration that higher-level
 //! recommendations still pay off on system-optimized Fabrics.
 
-use super::{only, run_and_analyze, ExpCtx};
+use super::{run, run_and_analyze, synthetic_spec, throttled_100, with_recommendations, ExpCtx};
 use crate::table::FigureTable;
-use blockoptr::apply::{apply_system_level, apply_user_level};
+use blockoptr::plan::OptimizationPlan;
 use fabric_sim::config::SchedulerKind;
-use workload::optimize;
 use workload::spec::{ControlVariables, PolicyChoice, WorkloadType};
-use workload::synthetic;
+use workload::ScenarioSpec;
+
+/// The user-level recommendations (paper Figure 1): the client-side
+/// changes Figure 19 layers on Fabric++.
+const USER_LEVEL: [&str; 3] = [
+    "Activity reordering",
+    "Transaction rate control",
+    "Process model pruning",
+];
+
+/// A synthetic configuration's spec on the given transaction scheduler.
+fn scheduled_spec(cv: &ControlVariables, scheduler: SchedulerKind) -> ScenarioSpec {
+    let mut spec = synthetic_spec(cv);
+    spec.network = spec.network.with_scheduler(scheduler);
+    spec
+}
 
 /// Figure 18: FabricSharp under P1, P2+skew, and insert-heavy workloads.
 pub fn fig18(ctx: &ExpCtx) -> String {
@@ -29,19 +43,14 @@ pub fn fig18(ctx: &ExpCtx) -> String {
             ..Default::default()
         },
     ] {
-        let bundle = synthetic::generate(&cv);
-        let cfg = cv
-            .network_config()
-            .with_scheduler(SchedulerKind::FabricSharp);
-        let (wo, analysis) = run_and_analyze(&bundle, cfg.clone());
+        let spec = scheduled_spec(&cv, SchedulerKind::FabricSharp);
+        let (wo, analysis) = run_and_analyze(&spec);
         t.add(&format!("fabricsharp / {}", cv.label()), "W/O", &wo);
-        let (restructured, _) =
-            apply_system_level(&cfg, &only(&analysis, "Endorser restructuring"));
-        let (w, _) = run_and_analyze(&bundle, restructured);
+        let restructured = with_recommendations(&spec, &analysis, &["Endorser restructuring"]);
         t.add(
             &format!("fabricsharp / {}", cv.label()),
             "endorser restructuring",
-            &w,
+            &run(&restructured).report,
         );
     }
 
@@ -51,17 +60,17 @@ pub fn fig18(ctx: &ExpCtx) -> String {
         transactions: n,
         ..Default::default()
     };
-    let bundle = synthetic::generate(&cv);
-    let cfg = cv
-        .network_config()
-        .with_scheduler(SchedulerKind::FabricSharp);
-    let (wo, _) = run_and_analyze(&bundle, cfg.clone());
-    t.add("fabricsharp / Workload: Insert-heavy", "W/O", &wo);
-    let throttled = bundle
-        .clone()
-        .with_requests(optimize::rate_control(&bundle.requests, 100.0));
-    let (w, _) = run_and_analyze(&throttled, cfg);
-    t.add("fabricsharp / Workload: Insert-heavy", "rate control", &w);
+    let spec = scheduled_spec(&cv, SchedulerKind::FabricSharp);
+    t.add(
+        "fabricsharp / Workload: Insert-heavy",
+        "W/O",
+        &run(&spec).report,
+    );
+    t.add(
+        "fabricsharp / Workload: Insert-heavy",
+        "rate control",
+        &run(&throttled_100(&spec)).report,
+    );
     t.render()
 }
 
@@ -80,36 +89,26 @@ pub fn fig19(ctx: &ExpCtx) -> String {
             transactions: n,
             ..Default::default()
         };
-        let bundle = synthetic::generate(&cv);
-        let cfg = cv
-            .network_config()
-            .with_scheduler(SchedulerKind::FabricPlusPlus);
+        let spec = scheduled_spec(&cv, SchedulerKind::FabricPlusPlus);
         let label = format!("fabric++ / {}", cv.label());
-        let (wo, analysis) = run_and_analyze(&bundle, cfg.clone());
+        let (wo, analysis) = run_and_analyze(&spec);
         t.add(&label, "W/O", &wo);
+        t.add(&label, "rate control", &run(&throttled_100(&spec)).report);
 
-        let throttled = bundle
-            .clone()
-            .with_requests(optimize::rate_control(&bundle.requests, 100.0));
-        let (w, _) = run_and_analyze(&throttled, cfg.clone());
-        t.add(&label, "rate control", &w);
-
-        let (requests, applied) =
-            apply_user_level(&bundle.requests, &only(&analysis, "Activity reordering"));
-        if applied.is_empty() {
+        // The row tests the action: a reordering recommendation with no
+        // deferrable activity has nothing to apply.
+        let reordering =
+            OptimizationPlan::from_analysis(&analysis).select(&["Activity reordering"]);
+        if reordering.is_empty() {
             t.add(&label, "reordering (n/a)", &wo);
         } else {
-            let reordered = bundle.clone().with_requests(requests.clone());
-            let (w, _) = run_and_analyze(&reordered, cfg.clone());
-            t.add(&label, "activity reordering", &w);
+            let (reordered, _) = reordering.apply_to_spec(&spec);
+            t.add(&label, "activity reordering", &run(&reordered).report);
         }
 
-        let (requests, _) = apply_user_level(&bundle.requests, &analysis.recommendations);
-        let all = bundle
-            .clone()
-            .with_requests(optimize::rate_control(&requests, 100.0));
-        let (w, _) = run_and_analyze(&all, cfg);
-        t.add(&label, "all optimizations", &w);
+        // Every user-level recommendation, then Table 4's 100 tps.
+        let all = throttled_100(&with_recommendations(&spec, &analysis, &USER_LEVEL));
+        t.add(&label, "all optimizations", &run(&all).report);
     }
     t.render()
 }

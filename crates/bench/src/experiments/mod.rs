@@ -11,11 +11,13 @@ pub mod synthetic;
 pub mod tab4;
 pub mod usecases;
 
-use blockoptr::pipeline::{Analysis, BlockOptR};
-use blockoptr::recommend::Recommendation;
-use fabric_sim::config::NetworkConfig;
+use blockoptr::action::Action;
+use blockoptr::plan::OptimizationPlan;
+use blockoptr::session::{Analysis, Analyzer};
 use fabric_sim::report::SimReport;
-use workload::WorkloadBundle;
+use fabric_sim::sim::SimOutput;
+use workload::spec::ControlVariables;
+use workload::{ScenarioSpec, SpecTransform, WorkloadSpec};
 
 /// Execution context for one experiment run.
 #[derive(Debug, Clone, Copy)]
@@ -166,21 +168,55 @@ pub fn registry() -> Vec<Experiment> {
     ]
 }
 
-/// Run a bundle and return `(report, analysis)`.
-pub fn run_and_analyze(bundle: &WorkloadBundle, config: NetworkConfig) -> (SimReport, Analysis) {
-    let output = bundle.run(config);
-    let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+/// The spec of a synthetic-workload configuration: the genChain generator
+/// under `cv`, on the network `cv` describes.
+pub fn synthetic_spec(cv: &ControlVariables) -> ScenarioSpec {
+    ScenarioSpec {
+        workload: WorkloadSpec::Synthetic(cv.clone()),
+        network: cv.network_config(),
+        ..ScenarioSpec::builtin("synthetic").expect("synthetic is a built-in")
+    }
+}
+
+/// Build and simulate a figure's spec.
+pub fn run(spec: &ScenarioSpec) -> SimOutput {
+    let (bundle, config) = spec.build().expect("figure specs validate");
+    bundle.run(config)
+}
+
+/// Run a spec and analyze its ledger: the figure's "W/O" row and the
+/// recommendations its other rows apply.
+pub fn run_and_analyze(spec: &ScenarioSpec) -> (SimReport, Analysis) {
+    let output = run(spec);
+    let analysis = Analyzer::new()
+        .analyze_ledger(&output.ledger)
+        .expect("figure runs commit transactions");
     (output.report, analysis)
 }
 
-/// Keep only the recommendation with the given name (a figure evaluates one
-/// optimization at a time; the paper applies each recommendation separately
-/// before combining them in Figure 12).
-pub fn only(analysis: &Analysis, name: &str) -> Vec<Recommendation> {
-    analysis
-        .recommendations
-        .iter()
-        .filter(|r| r.name() == name)
-        .cloned()
-        .collect()
+/// `spec` with the named recommendations of `analysis` applied, through
+/// [`OptimizationPlan::apply_to_spec`] — the path `optimize` measures. A
+/// figure evaluates one optimization at a time; the paper applies each
+/// recommendation separately before combining them in Figure 12.
+pub fn with_recommendations(
+    spec: &ScenarioSpec,
+    analysis: &Analysis,
+    sources: &[&str],
+) -> ScenarioSpec {
+    OptimizationPlan::from_analysis(analysis)
+        .select(sources)
+        .apply_to_spec(spec)
+        .0
+}
+
+/// Table 4's universal rate-control setting.
+pub fn throttle_100() -> Action {
+    Action::RewriteSchedule(SpecTransform::Throttle { rate: 100.0 })
+}
+
+/// `spec` re-spaced at Table 4's 100 tps.
+pub fn throttled_100(spec: &ScenarioSpec) -> ScenarioSpec {
+    throttle_100()
+        .apply_to_spec(spec)
+        .expect("schedule rewrites always apply")
 }

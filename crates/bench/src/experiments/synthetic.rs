@@ -1,10 +1,9 @@
 //! Table 3 and Figures 7–12: the synthetic-workload experiments.
 
-use super::{only, run_and_analyze, ExpCtx};
+use super::{run, run_and_analyze, synthetic_spec, throttled_100, with_recommendations, ExpCtx};
 use crate::table::FigureTable;
-use blockoptr::apply::{apply_system_level, apply_user_level};
+use blockoptr::plan::OptimizationPlan;
 use workload::spec::{ControlVariables, PolicyChoice, WorkloadType};
-use workload::synthetic;
 
 /// The 15 experiments of Table 3 with the recommendations the paper reports.
 pub fn experiments_table3(ctx: &ExpCtx) -> Vec<(usize, ControlVariables, &'static str)> {
@@ -145,8 +144,7 @@ pub fn tab3(ctx: &ExpCtx) -> String {
     out.push_str(&"-".repeat(190));
     out.push('\n');
     for (num, cv, paper) in experiments_table3(ctx) {
-        let bundle = synthetic::generate(&cv);
-        let (_, analysis) = run_and_analyze(&bundle, cv.network_config());
+        let (_, analysis) = run_and_analyze(&synthetic_spec(&cv));
         out.push_str(&format!(
             "{:<4} {:<42} {:<72} {}\n",
             num,
@@ -175,15 +173,11 @@ pub fn fig7(ctx: &ExpCtx) -> String {
         },
     ];
     for cv in configs {
-        let bundle = synthetic::generate(&cv);
-        let (wo, analysis) = run_and_analyze(&bundle, cv.network_config());
+        let spec = synthetic_spec(&cv);
+        let (wo, analysis) = run_and_analyze(&spec);
         t.add(&cv.label(), "W/O", &wo);
-        let (cfg, _) = apply_system_level(
-            &cv.network_config(),
-            &only(&analysis, "Endorser restructuring"),
-        );
-        let (w, _) = run_and_analyze(&bundle, cfg);
-        t.add(&cv.label(), "W (restructured)", &w);
+        let restructured = with_recommendations(&spec, &analysis, &["Endorser restructuring"]);
+        t.add(&cv.label(), "W (restructured)", &run(&restructured).report);
     }
     t.render()
 }
@@ -196,15 +190,11 @@ pub fn fig8(ctx: &ExpCtx) -> String {
         transactions: ctx.txs(10_000),
         ..Default::default()
     };
-    let bundle = synthetic::generate(&cv);
-    let (wo, analysis) = run_and_analyze(&bundle, cv.network_config());
+    let spec = synthetic_spec(&cv);
+    let (wo, analysis) = run_and_analyze(&spec);
     t.add(&cv.label(), "W/O", &wo);
-    let (cfg, _) = apply_system_level(
-        &cv.network_config(),
-        &only(&analysis, "Client resource boost"),
-    );
-    let (w, _) = run_and_analyze(&bundle, cfg);
-    t.add(&cv.label(), "W (boosted clients)", &w);
+    let boosted = with_recommendations(&spec, &analysis, &["Client resource boost"]);
+    t.add(&cv.label(), "W (boosted clients)", &run(&boosted).report);
     t.render()
 }
 
@@ -233,22 +223,20 @@ pub fn fig9(ctx: &ExpCtx) -> String {
         },
     ];
     for cv in configs {
-        let bundle = synthetic::generate(&cv);
-        let (wo, analysis) = run_and_analyze(&bundle, cv.network_config());
+        let spec = synthetic_spec(&cv);
+        let (wo, analysis) = run_and_analyze(&spec);
         let label = if cv.label() == "Defaults" {
             "Block count: 100".to_string()
         } else {
             cv.label()
         };
         t.add(&label, "W/O", &wo);
-        let recs = only(&analysis, "Block size adaptation");
-        if recs.is_empty() {
+        if !analysis.recommends("Block size adaptation") {
             t.add(&label, "W (no change)", &wo);
             continue;
         }
-        let (cfg, _) = apply_system_level(&cv.network_config(), &recs);
-        let (w, _) = run_and_analyze(&bundle, cfg);
-        t.add(&label, "W (adapted)", &w);
+        let adapted = with_recommendations(&spec, &analysis, &["Block size adaptation"]);
+        t.add(&label, "W (adapted)", &run(&adapted).report);
     }
     t.render()
 }
@@ -309,15 +297,14 @@ pub fn fig10(ctx: &ExpCtx) -> String {
         },
     ];
     for cv in configs {
-        let bundle = synthetic::generate(&cv);
-        let (wo, _) = run_and_analyze(&bundle, cv.network_config());
-        t.add(&cv.label(), "W/O", &wo);
+        let spec = synthetic_spec(&cv);
+        t.add(&cv.label(), "W/O", &run(&spec).report);
         // Table 4: set the send rate to 100 tps.
-        let throttled = bundle
-            .clone()
-            .with_requests(workload::optimize::rate_control(&bundle.requests, 100.0));
-        let (w, _) = run_and_analyze(&throttled, cv.network_config());
-        t.add(&cv.label(), "W (rate 100)", &w);
+        t.add(
+            &cv.label(),
+            "W (rate 100)",
+            &run(&throttled_100(&spec)).report,
+        );
     }
     t.render()
 }
@@ -394,23 +381,22 @@ pub fn fig11(ctx: &ExpCtx) -> String {
         },
     ];
     for cv in configs {
-        let bundle = synthetic::generate(&cv);
-        let (wo, analysis) = run_and_analyze(&bundle, cv.network_config());
+        let spec = synthetic_spec(&cv);
+        let (wo, analysis) = run_and_analyze(&spec);
         let label = if cv.label() == "Defaults" {
             "Send rate: 300".to_string()
         } else {
             cv.label()
         };
         t.add(&label, "W/O", &wo);
-        let recs = only(&analysis, "Activity reordering");
-        if recs.is_empty() {
+        // The row tests the recommendation, not its action: a reordering
+        // with no deferrable activity still re-runs the unchanged spec.
+        if !analysis.recommends("Activity reordering") {
             t.add(&label, "W (not recommended)", &wo);
             continue;
         }
-        let (requests, _) = apply_user_level(&bundle.requests, &recs);
-        let reordered = bundle.clone().with_requests(requests);
-        let (w, _) = run_and_analyze(&reordered, cv.network_config());
-        t.add(&label, "W (reordered)", &w);
+        let reordered = with_recommendations(&spec, &analysis, &["Activity reordering"]);
+        t.add(&label, "W (reordered)", &run(&reordered).report);
     }
     t.render()
 }
@@ -463,14 +449,11 @@ pub fn fig12(ctx: &ExpCtx) -> String {
         },
     ];
     for cv in configs {
-        let bundle = synthetic::generate(&cv);
-        let (wo, analysis) = run_and_analyze(&bundle, cv.network_config());
+        let spec = synthetic_spec(&cv);
+        let (wo, analysis) = run_and_analyze(&spec);
         t.add(&cv.label(), "W/O", &wo);
-        let (requests, _) = apply_user_level(&bundle.requests, &analysis.recommendations);
-        let (cfg, _) = apply_system_level(&cv.network_config(), &analysis.recommendations);
-        let optimized = bundle.clone().with_requests(requests);
-        let (w, _) = run_and_analyze(&optimized, cfg);
-        t.add(&cv.label(), "W (all)", &w);
+        let (optimized, _) = OptimizationPlan::from_analysis(&analysis).apply_to_spec(&spec);
+        t.add(&cv.label(), "W (all)", &run(&optimized).report);
     }
     t.render()
 }

@@ -9,11 +9,11 @@
 //! are guaranteed by the `ensure` fallback even when the analysis of a
 //! scaled-down `--quick` run does not fire the corresponding rule.
 
-use super::{run_and_analyze, ExpCtx};
+use super::{run_and_analyze, throttle_100, ExpCtx};
 use crate::table::FigureTable;
 use blockoptr::action::Action;
 use blockoptr::plan::{OptimizationPlan, PlanConfig, PlanOutcome, PlannedAction};
-use workload::{ScenarioSpec, SpecTransform, WorkloadSpec};
+use workload::{ScenarioSpec, WorkloadSpec};
 
 /// Guarantee the plan carries an action for `source`, appending the given
 /// fallback when the analysis did not recommend it.
@@ -24,11 +24,6 @@ fn ensure(plan: &mut OptimizationPlan, source: &str, action: Action) {
             action,
         });
     }
-}
-
-/// Table 4's universal rate-control setting.
-fn throttle_100() -> Action {
-    Action::RewriteSchedule(SpecTransform::Throttle { rate: 100.0 })
 }
 
 /// The figure row label for a recommendation name.
@@ -76,8 +71,7 @@ fn usecase_outcome(
     sources: &[&str],
     ensured: &[(&str, Action)],
 ) -> PlanOutcome {
-    let (bundle, cfg) = spec.build().expect("figure specs validate");
-    let (baseline, analysis) = run_and_analyze(&bundle, cfg);
+    let (baseline, analysis) = run_and_analyze(spec);
     let mut plan = OptimizationPlan::from_analysis(&analysis).select(sources);
     for (source, action) in ensured {
         ensure(&mut plan, source, action.clone());

@@ -12,12 +12,3 @@ pub mod table;
 pub mod wallclock;
 
 pub use table::{pct, FigureTable};
-
-use fabric_sim::config::NetworkConfig;
-use fabric_sim::report::SimReport;
-use workload::WorkloadBundle;
-
-/// Run one configuration and return its report (convenience wrapper).
-pub fn run(bundle: &WorkloadBundle, config: NetworkConfig) -> SimReport {
-    bundle.run(config).report
-}

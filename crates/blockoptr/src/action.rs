@@ -23,10 +23,11 @@
 //! `spec.transforms`, which [`ScenarioSpec::finish`] applies after the
 //! arrival process has re-stamped the schedule, so a throttle also
 //! re-spaces an open-loop schedule. Actions are serializable, so a plan can
-//! be exported, reviewed, and replayed.
-//! [`apply_user_level`](crate::apply::apply_user_level) /
-//! [`apply_system_level`](crate::apply::apply_system_level) remain as thin
-//! wrappers for the paper-era call sites.
+//! be exported, reviewed, and replayed. A list of recommendations is
+//! applied as a plan:
+//! [`OptimizationPlan::from_analysis`](crate::plan::OptimizationPlan::from_analysis),
+//! then [`select`](crate::plan::OptimizationPlan::select) and
+//! [`apply_to_spec`](crate::plan::OptimizationPlan::apply_to_spec).
 
 use crate::recommend::Recommendation;
 use fabric_sim::config::NetworkConfig;

@@ -96,7 +96,7 @@ pub fn tune_from_rates(rates: &RateMetrics, window_secs: f64) -> TunedThresholds
 mod tests {
     use super::*;
     use crate::log::test_support::{log_of, Rec};
-    use crate::pipeline::BlockOptR;
+    use crate::session::Analyzer;
     use fabric_sim::ledger::TxStatus;
     use workload::spec::ControlVariables;
 
@@ -171,11 +171,10 @@ mod tests {
         let out = bundle.run(cv.network_config());
         let log = crate::log::BlockchainLog::from_ledger(&out.ledger);
         let tuned = auto_tune(&log);
-        let analyzer = BlockOptR {
-            thresholds: tuned.thresholds.clone(),
-            ..Default::default()
-        };
-        let analysis = analyzer.analyze_log(log);
+        let analysis = Analyzer::new()
+            .thresholds(tuned.thresholds.clone())
+            .analyze_log(log)
+            .unwrap();
         assert!(
             analysis.recommends("Transaction rate control"),
             "sustainable {} rt1 {} → {:?}",

@@ -45,9 +45,8 @@
 use blockoptr::compliance::verify_rollout;
 use blockoptr::export;
 use blockoptr::log::BlockchainLog;
-use blockoptr::pipeline::Analysis;
 use blockoptr::plan::OptimizationPlan;
-use blockoptr::session::{Analyzer, WindowPolicy};
+use blockoptr::session::{Analysis, Analyzer, WindowPolicy};
 use fabric_sim::config::NetworkConfig;
 use serde::Serialize;
 use serde_json::Value;
@@ -258,13 +257,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 }
 
 /// One rolling watch line (text mode) or JSON object (machine mode).
-fn emit_watch_line(
-    analysis: &blockoptr::pipeline::Analysis,
-    label: &str,
-    ordinal: usize,
-    added: usize,
-    json: bool,
-) {
+fn emit_watch_line(analysis: &Analysis, label: &str, ordinal: usize, added: usize, json: bool) {
     if json {
         let mut obj = match analysis_json(analysis) {
             Value::Object(fields) => fields,
@@ -423,7 +416,7 @@ fn cmd_watch_live(args: &Args, window: u64) -> Result<(), String> {
     let mut total_tx = 0usize;
     while let Ok(block) = receiver.recv() {
         let number = block.number;
-        let added = session.ingest_block(&block);
+        let added = session.ingest_block(&block).map_err(|e| e.to_string())?;
         total_tx += added;
         blocks_seen += 1;
         let analysis = session.snapshot().map_err(|e| e.to_string())?;

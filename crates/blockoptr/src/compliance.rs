@@ -12,7 +12,7 @@
 //! * whether the mined process model changed (footprint agreement);
 //! * the headline outcome deltas (success rate, failure counts).
 
-use crate::pipeline::Analysis;
+use crate::session::Analysis;
 use process_mining::footprint::Footprint;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -149,7 +149,7 @@ pub fn verify_rollout(before: &Analysis, after: &Analysis) -> ComplianceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::BlockOptR;
+    use crate::session::Analyzer;
     use fabric_sim::policy::EndorsementPolicy;
     use workload::spec::{ControlVariables, PolicyChoice};
 
@@ -161,7 +161,7 @@ mod tests {
         let mut cfg = cv.network_config();
         tweak(&mut cfg);
         let out = bundle.run(cfg);
-        BlockOptR::new().analyze_ledger(&out.ledger)
+        Analyzer::new().analyze_ledger(&out.ledger).unwrap()
     }
 
     #[test]

@@ -88,8 +88,8 @@
 //! ```
 
 use crate::action::Action;
-use crate::pipeline::Analysis;
 use crate::recommend::Recommendation;
+use crate::session::Analysis;
 use crate::session::{AnalyzeError, Analyzer};
 use fabric_sim::report::SimReport;
 use fabric_sim::sim::SimOutput;
@@ -737,7 +737,7 @@ impl OptimizationPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::BlockOptR;
+    use fabric_sim::policy::EndorsementPolicy;
     use std::collections::BTreeSet;
     use workload::SpecTransform;
 
@@ -749,7 +749,139 @@ mod tests {
     /// The analysis of one baseline run of `spec`.
     fn analysis_of(spec: &ScenarioSpec) -> Analysis {
         let (bundle, config) = spec.build().unwrap();
-        BlockOptR::new().analyze_ledger(&bundle.run(config).ledger)
+        Analyzer::new()
+            .analyze_ledger(&bundle.run(config).ledger)
+            .unwrap()
+    }
+
+    /// A one-recommendation plan applied to `spec`: the optimized spec, the
+    /// manual variant kinds, and the descriptions of the planned actions.
+    fn apply_one(
+        spec: &ScenarioSpec,
+        rec: Recommendation,
+    ) -> (ScenarioSpec, Vec<VariantKind>, Vec<String>) {
+        let plan = OptimizationPlan::from_recommendations(&[rec]);
+        let described = plan.actions.iter().map(|a| a.action.describe()).collect();
+        let (optimized, manual) = plan.apply_to_spec(spec);
+        (optimized, manual, described)
+    }
+
+    #[test]
+    fn reordering_defers_failed_readers() {
+        let spec = spec_of("synthetic", 200);
+        let (optimized, manual, described) = apply_one(
+            &spec,
+            Recommendation::ActivityReordering {
+                pairs: vec![(("query".into(), "write".into()), 10)],
+                share: 0.8,
+            },
+        );
+        assert_eq!(
+            optimized.transforms,
+            vec![SpecTransform::DeferActivities {
+                activities: vec!["query".into()],
+            }]
+        );
+        assert_eq!(optimized.network, spec.network);
+        assert!(manual.is_empty());
+        assert_eq!(described, vec!["activity reordering: deferred query"]);
+    }
+
+    #[test]
+    fn rate_control_respaces() {
+        let spec = spec_of("synthetic", 200);
+        let (optimized, _, described) = apply_one(
+            &spec,
+            Recommendation::TransactionRateControl {
+                intervals: vec![0],
+                peak_rate: 300.0,
+                suggested_rate: 10.0,
+            },
+        );
+        assert_eq!(
+            optimized.transforms,
+            vec![SpecTransform::Throttle { rate: 10.0 }]
+        );
+        assert_eq!(optimized.network, spec.network);
+        assert_eq!(described, vec!["rate control: 10 tps"]);
+        let (bundle, _) = optimized.build().unwrap();
+        assert_eq!(
+            bundle.requests[2].send_time.as_micros() - bundle.requests[0].send_time.as_micros(),
+            200_000,
+            "2 gaps at 10 tps = 200 ms"
+        );
+    }
+
+    #[test]
+    fn system_level_block_count() {
+        let spec = spec_of("synthetic", 200);
+        let (optimized, _, described) = apply_one(
+            &spec,
+            Recommendation::BlockSizeAdaptation {
+                current_avg: 100.0,
+                tr: 300.0,
+                suggested_count: 300,
+            },
+        );
+        assert_eq!(optimized.network.block_count, 300);
+        assert!(optimized.transforms.is_empty());
+        assert_eq!(described, vec!["block count → 300"]);
+    }
+
+    #[test]
+    fn system_level_restructures_policy() {
+        let mut spec = spec_of("synthetic", 200);
+        spec.network.orgs = 4;
+        spec.network.endorsement_policy = EndorsementPolicy::p1();
+        spec.network.endorser_skew = 6.0;
+        let (optimized, _, described) = apply_one(
+            &spec,
+            Recommendation::EndorserRestructuring {
+                shares: vec![("Org1".into(), 0.5)],
+                overloaded: vec!["Org1".into()],
+            },
+        );
+        let network = &optimized.network;
+        assert_eq!(
+            network.endorsement_policy.to_string(),
+            "OutOf(2,Org1,Org2,Org3,Org4)",
+            "P1 needs 2 endorsers → generalized to P4"
+        );
+        assert_eq!(network.endorser_skew, 0.0, "skew removed by the measure");
+        assert!(network.endorsement_policy.mandatory_orgs().is_empty());
+        assert!(optimized.transforms.is_empty());
+        assert_eq!(described, vec!["endorsement policy → OutOf(k, all orgs)"]);
+    }
+
+    #[test]
+    fn system_level_boosts_clients() {
+        let spec = spec_of("synthetic", 200);
+        let (optimized, _, described) = apply_one(
+            &spec,
+            Recommendation::ClientResourceBoost {
+                org: "Org2".into(),
+                share: 0.7,
+            },
+        );
+        assert_eq!(optimized.network.client_boost, Some((1, 2)));
+        assert!(optimized.transforms.is_empty());
+        assert_eq!(described, vec!["clients of Org2 ×2"]);
+    }
+
+    #[test]
+    fn data_level_recommendations_are_left_alone() {
+        // The synthetic workload ships no contract rewrite: the variant is
+        // manual, and the spec keeps its schedule and network.
+        let spec = spec_of("synthetic", 200);
+        let (optimized, manual, described) = apply_one(
+            &spec,
+            Recommendation::DeltaWrites {
+                activities: vec![("play".into(), 9)],
+            },
+        );
+        assert_eq!(optimized, spec);
+        assert_eq!(manual, vec![VariantKind::DeltaWrites]);
+        assert_eq!(described, vec!["smart contract → delta-writes variant"]);
     }
 
     fn scm_setup() -> (ScenarioSpec, Analysis) {

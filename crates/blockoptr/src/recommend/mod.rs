@@ -446,32 +446,9 @@ pub fn recommend(
     })
 }
 
-/// Evaluate the paper catalogue from pre-aggregated inputs — the streaming
-/// entry point: every input here is O(state), none is O(log).
-pub fn recommend_from_parts(
-    type_hist: &ActivityTypeHistogram,
-    metrics: &Metrics,
-    thresholds: &Thresholds,
-) -> Vec<Recommendation> {
-    RuleSet::paper().recommendations(&RuleCtx {
-        metrics,
-        thresholds,
-        type_hist,
-        log: None,
-    })
-}
-
 /// Whether a recommendation list contains a given rule (by name).
 pub fn contains(recs: &[Recommendation], name: &str) -> bool {
     recs.iter().any(|r| r.name() == name)
-}
-
-impl Recommendation {
-    /// Keep only the recommendations with the given name (figures evaluate
-    /// one optimization at a time before combining them).
-    pub fn filter_by_name(recs: &[Recommendation], name: &str) -> Vec<Recommendation> {
-        recs.iter().filter(|r| r.name() == name).cloned().collect()
-    }
 }
 
 #[cfg(test)]

@@ -48,10 +48,9 @@ pub struct RuleCtx<'a> {
     /// Per-activity transaction-type histogram (pruning's input).
     pub type_hist: &'a ActivityTypeHistogram,
     /// The raw log, when the caller has one. Batch analyses and streaming
-    /// sessions pass it; the pre-aggregated
-    /// [`recommend_from_parts`](crate::recommend::recommend_from_parts)
-    /// path does not. Built-in rules never read it (the O(state) snapshot
-    /// guarantee); custom rules must handle `None`.
+    /// sessions pass it; a caller evaluating pre-aggregated inputs may not.
+    /// Built-in rules never read it (the O(state) snapshot guarantee);
+    /// custom rules must handle `None`.
     pub log: Option<&'a BlockchainLog>,
 }
 

@@ -4,9 +4,9 @@
 //! summary, the key metrics, and the recommendations grouped by abstraction
 //! level with their evidence.
 
-use crate::pipeline::Analysis;
 use crate::plan::{MeasuredReport, MetricStats, OptimizationPlan, PlanOutcome};
 use crate::recommend::Level;
+use crate::session::Analysis;
 use std::fmt::Write as _;
 use workload::ScenarioSpec;
 
@@ -269,17 +269,22 @@ pub fn render_outcome(outcome: &PlanOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_and_analyze;
+    use crate::session::Analyzer;
     use workload::spec::ControlVariables;
 
-    #[test]
-    fn report_renders_all_sections() {
+    /// The one-shot analysis of a 2 000-transaction synthetic run.
+    fn synthetic_analysis() -> Analysis {
         let cv = ControlVariables {
             transactions: 2_000,
             ..Default::default()
         };
-        let bundle = workload::synthetic::generate(&cv);
-        let (_, analysis) = run_and_analyze(&bundle, cv.network_config());
+        let output = workload::synthetic::generate(&cv).run(cv.network_config());
+        Analyzer::new().analyze_ledger(&output.ledger).unwrap()
+    }
+
+    #[test]
+    fn report_renders_all_sections() {
+        let analysis = synthetic_analysis();
         let text = render(&analysis);
         assert!(text.contains("BlockOptR analysis"));
         assert!(text.contains("rates: Tr"));
@@ -334,8 +339,8 @@ mod tests {
 
     #[test]
     fn empty_analysis_renders_healthy() {
-        let analysis =
-            crate::pipeline::BlockOptR::new().analyze_log(crate::log::BlockchainLog::default());
+        let mut analysis = synthetic_analysis();
+        analysis.recommendations.clear();
         let text = render(&analysis);
         assert!(text.contains("none — the system looks healthy"));
     }

@@ -32,7 +32,7 @@
 //!
 //! let mut session = Analyzer::new().auto_tune(true).session().unwrap();
 //! for block in output.ledger.blocks() {
-//!     session.ingest_block(block);
+//!     session.ingest_block(block).unwrap();
 //! }
 //! let analysis = session.snapshot().unwrap();
 //! assert_eq!(analysis.log.len(), output.report.committed);
@@ -46,13 +46,12 @@ use crate::metrics::{
     BlockMetrics, CorrelationTracker, EndorserMetrics, HotkeyIndex, InvokerMetrics, KeyMetrics,
     MetricConfig, Metrics, RateTracker,
 };
-use crate::pipeline::Analysis;
 use crate::recommend::rules::{RuleCtx, RuleSet};
-use crate::recommend::{observe_activity_type, ActivityTypeHistogram, Thresholds};
+use crate::recommend::{observe_activity_type, ActivityTypeHistogram, Recommendation, Thresholds};
 use fabric_sim::ledger::{Block, Ledger};
 use process_mining::dfg::DirectlyFollowsGraph;
 use process_mining::eventlog::{EventLog, Trace};
-use process_mining::heuristics::{mine_from_dfg, HeuristicsConfig};
+use process_mining::heuristics::{mine_from_dfg, DependencyGraph, HeuristicsConfig};
 use sim_core::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
@@ -276,10 +275,10 @@ impl fmt::Display for WindowPolicy {
 }
 
 /// The configured analyzer: cheap to build, cheap to clone, and the only
-/// way to open a [`Session`].
-///
-/// Replaces the paper-era `BlockOptR` struct as the primary entry point;
-/// `BlockOptR` survives as a thin wrapper over a one-shot session.
+/// way to open a [`Session`] — the one analysis entry point, for one-shot
+/// batch analyses ([`analyze_ledger`](Self::analyze_ledger),
+/// [`analyze_log`](Self::analyze_log), [`analyze_json`](Self::analyze_json))
+/// and streaming sessions alike.
 #[derive(Debug, Clone)]
 pub struct Analyzer {
     metric_config: MetricConfig,
@@ -429,10 +428,12 @@ impl Analyzer {
         Ok(Session::new(self.clone()))
     }
 
-    /// One-shot: analyze a ledger (errors on an empty ledger).
+    /// One-shot: analyze a ledger (errors on an empty ledger, and on client
+    /// timestamps spanning more than
+    /// [`MAX_RATE_INTERVALS`](Session::MAX_RATE_INTERVALS) intervals).
     pub fn analyze_ledger(&self, ledger: &Ledger) -> Result<Analysis, AnalyzeError> {
         let mut session = self.session()?;
-        session.ingest_ledger(ledger);
+        session.ingest_ledger(ledger)?;
         session.snapshot().map(Analysis::with_sorted_traces)
     }
 
@@ -1029,6 +1030,57 @@ impl Trackers {
     }
 }
 
+/// Everything one analysis produces: a [`Session::snapshot`], or a
+/// one-shot [`Analyzer`] call.
+///
+/// The heavyweight inputs (`log`, `event_log`, `case_derivation.case_ids`)
+/// are `Arc`-shared with the producing session, so taking a snapshot per
+/// window does not copy the accumulated history.
+#[derive(Debug, Clone)]
+pub struct Analysis {
+    /// The preprocessed blockchain log.
+    pub log: Arc<BlockchainLog>,
+    /// The derived metrics.
+    pub metrics: Metrics,
+    /// How CaseIDs were derived.
+    pub case_derivation: CaseDerivation,
+    /// The generated event log.
+    pub event_log: Arc<EventLog>,
+    /// The mined process model (heuristics dependency graph — robust to the
+    /// noise that transaction failures inject; the Alpha net is available
+    /// via `process_mining::alpha_miner(&analysis.event_log)`).
+    pub model: DependencyGraph,
+    /// The thresholds the recommendations were evaluated against (the
+    /// configured set, or the derived one when auto-tuning is enabled).
+    pub thresholds: Thresholds,
+    /// The recommendations, sorted by level then name.
+    pub recommendations: Vec<Recommendation>,
+}
+
+impl Analysis {
+    /// Reorder the event log's traces by case id, matching
+    /// [`to_event_log`](crate::eventlog::to_event_log)'s ordering. The
+    /// one-shot [`Analyzer`] entry points apply this so batch exports (XES,
+    /// DOT) are byte-stable; streaming snapshots keep first-appearance
+    /// order to stay O(state).
+    pub fn with_sorted_traces(mut self) -> Self {
+        let mut traces = self.event_log.traces().to_vec();
+        traces.sort_by(|a, b| a.case_id.cmp(&b.case_id));
+        self.event_log = Arc::new(EventLog::from_traces(traces));
+        self
+    }
+
+    /// Recommendation names, for quick assertions and table rendering.
+    pub fn recommendation_names(&self) -> Vec<&str> {
+        self.recommendations.iter().map(|r| r.name()).collect()
+    }
+
+    /// Whether a recommendation with the given name is present.
+    pub fn recommends(&self, name: &str) -> bool {
+        self.recommendations.iter().any(|r| r.name() == name)
+    }
+}
+
 /// A stateful incremental analysis: feed it blocks, take snapshots.
 ///
 /// All metric state is maintained *running*: each ingested transaction
@@ -1048,9 +1100,13 @@ pub struct Session {
 }
 
 impl Session {
-    /// The widest client-timestamp span, in metric intervals, that
-    /// [`ingest_log`](Self::ingest_log) accepts (2²², about 48.5 days at the
-    /// default 1 s interval).
+    /// The widest client-timestamp span, in metric intervals, that a
+    /// session accepts (2²², about 48.5 days at the default 1 s interval).
+    /// [`ingest_block`](Self::ingest_block),
+    /// [`ingest_ledger`](Self::ingest_ledger),
+    /// [`ingest_log`](Self::ingest_log) and [`merge`](Self::merge) reject
+    /// a wider span with [`AnalyzeError::TimestampSpan`] before any state
+    /// changes.
     ///
     /// The interval rate series holds one dense counter per interval from
     /// the earliest to the latest client timestamp in the session, so its
@@ -1096,13 +1152,17 @@ impl Session {
         &self.log
     }
 
-    /// Ingest one committed block. Returns the number of records added.
-    pub fn ingest_block(&mut self, block: &Block) -> usize {
+    /// Ingest one committed block. Returns the number of records added, or
+    /// [`AnalyzeError::TimestampSpan`] (before any state changes) when the
+    /// block's client timestamps would stretch the session over more than
+    /// [`MAX_RATE_INTERVALS`](Self::MAX_RATE_INTERVALS) intervals.
+    pub fn ingest_block(&mut self, block: &Block) -> Result<usize, AnalyzeError> {
+        self.check_span(block.txs.iter().map(|tx| tx.client_ts))?;
         let first_new = self.log.len();
         let added = Arc::make_mut(&mut self.log).append_block(block, |_| true);
         self.state.last_block = self.state.last_block.max(block.number);
         self.observe_from(first_new);
-        added
+        Ok(added)
     }
 
     /// Ingest every block the ledger has appended since the last call
@@ -1111,14 +1171,22 @@ impl Session {
     ///
     /// All new blocks are appended first and folded as **one** batch, so a
     /// large catch-up (or a one-shot [`Analyzer::analyze_ledger`]) evicts
-    /// and re-checks the case family once, not once per block.
-    pub fn ingest_ledger(&mut self, ledger: &Ledger) -> usize {
+    /// and re-checks the case family once, not once per block. Rejects the
+    /// new blocks like [`ingest_block`](Self::ingest_block) does, before
+    /// any state changes.
+    pub fn ingest_ledger(&mut self, ledger: &Ledger) -> Result<usize, AnalyzeError> {
+        let blocks = ledger.blocks_from(self.state.last_block + 1);
+        self.check_span(
+            blocks
+                .iter()
+                .flat_map(|block| block.txs.iter().map(|tx| tx.client_ts)),
+        )?;
         let first_new = self.log.len();
         let mut added = 0;
         let mut last_block = self.state.last_block;
         {
             let log = Arc::make_mut(&mut self.log);
-            for block in ledger.blocks_from(self.state.last_block + 1) {
+            for block in blocks {
                 added += log.append_block(block, |_| true);
                 last_block = last_block.max(block.number);
             }
@@ -1127,7 +1195,7 @@ impl Session {
         if added > 0 {
             self.observe_from(first_new);
         }
-        added
+        Ok(added)
     }
 
     /// Ingest an already-extracted log window (e.g. replayed from a JSON
@@ -1151,9 +1219,6 @@ impl Session {
         let mut last = self.log.records().last().map(|r| r.commit_index);
         let windowed = self.config.window != WindowPolicy::Unbounded;
         let mut last_block = self.log.records().last().map(|r| r.block);
-        // The client-timestamp extremes the session would hold afterwards.
-        let rates = &self.state.rates;
-        let mut sends = rates.first_send().zip(rates.last_send());
         for record in window.records() {
             if let Some(after) = last {
                 if record.commit_index <= after {
@@ -1175,15 +1240,8 @@ impl Session {
                 }
                 last_block = Some(record.block);
             }
-            let t = record.client_ts;
-            sends = Some(sends.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
         }
-        if let Some((first, last)) = sends {
-            let width = self.config.metric_config.interval.as_micros();
-            if last.as_micros() / width - first.as_micros() / width >= Self::MAX_RATE_INTERVALS {
-                return Err(AnalyzeError::TimestampSpan { first, last });
-            }
-        }
+        self.check_span(window.records().iter().map(|r| r.client_ts))?;
 
         let first_new = self.log.len();
         let (records, declared_blocks) = window.into_records();
@@ -1212,6 +1270,26 @@ impl Session {
         }
         self.observe_from(first_new);
         Ok(added)
+    }
+
+    /// Error with [`AnalyzeError::TimestampSpan`] when the session's client
+    /// timestamps together with `sends` would span more than
+    /// [`MAX_RATE_INTERVALS`](Self::MAX_RATE_INTERVALS) metric intervals.
+    /// Every ingest path and [`merge`](Self::merge) call this before any
+    /// state changes.
+    fn check_span(&self, sends: impl IntoIterator<Item = SimTime>) -> Result<(), AnalyzeError> {
+        let rates = &self.state.rates;
+        let held = rates.first_send().zip(rates.last_send());
+        let span = sends.into_iter().fold(held, |span, t| {
+            Some(span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))))
+        });
+        if let Some((first, last)) = span {
+            let width = self.config.metric_config.interval.as_micros();
+            if last.as_micros() / width - first.as_micros() / width >= Self::MAX_RATE_INTERVALS {
+                return Err(AnalyzeError::TimestampSpan { first, last });
+            }
+        }
+        Ok(())
     }
 
     /// Fold every record at position `first_new..` into the running state,
@@ -1317,13 +1395,6 @@ impl Session {
         if self.is_empty() {
             return Err(AnalyzeError::EmptyLog);
         }
-        Ok(self.snapshot_or_empty())
-    }
-
-    /// Like [`snapshot`](Self::snapshot) but tolerates an empty session,
-    /// producing an analysis with empty metrics (the paper-era batch API's
-    /// behaviour, which the `BlockOptR` wrappers preserve).
-    pub fn snapshot_or_empty(&self) -> Analysis {
         let rates = self.state.rates.snapshot();
         let mut keys = self.state.keys.clone();
         // O(k + log n) via the incrementally maintained count index —
@@ -1355,7 +1426,7 @@ impl Session {
             type_hist: &self.state.type_hist,
             log: Some(&self.log),
         });
-        Analysis {
+        Ok(Analysis {
             log: Arc::clone(&self.log),
             case_derivation: self.state.cases.derivation(self.log.len()),
             event_log: Arc::clone(&self.state.cases.event_log),
@@ -1363,7 +1434,7 @@ impl Session {
             metrics,
             thresholds,
             recommendations,
-        }
+        })
     }
 
     /// Fold another session's accumulated state into this one — the
@@ -1377,9 +1448,11 @@ impl Session {
     ///
     /// `other` must hold the records that *follow* self's stream:
     /// commit indices must continue strictly above self's
-    /// ([`AnalyzeError::OutOfOrder`] otherwise), and on a bounded
+    /// ([`AnalyzeError::OutOfOrder`] otherwise), on a bounded
     /// [`WindowPolicy`] block numbers must not decrease across the
-    /// boundary ([`AnalyzeError::BlockOrder`]). Both sessions must agree
+    /// boundary ([`AnalyzeError::BlockOrder`]), and the joined client
+    /// timestamps must fit [`MAX_RATE_INTERVALS`](Self::MAX_RATE_INTERVALS)
+    /// ([`AnalyzeError::TimestampSpan`]). Both sessions must agree
     /// on the metric interval and window policy
     /// ([`AnalyzeError::MergeMismatch`]); the receiver's remaining
     /// configuration (thresholds, rules, auto-tuning) wins.
@@ -1438,6 +1511,8 @@ impl Session {
                 }
             }
         }
+        let theirs = &other.state.rates;
+        self.check_span(theirs.first_send().into_iter().chain(theirs.last_send()))?;
         // Adoption: a fresh receiver takes other's state wholesale (the
         // receiver's configuration wins — the checked fields are equal and
         // nothing else is baked into tracker state).
@@ -1575,7 +1650,6 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::log::test_support::{log_of, Rec};
-    use crate::pipeline::BlockOptR;
     use fabric_sim::ledger::TxStatus;
     use workload::spec::ControlVariables;
 
@@ -1592,11 +1666,11 @@ mod tests {
     #[test]
     fn incremental_snapshot_matches_batch_analysis() {
         let output = small_output();
-        let batch = BlockOptR::new().analyze_ledger(&output.ledger);
+        let batch = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
 
         let mut session = Analyzer::new().session().unwrap();
         for block in output.ledger.blocks() {
-            session.ingest_block(block);
+            session.ingest_block(block).unwrap();
         }
         let streamed = session.snapshot().unwrap();
 
@@ -1676,11 +1750,11 @@ mod tests {
         let mut session = Analyzer::new().session().unwrap();
         let mut prefix = fabric_sim::ledger::Ledger::new();
         for (i, block) in blocks.iter().enumerate() {
-            session.ingest_block(block);
+            session.ingest_block(block).unwrap();
             prefix.append(block.clone());
             if i % 7 == 0 {
                 let streamed = session.snapshot().unwrap();
-                let batch = BlockOptR::new().analyze_ledger(&prefix);
+                let batch = Analyzer::new().analyze_ledger(&prefix).unwrap();
                 assert_eq!(streamed.metrics.rates.total, batch.metrics.rates.total);
                 assert_eq!(
                     streamed.metrics.correlation.identified,
@@ -1698,10 +1772,10 @@ mod tests {
     fn ingest_ledger_resumes_after_last_block() {
         let output = small_output();
         let mut session = Analyzer::new().session().unwrap();
-        let first = session.ingest_ledger(&output.ledger);
+        let first = session.ingest_ledger(&output.ledger).unwrap();
         assert_eq!(first, output.report.committed);
         // Re-ingesting the same ledger adds nothing.
-        assert_eq!(session.ingest_ledger(&output.ledger), 0);
+        assert_eq!(session.ingest_ledger(&output.ledger), Ok(0));
         assert_eq!(session.len(), output.report.committed);
         assert_eq!(
             session.last_block(),
@@ -1713,9 +1787,54 @@ mod tests {
     fn empty_session_snapshot_errors() {
         let session = Analyzer::new().session().unwrap();
         assert_eq!(session.snapshot().unwrap_err(), AnalyzeError::EmptyLog);
-        let analysis = session.snapshot_or_empty();
-        assert!(analysis.recommendations.is_empty());
-        assert_eq!(analysis.log.len(), 0);
+    }
+
+    #[test]
+    fn empty_ledger_yields_empty_analysis() {
+        let err = Analyzer::new().analyze_ledger(&Ledger::new()).unwrap_err();
+        assert_eq!(err, AnalyzeError::EmptyLog);
+    }
+
+    #[test]
+    fn pipeline_produces_complete_analysis() {
+        let output = small_output();
+        let analysis = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
+        assert_eq!(analysis.log.len(), output.report.committed);
+        assert!(analysis.metrics.rates.tr > 0.0);
+        assert!(!analysis.event_log.is_empty());
+        assert_eq!(analysis.case_derivation.family, "k");
+        assert!(analysis.model.activity_counts.len() >= 4);
+        assert_eq!(analysis.thresholds, Thresholds::default());
+    }
+
+    #[test]
+    fn default_synthetic_recommends_sensibly() {
+        // At send rate 300 with block count 100, the mismatch fires block
+        // size adaptation; conflicts are mostly read-vs-update (reorderable).
+        let cv = ControlVariables::default();
+        let output = workload::synthetic::generate(&cv).run(cv.network_config());
+        let analysis = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
+        assert!(
+            analysis.recommends("Block size adaptation"),
+            "{:?}",
+            analysis.recommendation_names()
+        );
+        // Never the data-level or pruning rules on the plain contract.
+        assert!(!analysis.recommends("Process model pruning"));
+        assert!(!analysis.recommends("Delta writes"));
+        assert!(!analysis.recommends("Data model alteration"));
+        assert!(!analysis.recommends("Smart contract partitioning"));
+    }
+
+    #[test]
+    fn analysis_accessors() {
+        let output = small_output();
+        let analysis = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
+        let names = analysis.recommendation_names();
+        for n in &names {
+            assert!(analysis.recommends(n));
+        }
+        assert!(!analysis.recommends("Nonexistent rule"));
     }
 
     /// The thread knob never changes an analysis: a session opened with
@@ -1726,11 +1845,11 @@ mod tests {
         let output = small_output();
         // Reference: one thread, whole ledger.
         let mut serial = Analyzer::new().threads(1).session().unwrap();
-        serial.ingest_ledger(&output.ledger);
+        serial.ingest_ledger(&output.ledger).unwrap();
         let a = serial.snapshot().unwrap();
         // Four threads, same ledger in one 2 000-record batch.
         let mut four = Analyzer::new().threads(4).session().unwrap();
-        four.ingest_ledger(&output.ledger);
+        four.ingest_ledger(&output.ledger).unwrap();
         let b = four.snapshot().unwrap();
 
         assert_eq!(a.log.len(), b.log.len());
@@ -1772,11 +1891,11 @@ mod tests {
         let output = small_output();
         let mut blockwise = Analyzer::new().threads(1).session().unwrap();
         for block in output.ledger.blocks() {
-            blockwise.ingest_block(block);
+            blockwise.ingest_block(block).unwrap();
         }
         let a = blockwise.snapshot().unwrap();
         let mut four = Analyzer::new().threads(4).session().unwrap();
-        four.ingest_ledger(&output.ledger);
+        four.ingest_ledger(&output.ledger).unwrap();
         let b = four.snapshot().unwrap();
         assert_eq!(
             a.metrics.rates.tx_per_interval,
@@ -1879,7 +1998,7 @@ mod tests {
     fn ingest_log_windows_match_whole_log() {
         let output = small_output();
         let log = BlockchainLog::from_ledger(&output.ledger);
-        let batch = BlockOptR::new().analyze_log(log.clone());
+        let batch = Analyzer::new().analyze_log(log.clone()).unwrap();
 
         // Split the records into three arbitrary windows.
         let records = log.records();
@@ -1953,9 +2072,10 @@ mod tests {
         assert_eq!(session.len(), 2);
     }
 
-    /// A window that would stretch the rate series past
-    /// `MAX_RATE_INTERVALS` is rejected before any state changes, whether
-    /// the outlier is later or earlier than what the session holds.
+    /// A window, block, ledger or merged session that would stretch the
+    /// rate series past `MAX_RATE_INTERVALS` is rejected before any state
+    /// changes, whether the outlier is later or earlier than what the
+    /// session holds.
     #[test]
     fn implausible_timestamp_spans_are_rejected_before_any_state_changes() {
         let mut session = Analyzer::new().session().unwrap();
@@ -1977,6 +2097,38 @@ mod tests {
             );
         }
         assert_eq!(merge_witness(&session), before);
+
+        // Block and ledger ingest check the same span: a block whose last
+        // transaction carries the outlier leaves the session untouched.
+        let output = small_output();
+        let blocks = output.ledger.blocks();
+        let mut session = Analyzer::new().session().unwrap();
+        session.ingest_block(&blocks[0]).unwrap();
+        let before = merge_witness(&session);
+        let mut corrupt = blocks[1].clone();
+        corrupt.txs.last_mut().unwrap().client_ts = SimTime::from_secs(span_secs);
+        let mut ledger = Ledger::new();
+        for block in [&blocks[0], &corrupt, &blocks[2]] {
+            ledger.append(block.clone());
+        }
+        let rejected = |err: AnalyzeError| matches!(err, AnalyzeError::TimestampSpan { .. });
+        assert!(rejected(session.ingest_block(&corrupt).unwrap_err()));
+        assert!(rejected(session.ingest_ledger(&ledger).unwrap_err()));
+        assert_eq!(merge_witness(&session), before);
+        assert_eq!(session.last_block(), blocks[0].number);
+        // So does merge: a shard holding only the outlier is well-formed
+        // alone, but not joined to the session.
+        let mut shard = Analyzer::new().session().unwrap();
+        let late = Rec::new(1_000_000, "a").build();
+        shard
+            .ingest_log(log_of(vec![TxRecord {
+                client_ts: SimTime(u64::MAX),
+                ..late
+            }]))
+            .unwrap();
+        assert!(rejected(session.merge(shard).unwrap_err()));
+        assert_eq!(merge_witness(&session), before);
+
         // One interval short of the bound is fine on a wider grid: the
         // bound counts intervals, not microseconds.
         let wide = MetricConfig {
@@ -2008,7 +2160,7 @@ mod tests {
         session.ingest_log(sparse).unwrap();
 
         let output = small_output();
-        session.ingest_block(&output.ledger.blocks()[0]);
+        session.ingest_block(&output.ledger.blocks()[0]).unwrap();
         let records = session.log().records();
         assert!(records
             .windows(2)
@@ -2030,7 +2182,7 @@ mod tests {
                 .status(TxStatus::MvccReadConflict)
                 .build(),
         ]);
-        let analysis = BlockOptR::new().analyze_log(log);
+        let analysis = Analyzer::new().analyze_log(log).unwrap();
         assert_eq!(analysis.log.records()[0].commit_index, 5);
         assert_eq!(analysis.log.records()[1].commit_index, 17);
         let conflict = &analysis.metrics.correlation.conflicts[0];
@@ -2067,7 +2219,7 @@ mod tests {
             .session()
             .unwrap();
         for block in output.ledger.blocks() {
-            windowed.ingest_block(block);
+            windowed.ingest_block(block).unwrap();
         }
         assert!(
             windowed.evicted() > 0,
@@ -2114,7 +2266,7 @@ mod tests {
         let mut prefix = fabric_sim::ledger::Ledger::new();
         let mut peak_window = 0usize;
         for (i, block) in blocks.iter().enumerate() {
-            session.ingest_block(block);
+            session.ingest_block(block).unwrap();
             prefix.append(block.clone());
             let window_blocks = &blocks[i.saturating_sub(n - 1)..=i];
             let window_records: usize = window_blocks
@@ -2184,9 +2336,9 @@ mod tests {
         let output = small_output();
         let policy = WindowPolicy::LastBlocks(6);
         let mut serial = Analyzer::new().threads(1).window(policy).session().unwrap();
-        serial.ingest_ledger(&output.ledger);
+        serial.ingest_ledger(&output.ledger).unwrap();
         let mut four = Analyzer::new().threads(4).window(policy).session().unwrap();
-        four.ingest_ledger(&output.ledger);
+        four.ingest_ledger(&output.ledger).unwrap();
         assert_eq!(serial.evicted(), four.evicted());
         assert_eq!(serial.footprint(), four.footprint());
         assert_eq!(
@@ -2209,7 +2361,7 @@ mod tests {
             .session()
             .unwrap();
         for block in output.ledger.blocks() {
-            session.ingest_block(block);
+            session.ingest_block(block).unwrap();
         }
         assert!(session.evicted() > 0);
         let last = session
@@ -2229,7 +2381,7 @@ mod tests {
             .session()
             .unwrap();
         for block in output.ledger.blocks() {
-            decayed.ingest_block(block);
+            decayed.ingest_block(block).unwrap();
         }
         let horizon = half_life.mul(WindowPolicy::DECAY_HORIZON_HALF_LIVES as u64);
         for r in decayed.log().records() {
@@ -2294,7 +2446,7 @@ mod tests {
             assert!(session.is_empty());
             // And still works normally afterwards.
             let output = small_output();
-            session.ingest_block(&output.ledger.blocks()[0]);
+            session.ingest_block(&output.ledger.blocks()[0]).unwrap();
             assert!(session.snapshot().is_ok());
         }
     }
@@ -2563,7 +2715,7 @@ mod tests {
             .iter()
             .filter(|block| {
                 evicts_in_place(&mut session, |s| {
-                    s.ingest_block(block);
+                    s.ingest_block(block).unwrap();
                 })
             })
             .count();
@@ -2631,7 +2783,7 @@ mod tests {
         let output = small_output();
         let mut session = Analyzer::new().session().unwrap();
         assert_eq!(session.footprint().approx_bytes(), 0);
-        session.ingest_ledger(&output.ledger);
+        session.ingest_ledger(&output.ledger).unwrap();
         let fp = session.footprint();
         assert!(fp.approx_bytes() >= fp.records * 320);
     }
@@ -2643,11 +2795,11 @@ mod tests {
         let mut session = Analyzer::new().session().unwrap();
         let mid = blocks.len() / 2;
         for block in &blocks[..mid] {
-            session.ingest_block(block);
+            session.ingest_block(block).unwrap();
         }
         let fork = session.clone();
         for block in &blocks[mid..] {
-            session.ingest_block(block);
+            session.ingest_block(block).unwrap();
         }
         assert_eq!(session.len(), output.report.committed);
         assert_eq!(

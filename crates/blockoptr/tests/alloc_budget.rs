@@ -102,7 +102,7 @@ fn watch_per_record(ledger: &Ledger) -> f64 {
     let (records, n) = allocations(|| {
         let mut records = 0;
         for block in ledger.blocks() {
-            records += session.ingest_block(block);
+            records += session.ingest_block(block).unwrap();
             drop(session.snapshot().unwrap());
         }
         records

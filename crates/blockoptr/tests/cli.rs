@@ -168,6 +168,43 @@ fn spec_freeze_inlines_the_schedule() {
     spec.build().expect("frozen specs replay");
 }
 
+/// A frozen schedule whose last request is sent 10¹⁸ µs (~31 700 years)
+/// after the others: the analysis of its baseline run must reject the
+/// timestamp span (exit 1), not size the rate series by it and abort.
+#[test]
+fn optimize_rejects_a_far_future_client_timestamp() {
+    let dir = std::env::temp_dir().join("blockoptr_cli_far_future");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("frozen.json");
+    let out = blockoptr(&[
+        "spec",
+        "scm",
+        "--txs",
+        "20",
+        "--freeze",
+        "--out",
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let mut spec =
+        workload::ScenarioSpec::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let workload::WorkloadSpec::Schedule(schedule) = &mut spec.workload else {
+        panic!("expected a frozen schedule");
+    };
+    schedule.requests.last_mut().unwrap().send_time =
+        sim_core::time::SimTime(1_000_000_000_000_000_000);
+    std::fs::write(&path, spec.to_json()).unwrap();
+
+    let out = blockoptr(&["optimize", "--spec", path.to_str().unwrap(), "--dry-run"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("client timestamps span")
+            && stderr(&out).contains("more than 4194304 metric intervals"),
+        "{}",
+        stderr(&out)
+    );
+}
+
 /// The bring-your-own-log loop: export a log, dump a spec, run
 /// `optimize --log --spec` — recommendations from the log, re-measurement
 /// from the replayable spec, optimized spec emitted.

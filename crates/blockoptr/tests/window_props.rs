@@ -488,7 +488,7 @@ fn env_policy_holds_equivalence_on_simulated_ledger() {
     let output = workload::synthetic::generate(&cv).run(cv.network_config());
     let mut session = Analyzer::new().window(policy).session().unwrap();
     for block in output.ledger.blocks() {
-        session.ingest_block(block);
+        session.ingest_block(block).unwrap();
     }
     let full = BlockchainLog::from_ledger(&output.ledger);
     assert_window_equivalence(&session, policy, &full);

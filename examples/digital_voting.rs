@@ -10,15 +10,19 @@
 //! ```
 
 use blockoptr_suite::prelude::*;
-use workload::dv;
+use workload::{ScenarioSpec, SpecError};
 
-fn main() {
-    let spec = dv::DvSpec::default();
-    let bundle = dv::generate(&spec);
-    let cfg = NetworkConfig::default;
+/// Build and simulate a spec.
+fn run(spec: &ScenarioSpec) -> Result<SimOutput, SpecError> {
+    let (bundle, config) = spec.build()?;
+    Ok(bundle.run(config))
+}
 
-    let output = bundle.run(cfg());
-    let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let spec = ScenarioSpec::builtin("dv")?;
+
+    let output = run(&spec)?;
+    let analysis = Analyzer::new().analyze_ledger(&output.ledger)?;
     println!(
         "── DV baseline (party-keyed): {}",
         output.report.figure_row()
@@ -38,8 +42,10 @@ fn main() {
     }
 
     // The altered data model: one ballot key per voter.
-    let altered = dv::per_voter(bundle.clone());
-    let after = altered.run(cfg());
+    let (altered, _) = OptimizationPlan::from_analysis(&analysis)
+        .select(&["Data model alteration"])
+        .apply_to_spec(&spec);
+    let after = run(&altered)?;
     println!(
         "── voter-keyed model:          {}",
         after.report.figure_row()
@@ -56,9 +62,10 @@ fn main() {
     );
 
     // Verify with a fresh analysis that the recommendation disappears.
-    let re_analysis = BlockOptR::new().analyze_ledger(&after.ledger);
+    let re_analysis = Analyzer::new().analyze_ledger(&after.ledger)?;
     println!(
         "recommendations after the redesign: {:?}",
         re_analysis.recommendation_names()
     );
+    Ok(())
 }

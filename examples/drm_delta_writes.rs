@@ -7,37 +7,44 @@
 //! ```
 
 use blockoptr_suite::prelude::*;
-use workload::drm;
+use workload::{ScenarioSpec, SpecError};
 
-fn main() {
-    let spec = drm::DrmSpec::default();
-    let bundle = drm::generate(&spec);
-    let cfg = NetworkConfig::default;
+/// Build and simulate a spec.
+fn run(spec: &ScenarioSpec) -> Result<SimOutput, SpecError> {
+    let (bundle, config) = spec.build()?;
+    Ok(bundle.run(config))
+}
 
-    let output = bundle.run(cfg());
-    let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let spec = ScenarioSpec::builtin("drm")?;
+
+    let output = run(&spec)?;
+    let analysis = Analyzer::new().analyze_ledger(&output.ledger)?;
     println!("── DRM baseline: {}", output.report.figure_row());
     for rec in &analysis.recommendations {
         println!("  [{}] {}: {}", rec.level(), rec.name(), rec.rationale());
     }
+    let plan = OptimizationPlan::from_analysis(&analysis);
+    let with = |sources: &[&str]| plan.clone().select(sources).apply_to_spec(&spec).0;
 
     // Delta writes: plays become blind writes to unique delta keys; revenue
     // aggregation pays the read cost instead.
-    let delta = drm::delta_writes(bundle.clone());
-    let after_delta = delta.run(cfg());
+    let after_delta = run(&with(&["Delta writes"]))?;
     println!("── delta writes:    {}", after_delta.report.figure_row());
 
     // Smart contract partitioning: play counting and metadata split into
     // separate chaincodes with disjoint world states.
-    let partitioned = drm::partitioned(bundle.clone(), &spec);
-    let after_part = partitioned.run(cfg());
+    let after_part = run(&with(&["Smart contract partitioning"]))?;
     println!("── partitioned:     {}", after_part.report.figure_row());
 
     // Everything combined (partitioned chaincodes + delta plays +
-    // reordering of the reporting reads).
-    let (requests, _) = apply_user_level(&bundle.requests, &analysis.recommendations);
-    let all = drm::partitioned_delta(bundle.clone().with_requests(requests), &spec);
-    let after_all = all.run(cfg());
+    // reordering of the reporting reads): the variant set resolves to the
+    // partitioned-delta contracts.
+    let after_all = run(&with(&[
+        "Delta writes",
+        "Smart contract partitioning",
+        "Activity reordering",
+    ]))?;
     println!("── all combined:    {}", after_all.report.figure_row());
 
     println!(
@@ -47,4 +54,5 @@ fn main() {
         after_part.report.success_rate_pct,
         after_all.report.success_rate_pct,
     );
+    Ok(())
 }

@@ -8,19 +8,23 @@
 //! ```
 
 use blockoptr_suite::prelude::*;
-use workload::lap;
+use workload::{ScenarioSpec, SpecError, WorkloadSpec};
 
-fn main() {
+/// Build and simulate a spec.
+fn run(spec: &ScenarioSpec) -> Result<SimOutput, SpecError> {
+    let (bundle, config) = spec.build()?;
+    Ok(bundle.run(config))
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     for rate in [10.0, 300.0] {
-        let spec = lap::LapSpec {
-            send_rate: rate,
-            ..Default::default()
-        };
-        let bundle = lap::generate(&spec);
-        let cfg = NetworkConfig::default;
+        let mut spec = ScenarioSpec::builtin("lap")?;
+        if let WorkloadSpec::Lap(lap) = &mut spec.workload {
+            lap.send_rate = rate;
+        }
 
-        let output = bundle.run(cfg());
-        let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+        let output = run(&spec)?;
+        let analysis = Analyzer::new().analyze_ledger(&output.ledger)?;
         println!(
             "── LAP @ {rate:.0} tps, employee-keyed: {}",
             output.report.figure_row()
@@ -43,8 +47,10 @@ fn main() {
 
         // The altered data model: applicationID as the primary key, the
         // employee recorded inside the value.
-        let altered = lap::by_application(bundle.clone());
-        let after = altered.run(cfg());
+        let (altered, _) = OptimizationPlan::from_analysis(&analysis)
+            .select(&["Data model alteration"])
+            .apply_to_spec(&spec);
+        let after = run(&altered)?;
         println!(
             "── LAP @ {rate:.0} tps, application-keyed: {}",
             after.report.figure_row()
@@ -54,4 +60,5 @@ fn main() {
             output.report.success_rate_pct, after.report.success_rate_pct
         );
     }
+    Ok(())
 }

@@ -1,45 +1,36 @@
 //! Quickstart: simulate a Fabric network under a synthetic workload, let
-//! BlockOptR analyze the chain, and print its multi-level recommendations.
+//! BlockOptR analyze the chain and print its multi-level recommendations,
+//! then close the loop the way `blockoptr optimize` does — apply each
+//! recommended action to the scenario spec, re-run, and measure.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
 use blockoptr_suite::prelude::*;
-use workload::spec::ControlVariables;
+use workload::ScenarioSpec;
 
-fn main() {
-    // 1. Describe the workload with the paper's Table-2 control variables
-    //    (defaults: uniform genChain mix, 2 orgs, block count 100, 300 tps).
-    let cv = ControlVariables::default();
-    let bundle = workload::synthetic::generate(&cv);
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // 1. Describe the scenario as a spec: the genChain workload under the
+    //    paper's Table-2 defaults (uniform mix, 2 orgs, block count 100,
+    //    300 tps).
+    let spec = ScenarioSpec::builtin("synthetic")?;
 
-    // 2. Run it through the simulated execute-order-validate pipeline.
-    let output = bundle.run(cv.network_config());
+    // 2. Run it through the simulated execute-order-validate pipeline,
+    //    analyze the chain (preprocess, derive metrics, mine the process
+    //    model, evaluate the nine rules) and lower the recommendations to a
+    //    plan of typed actions.
+    let analyzer = Analyzer::new();
+    let (plan, baseline) = OptimizationPlan::from_spec(&spec, &analyzer)?;
     println!("── baseline run ──");
-    println!("{}", output.report);
-
-    // 3. BlockOptR: preprocess the chain, derive metrics, mine the process
-    //    model, and evaluate the nine recommendation rules.
-    let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+    println!("{}", baseline.report);
+    let analysis = analyzer.analyze_ledger(&baseline.ledger)?;
     println!("{}", blockoptr::report::render(&analysis));
+    print!("{}", blockoptr::report::render_plan(&plan, Some(&spec)));
 
-    // 4. Apply the automatic recommendations (workload + configuration) and
-    //    re-run.
-    let (requests, user_changes) = apply_user_level(&bundle.requests, &analysis.recommendations);
-    let (config, system_changes) =
-        apply_system_level(&cv.network_config(), &analysis.recommendations);
-    println!("applying: {:?} {:?}", user_changes, system_changes);
-
-    let optimized = bundle.clone().with_requests(requests);
-    let after = optimized.run(config);
-    println!("── optimized run ──");
-    println!("{}", after.report);
-    println!(
-        "success rate {:.1} % → {:.1} %, avg latency {:.2} s → {:.2} s",
-        output.report.success_rate_pct,
-        after.report.success_rate_pct,
-        output.report.avg_latency_s,
-        after.report.avg_latency_s,
-    );
+    // 3. Close the loop: re-run the spec with each action applied alone,
+    //    then with all of them, and report the before/after deltas.
+    let outcome = plan.execute_spec_from_with(&spec, baseline.report, &PlanConfig::default())?;
+    print!("{}", blockoptr::report::render_outcome(&outcome));
+    Ok(())
 }

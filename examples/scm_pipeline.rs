@@ -6,25 +6,31 @@
 //! cargo run --release --example scm_pipeline
 //! ```
 
+use blockoptr::report::render_plan;
 use blockoptr_suite::prelude::*;
 use process_mining::conformance::footprint_conformance;
 use process_mining::dfg::DirectlyFollowsGraph;
 use process_mining::eventlog::log_from;
-use workload::scm;
+use workload::{ScenarioSpec, SpecError};
 
-fn main() {
-    let spec = scm::ScmSpec::default();
-    let bundle = scm::generate(&spec);
-    let cfg = NetworkConfig::default;
+/// Build and simulate a spec.
+fn run(spec: &ScenarioSpec) -> Result<SimOutput, SpecError> {
+    let (bundle, config) = spec.build()?;
+    Ok(bundle.run(config))
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let spec = ScenarioSpec::builtin("scm")?;
 
     // Baseline.
-    let output = bundle.run(cfg());
-    let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+    let output = run(&spec)?;
+    let analysis = Analyzer::new().analyze_ledger(&output.ledger)?;
     println!("── SCM baseline: {}", output.report.figure_row());
     println!(
         "recommended: {}",
         analysis.recommendation_names().join(", ")
     );
+    let plan = OptimizationPlan::from_analysis(&analysis);
 
     // The mined model exposes the anomalous branches of Figure 2.
     let dfg = DirectlyFollowsGraph::from_log(&analysis.event_log);
@@ -35,8 +41,11 @@ fn main() {
     );
 
     // Process model pruning: the contract aborts anomalous flows early.
-    let pruned = scm::pruned(bundle.clone());
-    let after_prune = pruned.run(cfg());
+    let (pruned, _) = plan
+        .clone()
+        .select(&["Process model pruning"])
+        .apply_to_spec(&spec);
+    let after_prune = run(&pruned)?;
     println!("── pruned contract: {}", after_prune.report.figure_row());
     println!(
         "early-aborted anomalous transactions: {}",
@@ -44,10 +53,10 @@ fn main() {
     );
 
     // Activity reordering: defer the reporting activities.
-    let (requests, applied) = apply_user_level(&bundle.requests, &analysis.recommendations);
-    println!("applied: {}", applied.join("; "));
-    let reordered = bundle.clone().with_requests(requests);
-    let after_reorder = reordered.run(cfg());
+    let reordering = plan.select(&["Activity reordering"]);
+    print!("{}", render_plan(&reordering, Some(&spec)));
+    let (reordered, _) = reordering.apply_to_spec(&spec);
+    let after_reorder = run(&reordered)?;
     println!(
         "── reordered schedule: {}",
         after_reorder.report.figure_row()
@@ -55,7 +64,7 @@ fn main() {
 
     // Compliance check (Figure 4): the redesigned behaviour against the
     // intended flow.
-    let re_analysis = BlockOptR::new().analyze_ledger(&after_reorder.ledger);
+    let re_analysis = Analyzer::new().analyze_ledger(&after_reorder.ledger)?;
     let designed = log_from(&[
         &["pushASN", "ship", "queryASN", "unload"],
         &["pushASN", "ship", "queryASN", "unload", "queryProducts"],
@@ -65,4 +74,5 @@ fn main() {
         "footprint agreement with the designed model: {:.2}",
         footprint_conformance(&designed, &re_analysis.event_log)
     );
+    Ok(())
 }

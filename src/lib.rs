@@ -21,7 +21,7 @@
 //! // …or incrementally, as a monitoring loop would see the chain.
 //! let mut session = Analyzer::new().session().unwrap();
 //! for block in output.ledger.blocks() {
-//!     session.ingest_block(block);
+//!     session.ingest_block(block).unwrap();
 //! }
 //! let streamed = session.snapshot().unwrap();
 //! assert_eq!(
@@ -39,8 +39,9 @@ pub use process_mining;
 pub use sim_core;
 pub use workload;
 
-/// One-stop imports for the common pipeline:
-/// simulate → extract log → derive metrics → recommend → apply → re-simulate.
+/// One-stop imports for the common pipeline: simulate a spec → analyze the
+/// ledger with an `Analyzer` → lower the recommendations to an
+/// `OptimizationPlan` → apply it to the spec and re-simulate.
 pub mod prelude {
     pub use blockoptr::prelude::*;
 }

@@ -77,7 +77,7 @@ fn xes_exports_a_real_event_log() {
         ..Default::default()
     });
     let out = bundle.run(NetworkConfig::default());
-    let analysis = BlockOptR::new().analyze_ledger(&out.ledger);
+    let analysis = Analyzer::new().analyze_ledger(&out.ledger).unwrap();
     let log = &analysis.event_log;
     let xes = process_mining::xes::to_xes(log);
     assert!(log.len() > 1, "the SCM run yields cases");
@@ -98,10 +98,10 @@ fn compliance_verifies_the_dv_redesign() {
     };
     let bundle = workload::dv::generate(&spec);
     let before_out = bundle.run(NetworkConfig::default());
-    let before = BlockOptR::new().analyze_ledger(&before_out.ledger);
+    let before = Analyzer::new().analyze_ledger(&before_out.ledger).unwrap();
 
     let after_out = workload::dv::per_voter(bundle).run(NetworkConfig::default());
-    let after = BlockOptR::new().analyze_ledger(&after_out.ledger);
+    let after = Analyzer::new().analyze_ledger(&after_out.ledger).unwrap();
 
     let report = verify_rollout(&before, &after);
     assert!(

@@ -12,7 +12,7 @@ fn full_run(seed: u64) -> (fabric_sim::report::SimReport, Vec<String>) {
     };
     let bundle = workload::synthetic::generate(&cv);
     let output = bundle.run(cv.network_config());
-    let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+    let analysis = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
     let names = analysis
         .recommendation_names()
         .into_iter()
@@ -70,8 +70,8 @@ fn analysis_is_deterministic_over_the_same_ledger() {
     };
     let bundle = workload::synthetic::generate(&cv);
     let output = bundle.run(cv.network_config());
-    let a = BlockOptR::new().analyze_ledger(&output.ledger);
-    let b = BlockOptR::new().analyze_ledger(&output.ledger);
+    let a = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
+    let b = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
     assert_eq!(a.recommendations, b.recommendations);
     assert_eq!(a.metrics.keys.hotkeys, b.metrics.keys.hotkeys);
     assert_eq!(

@@ -5,7 +5,7 @@
 use blockoptr_suite::prelude::*;
 use workload::optimize;
 use workload::spec::{ControlVariables, PolicyChoice};
-use workload::{drm, dv, ehr, lap, scm};
+use workload::{drm, dv, ehr, lap, scm, ScenarioSpec, WorkloadSpec};
 
 fn run(bundle: &WorkloadBundle, cfg: NetworkConfig) -> fabric_sim::report::SimReport {
     bundle.run(cfg).report
@@ -119,24 +119,21 @@ fn scm_reordering_improves_both_metrics() {
     let mut rate_gain = 0.0;
     let mut tput_gain = 0.0;
     for seed in seeds {
-        let spec = scm::ScmSpec {
-            seed,
-            ..Default::default()
-        };
-        let bundle = scm::generate(&spec);
-        let output = bundle.run(NetworkConfig::default());
-        let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+        // Only the generator is re-seeded; the network keeps its default
+        // seed (`ScenarioSpec::with_seed` would re-seed both).
+        let mut spec = ScenarioSpec::builtin("scm").unwrap();
+        if let WorkloadSpec::Scm(scm) = &mut spec.workload {
+            scm.seed = seed;
+        }
+        let (bundle, config) = spec.build().unwrap();
+        let output = bundle.run(config);
+        let analysis = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
         let before = output.report;
-        let (requests, applied) = apply_user_level(
-            &bundle.requests,
-            &blockoptr_suite::blockoptr::recommend::Recommendation::filter_by_name(
-                &analysis.recommendations,
-                "Activity reordering",
-            ),
-        );
-        assert!(!applied.is_empty(), "reordering applied for seed {seed}");
-        let reordered = bundle.clone().with_requests(requests);
-        let after = run(&reordered, NetworkConfig::default());
+        let reordering =
+            OptimizationPlan::from_analysis(&analysis).select(&["Activity reordering"]);
+        assert!(!reordering.is_empty(), "reordering applied for seed {seed}");
+        let (reordered, config) = reordering.apply_to_spec(&spec).0.build().unwrap();
+        let after = run(&reordered, config);
         assert!(
             after.success_rate_pct > before.success_rate_pct,
             "seed {seed}: {} → {}",

@@ -8,7 +8,7 @@ use workload::{drm, dv, ehr, lap, scm};
 
 fn analyze(bundle: &WorkloadBundle, cfg: NetworkConfig) -> Analysis {
     let output = bundle.run(cfg);
-    BlockOptR::new().analyze_ledger(&output.ledger)
+    Analyzer::new().analyze_ledger(&output.ledger).unwrap()
 }
 
 #[test]

@@ -123,7 +123,7 @@ proptest! {
     fn metric_identities(cv in arb_cv()) {
         let bundle = workload::synthetic::generate(&cv);
         let output = bundle.run(cv.network_config());
-        let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+        let analysis = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
         let m = &analysis.metrics;
         let tx_sum: u64 = m.rates.tx_per_interval.iter().sum();
         let fail_sum: u64 = m.rates.failures_per_interval.iter().sum();
@@ -145,7 +145,7 @@ proptest! {
     fn recommendation_consistency(cv in arb_cv()) {
         let bundle = workload::synthetic::generate(&cv);
         let output = bundle.run(cv.network_config());
-        let analysis = BlockOptR::new().analyze_ledger(&output.ledger);
+        let analysis = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
         let names = analysis.recommendation_names();
         prop_assert!(
             !(names.contains(&"Smart contract partitioning")
