@@ -601,7 +601,9 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
 
     // 1. Derive the recommendations: from the user's exported log when
     //    --log is given (the bring-your-own-log loop), otherwise from a
-    //    baseline simulation of the spec.
+    //    baseline simulation of the spec. Only the text dry run prints the
+    //    analysis, so only it re-analyzes the ledger `from_spec` analyzed.
+    let prints_analysis = args.switch("dry-run") && !args.switch("json");
     let (plan, analysis, reused_baseline) = match args.value("log") {
         Some(path) => {
             let analysis = analyze_log(load(path)?, args.switch("auto-tune"))?;
@@ -610,14 +612,19 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
                 analysis.log.len(),
                 analysis.log.block_count()
             );
-            (OptimizationPlan::from_analysis(&analysis), analysis, None)
+            (
+                OptimizationPlan::from_analysis(&analysis),
+                Some(analysis),
+                None,
+            )
         }
         None => {
             let (plan, output) =
                 OptimizationPlan::from_spec(&spec, &analyzer).map_err(|e| e.to_string())?;
             eprintln!("simulated {}: {}", spec.name, output.report.figure_row());
-            let analysis = analyzer
-                .analyze_ledger(&output.ledger)
+            let analysis = prints_analysis
+                .then(|| analyzer.analyze_ledger(&output.ledger))
+                .transpose()
                 .map_err(|e| e.to_string())?;
             (plan, analysis, Some(output.report))
         }
@@ -638,7 +645,9 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
                 serde_json::to_string_pretty(&plan).map_err(|e| e.to_string())?
             );
         } else {
-            print!("{}", blockoptr::report::render(&analysis));
+            if let Some(analysis) = &analysis {
+                print!("{}", blockoptr::report::render(analysis));
+            }
             print!("{}", blockoptr::report::render_plan(&plan, Some(&spec)));
         }
         return Ok(());

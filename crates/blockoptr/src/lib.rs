@@ -86,9 +86,7 @@ pub use plan::{
 pub use recommend::rules::{Finding, Rule, RuleCtx, RuleSet};
 pub use recommend::{Level, Recommendation, Thresholds};
 pub use resilience::{ResilienceCtx, ResilienceRule, ResilienceRuleSet};
-pub use session::{
-    Analysis, AnalyzeError, Analyzer, Session, SessionFootprint, Snapshot, WindowPolicy,
-};
+pub use session::{Analysis, AnalyzeError, Analyzer, Session, SessionFootprint, WindowPolicy};
 
 /// One-stop imports for the common pipeline.
 pub mod prelude {

@@ -31,16 +31,6 @@ impl BlockMetrics {
         Self::from_sizes(&sizes)
     }
 
-    /// Fold another shard's `block number → size` map into `into`
-    /// (sharded-ingest merge): per-block transaction counts are summed, so
-    /// the result equals counting both record sets into a single map — the
-    /// block tracker's monoid operation, with the empty map as identity.
-    pub fn merge_sizes(into: &mut BTreeMap<u64, usize>, other: &BTreeMap<u64, usize>) {
-        for (&block, &size) in other {
-            *into.entry(block).or_insert(0) += size;
-        }
-    }
-
     /// Derive from an externally maintained `block number → size` map (the
     /// streaming session keeps this map current as blocks arrive).
     pub fn from_sizes(sizes: &BTreeMap<u64, usize>) -> BlockMetrics {
@@ -84,15 +74,5 @@ mod tests {
         let m = BlockMetrics::derive(&BlockchainLog::default());
         assert_eq!(m.blocks, 0);
         assert_eq!(m.avg_block_size, 0.0);
-    }
-
-    #[test]
-    fn merge_sizes_sums_per_block_counts() {
-        let mut a: BTreeMap<u64, usize> = [(1, 2), (2, 1)].into_iter().collect();
-        let b: BTreeMap<u64, usize> = [(2, 3), (4, 1)].into_iter().collect();
-        BlockMetrics::merge_sizes(&mut a, &b);
-        assert_eq!(a, [(1, 2), (2, 4), (4, 1)].into_iter().collect());
-        BlockMetrics::merge_sizes(&mut a, &BTreeMap::new());
-        assert_eq!(a.len(), 3);
     }
 }

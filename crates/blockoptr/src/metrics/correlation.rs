@@ -136,153 +136,6 @@ impl CorrelationTracker {
         }
     }
 
-    /// Fold another tracker into this one (sharded-ingest merge), where
-    /// `other` observed the records that *immediately follow* self's stream.
-    ///
-    /// `self_records` is self's live window (`self_records[0]` at absolute
-    /// position `self.base`), `other_records` is other's live window, and
-    /// `shift` is the offset added to other's absolute positions so both
-    /// shards live on one global stream (the caller passes its total
-    /// ingested count: evicted + retained).
-    ///
-    /// Most state sums directly, but two correlations cross the shard
-    /// boundary and are resolved by one O(|other|) scan:
-    ///
-    /// * a read-conflict in `other` that found no writer *inside* other may
-    ///   have been invalidated by a writer in self — the serial scan would
-    ///   consult the last-writer table carried over from self's records, so
-    ///   the merge re-runs exactly that lookup against `self.last_writer`
-    ///   (other's own writers always outrank self's, so locally identified
-    ///   pairs are already correct);
-    /// * other's *first* record of an activity has its corPA predecessor in
-    ///   self (`prev_of_activity`), so the delta-write-candidate predicate
-    ///   is applied across the boundary too.
-    ///
-    /// The result is byte-equal to a single tracker observing both record
-    /// sets in order.
-    pub fn merge(
-        &mut self,
-        other: &CorrelationTracker,
-        self_records: &[crate::log::TxRecord],
-        other_records: &[crate::log::TxRecord],
-        shift: usize,
-    ) {
-        // One pass over other's records, in order: replay other's conflict
-        // list (ordered by reader commit index) and splice in the pairs the
-        // shard boundary hid, so the merged list keeps serial order.
-        let mut tail: Vec<ConflictPair> = Vec::with_capacity(other.metrics.conflicts.len());
-        let mut boundary_deltas: Vec<(usize, String)> = Vec::new();
-        let mut other_conflicts = other.metrics.conflicts.iter().peekable();
-        let mut seen_activities: std::collections::BTreeSet<&str> =
-            std::collections::BTreeSet::new();
-        let m = &mut self.metrics;
-        for r in other_records {
-            if r.status.is_read_conflict() {
-                if other_conflicts
-                    .peek()
-                    .is_some_and(|c| c.failed_index == r.commit_index)
-                {
-                    // Identified inside other: already byte-correct (any
-                    // self-side writer is older than the one other found).
-                    tail.push(
-                        other_conflicts
-                            .next()
-                            .expect("peeked conflict exists")
-                            .clone(),
-                    );
-                } else {
-                    // Unidentified inside other: no writer of any read key
-                    // precedes `r` within other, so the serial scan would
-                    // have matched self's most recent writer — re-run that
-                    // exact lookup.
-                    if let Some((wpos, key)) = latest_writer(&self.last_writer, r) {
-                        let writer = &self_records[wpos - self.base];
-                        tail.push(count_conflict(m, &mut self.distance_sum, r, writer, key));
-                    }
-                }
-            }
-            // Cross-boundary corPA: other's first record of an activity has
-            // its predecessor in self; later records were paired inside
-            // other by its own scan.
-            if seen_activities.insert(r.activity.as_str()) {
-                if let Some(&ppos) = self.prev_of_activity.get(r.activity.as_str()) {
-                    if is_delta_write(&self_records[ppos - self.base], r) {
-                        crate::metrics::increment(&mut m.delta_candidates, r.activity.as_str());
-                        boundary_deltas.push((ppos, r.activity.clone()));
-                    }
-                }
-            }
-        }
-
-        // Aggregate sums: everything other counted internally carries over
-        // verbatim (commit indices are global already).
-        let om = &other.metrics;
-        m.read_conflicts += om.read_conflicts;
-        m.identified += om.identified;
-        m.reorderable += om.reorderable;
-        self.distance_sum += other.distance_sum;
-        for (pair, &n) in &om.pair_counts {
-            *m.pair_counts.entry(pair.clone()).or_insert(0) += n;
-        }
-        for (pair, &n) in &om.reorderable_pairs {
-            *m.reorderable_pairs.entry(pair.clone()).or_insert(0) += n;
-        }
-        for (activity, &(total, reord)) in &om.activity_conflicts {
-            let entry = m.activity_conflicts.entry(activity.clone()).or_default();
-            entry.0 += total;
-            entry.1 += reord;
-        }
-        for (activity, &n) in &om.delta_candidates {
-            *m.delta_candidates.entry(activity.clone()).or_insert(0) += n;
-        }
-        std::sync::Arc::make_mut(&mut m.conflicts).extend(tail);
-
-        // Positional state: other's entries are later in the stream, so
-        // they win; shift rebases them onto the global position axis.
-        // detlint: allow(hash-iter, reason = "key-wise overwrite into a map; final content is order-independent")
-        for (key, &pos) in &other.last_writer {
-            if let Some(entry) = self.last_writer.get_mut(key.as_str()) {
-                *entry = pos + shift;
-            } else {
-                self.last_writer.insert(key.clone(), pos + shift);
-            }
-        }
-        // detlint: allow(hash-iter, reason = "key-wise overwrite into a map; final content is order-independent")
-        for (activity, &pos) in &other.prev_of_activity {
-            if let Some(entry) = self.prev_of_activity.get_mut(activity.as_str()) {
-                *entry = pos + shift;
-            } else {
-                self.prev_of_activity.insert(activity.clone(), pos + shift);
-            }
-        }
-        for (&ppos, activity) in &other.delta_deps {
-            self.delta_deps.insert(ppos + shift, activity.clone());
-        }
-        for (ppos, activity) in boundary_deltas {
-            self.delta_deps.insert(ppos, activity);
-        }
-    }
-
-    /// Rebase every stored absolute position by `delta` (merge adoption
-    /// path: a later shard's state becomes the merged state wholesale, and
-    /// its shard-local positions move onto the global stream axis).
-    pub fn shift_positions(&mut self, delta: usize) {
-        self.base += delta;
-        // detlint: allow(hash-iter, reason = "in-place value rewrite; no cross-entry effects")
-        for pos in self.last_writer.values_mut() {
-            *pos += delta;
-        }
-        // detlint: allow(hash-iter, reason = "in-place value rewrite; no cross-entry effects")
-        for pos in self.prev_of_activity.values_mut() {
-            *pos += delta;
-        }
-        let shifted: BTreeMap<usize, String> = std::mem::take(&mut self.delta_deps)
-            .into_iter()
-            .map(|(pos, activity)| (pos + delta, activity))
-            .collect();
-        self.delta_deps = shifted;
-    }
-
     /// Evict the window's oldest `evicted` records (sliding-window mode):
     /// the state becomes exactly what scanning only the retained suffix
     /// would have produced.
@@ -719,73 +572,6 @@ mod tests {
             let cmp = |m: &CorrelationMetrics| format!("{m:?}");
             assert_eq!(cmp(&a), cmp(&b), "cut at {cut}");
         }
-    }
-
-    /// Splitting a stream at any point and merging the two shard trackers
-    /// must byte-equal the single serial scan — including conflicts whose
-    /// writer sits in the first shard and delta candidates whose
-    /// predecessor does.
-    #[test]
-    fn merge_equals_serial_scan_at_every_split() {
-        let keys = ["k1", "k2", "k3"];
-        let mut records = Vec::new();
-        for i in 0..40usize {
-            let key = keys[i % keys.len()];
-            let rec = match i % 4 {
-                0 => Rec::new(i, "writer").writes(&[key]).build(),
-                1 => Rec::new(i, "reader")
-                    .reads(&[key])
-                    .status(TxStatus::MvccReadConflict)
-                    .build(),
-                2 => Rec::new(i, "bump")
-                    .reads(&["ctr"])
-                    .writes_value("ctr", Value::Int((i / 4) as i64))
-                    .status(TxStatus::MvccReadConflict)
-                    .build(),
-                _ => Rec::new(i, "bump")
-                    .reads(&["ctr"])
-                    .writes_value("ctr", Value::Int((i / 4) as i64 + 1))
-                    .build(),
-            };
-            records.push(rec);
-        }
-        // HashMap debug order is instance-dependent, so compare an
-        // order-canonical rendering of the full tracker state.
-        let canon = |t: &CorrelationTracker| {
-            let lw: Map<&String, &usize> = t.last_writer.iter().collect();
-            let pa: Map<&String, &usize> = t.prev_of_activity.iter().collect();
-            format!(
-                "{:?} base={} lw={lw:?} pa={pa:?} dd={:?} ds={}",
-                t.snapshot(),
-                t.base,
-                t.delta_deps,
-                t.distance_sum
-            )
-        };
-        let mut serial = CorrelationTracker::default();
-        for pos in 0..records.len() {
-            serial.observe(&records, pos);
-        }
-        for cut in 1..records.len() {
-            let (head, tail) = records.split_at(cut);
-            let mut left = CorrelationTracker::default();
-            for pos in 0..head.len() {
-                left.observe(head, pos);
-            }
-            let mut right = CorrelationTracker::default();
-            for pos in 0..tail.len() {
-                right.observe(tail, pos);
-            }
-            left.merge(&right, head, tail, cut);
-            assert_eq!(canon(&left), canon(&serial), "split at {cut}");
-        }
-        // Identity on both sides.
-        let mut left = serial.clone();
-        left.merge(&CorrelationTracker::default(), &records, &[], records.len());
-        assert_eq!(canon(&left), canon(&serial));
-        let mut empty = CorrelationTracker::default();
-        empty.merge(&serial, &[], &records, 0);
-        assert_eq!(canon(&empty), canon(&serial));
     }
 
     #[test]

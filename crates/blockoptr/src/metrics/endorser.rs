@@ -52,20 +52,6 @@ impl EndorserMetrics {
         }
     }
 
-    /// Fold another tracker into this one (sharded-ingest merge): counts are
-    /// summed key-by-key, so the result equals observing both record sets
-    /// into a single tracker — a commutative monoid with `default()` as the
-    /// identity.
-    pub fn merge(&mut self, other: &EndorserMetrics) {
-        for (peer, &n) in &other.per_peer {
-            *self.per_peer.entry(peer.clone()).or_insert(0) += n;
-        }
-        for (org, &n) in &other.per_org {
-            *self.per_org.entry(org.clone()).or_insert(0) += n;
-        }
-        self.total_endorsements += other.total_endorsements;
-    }
-
     /// The share of endorsement events carried by each organization,
     /// descending.
     pub fn org_shares(&self) -> Vec<(String, f64)> {
@@ -131,28 +117,6 @@ mod tests {
         assert_eq!(shares[0].0, "Org1");
         assert!((shares[0].1 - 0.5).abs() < 1e-9);
         assert!((m.even_share() - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_equals_serial_observe() {
-        let recs = [
-            Rec::new(0, "a").endorsed_by(&[0, 1]).build(),
-            Rec::new(1, "a").endorsed_by(&[0, 2]).build(),
-            Rec::new(2, "a").endorsed_by(&[1]).build(),
-        ];
-        let mut serial = EndorserMetrics::default();
-        for r in &recs {
-            serial.observe(r);
-        }
-        let mut left = EndorserMetrics::default();
-        left.observe(&recs[0]);
-        let mut right = EndorserMetrics::default();
-        right.observe(&recs[1]);
-        right.observe(&recs[2]);
-        left.merge(&right);
-        assert_eq!(format!("{left:?}"), format!("{serial:?}"));
-        left.merge(&EndorserMetrics::default());
-        assert_eq!(format!("{left:?}"), format!("{serial:?}"));
     }
 
     #[test]

@@ -47,20 +47,6 @@ impl InvokerMetrics {
         self.total -= 1;
     }
 
-    /// Fold another tracker into this one (sharded-ingest merge): counts are
-    /// summed key-by-key, so the result equals observing both record sets
-    /// into a single tracker — a commutative monoid with `default()` as the
-    /// identity.
-    pub fn merge(&mut self, other: &InvokerMetrics) {
-        for (client, &n) in &other.per_client {
-            *self.per_client.entry(client.clone()).or_insert(0) += n;
-        }
-        for (org, &n) in &other.per_org {
-            *self.per_org.entry(org.clone()).or_insert(0) += n;
-        }
-        self.total += other.total;
-    }
-
     /// Per-organization invocation shares, descending.
     pub fn org_shares(&self) -> Vec<(String, f64)> {
         let total = self.total.max(1) as f64;
@@ -101,28 +87,6 @@ mod tests {
         let m = InvokerMetrics::derive(&log);
         assert_eq!(m.per_client.len(), 1, "same default client");
         assert_eq!(m.per_client.values().next(), Some(&2));
-    }
-
-    #[test]
-    fn merge_equals_serial_observe() {
-        let recs = [
-            Rec::new(0, "a").invoker_org(0).build(),
-            Rec::new(1, "a").invoker_org(1).build(),
-            Rec::new(2, "a").invoker_org(1).build(),
-        ];
-        let mut serial = InvokerMetrics::default();
-        for r in &recs {
-            serial.observe(r);
-        }
-        let mut left = InvokerMetrics::default();
-        left.observe(&recs[0]);
-        let mut right = InvokerMetrics::default();
-        right.observe(&recs[1]);
-        right.observe(&recs[2]);
-        left.merge(&right);
-        assert_eq!(format!("{left:?}"), format!("{serial:?}"));
-        left.merge(&InvokerMetrics::default());
-        assert_eq!(format!("{left:?}"), format!("{serial:?}"));
     }
 
     #[test]

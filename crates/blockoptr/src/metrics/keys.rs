@@ -71,21 +71,6 @@ impl HotkeyIndex {
         }
     }
 
-    /// Rebuild the index from a `Kfreq` map (sharded-ingest merge: the
-    /// per-shard indexes are discarded and the merged counters re-indexed in
-    /// one O(n log n) pass — the index is derivable state, so this is
-    /// exactly the index an incremental build over the merged stream would
-    /// hold).
-    pub fn rebuild_from(kfreq: &BTreeMap<String, usize>) -> HotkeyIndex {
-        let mut by_count: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
-        for (key, &count) in kfreq {
-            by_count.entry(count).or_default().insert(key.clone());
-        }
-        HotkeyIndex {
-            by_count: Arc::new(by_count),
-        }
-    }
-
     /// Keys currently tracked across all count buckets (equals the live
     /// `Kfreq` key count; bounded by the window under eviction).
     pub fn tracked_keys(&self) -> usize {
@@ -185,28 +170,6 @@ impl KeyMetrics {
             super::decrement(acts, r.activity.as_str());
             if acts.is_empty() {
                 by_key.remove(key);
-            }
-        }
-    }
-
-    /// Fold another tracker into this one (sharded-ingest merge): `Kfreq`
-    /// and the per-key activity counts are summed key-by-key, so the result
-    /// equals observing both failure sets into a single tracker — a
-    /// commutative monoid with `default()` as the identity. The caller
-    /// rebuilds any [`HotkeyIndex`] via [`HotkeyIndex::rebuild_from`] and
-    /// re-selects [`hotkeys`](Self::hotkeys) afterwards (both are derived
-    /// state).
-    pub fn merge(&mut self, other: &KeyMetrics) {
-        self.total_failures += other.total_failures;
-        let kfreq = std::sync::Arc::make_mut(&mut self.kfreq);
-        for (key, &n) in other.kfreq.iter() {
-            *kfreq.entry(key.clone()).or_insert(0) += n;
-        }
-        let by_key = std::sync::Arc::make_mut(&mut self.failing_activity_counts);
-        for (key, acts) in other.failing_activity_counts.iter() {
-            let mine = by_key.entry(key.clone()).or_default();
-            for (act, &n) in acts {
-                *mine.entry(act.clone()).or_insert(0) += n;
             }
         }
     }
@@ -482,51 +445,6 @@ mod tests {
         assert!(windowed.failing_activity_counts.is_empty());
         assert_eq!(windowed.total_failures, 0);
         assert!(windowed_index.select(100, &cfg).is_empty());
-    }
-
-    /// Merging two shard trackers and rebuilding the index must equal
-    /// observing the whole stream into one tracker.
-    #[test]
-    fn merge_equals_serial_observe() {
-        let keys = ["a", "b", "c"];
-        let records: Vec<_> = (0..40usize)
-            .map(|i| {
-                Rec::new(i, "act")
-                    .reads(&[keys[(i * 3) % keys.len()]])
-                    .writes(&[keys[i % keys.len()]])
-                    .status(TxStatus::MvccReadConflict)
-                    .build()
-            })
-            .collect();
-        let cfg = config();
-        let mut serial = KeyMetrics::default();
-        let mut serial_index = HotkeyIndex::default();
-        for r in &records {
-            serial.observe_failure_indexed(r, &mut serial_index);
-        }
-        let mut left = KeyMetrics::default();
-        let mut left_index = HotkeyIndex::default();
-        let mut right = KeyMetrics::default();
-        let mut right_index = HotkeyIndex::default();
-        for r in &records[..17] {
-            left.observe_failure_indexed(r, &mut left_index);
-        }
-        for r in &records[17..] {
-            right.observe_failure_indexed(r, &mut right_index);
-        }
-        left.merge(&right);
-        let rebuilt = HotkeyIndex::rebuild_from(&left.kfreq);
-        assert_eq!(left.kfreq, serial.kfreq);
-        assert_eq!(left.failing_activity_counts, serial.failing_activity_counts);
-        assert_eq!(left.total_failures, serial.total_failures);
-        assert_eq!(format!("{rebuilt:?}"), format!("{serial_index:?}"));
-        assert_eq!(
-            rebuilt.select(left.total_failures, &cfg),
-            serial_index.select(serial.total_failures, &cfg)
-        );
-        // Identity.
-        left.merge(&KeyMetrics::default());
-        assert_eq!(left.kfreq, serial.kfreq);
     }
 
     #[test]

@@ -109,23 +109,6 @@ impl RateTracker {
         super::decrement(&mut self.send_times, &r.client_ts);
     }
 
-    /// Fold another tracker into this one (sharded-ingest merge). Both
-    /// trackers must use the same interval size; the result is exactly what
-    /// observing both record sets into a single tracker would have produced
-    /// — the tracker is a commutative monoid under this operation.
-    pub fn merge(&mut self, other: &RateTracker) {
-        self.tx_buckets.merge(&other.tx_buckets);
-        self.fail_buckets.merge(&other.fail_buckets);
-        for (&t, &n) in &other.send_times {
-            *self.send_times.entry(t).or_insert(0) += n;
-        }
-        self.total += other.total;
-        self.failed += other.failed;
-        self.mvcc += other.mvcc;
-        self.phantom += other.phantom;
-        self.endorsement += other.endorsement;
-    }
-
     /// Earliest observed client timestamp still in the window.
     pub fn first_send(&self) -> Option<sim_core::time::SimTime> {
         self.send_times.keys().next().copied()
@@ -327,37 +310,6 @@ mod tests {
         assert_eq!(a.mvcc, b.mvcc);
         assert_eq!(a.tr, b.tr);
         assert_eq!(a.tfr, b.tfr);
-    }
-
-    #[test]
-    fn merge_equals_serial_observe() {
-        use fabric_sim::ledger::TxStatus;
-        let records: Vec<_> = (0..15)
-            .map(|i| {
-                let mut rec = Rec::new(i, "a").client_ts_ms(i as u64 * 450);
-                if i % 4 == 0 {
-                    rec = rec.status(TxStatus::PhantomReadConflict);
-                }
-                rec.build()
-            })
-            .collect();
-        let mut serial = RateTracker::new(SimDuration::from_secs(1));
-        for r in &records {
-            serial.observe(r);
-        }
-        let mut left = RateTracker::new(SimDuration::from_secs(1));
-        let mut right = RateTracker::new(SimDuration::from_secs(1));
-        for r in &records[..6] {
-            left.observe(r);
-        }
-        for r in &records[6..] {
-            right.observe(r);
-        }
-        left.merge(&right);
-        assert_eq!(format!("{left:?}"), format!("{serial:?}"));
-        // Identity: merging an empty tracker changes nothing.
-        left.merge(&RateTracker::new(SimDuration::from_secs(1)));
-        assert_eq!(format!("{left:?}"), format!("{serial:?}"));
     }
 
     #[test]

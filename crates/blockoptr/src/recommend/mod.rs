@@ -399,22 +399,6 @@ pub fn observe_activity_type(hist: &mut ActivityTypeHistogram, activity: &str, t
     });
 }
 
-/// Fold another histogram into `into` (sharded-ingest merge): per-activity
-/// per-type counts sum key-by-key, so the result equals observing both
-/// record sets into a single histogram — a commutative monoid with the
-/// empty map as identity.
-pub fn merge_activity_type_histograms(
-    into: &mut ActivityTypeHistogram,
-    other: &ActivityTypeHistogram,
-) {
-    for (activity, types) in other {
-        let entry = into.entry(activity.clone()).or_default();
-        for (&ty, &n) in types {
-            *entry.entry(ty).or_insert(0) += n;
-        }
-    }
-}
-
 /// Reverse one earlier [`observe_activity_type`] (sliding-window eviction);
 /// zeroed type entries and emptied activities are removed, so the histogram
 /// matches a fresh build over the retained records exactly.

@@ -23,6 +23,11 @@
 //!   fresh analysis of only the retained suffix (see
 //!   [`Session::footprint`] for the boundedness witness).
 //!
+//! A session is one serial fold over one commit-ordered stream, as the
+//! paper's analysis is one pass over one log: every tracker only observes
+//! and retracts. [`Session::merge`] is not a second code path; it is one
+//! more ingest batch of another session's retained records.
+//!
 //! ```
 //! use blockoptr::session::Analyzer;
 //! use workload::spec::ControlVariables;
@@ -101,12 +106,6 @@ pub enum AnalyzeError {
     /// typed [`workload::SpecError`]: unknown contract ids, out-of-domain
     /// parameters, unsupported variant sets, malformed JSON.
     Spec(workload::SpecError),
-    /// Two sessions with incompatible configurations were merged
-    /// ([`Session::merge`]): tracker state is parameterized by the metric
-    /// interval (rate buckets) and the window policy (eviction anchors),
-    /// so differing values cannot be combined meaningfully. Carries a
-    /// human-readable description of what differed.
-    MergeMismatch(String),
     /// A log window's client timestamps would stretch the session over
     /// more than [`Session::MAX_RATE_INTERVALS`] metric intervals. The
     /// rate series keeps one dense counter per interval, so accepting the
@@ -143,9 +142,6 @@ impl fmt::Display for AnalyzeError {
                 known.join(", ")
             ),
             AnalyzeError::Spec(err) => write!(f, "scenario spec: {err}"),
-            AnalyzeError::MergeMismatch(what) => {
-                write!(f, "cannot merge sessions: {what}")
-            }
             AnalyzeError::TimestampSpan { first, last } => write!(
                 f,
                 "client timestamps span {} µs to {} µs, more than {} metric intervals; \
@@ -385,12 +381,10 @@ impl Analyzer {
         }
     }
 
-    /// Accepted for compatibility; ingest ignores it. A session folds every
-    /// batch on the calling thread, in one fold: the per-tracker sharding
-    /// this knob used to enable was no faster than that fold on a 2-vCPU
-    /// host. To ingest in parallel, partition the stream into sessions,
-    /// fold those on a [`ThreadPool`](sim_core::pool::ThreadPool) and join
-    /// them with [`Session::merge`], which equals one session's fold.
+    /// Accepted and ignored; kept because the benchmark package calls it.
+    /// A session folds every batch on the calling thread, in one fold.
+    /// Parallelism belongs to the plan grid, which runs whole simulations
+    /// on a [`ThreadPool`](sim_core::pool::ThreadPool).
     pub fn threads(self, _threads: usize) -> Self {
         self
     }
@@ -717,96 +711,6 @@ impl CaseTracker {
         }
     }
 
-    /// Fold a later shard's case state into this one (sharded-ingest
-    /// merge). `shift` is the offset added to other's absolute stream
-    /// positions; `merged_records` is the full retained record slice
-    /// *after* the logs were joined, with `merged_records[0]` at absolute
-    /// position `base`.
-    ///
-    /// The family statistics are exact multisets, so they sum; the winning
-    /// family is then re-picked *fresh* — no hysteresis band, because a
-    /// merged session must equal a **single-batch** ingest of the
-    /// concatenated stream and the band is a batch-boundary affordance.
-    /// When both shards already maintain structures for that winner, the
-    /// event log and DFG merge incrementally: other's trace fragments are
-    /// absorbed and each case open in both shards stitches its fragments
-    /// ([`DirectlyFollowsGraph::stitch_traces`]) — O(other), not
-    /// O(window). A family change rebuilds from the merged records (rare:
-    /// shards of one stream almost always agree on the dominant family).
-    fn merge(
-        &mut self,
-        other: &CaseTracker,
-        shift: usize,
-        merged_records: &[TxRecord],
-        base: usize,
-    ) {
-        for (fam, &n) in &other.coverage {
-            *self.coverage.entry(fam.clone()).or_insert(0) += n;
-        }
-        for (fam, values) in &other.distinct {
-            let into = self.distinct.entry(fam.clone()).or_default();
-            for (value, &n) in values {
-                *into.entry(value.clone()).or_insert(0) += n;
-            }
-        }
-        let winner =
-            caseid::pick_family(&self.coverage, &self.distinct, merged_records.len().max(1))
-                .map(|(family, _, _)| family)
-                .unwrap_or_default();
-        if winner != self.family || winner != other.family {
-            self.family = winner.to_string();
-            self.rebuild_structures(merged_records, base);
-            return;
-        }
-
-        // Same family on both sides: stitch the incremental structures.
-        // Other's positions all exceed self's, so self's traces keep their
-        // (first-occurrence) order and other-only traces append after them
-        // in other's own order — exactly the order a single scan produces.
-        self.dfg.absorb(&other.dfg);
-        let ids = Arc::make_mut(&mut self.case_ids);
-        ids.extend(other.case_ids.iter().cloned());
-        let log = Arc::make_mut(&mut self.event_log);
-        for trace in other.event_log.traces() {
-            let case = &trace.case_id;
-            let queue = other.positions.get(case).expect("open case has positions");
-            let shifted = queue.iter().map(|&p| p + shift);
-            match self.positions.get_mut(case) {
-                Some(open_positions) => {
-                    // The case spans the boundary: append the later
-                    // fragment's events and replace the two boundary facts
-                    // (other's trace start, self's trace end) with the
-                    // joining edge.
-                    let idx = trace_index(&self.firsts, open_positions);
-                    open_positions.extend(shifted);
-                    let open = log.trace_mut(idx).expect("trace index is valid");
-                    let tail = open.activities.last().expect("open traces are non-empty");
-                    let head = trace.activities.first().expect("traces are non-empty");
-                    self.dfg.stitch_traces(tail, head);
-                    open.activities.extend(trace.activities.iter().cloned());
-                }
-                None => {
-                    let shifted: VecDeque<usize> = shifted.collect();
-                    self.firsts.push(shifted[0]);
-                    self.positions.insert(case.clone(), shifted);
-                    log.push(trace.clone());
-                }
-            }
-        }
-    }
-
-    /// Rebase every stored absolute stream position by `delta` (merge
-    /// adoption path: a later shard's state becomes the merged state
-    /// wholesale, and its shard-local positions move onto the global
-    /// stream axis).
-    fn shift_positions(&mut self, delta: usize) {
-        // detlint: allow(hash-iter, reason = "in-place value rewrite; no cross-entry effects")
-        let queues = self.positions.values_mut().flat_map(|q| q.iter_mut());
-        for p in queues.chain(&mut self.firsts) {
-            *p += delta;
-        }
-    }
-
     fn derivation(&self, total_records: usize) -> CaseDerivation {
         let total = total_records.max(1);
         let covered = self.coverage.get(&self.family).copied().unwrap_or(0);
@@ -857,9 +761,9 @@ impl SessionFootprint {
     /// Order-of-magnitude resident-set estimate in bytes: each entry count
     /// weighted by a fixed per-entry cost (struct size plus typical heap
     /// payload — key strings, map nodes). Deterministic by construction
-    /// (pure arithmetic over the counts), so sharded-ingest equivalence
-    /// tests can compare it byte-for-byte, and the sustained-ingest bench
-    /// reports it as `session_footprint_bytes`. Under a bounded
+    /// (pure arithmetic over the counts), so tests can compare it
+    /// byte-for-byte, and the sustained-ingest bench reports it as
+    /// `session_footprint_bytes`. Under a bounded
     /// [`WindowPolicy`] it inherits every field's flatness: the estimate is
     /// a linear function of counts that eviction keeps bounded.
     pub fn approx_bytes(&self) -> usize {
@@ -1103,10 +1007,10 @@ impl Session {
     /// The widest client-timestamp span, in metric intervals, that a
     /// session accepts (2²², about 48.5 days at the default 1 s interval).
     /// [`ingest_block`](Self::ingest_block),
-    /// [`ingest_ledger`](Self::ingest_ledger),
-    /// [`ingest_log`](Self::ingest_log) and [`merge`](Self::merge) reject
-    /// a wider span with [`AnalyzeError::TimestampSpan`] before any state
-    /// changes.
+    /// [`ingest_ledger`](Self::ingest_ledger) and
+    /// [`ingest_log`](Self::ingest_log), which [`merge`](Self::merge) calls,
+    /// reject a wider span with [`AnalyzeError::TimestampSpan`] before any
+    /// state changes.
     ///
     /// The interval rate series holds one dense counter per interval from
     /// the earliest to the latest client timestamp in the session, so its
@@ -1275,8 +1179,7 @@ impl Session {
     /// Error with [`AnalyzeError::TimestampSpan`] when the session's client
     /// timestamps together with `sends` would span more than
     /// [`MAX_RATE_INTERVALS`](Self::MAX_RATE_INTERVALS) metric intervals.
-    /// Every ingest path and [`merge`](Self::merge) call this before any
-    /// state changes.
+    /// Every ingest path calls this before any state changes.
     fn check_span(&self, sends: impl IntoIterator<Item = SimTime>) -> Result<(), AnalyzeError> {
         let rates = &self.state.rates;
         let held = rates.first_send().zip(rates.last_send());
@@ -1437,212 +1340,13 @@ impl Session {
         })
     }
 
-    /// Fold another session's accumulated state into this one — the
-    /// session-level **monoid operation** for sharded ingestion: split a
-    /// stream across `k` sessions (threads, processes, machines), ingest
-    /// each shard independently, and merge the results in any association
-    /// order. The merged state is byte-equal — snapshot, footprint, and
-    /// eviction counter — to a single session ingesting the concatenated
-    /// stream in **one batch** (the same reference the sharded
-    /// `observe_from` path reproduces). The empty session is the identity.
-    ///
-    /// `other` must hold the records that *follow* self's stream:
-    /// commit indices must continue strictly above self's
-    /// ([`AnalyzeError::OutOfOrder`] otherwise), on a bounded
-    /// [`WindowPolicy`] block numbers must not decrease across the
-    /// boundary ([`AnalyzeError::BlockOrder`]), and the joined client
-    /// timestamps must fit [`MAX_RATE_INTERVALS`](Self::MAX_RATE_INTERVALS)
-    /// ([`AnalyzeError::TimestampSpan`]). Both sessions must agree
-    /// on the metric interval and window policy
-    /// ([`AnalyzeError::MergeMismatch`]); the receiver's remaining
-    /// configuration (thresholds, rules, auto-tuning) wins.
-    ///
-    /// Cost: O(|other| + merged tracker state), never O(self's window) —
-    /// every tracker merges by summation, the conflict scan resolves only
-    /// boundary-crossing pairs, and case traces stitch incrementally
-    /// unless the winning identifier family changes (rare). One
-    /// deliberate semantic difference from batch-by-batch streaming: the
-    /// identifier family is re-picked *fresh* on merge (no hysteresis
-    /// band), because the reference is a single-batch ingest.
-    ///
-    /// With a bounded window, merging re-evicts: if `other` already
-    /// evicted records, everything in `self` is older than other's
-    /// eviction cutoff (block numbers and commit timestamps are
-    /// nondecreasing across the validated boundary), so the serial
-    /// reference would have evicted all of it — the merge adopts other's
-    /// state wholesale, rebased onto the global stream axis.
+    /// Fold another session's retained records into this one: one more
+    /// [`ingest_log`](Self::ingest_log) batch of `other`'s log, under this
+    /// session's configuration and with every check of that call. Records
+    /// `other` already evicted are gone and do not count toward
+    /// [`evicted`](Self::evicted).
     pub fn merge(&mut self, other: Session) -> Result<(), AnalyzeError> {
-        let a = self.config.metric_config.interval;
-        let b = other.config.metric_config.interval;
-        if a.as_micros() != b.as_micros() {
-            return Err(AnalyzeError::MergeMismatch(format!(
-                "metric intervals differ ({} µs vs {} µs)",
-                a.as_micros(),
-                b.as_micros()
-            )));
-        }
-        if self.config.window != other.config.window {
-            return Err(AnalyzeError::MergeMismatch(format!(
-                "window policies differ ({} vs {})",
-                self.config.window, other.config.window
-            )));
-        }
-        // Identity: nothing to fold in.
-        if other.is_empty() && other.evicted == 0 {
-            return Ok(());
-        }
-        // Stream-order validation across the boundary, before any state
-        // changes (mirrors ingest_log).
-        if let (Some(after), Some(index)) = (
-            self.log.records().last().map(|r| r.commit_index),
-            other.log.records().first().map(|r| r.commit_index),
-        ) {
-            if index <= after {
-                return Err(AnalyzeError::OutOfOrder { index, after });
-            }
-        }
-        if self.config.window != WindowPolicy::Unbounded {
-            if let (Some(after), Some(block)) = (
-                self.log.records().last().map(|r| r.block),
-                other.log.records().first().map(|r| r.block),
-            ) {
-                if block < after {
-                    return Err(AnalyzeError::BlockOrder { block, after });
-                }
-            }
-        }
-        let theirs = &other.state.rates;
-        self.check_span(theirs.first_send().into_iter().chain(theirs.last_send()))?;
-        // Adoption: a fresh receiver takes other's state wholesale (the
-        // receiver's configuration wins — the checked fields are equal and
-        // nothing else is baked into tracker state).
-        if self.is_empty() && self.evicted == 0 {
-            let config = self.config.clone();
-            *self = other;
-            self.config = config;
-            return Ok(());
-        }
-        let shift = self.evicted + self.log.len();
-        // Adoption, windowed: other already evicted, so its cutoff —
-        // computed from the stream's tail, which other holds — lies above
-        // everything self ever ingested (nondecreasing blocks and commit
-        // timestamps across the validated boundary). The serial reference
-        // would therefore have evicted all of self; adopt other's state
-        // rebased onto the global position axis.
-        if other.evicted > 0 {
-            let config = self.config.clone();
-            let prior = shift;
-            *self = other;
-            self.config = config;
-            self.evicted += prior;
-            self.state.correlation.shift_positions(prior);
-            self.state.cases.shift_positions(prior);
-            // Idempotent safety pass (a no-op: other evicted at its final
-            // batch boundary, and the cutoff only depends on the tail).
-            self.evict_expired();
-            return Ok(());
-        }
-
-        // Main path: other never evicted, so its trackers are exactly the
-        // monoid elements of its record multiset. The boundary-crossing
-        // conflict scan needs self's record slice *before* the logs join.
-        let state = &mut self.state;
-        let theirs = &other.state;
-        state.correlation.merge(
-            &theirs.correlation,
-            self.log.records(),
-            other.log.records(),
-            shift,
-        );
-        state.rates.merge(&theirs.rates);
-        // Distinct new blocks must be counted before the per-block sizes
-        // merge (a block cut across the shard boundary is not re-counted).
-        let new_blocks = theirs
-            .block_sizes
-            .keys()
-            .filter(|b| !state.block_sizes.contains_key(b))
-            .count();
-        BlockMetrics::merge_sizes(&mut state.block_sizes, &theirs.block_sizes);
-        state.endorsers.merge(&theirs.endorsers);
-        state.invokers.merge(&theirs.invokers);
-        state.keys.merge(&theirs.keys);
-        // The count index is derivable state; rebuilding it from the merged
-        // frequencies equals maintaining it incrementally.
-        state.hotkey_index = HotkeyIndex::rebuild_from(&state.keys.kfreq);
-        crate::recommend::merge_activity_type_histograms(&mut state.type_hist, &theirs.type_hist);
-        state.last_block = state.last_block.max(theirs.last_block);
-        state.first_send = match (state.first_send, theirs.first_send) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        state.last_commit = match (state.last_commit, theirs.last_commit) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        {
-            let log = Arc::make_mut(&mut self.log);
-            let other_log = Arc::try_unwrap(other.log).unwrap_or_else(|arc| (*arc).clone());
-            let (records, _declared) = other_log.into_records();
-            for record in records {
-                log.push_record(record);
-            }
-            log.add_blocks(new_blocks);
-        }
-        state
-            .cases
-            .merge(&other.state.cases, shift, self.log.records(), self.evicted);
-        // With a bounded window the merged batch decides what aged out —
-        // exactly like the end of an ingest batch.
-        self.evict_expired();
-        Ok(())
-    }
-
-    /// Detach a mergeable point-in-time copy of the current state (cheap:
-    /// the log, conflict history, and case structures are shared
-    /// copy-on-write). The session keeps ingesting; the [`Snapshot`] can be
-    /// shipped elsewhere and folded with others via [`Snapshot::merge`].
-    pub fn detach(&self) -> Snapshot {
-        Snapshot {
-            session: self.clone(),
-        }
-    }
-}
-
-/// A detached, mergeable copy of a [`Session`]'s accumulated state — the
-/// monoid surface of the analysis pipeline for shard-and-fold ingestion.
-///
-/// Not to be confused with [`Session::snapshot`], which materializes an
-/// [`Analysis`] (the derived metrics); a `Snapshot` carries the raw running
-/// state so it can still be **merged**. Split a stream across sessions,
-/// [`detach`](Session::detach) each, fold them with [`Snapshot::merge`] in
-/// any association order, and the result is byte-equal to one session
-/// ingesting the whole stream in a single batch.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    session: Session,
-}
-
-impl Snapshot {
-    /// Fold another snapshot into this one (see [`Session::merge`] for the
-    /// ordering/compatibility contract and the equivalence guarantee).
-    pub fn merge(&mut self, other: Snapshot) -> Result<(), AnalyzeError> {
-        self.session.merge(other.session)
-    }
-
-    /// Materialize the derived [`Analysis`] (errors when empty).
-    pub fn analysis(&self) -> Result<Analysis, AnalyzeError> {
-        self.session.snapshot()
-    }
-
-    /// Per-tracker state sizes (see [`Session::footprint`]).
-    pub fn footprint(&self) -> SessionFootprint {
-        self.session.footprint()
-    }
-
-    /// Turn the snapshot back into a live session (e.g. to keep ingesting
-    /// after a fold).
-    pub fn into_session(self) -> Session {
-        self.session
+        self.ingest_log(Arc::unwrap_or_clone(other.log)).map(drop)
     }
 }
 
@@ -2166,7 +1870,7 @@ mod tests {
             .windows(2)
             .all(|w| w[0].commit_index < w[1].commit_index));
         assert_eq!(records[2].commit_index, 18);
-        // Snapshot stays well-formed.
+        // The snapshot stays well-formed.
         let analysis = session.snapshot().unwrap();
         assert!(analysis.metrics.correlation.mean_distance >= 0.0);
     }
@@ -2533,9 +2237,9 @@ mod tests {
         BlockchainLog::from_records(records.to_vec(), blocks.len())
     }
 
-    /// Snapshot + footprint + eviction counter, canonically rendered — the
-    /// byte-equality witness for merge tests (the raw `Session` Debug goes
-    /// through `HashMap`s whose iteration order is instance-dependent).
+    /// The snapshot, footprint and eviction counter, canonically rendered:
+    /// the byte-equality witness for merge tests (the raw `Session` Debug
+    /// goes through `HashMap`s whose iteration order is instance-dependent).
     fn merge_witness(session: &Session) -> String {
         format!(
             "{:?}|{:?}|{}",
@@ -2545,9 +2249,51 @@ mod tests {
         )
     }
 
-    /// The merge monoid law: any partition of a stream across k sessions,
-    /// merged in any association order, byte-equals a single session
-    /// ingesting the whole stream in one batch.
+    /// `merge` is one more ingest batch: folding a shard in equals
+    /// ingesting the shard's retained log, unbounded and windowed, at any
+    /// cut and with an empty shard on either side. An overlapping shard is
+    /// rejected before any state changes.
+    #[test]
+    fn merge_is_one_more_ingest_batch() {
+        let output = small_output();
+        let full = BlockchainLog::from_ledger(&output.ledger);
+        let records = full.records();
+        let n = records.len();
+        for policy in [WindowPolicy::Unbounded, WindowPolicy::LastBlocks(3)] {
+            let analyzer = Analyzer::new().window(policy);
+            let session_of = |part: &[TxRecord]| {
+                let mut session = analyzer.session().unwrap();
+                session.ingest_log(chunk_log(part)).unwrap();
+                session
+            };
+            for cut in [0, n / 4, 3 * n / 5, n] {
+                let mut merged = session_of(&records[..cut]);
+                let tail = session_of(&records[cut..]);
+                let mut expected = merged.clone();
+                expected.ingest_log(tail.log().clone()).unwrap();
+                merged.merge(tail).unwrap();
+                assert_eq!(
+                    merge_witness(&merged),
+                    merge_witness(&expected),
+                    "{policy}, cut at {cut}"
+                );
+            }
+            // The shard repeats head's last record; two records span too
+            // few blocks for the shard to evict it.
+            let mut head = session_of(&records[..n / 2]);
+            let before = merge_witness(&head);
+            let overlap = session_of(&records[n / 2 - 1..=n / 2]);
+            assert!(matches!(
+                head.merge(overlap).unwrap_err(),
+                AnalyzeError::OutOfOrder { .. }
+            ));
+            assert_eq!(merge_witness(&head), before, "{policy}: failed merge");
+        }
+    }
+
+    /// Any partition of a stream across k sessions, merged in any
+    /// association order, byte-equals a single session ingesting the whole
+    /// stream in one batch.
     #[test]
     fn merged_shards_equal_single_batch_ingest() {
         let output = small_output();
@@ -2591,39 +2337,50 @@ mod tests {
         // Right identity: folding in an empty session is a no-op.
         loaded.merge(Analyzer::new().session().unwrap()).unwrap();
         assert_eq!(merge_witness(&loaded), expected);
-        // Left identity: an empty receiver adopts the other state.
+        // Left identity: an empty receiver ingests the other's records.
         let mut fresh = Analyzer::new().session().unwrap();
         fresh.merge(loaded).unwrap();
         assert_eq!(merge_witness(&fresh), expected);
     }
 
+    /// The receiver's configuration governs a merge: a shard built under
+    /// another metric interval or window policy folds in exactly as its
+    /// log would. Overlapping streams are rejected before any state
+    /// changes.
     #[test]
     fn merge_validates_configuration_and_stream_order() {
         let output = small_output();
         let full = BlockchainLog::from_ledger(&output.ledger);
         let records = full.records();
+        let half = records.len() / 2;
         let mut head = Analyzer::new().session().unwrap();
-        head.ingest_log(chunk_log(&records[..records.len() / 2]))
-            .unwrap();
+        head.ingest_log(chunk_log(&records[..half])).unwrap();
+        let mut expected = head.clone();
+        expected.ingest_log(chunk_log(&records[half..])).unwrap();
+        let expected = merge_witness(&expected);
 
-        // Mismatched metric interval.
-        let coarse = Analyzer::new()
+        // Another metric interval.
+        let mut coarse = Analyzer::new()
             .metric_config(MetricConfig {
                 interval: sim_core::time::SimDuration::from_secs(5),
                 ..Default::default()
             })
             .session()
             .unwrap();
-        let err = head.clone().merge(coarse).unwrap_err();
-        assert!(matches!(err, AnalyzeError::MergeMismatch(_)));
-        assert!(err.to_string().contains("metric intervals differ"));
-        // Mismatched window policy.
-        let windowed = Analyzer::new()
-            .window(WindowPolicy::LastBlocks(4))
+        coarse.ingest_log(chunk_log(&records[half..])).unwrap();
+        let mut merged = head.clone();
+        merged.merge(coarse).unwrap();
+        assert_eq!(merge_witness(&merged), expected, "metric interval");
+        // Another window policy, wide enough to keep the shard whole.
+        let mut windowed = Analyzer::new()
+            .window(WindowPolicy::LastBlocks(usize::MAX))
             .session()
             .unwrap();
-        let err = head.clone().merge(windowed).unwrap_err();
-        assert!(err.to_string().contains("window policies differ"));
+        windowed.ingest_log(chunk_log(&records[half..])).unwrap();
+        assert_eq!(windowed.evicted(), 0);
+        let mut merged = head.clone();
+        merged.merge(windowed).unwrap();
+        assert_eq!(merge_witness(&merged), expected, "window policy");
         // Overlapping streams are rejected before any state changes.
         let mut overlap = Analyzer::new().session().unwrap();
         overlap
@@ -2637,9 +2394,11 @@ mod tests {
         assert_eq!(merge_witness(&head), before, "failed merge mutated state");
     }
 
-    /// Windowed merges re-evict: both the main path (other below its
-    /// eviction threshold) and the adoption path (other already evicted)
-    /// must reproduce a single-batch windowed ingest byte-for-byte.
+    /// Windowed merges re-evict. When the shard stays within the window
+    /// the merge itself evicts the aged-out prefix and byte-equals a
+    /// single-batch windowed ingest. When the shard already evicted on its
+    /// own, the analysis still equals it; only the shard's own evictions
+    /// are left out of [`Session::evicted`].
     #[test]
     fn windowed_merges_equal_single_batch_ingest() {
         let output = small_output();
@@ -2651,20 +2410,23 @@ mod tests {
         reference.ingest_log(full.clone()).unwrap();
         assert!(reference.evicted() > 0, "the log spans > 3 blocks");
         let expected = merge_witness(&reference);
+        let retained = |s: &Session| format!("{:?}|{:?}", s.snapshot().unwrap(), s.footprint());
 
-        // Adoption path: the tail shard spans far more than 3 blocks, so
-        // it evicts on its own and the merge adopts its state.
+        // The tail shard spans far more than 3 blocks, so it evicts on its
+        // own and the merge folds in only what it retained.
         let cut = records.len() / 5;
         let mut merged = analyzer.session().unwrap();
         merged.ingest_log(chunk_log(&records[..cut])).unwrap();
         let mut tail = analyzer.session().unwrap();
         tail.ingest_log(chunk_log(&records[cut..])).unwrap();
-        assert!(tail.evicted() > 0, "tail shard evicts by itself");
+        let tail_evicted = tail.evicted();
+        assert!(tail_evicted > 0, "tail shard evicts by itself");
         merged.merge(tail).unwrap();
-        assert_eq!(merge_witness(&merged), expected);
+        assert_eq!(retained(&merged), retained(&reference));
+        assert_eq!(merged.evicted() + tail_evicted, reference.evicted());
 
-        // Main path: the tail shard alone stays within the window, so the
-        // merge itself must evict the aged-out prefix.
+        // The tail shard alone stays within the window, so the merge
+        // itself must evict the aged-out prefix.
         let suffix_start = {
             let blocks: BTreeSet<u64> = records.iter().map(|r| r.block).collect();
             let cutoff = *blocks.iter().rev().nth(1).expect("several blocks");
@@ -2744,35 +2506,6 @@ mod tests {
         tail.ingest_log(chunk_log(&records[cut..])).unwrap();
         assert_eq!(tail.evicted(), 0);
         assert!(evicts_in_place(&mut merged, |s| s.merge(tail).unwrap()));
-    }
-
-    /// Snapshots detach cheaply, merge like sessions, and can resume
-    /// ingesting.
-    #[test]
-    fn detached_snapshots_merge_and_resume() {
-        let output = small_output();
-        let full = BlockchainLog::from_ledger(&output.ledger);
-        let records = full.records();
-        let mid = records.len() / 2;
-        let mut reference = Analyzer::new().session().unwrap();
-        reference.ingest_log(full.clone()).unwrap();
-
-        let mut head = Analyzer::new().session().unwrap();
-        head.ingest_log(chunk_log(&records[..mid])).unwrap();
-        let mut tail = Analyzer::new().session().unwrap();
-        tail.ingest_log(chunk_log(&records[mid..])).unwrap();
-
-        let mut folded = head.detach();
-        folded.merge(tail.detach()).unwrap();
-        assert_eq!(folded.footprint(), reference.footprint());
-        assert_eq!(
-            format!("{:?}", folded.analysis().unwrap()),
-            format!("{:?}", reference.snapshot().unwrap())
-        );
-        // A snapshot turns back into a live session.
-        let resumed = folded.into_session();
-        assert_eq!(resumed.len(), reference.len());
-        assert_eq!(merge_witness(&resumed), merge_witness(&reference));
     }
 
     /// The footprint's byte estimate is deterministic arithmetic over the

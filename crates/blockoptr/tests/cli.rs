@@ -205,6 +205,29 @@ fn optimize_rejects_a_far_future_client_timestamp() {
     );
 }
 
+/// A throttle of 10⁻¹² tx/s would space a 50-transaction schedule past the
+/// clock's range: spec validation rejects it with the dotted field path
+/// (exit 1) before anything simulates.
+#[test]
+fn optimize_rejects_a_throttle_below_the_minimum_rate() {
+    let dir = std::env::temp_dir().join("blockoptr_cli_slow_throttle");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("throttled.json");
+    let mut spec = workload::ScenarioSpec::builtin("scm")
+        .unwrap()
+        .with_transactions(50);
+    spec.transforms
+        .push(workload::SpecTransform::Throttle { rate: 1e-12 });
+    std::fs::write(&path, spec.to_json()).unwrap();
+    let out = blockoptr(&["optimize", "--spec", path.to_str().unwrap(), "--dry-run"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("bad spec parameter transforms[0].rate: rate must be at least"),
+        "{}",
+        stderr(&out)
+    );
+}
+
 /// The bring-your-own-log loop: export a log, dump a spec, run
 /// `optimize --log --spec` — recommendations from the log, re-measurement
 /// from the replayable spec, optimized spec emitted.

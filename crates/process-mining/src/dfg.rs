@@ -34,12 +34,13 @@ impl Edges {
         self.0.get(a)?.get(b).copied()
     }
 
-    fn add(&mut self, a: &str, b: &str, n: usize) {
+    /// Add one count of `a ≻ b`, allocating names only when new.
+    fn add_one(&mut self, a: &str, b: &str) {
         match self.0.get_mut(a) {
-            Some(next) => add(next, b, n),
+            Some(next) => add_one(next, b),
             None => {
                 self.0
-                    .insert(a.to_string(), BTreeMap::from([(b.to_string(), n)]));
+                    .insert(a.to_string(), BTreeMap::from([(b.to_string(), 1)]));
             }
         }
     }
@@ -81,12 +82,12 @@ impl Deserialize for Edges {
     }
 }
 
-/// Add `n` to the counter at a borrowed `key`, allocating it only when new.
-fn add(map: &mut BTreeMap<String, usize>, key: &str, n: usize) {
+/// Add one to the counter at a borrowed `key`, allocating it only when new.
+fn add_one(map: &mut BTreeMap<String, usize>, key: &str) {
     match map.get_mut(key) {
-        Some(count) => *count += n,
+        Some(count) => *count += 1,
         None => {
-            map.insert(key.to_string(), n);
+            map.insert(key.to_string(), 1);
         }
     }
 }
@@ -111,16 +112,16 @@ impl DirectlyFollowsGraph {
         let mut g = DirectlyFollowsGraph::default();
         for trace in log.traces() {
             if let Some(first) = trace.activities.first() {
-                add(&mut g.starts, first, 1);
+                add_one(&mut g.starts, first);
             }
             if let Some(last) = trace.activities.last() {
-                add(&mut g.ends, last, 1);
+                add_one(&mut g.ends, last);
             }
             for a in &trace.activities {
-                add(&mut g.activity_counts, a, 1);
+                add_one(&mut g.activity_counts, a);
             }
             for w in trace.activities.windows(2) {
-                g.edges.add(&w[0], &w[1], 1);
+                g.edges.add_one(&w[0], &w[1]);
             }
         }
         g
@@ -130,23 +131,23 @@ impl DirectlyFollowsGraph {
     /// (for now) ends it. Part of the incremental-update entry point used by
     /// streaming consumers that maintain a DFG as events arrive.
     pub fn record_trace_start(&mut self, activity: &str) {
-        add(&mut self.starts, activity, 1);
-        add(&mut self.ends, activity, 1);
-        add(&mut self.activity_counts, activity, 1);
+        add_one(&mut self.starts, activity);
+        add_one(&mut self.ends, activity);
+        add_one(&mut self.activity_counts, activity);
     }
 
     /// Record that a trace previously ending in `prev` gained `activity`:
     /// the `prev ≻ activity` edge appears and the trace's end shifts.
     pub fn record_trace_extension(&mut self, prev: &str, activity: &str) {
-        self.edges.add(prev, activity, 1);
+        self.edges.add_one(prev, activity);
         if let Some(n) = self.ends.get_mut(prev) {
             *n -= 1;
             if *n == 0 {
                 self.ends.remove(prev);
             }
         }
-        add(&mut self.ends, activity, 1);
-        add(&mut self.activity_counts, activity, 1);
+        add_one(&mut self.ends, activity);
+        add_one(&mut self.activity_counts, activity);
     }
 
     /// Retract a trace's evicted *head* event (sliding-window eviction,
@@ -162,45 +163,11 @@ impl DirectlyFollowsGraph {
         match next {
             Some(next) => {
                 self.edges.remove_one(head, next);
-                add(&mut self.starts, next, 1);
+                add_one(&mut self.starts, next);
             }
             None => remove_one(&mut self.ends, head, WHAT),
         }
         remove_one(&mut self.activity_counts, head, WHAT);
-    }
-
-    /// Fold another DFG into this one (sharded-ingest merge): every count —
-    /// edges, starts, ends, activities — is summed key-by-key. The result
-    /// treats the two graphs' trace sets as disjoint; when a logical trace
-    /// actually spans the shard boundary, follow up with
-    /// [`stitch_traces`](Self::stitch_traces) per spanning case.
-    pub fn absorb(&mut self, other: &DirectlyFollowsGraph) {
-        for (a, b, n) in other.edges.iter() {
-            self.edges.add(a, b, n);
-        }
-        for (mine, theirs) in [
-            (&mut self.starts, &other.starts),
-            (&mut self.ends, &other.ends),
-            (&mut self.activity_counts, &other.activity_counts),
-        ] {
-            for (a, &n) in theirs {
-                add(mine, a, n);
-            }
-        }
-    }
-
-    /// Join two trace fragments of the same case across a shard boundary
-    /// (after [`absorb`](Self::absorb)): the earlier fragment ended in
-    /// `prev_tail`, the later one started with `head`. The later fragment's
-    /// start and the earlier fragment's end were both counted as if the
-    /// fragments were whole traces; joining them replaces those two
-    /// boundary facts with the `prev_tail ≻ head` edge — exactly what one
-    /// continuous trace would have recorded.
-    pub fn stitch_traces(&mut self, prev_tail: &str, head: &str) {
-        const WHAT: &str = "stitch without a matching boundary count";
-        remove_one(&mut self.starts, head, WHAT);
-        remove_one(&mut self.ends, prev_tail, WHAT);
-        self.edges.add(prev_tail, head, 1);
     }
 
     /// How often `b` directly follows `a`.
@@ -300,29 +267,6 @@ mod tests {
         let batch_edges: Vec<_> = batch.edges().collect();
         assert_eq!(inc_edges, batch_edges);
         assert_eq!(incremental.activity_count("b"), batch.activity_count("b"));
-    }
-
-    /// Absorb + per-spanning-case stitches must equal building the DFG from
-    /// the joined traces directly.
-    #[test]
-    fn absorb_and_stitch_equal_joined_build() {
-        // Case X spans the boundary: ["a","b"] ++ ["c","d"]; case Y lives
-        // entirely in the first shard; case Z entirely in the second.
-        let left = DirectlyFollowsGraph::from_log(&log_from(&[&["a", "b"], &["y1", "y2"]]));
-        let right = DirectlyFollowsGraph::from_log(&log_from(&[&["c", "d"], &["z1"]]));
-        let mut merged = left.clone();
-        merged.absorb(&right);
-        merged.stitch_traces("b", "c");
-        let joined = DirectlyFollowsGraph::from_log(&log_from(&[
-            &["a", "b", "c", "d"],
-            &["y1", "y2"],
-            &["z1"],
-        ]));
-        assert_eq!(format!("{merged:?}"), format!("{joined:?}"));
-        // Absorbing an empty graph is the identity.
-        let before = format!("{merged:?}");
-        merged.absorb(&DirectlyFollowsGraph::default());
-        assert_eq!(format!("{merged:?}"), before);
     }
 
     /// The nested edge map serializes as the flat `(a, b) → count` map it

@@ -157,41 +157,6 @@ impl TimeBuckets {
         }
     }
 
-    /// Fold another series recorded on the same absolute grid into this one
-    /// (sharded-ingest merge). The result is exactly what recording both
-    /// event sets into one series would have produced.
-    ///
-    /// # Panics
-    /// Panics if the bucket widths differ — merging series on different
-    /// grids has no meaning.
-    pub fn merge(&mut self, other: &TimeBuckets) {
-        assert!(
-            self.width.as_micros() == other.width.as_micros(),
-            "cannot merge TimeBuckets with different widths"
-        );
-        if other.counts.is_empty() {
-            return;
-        }
-        if self.counts.is_empty() {
-            self.start = other.start;
-            self.counts = other.counts.clone();
-            return;
-        }
-        let new_start = self.start.min(other.start);
-        let new_end = (self.start + self.counts.len()).max(other.start + other.counts.len());
-        if new_start < self.start {
-            let pad = self.start - new_start;
-            self.counts.splice(0..0, std::iter::repeat_n(0, pad));
-            self.start = new_start;
-        }
-        if new_end - self.start > self.counts.len() {
-            self.counts.resize(new_end - self.start, 0);
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[other.start + i - self.start] += c;
-        }
-    }
-
     /// Raw counts per stored bucket (`counts()[0]` is bucket
     /// [`first_index`](TimeBuckets::first_index) on the absolute grid).
     pub fn counts(&self) -> &[u64] {
@@ -386,40 +351,6 @@ mod tests {
         b.record(SimTime::from_secs(1));
         assert_eq!(b.first_index(), 1);
         assert_eq!(b.counts(), &[1]);
-    }
-
-    #[test]
-    fn merge_equals_recording_both_event_sets() {
-        let evs_a = [2u64, 3, 3, 9];
-        let evs_b = [0u64, 4, 11];
-        let mut a = TimeBuckets::new(SimDuration::from_secs(1));
-        let mut b = TimeBuckets::new(SimDuration::from_secs(1));
-        let mut serial = TimeBuckets::new(SimDuration::from_secs(1));
-        for &s in &evs_a {
-            a.record(SimTime::from_secs(s));
-            serial.record(SimTime::from_secs(s));
-        }
-        for &s in &evs_b {
-            b.record(SimTime::from_secs(s));
-            serial.record(SimTime::from_secs(s));
-        }
-        a.merge(&b);
-        assert_eq!(a.first_index(), serial.first_index());
-        assert_eq!(a.counts(), serial.counts());
-        // Merging into an empty series adopts the other side.
-        let mut empty = TimeBuckets::new(SimDuration::from_secs(1));
-        empty.merge(&serial);
-        assert_eq!(empty.counts(), serial.counts());
-        serial.merge(&TimeBuckets::new(SimDuration::from_secs(1)));
-        assert_eq!(empty.counts(), serial.counts());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot merge TimeBuckets with different widths")]
-    fn merge_of_mismatched_widths_panics() {
-        let mut a = TimeBuckets::new(SimDuration::from_secs(1));
-        let b = TimeBuckets::new(SimDuration::from_secs(2));
-        a.merge(&b);
     }
 
     #[test]

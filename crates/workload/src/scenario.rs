@@ -368,12 +368,15 @@ fn bad(field: &str, message: impl Into<String>) -> SpecError {
     }
 }
 
-/// A rate must be positive and finite.
+/// A rate must be finite and at least [`MIN_RATE`].
 fn check_rate(field: &str, rate: f64) -> Result<(), SpecError> {
-    if rate.is_finite() && rate > 0.0 {
+    if rate.is_finite() && rate >= MIN_RATE {
         Ok(())
     } else {
-        Err(bad(field, format!("rate must be positive, got {rate}")))
+        Err(bad(
+            field,
+            format!("rate must be at least {MIN_RATE} tx/s, got {rate}"),
+        ))
     }
 }
 
@@ -439,6 +442,15 @@ pub const MAX_RETRY_ATTEMPTS: usize = 64;
 /// `fault.latency_spikes`, `fault.orderer_stalls`). It also bounds the
 /// pairwise orderer-stall overlap check.
 pub const MAX_FAULT_WINDOWS: usize = 1 << 10;
+
+/// Lower bound, in tx/s, on every rate a spec sets: the generator rates,
+/// `arrival.rate` and each `transforms[i].rate`. `arrival.gap` is bounded
+/// by its inverse, 1 000 s. Send times are microsecond `SimTime`s (u64, so
+/// at most ~585 000 years). At this rate, [`MAX_GENERATED`] requests span
+/// ~33 years; even if every exponential inter-arrival gap drew its largest
+/// possible value (~708 means), the last send time stays more than 10×
+/// inside `SimTime`'s range.
+pub const MIN_RATE: f64 = 1e-3;
 
 impl ScenarioSpec {
     /// The spec of a built-in scenario under its default parameters and
@@ -637,10 +649,13 @@ impl ScenarioSpec {
             ArrivalSpec::Closed => {}
             ArrivalSpec::Poisson { rate } => check_rate("arrival.rate", *rate)?,
             ArrivalSpec::Uniform { gap } => {
-                if !gap.is_finite() || *gap <= 0.0 {
+                if !(gap.is_finite() && *gap > 0.0 && *gap <= 1.0 / MIN_RATE) {
                     return Err(bad(
                         "arrival.gap",
-                        format!("gap must be positive seconds, got {gap}"),
+                        format!(
+                            "gap must be positive seconds, at most {}, got {gap}",
+                            1.0 / MIN_RATE
+                        ),
                     ));
                 }
             }
@@ -1674,6 +1689,53 @@ mod tests {
                     s.network.endorsement_policy = EndorsementPolicy::out_of(1, MAX_POLICY_ORGS + 1)
                 }),
             ),
+            // Rates below MIN_RATE (gaps above its inverse) could space a
+            // schedule past the clock's range: a 1e-12 throttle overflowed
+            // SimTime. Each is rejected far past the bound and one step
+            // past it; the bound itself is accepted below.
+            (
+                "transforms[0].rate",
+                Box::new(|s| s.transforms = vec![SpecTransform::Throttle { rate: 1e-12 }]),
+            ),
+            (
+                "transforms[0].rate",
+                Box::new(|s| {
+                    s.transforms = vec![SpecTransform::Throttle {
+                        rate: MIN_RATE.next_down(),
+                    }]
+                }),
+            ),
+            (
+                "arrival.rate",
+                Box::new(|s| s.arrival = ArrivalSpec::Poisson { rate: 1e-12 }),
+            ),
+            (
+                "arrival.rate",
+                Box::new(|s| {
+                    s.arrival = ArrivalSpec::Poisson {
+                        rate: MIN_RATE.next_down(),
+                    }
+                }),
+            ),
+            (
+                "arrival.gap",
+                Box::new(|s| s.arrival = ArrivalSpec::Uniform { gap: 1e12 }),
+            ),
+            (
+                "arrival.gap",
+                Box::new(|s| {
+                    s.arrival = ArrivalSpec::Uniform {
+                        gap: (1.0 / MIN_RATE).next_up(),
+                    }
+                }),
+            ),
+            (
+                "scm.send_rate",
+                Box::new(|s| match &mut s.workload {
+                    WorkloadSpec::Scm(scm) => scm.send_rate = MIN_RATE.next_down(),
+                    other => panic!("demo spec is scm, got {}", other.kind()),
+                }),
+            ),
         ];
         for (field, poison) in cases {
             let mut spec = base.clone();
@@ -1705,6 +1767,16 @@ mod tests {
         widest.network.orgs = MAX_POLICY_ORGS;
         widest.network.endorsement_policy = EndorsementPolicy::out_of(8, MAX_POLICY_ORGS);
         widest.validate().unwrap();
+        for arrival in [
+            ArrivalSpec::Poisson { rate: MIN_RATE },
+            ArrivalSpec::Uniform {
+                gap: 1.0 / MIN_RATE,
+            },
+        ] {
+            let mut slowest = base.clone().with_arrival(arrival);
+            slowest.transforms = vec![SpecTransform::Throttle { rate: MIN_RATE }];
+            slowest.validate().unwrap();
+        }
 
         // P1 names four orgs, so a synthetic P1 workload invokes from four
         // orgs, which the builtin 2-org network does not run.
