@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fabric_sim::config::SchedulerKind;
 use fabric_sim::rwset::{ReadWriteSet, Version};
 use fabric_sim::scheduler::{schedule_block, SchedTx};
-use fabric_sim::types::Value;
+use fabric_sim::types::{Key, Value};
 use sim_core::dist::Zipf;
 use sim_core::rng::SimRng;
 use sim_core::time::SimDuration;
@@ -20,7 +20,7 @@ fn conflict_block(n: usize, keys: usize, skew: f64) -> Vec<ReadWriteSet> {
     (0..n)
         .map(|i| {
             let mut rw = ReadWriteSet::new();
-            let k = format!("k{}", zipf.sample(&mut rng));
+            let k: Key = format!("k{}", zipf.sample(&mut rng)).into();
             rw.record_read(k.clone(), Some(Version::new(0, 0)));
             rw.record_write(k, Some(Value::Int(i as i64)));
             rw

@@ -24,7 +24,7 @@ pub fn to_event_log(log: &BlockchainLog) -> EventLog {
             traces
                 .entry(case.clone())
                 .or_default()
-                .push((record.commit_index, record.activity.clone()));
+                .push((record.commit_index, record.activity.to_string()));
         }
     }
     let mut out = EventLog::new();

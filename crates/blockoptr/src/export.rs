@@ -116,7 +116,7 @@ mod tests {
         let json = to_json(&log);
         let back = from_json(&json).unwrap();
         assert_eq!(back.len(), log.len());
-        assert_eq!(back.records()[1].activity, "queryProducts");
+        assert_eq!(&*back.records()[1].activity, "queryProducts");
         assert_eq!(back.records()[1].status, TxStatus::MvccReadConflict);
         assert_eq!(back.records()[0].rwset, log.records()[0].rwset);
     }

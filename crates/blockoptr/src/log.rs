@@ -13,12 +13,17 @@
 
 use fabric_sim::ledger::{Ledger, TransactionEnvelope, TxStatus};
 use fabric_sim::rwset::ReadWriteSet;
-use fabric_sim::types::{ClientId, PeerId, TxType, Value};
+use fabric_sim::types::{ClientId, Name, PeerId, TxType, Value};
 use serde::{Deserialize, Serialize};
 use sim_core::time::SimTime;
 use std::fmt;
+use std::sync::Arc;
 
 /// One preprocessed transaction record (the nine attributes).
+///
+/// Names, arguments and the read-write set are shared handles: a record
+/// built from a ledger points at its envelope's data instead of copying it.
+/// They serialize as their contents.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TxRecord {
     /// Attribute 9: position in commit order (0-based over the whole log).
@@ -30,17 +35,17 @@ pub struct TxRecord {
     /// Commit timestamp (for latency analyses).
     pub commit_ts: SimTime,
     /// Chaincode name.
-    pub contract: String,
+    pub contract: Name,
     /// Attribute 2: activity (smart-contract function) name.
-    pub activity: String,
+    pub activity: Name,
     /// Attribute 3: function arguments.
-    pub args: Vec<Value>,
+    pub args: Arc<[Value]>,
     /// Attribute 4: endorsing peers.
     pub endorsers: Vec<PeerId>,
     /// Attribute 5: invoking client (carries its organization).
     pub invoker: ClientId,
     /// Attribute 6: the read-write set.
-    pub rwset: ReadWriteSet,
+    pub rwset: Arc<ReadWriteSet>,
     /// Attribute 7: transaction status.
     pub status: TxStatus,
     /// Attribute 8: transaction type (derived from the read-write set).
@@ -155,6 +160,9 @@ impl BlockchainLog {
     /// step: a `Session` calls this once per new block instead of re-reading
     /// the whole chain. Commit indices continue from the existing records;
     /// `keep` is the cleaning predicate. Returns how many records were added.
+    ///
+    /// Each record shares its envelope's names, arguments and read-write
+    /// set, so only the endorser list is copied.
     pub fn append_block(
         &mut self,
         block: &fabric_sim::ledger::Block,
@@ -175,9 +183,9 @@ impl BlockchainLog {
                 block: block.number,
                 client_ts: tx.client_ts,
                 commit_ts: tx.commit_ts,
-                contract: tx.contract.to_string(),
-                activity: tx.activity.to_string(),
-                args: tx.args.to_vec(),
+                contract: tx.contract.clone(),
+                activity: tx.activity.clone(),
+                args: tx.args.clone(),
                 endorsers: tx.endorsers.clone(),
                 invoker: tx.invoker,
                 rwset: tx.rwset.clone(),
@@ -231,7 +239,11 @@ impl BlockchainLog {
 
     /// The distinct activity names, sorted.
     pub fn activities(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.records().iter().map(|r| r.activity.clone()).collect();
+        let mut v: Vec<String> = self
+            .records()
+            .iter()
+            .map(|r| r.activity.to_string())
+            .collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -288,17 +300,14 @@ impl BlockchainLog {
     /// each O(live) compaction is paid for by at least `live` prior
     /// evictions. (The old `drain(..k)` memmoved the whole retained window
     /// on every evicting batch, O(window) even for a one-record eviction.)
-    /// Each evicted record's heap data is freed here, by the batch that
-    /// evicts it, so a compaction is a plain memmove rather than a burst
-    /// of frees for every batch since the last one.
+    /// Each evicted record's endorser list, the one field it owns outright,
+    /// is freed here, by the batch that evicts it. Its shared handles are
+    /// released at the compaction; a record built from a ledger shares
+    /// them with its envelope, so releasing one frees nothing.
     pub(crate) fn evict_front(&mut self, k: usize, blocks: usize) {
         debug_assert!(k <= self.len());
         for dead in &mut self.records[self.head..self.head + k] {
-            dead.contract = String::new();
-            dead.activity = String::new();
-            dead.args = Vec::new();
             dead.endorsers = Vec::new();
-            dead.rwset = ReadWriteSet::new();
         }
         self.head += k;
         self.blocks = blocks;
@@ -332,7 +341,7 @@ pub(crate) mod test_support {
                     commit_ts: SimTime::from_millis(commit_index as u64 * 100 + 1_000),
                     contract: "cc".into(),
                     activity: activity.into(),
-                    args: vec![],
+                    args: Arc::from([]),
                     endorsers: vec![PeerId {
                         org: OrgId(0),
                         index: 0,
@@ -341,11 +350,16 @@ pub(crate) mod test_support {
                         org: OrgId(0),
                         index: 0,
                     },
-                    rwset: ReadWriteSet::new(),
+                    rwset: Arc::default(),
                     status: TxStatus::Success,
                     tx_type: TxType::Read,
                 },
             }
+        }
+
+        /// The record's read-write set, unshared for editing.
+        fn rwset(&mut self) -> &mut ReadWriteSet {
+            Arc::make_mut(&mut self.record.rwset)
         }
 
         pub fn status(mut self, status: TxStatus) -> Self {
@@ -354,33 +368,39 @@ pub(crate) mod test_support {
         }
 
         pub fn reads(mut self, keys: &[&str]) -> Self {
-            for k in keys {
-                self.record
-                    .rwset
-                    .record_read(k.to_string(), Some(Version::new(0, 0)));
+            for &k in keys {
+                self.rwset().record_read(k.into(), Some(Version::new(0, 0)));
             }
             self.record.tx_type = self.record.rwset.tx_type();
             self
         }
 
         pub fn writes(mut self, keys: &[&str]) -> Self {
-            for k in keys {
-                self.record
-                    .rwset
-                    .record_write(k.to_string(), Some(Value::Int(1)));
+            for &k in keys {
+                self.rwset().record_write(k.into(), Some(Value::Int(1)));
             }
             self.record.tx_type = self.record.rwset.tx_type();
             self
         }
 
         pub fn writes_value(mut self, key: &str, value: Value) -> Self {
-            self.record.rwset.record_write(key.to_string(), Some(value));
+            self.rwset().record_write(key.into(), Some(value));
+            self.record.tx_type = self.record.rwset.tx_type();
+            self
+        }
+
+        /// Record a range scan over `[start, end)` that observed `keys`.
+        pub fn scans(mut self, start: &str, end: &str, keys: &[&str]) -> Self {
+            let observed = keys.iter().map(|&k| (k.into(), Version::new(0, 0)));
+            let observed = observed.collect();
+            self.rwset()
+                .record_range(start.into(), end.into(), observed);
             self.record.tx_type = self.record.rwset.tx_type();
             self
         }
 
         pub fn args(mut self, args: Vec<Value>) -> Self {
-            self.record.args = args;
+            self.record.args = args.into();
             self
         }
 
@@ -520,7 +540,7 @@ mod tests {
                 org: OrgId(0),
                 index: 0,
             },
-            rwset: ReadWriteSet::new(),
+            rwset: Arc::default(),
             status: TxStatus::Success,
             tx_type: TxType::Read,
         };
@@ -534,9 +554,53 @@ mod tests {
         });
         let log = BlockchainLog::from_ledger_filtered(&ledger, |t| t.activity.as_ref() != "setup");
         assert_eq!(log.len(), 1);
-        assert_eq!(log.records()[0].activity, "work");
+        assert_eq!(&*log.records()[0].activity, "work");
         assert_eq!(log.records()[0].commit_index, 0, "re-indexed after clean");
         let full = BlockchainLog::from_ledger(&ledger);
         assert_eq!(full.len(), 2);
+    }
+
+    /// A record shares its envelope's data, and a run names each distinct
+    /// key with one allocation: every read, write, range bound and range
+    /// observation of one key is the same handle.
+    #[test]
+    fn records_and_keys_share_the_runs_allocations() {
+        use fabric_sim::types::Key;
+        use std::collections::BTreeMap;
+        let mut observed = 0;
+        // dv scans ranges; lap reads keys before they exist, then writes
+        // them.
+        for name in ["scm", "dv", "lap"] {
+            let spec = workload::ScenarioSpec::builtin(name)
+                .unwrap()
+                .with_transactions(400);
+            let (bundle, config) = spec.build().unwrap();
+            let ledger = bundle.run(config).ledger;
+            let log = BlockchainLog::from_ledger(&ledger);
+            assert_eq!(log.len(), ledger.tx_count());
+            let mut handles: BTreeMap<&str, &Key> = BTreeMap::new();
+            let mut occurrences = 0;
+            for (record, tx) in log.records().iter().zip(ledger.transactions()) {
+                assert!(Arc::ptr_eq(&record.rwset, &tx.rwset), "{name}");
+                assert!(Arc::ptr_eq(&record.args, &tx.args), "{name}");
+                assert!(Arc::ptr_eq(&record.activity, &tx.activity), "{name}");
+                assert!(Arc::ptr_eq(&record.contract, &tx.contract), "{name}");
+                let rw = &tx.rwset;
+                let points = rw.reads.iter().map(|r| &r.key);
+                let points = points.chain(rw.writes.iter().map(|w| &w.key));
+                let ranges = rw.range_reads.iter().flat_map(|rr| {
+                    observed += rr.observed.len();
+                    let scanned = rr.observed.iter().map(|(k, _)| k);
+                    [&rr.start, &rr.end].into_iter().chain(scanned)
+                });
+                for key in points.chain(ranges) {
+                    occurrences += 1;
+                    let first = *handles.entry(&**key).or_insert(key);
+                    assert!(Arc::ptr_eq(first, key), "{name}: {key} has two allocations");
+                }
+            }
+            assert!(occurrences > handles.len(), "{name}: keys recur");
+        }
+        assert!(observed > 0, "range observations are covered");
     }
 }

@@ -12,24 +12,24 @@
 
 use crate::log::{BlockchainLog, TxRecord};
 use fabric_sim::ledger::TxStatus;
-use fabric_sim::types::Value;
+use fabric_sim::types::{Key, Name, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// One identified conflict: a failed reader and the writer that invalidated
-/// its read.
+/// its read. Names and the key share the records' handles.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ConflictPair {
     /// Commit index of the failed transaction.
     pub failed_index: usize,
     /// Activity of the failed transaction.
-    pub failed_activity: String,
+    pub failed_activity: Name,
     /// Commit index of the conflicting (committed) writer.
     pub writer_index: usize,
     /// Activity of the writer.
-    pub writer_activity: String,
+    pub writer_activity: Name,
     /// The contended key.
-    pub key: String,
+    pub key: Key,
     /// Commit-order distance (`corP`).
     pub distance: usize,
     /// Whether the two transactions' write sets are disjoint — the paper's
@@ -50,9 +50,9 @@ pub struct CorrelationMetrics {
     /// Conflicts whose pair is reorderable.
     pub reorderable: usize,
     /// Conflict counts per (failed activity, writer activity).
-    pub pair_counts: BTreeMap<(String, String), usize>,
+    pub pair_counts: BTreeMap<(Name, Name), usize>,
     /// Reorderable-conflict counts per (failed activity, writer activity).
-    pub reorderable_pairs: BTreeMap<(String, String), usize>,
+    pub reorderable_pairs: BTreeMap<(Name, Name), usize>,
     /// Per failed activity: (total conflicts, reorderable conflicts).
     pub activity_conflicts: BTreeMap<String, (usize, usize)>,
     /// Mean commit-order distance of identified conflicts (`corP`).
@@ -78,13 +78,13 @@ pub struct CorrelationTracker {
     /// Absolute stream position of `records[0]` (0 until eviction starts).
     base: usize,
     /// Most recent committed writer per key (absolute record position).
-    last_writer: HashMap<String, usize>,
+    last_writer: HashMap<Key, usize>,
     /// Previous transaction (any status) per activity, for corPA.
-    prev_of_activity: HashMap<String, usize>,
+    prev_of_activity: HashMap<Name, usize>,
     /// For each counted delta-write candidate: the predecessor's absolute
     /// position → activity. A predecessor is the earlier of the pair, so
     /// its eviction is the moment the contribution leaves the window.
-    delta_deps: BTreeMap<usize, String>,
+    delta_deps: BTreeMap<usize, Name>,
     /// Sum of the identified conflicts' commit distances. Wider than a
     /// distance, so commit indices near `usize::MAX` in a user log cannot
     /// overflow it.
@@ -110,28 +110,17 @@ impl CorrelationTracker {
         // Delta-write candidates: this tx and the previous tx of the
         // same activity are adjacent in the activity's own sequence
         // (corPA(x, y) == 1).
-        if let Some(&ppos) = self.prev_of_activity.get(r.activity.as_str()) {
+        if let Some(ppos) = self.prev_of_activity.insert(r.activity.clone(), pos) {
             if is_delta_write(&records[ppos - base], r) {
-                crate::metrics::increment(&mut m.delta_candidates, r.activity.as_str());
+                crate::metrics::increment(&mut m.delta_candidates, &*r.activity);
                 self.delta_deps.insert(ppos, r.activity.clone());
             }
-        }
-        // Avoid re-allocating the activity key on every record.
-        if let Some(prev) = self.prev_of_activity.get_mut(r.activity.as_str()) {
-            *prev = pos;
-        } else {
-            self.prev_of_activity.insert(r.activity.clone(), pos);
         }
 
         // Only *successful* writes update the committed state.
         if r.status.is_success() {
             for w in &r.rwset.writes {
-                // Avoid re-allocating the key on every repeat write.
-                if let Some(entry) = self.last_writer.get_mut(w.key.as_str()) {
-                    *entry = pos;
-                } else {
-                    self.last_writer.insert(w.key.clone(), pos);
-                }
+                self.last_writer.insert(w.key.clone(), pos);
             }
         }
     }
@@ -155,8 +144,7 @@ impl CorrelationTracker {
                 m.read_conflicts -= 1;
             }
         }
-        // In place: an evicted pair's own strings become its lookup key.
-        std::sync::Arc::make_mut(&mut m.conflicts).retain_mut(|c| {
+        std::sync::Arc::make_mut(&mut m.conflicts).retain(|c| {
             if c.writer_index >= cutoff_commit {
                 return true;
             }
@@ -164,19 +152,16 @@ impl CorrelationTracker {
             self.distance_sum -= c.distance as u128;
             let per_activity = m
                 .activity_conflicts
-                .get_mut(&c.failed_activity)
+                .get_mut(&*c.failed_activity)
                 .expect("evicted conflict was counted");
             per_activity.0 -= 1;
             if c.reorderable {
                 per_activity.1 -= 1;
             }
             if *per_activity == (0, 0) {
-                m.activity_conflicts.remove(&c.failed_activity);
+                m.activity_conflicts.remove(&*c.failed_activity);
             }
-            let pair = (
-                std::mem::take(&mut c.failed_activity),
-                std::mem::take(&mut c.writer_activity),
-            );
+            let pair = (c.failed_activity.clone(), c.writer_activity.clone());
             crate::metrics::decrement(&mut m.pair_counts, &pair);
             if c.reorderable {
                 m.reorderable -= 1;
@@ -194,7 +179,7 @@ impl CorrelationTracker {
         self.prev_of_activity.retain(|_, pos| *pos >= base);
         let live = self.delta_deps.split_off(&base);
         for activity in std::mem::replace(&mut self.delta_deps, live).into_values() {
-            crate::metrics::decrement(&mut m.delta_candidates, &activity);
+            crate::metrics::decrement(&mut m.delta_candidates, &*activity);
         }
     }
 
@@ -263,7 +248,7 @@ impl CorrelationMetrics {
         let mut v: Vec<_> = self
             .reorderable_pairs
             .iter()
-            .map(|(pair, &count)| (pair.clone(), count))
+            .map(|((failed, writer), &count)| ((failed.to_string(), writer.to_string()), count))
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v
@@ -285,13 +270,13 @@ fn is_delta_write(prev: &TxRecord, r: &TxRecord) -> bool {
 /// The most recent committed writer (absolute position) of any key `r`
 /// read, point or range, and that key.
 fn latest_writer<'r>(
-    last_writer: &HashMap<String, usize>,
+    last_writer: &HashMap<Key, usize>,
     r: &'r TxRecord,
-) -> Option<(usize, &'r str)> {
-    let reads = r.rwset.reads.iter().map(|read| read.key.as_str());
+) -> Option<(usize, &'r Key)> {
+    let reads = r.rwset.reads.iter().map(|read| &read.key);
     let ranges = r.rwset.range_reads.iter();
-    let scanned = ranges.flat_map(|rr| rr.observed.iter().map(|(key, _)| key.as_str()));
-    let mut best: Option<(usize, &str)> = None;
+    let scanned = ranges.flat_map(|rr| rr.observed.iter().map(|(key, _)| key));
+    let mut best: Option<(usize, &Key)> = None;
     for key in reads.chain(scanned) {
         if let Some(&wpos) = last_writer.get(key) {
             if best.is_none_or(|(b, _)| wpos > b) {
@@ -303,14 +288,15 @@ fn latest_writer<'r>(
 }
 
 /// Count the identified conflict of `r` against `writer` on `key` and
-/// return its pair record for the caller to append. Allocates the record,
-/// the `(failed, writer)` activity-pair keys and the writer's key list.
+/// return its pair record for the caller to append. The record and the
+/// activity-pair keys share the records' handles; only the writer's key
+/// list and a first-seen pair's map entry allocate.
 fn count_conflict(
     m: &mut CorrelationMetrics,
     distance_sum: &mut u128,
     r: &TxRecord,
     writer: &TxRecord,
-    key: &str,
+    key: &Key,
 ) -> ConflictPair {
     // The paper's reorderability condition: `WS(x) ∩ WS(y) = ∅`.
     let writer_keys = writer.rwset.write_keys();
@@ -318,11 +304,11 @@ fn count_conflict(
         .rwset
         .writes
         .iter()
-        .any(|w| writer_keys.binary_search(&w.key.as_str()).is_ok());
+        .any(|w| writer_keys.binary_search(&&*w.key).is_ok());
     let distance = r.commit_index - writer.commit_index;
     *distance_sum += distance as u128;
     m.identified += 1;
-    crate::metrics::update(&mut m.activity_conflicts, r.activity.as_str(), |n| {
+    crate::metrics::update(&mut m.activity_conflicts, &*r.activity, |n| {
         n.0 += 1;
         n.1 += usize::from(reorderable);
     });
@@ -337,7 +323,7 @@ fn count_conflict(
         failed_activity: r.activity.clone(),
         writer_index: writer.commit_index,
         writer_activity: writer.activity.clone(),
-        key: key.to_string(),
+        key: key.clone(),
         distance,
         reorderable,
     }
@@ -389,7 +375,7 @@ mod tests {
         ]);
         let m = CorrelationMetrics::derive(&log);
         assert_eq!(m.identified, 1);
-        assert_eq!(m.conflicts[0].writer_activity, "writer");
+        assert_eq!(&*m.conflicts[0].writer_activity, "writer");
         assert_eq!(m.conflicts[0].distance, 3);
         assert!(m.conflicts[0].reorderable, "reader writes nothing");
         assert!((m.mean_distance - 3.0).abs() < 1e-9);
@@ -432,19 +418,16 @@ mod tests {
 
     #[test]
     fn range_read_conflicts_traced_to_writer() {
-        let mut scan = Rec::new(1, "scan").status(TxStatus::PhantomReadConflict);
-        scan.record.rwset.record_range(
-            "a".into(),
-            "z".into(),
-            vec![("k".to_string(), fabric_sim::rwset::Version::new(0, 0))],
-        );
+        let scan = Rec::new(1, "scan")
+            .scans("a", "z", &["k"])
+            .status(TxStatus::PhantomReadConflict);
         let log = log_of(vec![
             Rec::new(0, "writer").writes(&["k"]).build(),
             scan.build(),
         ]);
         let m = CorrelationMetrics::derive(&log);
         assert_eq!(m.identified, 1);
-        assert_eq!(m.conflicts[0].key, "k");
+        assert_eq!(&*m.conflicts[0].key, "k");
     }
 
     #[test]

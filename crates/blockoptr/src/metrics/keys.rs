@@ -146,9 +146,7 @@ impl KeyMetrics {
                 moved(key, *n);
                 *n += 1;
             });
-            super::update(by_key, key, |acts| {
-                super::increment(acts, r.activity.as_str())
-            });
+            super::update(by_key, key, |acts| super::increment(acts, &*r.activity));
         }
     }
 
@@ -167,7 +165,7 @@ impl KeyMetrics {
             let acts = by_key
                 .get_mut(key)
                 .expect("retracted key has recorded activities");
-            super::decrement(acts, r.activity.as_str());
+            super::decrement(acts, &*r.activity);
             if acts.is_empty() {
                 by_key.remove(key);
             }

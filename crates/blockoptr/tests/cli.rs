@@ -173,33 +173,73 @@ fn spec_freeze_inlines_the_schedule() {
 /// timestamp span (exit 1), not size the rate series by it and abort.
 #[test]
 fn optimize_rejects_a_far_future_client_timestamp() {
-    let dir = std::env::temp_dir().join("blockoptr_cli_far_future");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("frozen.json");
-    let out = blockoptr(&[
-        "spec",
-        "scm",
-        "--txs",
-        "20",
-        "--freeze",
-        "--out",
-        path.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let mut spec =
-        workload::ScenarioSpec::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let workload::WorkloadSpec::Schedule(schedule) = &mut spec.workload else {
-        panic!("expected a frozen schedule");
-    };
-    schedule.requests.last_mut().unwrap().send_time =
-        sim_core::time::SimTime(1_000_000_000_000_000_000);
-    std::fs::write(&path, spec.to_json()).unwrap();
-
-    let out = blockoptr(&["optimize", "--spec", path.to_str().unwrap(), "--dry-run"]);
+    let path = frozen_spec("far_future", |spec| {
+        let workload::WorkloadSpec::Schedule(schedule) = &mut spec.workload else {
+            panic!("expected a frozen schedule");
+        };
+        schedule.requests.last_mut().unwrap().send_time =
+            sim_core::time::SimTime(1_000_000_000_000_000_000);
+    });
+    let out = blockoptr(&["optimize", "--spec", &path, "--dry-run"]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert!(
         stderr(&out).contains("client timestamps span")
             && stderr(&out).contains("more than 4194304 metric intervals"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+/// A frozen 20-transaction scm spec, edited by `edit`, written to a file
+/// of `name` under the temp dir; returns its path.
+fn frozen_spec(name: &str, edit: impl FnOnce(&mut workload::ScenarioSpec)) -> String {
+    let dir = std::env::temp_dir().join(format!("blockoptr_cli_{name}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("frozen.json");
+    let path = path.to_str().unwrap();
+    let out = blockoptr(&["spec", "scm", "--txs", "20", "--freeze", "--out", path]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let mut spec =
+        workload::ScenarioSpec::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+    edit(&mut spec);
+    std::fs::write(path, spec.to_json()).unwrap();
+    path.to_string()
+}
+
+/// Send times near the clock's end made every later event time wrap: the
+/// release build panicked in the ledger ("blocks must be contiguous").
+/// Spec validation now rejects them (exit 1) before anything simulates.
+#[test]
+fn optimize_rejects_send_times_near_the_end_of_the_clock() {
+    let path = frozen_spec("far_send_times", |spec| {
+        let workload::WorkloadSpec::Schedule(schedule) = &mut spec.workload else {
+            panic!("expected a frozen schedule");
+        };
+        for r in &mut schedule.requests {
+            r.send_time = sim_core::time::SimTime(18_446_744_073_709_000_000);
+        }
+    });
+    let out = blockoptr(&["optimize", "--spec", &path, "--dry-run"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("bad spec parameter schedule.requests[0].send_time: must be at most"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+/// A block timeout of ~1.8·10¹⁹ µs made the release build wrap its clock
+/// and report a meaningless run (exit 0, latency 1.8·10¹³ s). Spec
+/// validation now rejects it (exit 1).
+#[test]
+fn optimize_rejects_a_block_timeout_past_the_phase_bound() {
+    let path = frozen_spec("far_block_timeout", |spec| {
+        spec.network.block_timeout = sim_core::time::SimDuration(18_446_744_073_709_000_000);
+    });
+    let out = blockoptr(&["optimize", "--spec", &path, "--dry-run"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("bad spec parameter network.block_timeout: must be at most"),
         "{}",
         stderr(&out)
     );

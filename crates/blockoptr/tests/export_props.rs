@@ -7,7 +7,7 @@ use blockoptr::log::{BlockchainLog, TxRecord};
 use blockoptr::session::{AnalyzeError, Analyzer};
 use fabric_sim::ledger::TxStatus;
 use fabric_sim::rwset::{ReadWriteSet, Version};
-use fabric_sim::types::{ClientId, OrgId, PeerId, TxType, Value};
+use fabric_sim::types::{ClientId, Key, OrgId, PeerId, TxType, Value};
 use proptest::prelude::*;
 use sim_core::time::SimTime;
 use std::collections::BTreeMap;
@@ -65,6 +65,7 @@ fn arb_record() -> impl Strategy<Value = TxRecord> {
             |(contract, activity, args, status, endorser_orgs, (ts, dt), writes)| {
                 let mut rwset = ReadWriteSet::new();
                 for (key, value) in writes {
+                    let key: Key = key.into();
                     rwset.record_read(key.clone(), Some(Version::new(1, 0)));
                     rwset.record_write(key, Some(value));
                 }
@@ -73,9 +74,9 @@ fn arb_record() -> impl Strategy<Value = TxRecord> {
                     block: 1 + ts % 7,
                     client_ts: SimTime::from_micros(ts),
                     commit_ts: SimTime::from_micros(ts + dt),
-                    contract,
-                    activity,
-                    args,
+                    contract: contract.into(),
+                    activity: activity.into(),
+                    args: args.into(),
                     endorsers: endorser_orgs
                         .into_iter()
                         .map(|org| PeerId {
@@ -87,7 +88,7 @@ fn arb_record() -> impl Strategy<Value = TxRecord> {
                         org: OrgId(0),
                         index: 1,
                     },
-                    rwset,
+                    rwset: rwset.into(),
                     status,
                     tx_type: TxType::Read,
                 }
@@ -177,10 +178,10 @@ proptest! {
                 commit_ts: SimTime::from_micros(2),
                 contract: "cc".into(),
                 activity: "act".into(),
-                args: vec![Value::Str("P0001".into())],
+                args: vec![Value::Str("P0001".into())].into(),
                 endorsers: vec![],
                 invoker: ClientId { org: OrgId(0), index: 0 },
-                rwset: ReadWriteSet::new(),
+                rwset: ReadWriteSet::new().into(),
                 status: TxStatus::Success,
                 tx_type: TxType::Read,
             }],

@@ -32,9 +32,9 @@ fn arb_record() -> impl Strategy<Value = TxRecord> {
             let writes = writes == 1;
             let activities = ["transfer", "audit", "query", "settle"];
             let mut rwset = ReadWriteSet::new();
-            rwset.record_read(format!("ns/k{read}"), Some(Version::new(1, 0)));
+            rwset.record_read(format!("ns/k{read}").into(), Some(Version::new(1, 0)));
             if writes {
-                rwset.record_write(format!("ns/k{write}"), Some(Value::Int(1)));
+                rwset.record_write(format!("ns/k{write}").into(), Some(Value::Int(1)));
             }
             let status = match status {
                 0 | 1 => TxStatus::MvccReadConflict,
@@ -48,7 +48,7 @@ fn arb_record() -> impl Strategy<Value = TxRecord> {
                 commit_ts: SimTime::ZERO,
                 contract: "cc".into(),
                 activity: activities[act].into(),
-                args: vec![Value::Str(format!("CASE{case:03}"))],
+                args: vec![Value::Str(format!("CASE{case:03}"))].into(),
                 endorsers: vec![PeerId {
                     org: OrgId((act % 3) as u16),
                     index: 0,
@@ -57,7 +57,7 @@ fn arb_record() -> impl Strategy<Value = TxRecord> {
                     org: OrgId((case % 2) as u16),
                     index: 0,
                 },
-                rwset,
+                rwset: rwset.into(),
                 status,
                 tx_type: if writes { TxType::Update } else { TxType::Read },
             }
@@ -280,7 +280,7 @@ fn arb_many_case_ledger() -> impl Strategy<Value = BlockchainLog> {
                     r.block = (i / per_block) as u64 + 1;
                     r.commit_ts = SimTime::from_micros(i as u64 * 50_000);
                     r.client_ts = SimTime::from_micros((i as u64 * 50_000).saturating_sub(30_000));
-                    r.args = vec![Value::Str(format!("CASE{case:03}"))];
+                    r.args = vec![Value::Str(format!("CASE{case:03}"))].into();
                     r.invoker.org = OrgId((case % 2) as u16);
                     r
                 })
@@ -344,7 +344,7 @@ fn surviving_trace_is_reordered_to_first_event_position() {
             commit_ts: SimTime::from_millis(i as u64 * 100 + 1_000),
             contract: "cc".into(),
             activity: activity.into(),
-            args: vec![Value::Str(case.to_string())],
+            args: vec![Value::Str(case.to_string())].into(),
             endorsers: vec![PeerId {
                 org: OrgId(0),
                 index: 0,
@@ -353,7 +353,7 @@ fn surviving_trace_is_reordered_to_first_event_position() {
                 org: OrgId(0),
                 index: 0,
             },
-            rwset: ReadWriteSet::new(),
+            rwset: ReadWriteSet::new().into(),
             status: TxStatus::Success,
             tx_type: TxType::Read,
         }
@@ -395,9 +395,9 @@ fn footprint_bytes_stay_bounded_over_long_runs() {
     fn rec(i: usize) -> TxRecord {
         let activities = ["open", "work", "close"];
         let mut rwset = ReadWriteSet::new();
-        rwset.record_read(format!("ns/k{}", i % 6), Some(Version::new(1, 0)));
+        rwset.record_read(format!("ns/k{}", i % 6).into(), Some(Version::new(1, 0)));
         if i.is_multiple_of(2) {
-            rwset.record_write(format!("ns/k{}", i % 6), Some(Value::Int(1)));
+            rwset.record_write(format!("ns/k{}", i % 6).into(), Some(Value::Int(1)));
         }
         TxRecord {
             commit_index: i,
@@ -406,7 +406,7 @@ fn footprint_bytes_stay_bounded_over_long_runs() {
             commit_ts: SimTime::from_millis(i as u64 * 100 + 1_000),
             contract: "cc".into(),
             activity: activities[i % 3].into(),
-            args: vec![Value::Str(format!("CASE{:03}", i % 6))],
+            args: vec![Value::Str(format!("CASE{:03}", i % 6))].into(),
             endorsers: vec![PeerId {
                 org: OrgId((i % 3) as u16),
                 index: 0,
@@ -415,7 +415,7 @@ fn footprint_bytes_stay_bounded_over_long_runs() {
                 org: OrgId((i % 2) as u16),
                 index: 0,
             },
-            rwset,
+            rwset: rwset.into(),
             status: if i.is_multiple_of(5) {
                 TxStatus::MvccReadConflict
             } else {

@@ -303,9 +303,9 @@ mod tests {
 
     #[test]
     fn base_play_is_hot_key_update() {
-        let s = base_state();
+        let mut s = base_state();
         let cc = DrmContract;
-        let mut ctx = TxContext::new(&s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         assert!(cc.execute(&mut ctx, "play", &["M0001".into()]).is_ok());
         let rw = ctx.into_rwset();
         assert_eq!(rw.tx_type(), TxType::Update);
@@ -322,10 +322,10 @@ mod tests {
 
     #[test]
     fn base_queries_touch_the_same_key_as_play() {
-        let s = base_state();
+        let mut s = base_state();
         let cc = DrmContract;
         for act in ["viewMetaData", "queryRightHolders", "calcRevenue"] {
-            let mut ctx = TxContext::new(&s, cc.name());
+            let mut ctx = TxContext::new(&mut s, cc.name());
             assert!(cc.execute(&mut ctx, act, &["M0001".into()]).is_ok());
             let rw = ctx.into_rwset();
             assert!(rw.read_keys().contains(&"drm/M0001"), "{act}");
@@ -334,9 +334,9 @@ mod tests {
 
     #[test]
     fn delta_play_is_blind_write_to_unique_key() {
-        let s = base_state();
+        let mut s = base_state();
         let cc = DrmDeltaContract;
-        let mut ctx = TxContext::new(&s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         assert!(cc
             .execute(&mut ctx, "play", &["M0001".into(), Value::Int(17)])
             .is_ok());
@@ -351,7 +351,7 @@ mod tests {
         s.seed("drm/M0001#d000000001".into(), Value::Int(1));
         s.seed("drm/M0001#d000000002".into(), Value::Int(1));
         let cc = DrmDeltaContract;
-        let mut ctx = TxContext::new(&s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         assert!(cc
             .execute(&mut ctx, "calcRevenue", &["M0001".into()])
             .is_ok());
@@ -370,12 +370,12 @@ mod tests {
         );
 
         let play = DrmPlayContract;
-        let mut ctx = TxContext::new(&s, play.name());
+        let mut ctx = TxContext::new(&mut s, play.name());
         assert!(play.execute(&mut ctx, "play", &["M0001".into()]).is_ok());
         let play_rw = ctx.into_rwset();
 
         let meta = DrmMetaContract;
-        let mut ctx2 = TxContext::new(&s, meta.name());
+        let mut ctx2 = TxContext::new(&mut s, meta.name());
         assert!(meta
             .execute(&mut ctx2, "viewMetaData", &["M0001".into()])
             .is_ok());
@@ -391,9 +391,9 @@ mod tests {
 
     #[test]
     fn partitioned_create_cross_invokes() {
-        let s = WorldState::new();
+        let mut s = WorldState::new();
         let play = DrmPlayContract;
-        let mut ctx = TxContext::new(&s, play.name());
+        let mut ctx = TxContext::new(&mut s, play.name());
         assert!(play.execute(&mut ctx, "create", &["M0002".into()]).is_ok());
         let rw = ctx.into_rwset();
         let keys = rw.write_keys();
@@ -406,7 +406,7 @@ mod tests {
         let mut s = WorldState::new();
         s.seed("drm-play/M0001".into(), Value::Int(41));
         let play = DrmPlayContract;
-        let mut ctx = TxContext::new(&s, play.name());
+        let mut ctx = TxContext::new(&mut s, play.name());
         assert!(play.execute(&mut ctx, "play", &["M0001".into()]).is_ok());
         let rw = ctx.into_rwset();
         assert_eq!(rw.writes[0].value, Some(Value::Int(42)));

@@ -161,15 +161,15 @@ mod tests {
 
     #[test]
     fn base_vote_updates_party_key() {
-        let s = state();
+        let mut s = state();
         let cc = DvContract;
-        let mut ctx = TxContext::new(&s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         assert!(cc
             .execute(&mut ctx, "vote", &["party:A".into(), "V001".into()])
             .is_ok());
         let rw = ctx.into_rwset();
         assert_eq!(rw.tx_type(), TxType::Update);
-        assert_eq!(rw.writes[0].key, "dv/party:A");
+        assert_eq!(&*rw.writes[0].key, "dv/party:A");
         let m = rw.writes[0].value.as_ref().unwrap().as_map().unwrap();
         assert_eq!(m.get("votes"), Some(&Value::Int(1)));
         assert_eq!(m.get("voters"), Some(&Value::Str("V001".into())));
@@ -179,26 +179,26 @@ mod tests {
     fn base_votes_for_same_party_share_a_key() {
         // The structural reason the base model collapses: all voters of one
         // party read-modify-write the same key.
-        let s = state();
+        let mut s = state();
         let cc = DvContract;
-        let mut ctx1 = TxContext::new(&s, cc.name());
+        let mut ctx1 = TxContext::new(&mut s, cc.name());
         cc.execute(&mut ctx1, "vote", &["party:A".into(), "V001".into()]);
-        let mut ctx2 = TxContext::new(&s, cc.name());
-        cc.execute(&mut ctx2, "vote", &["party:A".into(), "V002".into()]);
         let k1 = ctx1.into_rwset().writes[0].key.clone();
+        let mut ctx2 = TxContext::new(&mut s, cc.name());
+        cc.execute(&mut ctx2, "vote", &["party:A".into(), "V002".into()]);
         let k2 = ctx2.into_rwset().writes[0].key.clone();
         assert_eq!(k1, k2);
     }
 
     #[test]
     fn per_voter_votes_use_unique_keys() {
-        let s = state();
+        let mut s = state();
         let cc = DvPerVoterContract;
-        let mut ctx1 = TxContext::new(&s, cc.name());
+        let mut ctx1 = TxContext::new(&mut s, cc.name());
         cc.execute(&mut ctx1, "vote", &["party:A".into(), "V001".into()]);
-        let mut ctx2 = TxContext::new(&s, cc.name());
-        cc.execute(&mut ctx2, "vote", &["party:A".into(), "V002".into()]);
         let rw1 = ctx1.into_rwset();
+        let mut ctx2 = TxContext::new(&mut s, cc.name());
+        cc.execute(&mut ctx2, "vote", &["party:A".into(), "V002".into()]);
         let rw2 = ctx2.into_rwset();
         assert_eq!(rw1.tx_type(), TxType::Write, "blind insert");
         assert_ne!(rw1.writes[0].key, rw2.writes[0].key, "no shared key");
@@ -207,18 +207,18 @@ mod tests {
 
     #[test]
     fn base_unknown_party_aborts() {
-        let s = state();
+        let mut s = state();
         let cc = DvContract;
-        let mut ctx = TxContext::new(&s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         let st = cc.execute(&mut ctx, "vote", &["party:Z".into(), "V1".into()]);
         assert!(!st.is_ok());
     }
 
     #[test]
     fn see_results_scans_parties_in_base() {
-        let s = state();
+        let mut s = state();
         let cc = DvContract;
-        let mut ctx = TxContext::new(&s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         assert!(cc.execute(&mut ctx, "seeResults", &[]).is_ok());
         let rw = ctx.into_rwset();
         assert_eq!(rw.range_reads[0].observed.len(), 2);
@@ -231,7 +231,7 @@ mod tests {
         s.seed("dv/ballot:V002".into(), Value::Str("party:A".into()));
         s.seed("dv/ballot:V003".into(), Value::Str("party:B".into()));
         let cc = DvPerVoterContract;
-        let mut ctx = TxContext::new(&s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         assert!(cc.execute(&mut ctx, "seeResults", &[]).is_ok());
         let rw = ctx.into_rwset();
         assert_eq!(rw.range_reads[0].observed.len(), 3);
@@ -239,12 +239,12 @@ mod tests {
 
     #[test]
     fn end_election_closes_once() {
-        let s = state();
+        let mut s = state();
         let cc = DvContract;
-        let mut ctx = TxContext::new(&s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         assert!(cc.execute(&mut ctx, "endElection", &[]).is_ok());
         let rw = ctx.into_rwset();
-        assert_eq!(rw.writes[0].key, "dv/election");
+        assert_eq!(&*rw.writes[0].key, "dv/election");
     }
 
     #[test]
@@ -252,12 +252,12 @@ mod tests {
         // Ksig isolation: queryParties does NOT touch individual party keys,
         // so the party hotkeys are accessed only by `vote` (and the one-off
         // seeResults scan) — the shape behind the data-model recommendation.
-        let s = state();
+        let mut s = state();
         let cc = DvContract;
-        let mut ctx = TxContext::new(&s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         assert!(cc.execute(&mut ctx, "queryParties", &[]).is_ok());
         let rw = ctx.into_rwset();
         assert_eq!(rw.reads.len(), 1);
-        assert_eq!(rw.reads[0].key, "dv/parties");
+        assert_eq!(&*rw.reads[0].key, "dv/parties");
     }
 }

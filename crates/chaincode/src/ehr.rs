@@ -168,11 +168,11 @@ mod tests {
 
     fn run(
         cc: &EhrContract,
-        s: &WorldState,
+        mut s: WorldState,
         activity: &str,
         args: &[Value],
     ) -> (ExecStatus, fabric_sim::rwset::ReadWriteSet) {
-        let mut ctx = TxContext::new(s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         let st = cc.execute(&mut ctx, activity, args);
         (st, ctx.into_rwset())
     }
@@ -181,7 +181,7 @@ mod tests {
     fn grant_appends_institute() {
         let cc = EhrContract::base();
         let s = state();
-        let (st, rw) = run(&cc, &s, "grantAccess", &["PT0001".into(), "inst9".into()]);
+        let (st, rw) = run(&cc, s, "grantAccess", &["PT0001".into(), "inst9".into()]);
         assert!(st.is_ok());
         let written = rw.writes[0].value.as_ref().unwrap().as_map().unwrap();
         assert_eq!(written.get("access"), Some(&Value::Str("inst9".into())));
@@ -192,7 +192,7 @@ mod tests {
     fn grant_is_idempotent_on_list() {
         let cc = EhrContract::base();
         let s = granted_state();
-        let (st, rw) = run(&cc, &s, "grantAccess", &["PT0002".into(), "inst1".into()]);
+        let (st, rw) = run(&cc, s, "grantAccess", &["PT0002".into(), "inst1".into()]);
         assert!(st.is_ok());
         let written = rw.writes[0].value.as_ref().unwrap().as_map().unwrap();
         assert_eq!(written.get("access"), Some(&Value::Str("inst1".into())));
@@ -202,7 +202,7 @@ mod tests {
     fn revoke_after_grant_removes() {
         let cc = EhrContract::base();
         let s = granted_state();
-        let (st, rw) = run(&cc, &s, "revokeAccess", &["PT0002".into(), "inst1".into()]);
+        let (st, rw) = run(&cc, s, "revokeAccess", &["PT0002".into(), "inst1".into()]);
         assert!(st.is_ok());
         let written = rw.writes[0].value.as_ref().unwrap().as_map().unwrap();
         assert_eq!(written.get("access"), Some(&Value::Str(String::new())));
@@ -212,7 +212,7 @@ mod tests {
     fn anomalous_revoke_base_commits_read_only() {
         let cc = EhrContract::base();
         let s = state();
-        let (st, rw) = run(&cc, &s, "revokeAccess", &["PT0001".into(), "ghost".into()]);
+        let (st, rw) = run(&cc, s, "revokeAccess", &["PT0001".into(), "ghost".into()]);
         assert!(st.is_ok());
         assert!(rw.writes.is_empty());
         assert_eq!(rw.tx_type(), TxType::Read);
@@ -222,7 +222,7 @@ mod tests {
     fn anomalous_revoke_pruned_aborts() {
         let cc = EhrContract::pruned();
         let s = state();
-        let (st, _) = run(&cc, &s, "revokeAccess", &["PT0001".into(), "ghost".into()]);
+        let (st, _) = run(&cc, s, "revokeAccess", &["PT0001".into(), "ghost".into()]);
         assert!(!st.is_ok());
     }
 
@@ -230,7 +230,7 @@ mod tests {
     fn update_record_rewrites_record_field() {
         let cc = EhrContract::base();
         let s = state();
-        let (st, rw) = run(&cc, &s, "updateRecord", &["PT0001".into(), Value::Int(3)]);
+        let (st, rw) = run(&cc, s, "updateRecord", &["PT0001".into(), Value::Int(3)]);
         assert!(st.is_ok());
         assert_eq!(rw.tx_type(), TxType::Update);
         let written = rw.writes[0].value.as_ref().unwrap().as_map().unwrap();
@@ -244,7 +244,7 @@ mod tests {
     fn unknown_patient_aborts() {
         let cc = EhrContract::base();
         let s = state();
-        let (st, _) = run(&cc, &s, "updateRecord", &["NOPE".into(), Value::Int(1)]);
+        let (st, _) = run(&cc, s, "updateRecord", &["NOPE".into(), Value::Int(1)]);
         assert!(!st.is_ok());
     }
 
@@ -252,7 +252,7 @@ mod tests {
     fn query_record_is_read_only() {
         let cc = EhrContract::base();
         let s = state();
-        let (st, rw) = run(&cc, &s, "queryRecord", &["PT0001".into()]);
+        let (st, rw) = run(&cc, s, "queryRecord", &["PT0001".into()]);
         assert!(st.is_ok());
         assert_eq!(rw.tx_type(), TxType::Read);
     }

@@ -80,9 +80,13 @@ mod tests {
         s
     }
 
-    fn run(state: &WorldState, activity: &str, args: &[Value]) -> fabric_sim::rwset::ReadWriteSet {
+    fn run(
+        mut state: WorldState,
+        activity: &str,
+        args: &[Value],
+    ) -> fabric_sim::rwset::ReadWriteSet {
         let cc = GenChainContract;
-        let mut ctx = TxContext::new(state, cc.name());
+        let mut ctx = TxContext::new(&mut state, cc.name());
         assert!(cc.execute(&mut ctx, activity, args).is_ok());
         ctx.into_rwset()
     }
@@ -90,7 +94,7 @@ mod tests {
     #[test]
     fn read_produces_read_type() {
         let s = state();
-        let rw = run(&s, "read", &["k00001".into()]);
+        let rw = run(s, "read", &["k00001".into()]);
         assert_eq!(rw.tx_type(), TxType::Read);
         assert_eq!(rw.reads.len(), 1);
         assert!(rw.writes.is_empty());
@@ -99,7 +103,7 @@ mod tests {
     #[test]
     fn write_is_blind() {
         let s = state();
-        let rw = run(&s, "write", &["k99999".into(), Value::Int(1)]);
+        let rw = run(s, "write", &["k99999".into(), Value::Int(1)]);
         assert_eq!(rw.tx_type(), TxType::Write);
         assert!(rw.reads.is_empty(), "no read before blind write");
     }
@@ -107,10 +111,10 @@ mod tests {
     #[test]
     fn update_reads_then_writes_same_key() {
         let s = state();
-        let rw = run(&s, "update", &["k00001".into(), Value::Int(42)]);
+        let rw = run(s, "update", &["k00001".into(), Value::Int(42)]);
         assert_eq!(rw.tx_type(), TxType::Update);
-        assert_eq!(rw.reads[0].key, "genchain/k00001");
-        assert_eq!(rw.writes[0].key, "genchain/k00001");
+        assert_eq!(&*rw.reads[0].key, "genchain/k00001");
+        assert_eq!(&*rw.writes[0].key, "genchain/k00001");
         // Not an increment: the written value is an opaque string.
         assert!(matches!(rw.writes[0].value, Some(Value::Str(_))));
     }
@@ -118,7 +122,7 @@ mod tests {
     #[test]
     fn range_read_observes_interval() {
         let s = state();
-        let rw = run(&s, "range_read", &["k00001".into(), "k00003".into()]);
+        let rw = run(s, "range_read", &["k00001".into(), "k00003".into()]);
         assert_eq!(rw.tx_type(), TxType::RangeRead);
         assert_eq!(rw.range_reads[0].observed.len(), 2);
     }
@@ -126,7 +130,7 @@ mod tests {
     #[test]
     fn delete_reads_and_tombstones() {
         let s = state();
-        let rw = run(&s, "delete", &["k00001".into()]);
+        let rw = run(s, "delete", &["k00001".into()]);
         assert_eq!(rw.tx_type(), TxType::Delete);
         assert!(rw.writes[0].is_delete());
     }
@@ -135,6 +139,6 @@ mod tests {
     #[should_panic(expected = "unknown activity")]
     fn unknown_activity_panics() {
         let s = state();
-        let _ = run(&s, "bogus", &[]);
+        let _ = run(s, "bogus", &[]);
     }
 }

@@ -167,10 +167,10 @@ mod tests {
 
     #[test]
     fn by_employee_all_activities_hit_employee_key() {
-        let s = WorldState::new();
+        let mut s = WorldState::new();
         let cc = LapByEmployeeContract;
         for act in ["create", "submit", "validate", "approve"] {
-            let mut ctx = TxContext::new(&s, cc.name());
+            let mut ctx = TxContext::new(&mut s, cc.name());
             assert!(cc
                 .execute(
                     &mut ctx,
@@ -179,7 +179,7 @@ mod tests {
                 )
                 .is_ok());
             let rw = ctx.into_rwset();
-            assert_eq!(rw.writes[0].key, "lap/E001", "{act} writes employee key");
+            assert_eq!(&*rw.writes[0].key, "lap/E001", "{act} writes employee key");
         }
     }
 
@@ -187,21 +187,22 @@ mod tests {
     fn by_employee_two_applications_same_employee_conflict() {
         // The structural hot-key problem: different applications handled by
         // the same employee share a key.
-        let s = WorldState::new();
+        let mut s = WorldState::new();
         let cc = LapByEmployeeContract;
-        let mut c1 = TxContext::new(&s, cc.name());
+        let mut c1 = TxContext::new(&mut s, cc.name());
         cc.execute(
             &mut c1,
             "create",
             &["E001".into(), "APP1".into(), Value::Int(1)],
         );
-        let mut c2 = TxContext::new(&s, cc.name());
+        let k1 = c1.into_rwset().writes[0].key.clone();
+        let mut c2 = TxContext::new(&mut s, cc.name());
         cc.execute(
             &mut c2,
             "create",
             &["E001".into(), "APP2".into(), Value::Int(2)],
         );
-        assert_eq!(c1.into_rwset().writes[0].key, c2.into_rwset().writes[0].key);
+        assert_eq!(k1, c2.into_rwset().writes[0].key);
     }
 
     #[test]
@@ -212,7 +213,7 @@ mod tests {
             Value::List(vec![application_entry("APP1", "E001", 100, "create")]),
         );
         let cc = LapByEmployeeContract;
-        let mut ctx = TxContext::new(&s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         cc.execute(
             &mut ctx,
             "submit",
@@ -229,31 +230,31 @@ mod tests {
 
     #[test]
     fn by_application_uses_distinct_keys() {
-        let s = WorldState::new();
+        let mut s = WorldState::new();
         let cc = LapByApplicationContract;
-        let mut c1 = TxContext::new(&s, cc.name());
+        let mut c1 = TxContext::new(&mut s, cc.name());
         cc.execute(
             &mut c1,
             "create",
             &["E001".into(), "APP1".into(), Value::Int(1)],
         );
-        let mut c2 = TxContext::new(&s, cc.name());
+        let k1 = c1.into_rwset().writes[0].key.clone();
+        let mut c2 = TxContext::new(&mut s, cc.name());
         cc.execute(
             &mut c2,
             "create",
             &["E001".into(), "APP2".into(), Value::Int(2)],
         );
-        let k1 = c1.into_rwset().writes[0].key.clone();
         let k2 = c2.into_rwset().writes[0].key.clone();
         assert_ne!(k1, k2, "one key per application");
-        assert_eq!(k1, "lap/APP1");
+        assert_eq!(&*k1, "lap/APP1");
     }
 
     #[test]
     fn by_application_create_is_blind_insert() {
-        let s = WorldState::new();
+        let mut s = WorldState::new();
         let cc = LapByApplicationContract;
-        let mut ctx = TxContext::new(&s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         cc.execute(
             &mut ctx,
             "create",
@@ -271,7 +272,7 @@ mod tests {
             application_entry("APP1", "E001", 1, "create"),
         );
         let cc = LapByApplicationContract;
-        let mut ctx = TxContext::new(&s, cc.name());
+        let mut ctx = TxContext::new(&mut s, cc.name());
         cc.execute(
             &mut ctx,
             "validate",
@@ -286,14 +287,14 @@ mod tests {
 
     #[test]
     fn query_employee_read_only_in_both_models() {
-        let s = WorldState::new();
+        let mut s = WorldState::new();
         let by_emp = LapByEmployeeContract;
-        let mut c1 = TxContext::new(&s, by_emp.name());
+        let mut c1 = TxContext::new(&mut s, by_emp.name());
         by_emp.execute(&mut c1, "queryEmployee", &["E001".into()]);
         assert!(c1.into_rwset().writes.is_empty());
 
         let by_app = LapByApplicationContract;
-        let mut c2 = TxContext::new(&s, by_app.name());
+        let mut c2 = TxContext::new(&mut s, by_app.name());
         by_app.execute(&mut c2, "queryEmployee", &["E001".into()]);
         assert!(c2.into_rwset().writes.is_empty());
     }

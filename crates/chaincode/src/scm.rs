@@ -161,11 +161,11 @@ mod tests {
 
     fn run(
         cc: &ScmContract,
-        state: &WorldState,
+        mut state: WorldState,
         activity: &str,
         args: &[Value],
     ) -> (ExecStatus, fabric_sim::rwset::ReadWriteSet) {
-        let mut ctx = TxContext::new(state, cc.name());
+        let mut ctx = TxContext::new(&mut state, cc.name());
         let st = cc.execute(&mut ctx, activity, args);
         (st, ctx.into_rwset())
     }
@@ -174,7 +174,7 @@ mod tests {
     fn happy_path_advances_stages() {
         let cc = ScmContract::base();
         let s = state_with_stage(1);
-        let (st, rw) = run(&cc, &s, "pushASN", &["P0001".into()]);
+        let (st, rw) = run(&cc, s, "pushASN", &["P0001".into()]);
         assert!(st.is_ok());
         assert_eq!(rw.writes[0].value, Some(Value::Int(2)));
         assert_eq!(rw.tx_type(), TxType::Update);
@@ -184,7 +184,7 @@ mod tests {
     fn base_contract_commits_anomalous_ship_read_only() {
         let cc = ScmContract::base();
         let s = state_with_stage(1); // ASN not pushed yet
-        let (st, rw) = run(&cc, &s, "ship", &["P0001".into()]);
+        let (st, rw) = run(&cc, s, "ship", &["P0001".into()]);
         assert!(st.is_ok(), "base contract records the deviation");
         assert!(rw.writes.is_empty(), "read-only provenance record");
         assert_eq!(rw.tx_type(), TxType::Read);
@@ -194,7 +194,7 @@ mod tests {
     fn pruned_contract_aborts_anomalous_ship() {
         let cc = ScmContract::pruned();
         let s = state_with_stage(1);
-        let (st, _) = run(&cc, &s, "ship", &["P0001".into()]);
+        let (st, _) = run(&cc, s, "ship", &["P0001".into()]);
         assert!(!st.is_ok(), "pruning aborts during endorsement");
         assert!(cc.is_pruned());
     }
@@ -203,7 +203,7 @@ mod tests {
     fn pruned_contract_allows_ordered_flow() {
         let cc = ScmContract::pruned();
         let s = state_with_stage(2);
-        let (st, rw) = run(&cc, &s, "ship", &["P0001".into()]);
+        let (st, rw) = run(&cc, s, "ship", &["P0001".into()]);
         assert!(st.is_ok());
         assert_eq!(rw.writes[0].value, Some(Value::Int(3)));
     }
@@ -212,12 +212,12 @@ mod tests {
     fn unload_requires_shipped() {
         let base = ScmContract::base();
         let s = state_with_stage(3);
-        let (st, rw) = run(&base, &s, "unload", &["P0001".into()]);
+        let (st, rw) = run(&base, s, "unload", &["P0001".into()]);
         assert!(st.is_ok());
         assert_eq!(rw.writes[0].value, Some(Value::Int(4)));
 
         let s2 = state_with_stage(2);
-        let (st2, rw2) = run(&base, &s2, "unload", &["P0001".into()]);
+        let (st2, rw2) = run(&base, s2, "unload", &["P0001".into()]);
         assert!(st2.is_ok());
         assert!(rw2.writes.is_empty(), "unload before ship is read-only");
     }
@@ -230,7 +230,7 @@ mod tests {
         let s = state_with_stage(1);
         let (st, rw) = run(
             &cc,
-            &s,
+            s,
             "updateAuditInfo",
             &["P0001".into(), "A0001".into(), Value::Int(7)],
         );
@@ -245,7 +245,7 @@ mod tests {
         let cc = ScmContract::base();
         let mut s = state_with_stage(1);
         s.seed("scm/P0002".into(), Value::Int(2));
-        let (st, rw) = run(&cc, &s, "queryProducts", &["P0001".into(), "P0002".into()]);
+        let (st, rw) = run(&cc, s, "queryProducts", &["P0001".into(), "P0002".into()]);
         assert!(st.is_ok());
         assert_eq!(rw.reads.len(), 2);
         assert!(rw.writes.is_empty());
@@ -255,7 +255,7 @@ mod tests {
     fn query_asn_is_single_read() {
         let cc = ScmContract::base();
         let s = state_with_stage(2);
-        let (st, rw) = run(&cc, &s, "queryASN", &["P0001".into()]);
+        let (st, rw) = run(&cc, s, "queryASN", &["P0001".into()]);
         assert!(st.is_ok());
         assert_eq!(rw.reads.len(), 1);
         assert_eq!(rw.tx_type(), TxType::Read);

@@ -14,7 +14,7 @@
 
 use crate::rwset::ReadWriteSet;
 use crate::state::WorldState;
-use crate::types::{Key, Value};
+use crate::types::Value;
 
 /// Outcome of a simulated chaincode execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,27 +40,25 @@ impl ExecStatus {
 /// to subsequent reads within the same execution — matching Fabric, where
 /// `GetState` reads committed state only).
 ///
-/// The namespace is borrowed for the context's lifetime, like the state:
-/// opening a context allocates nothing, and qualifying a key as
-/// `"namespace/key"` is one exactly-sized allocation.
+/// The context borrows the state mutably for one reason: the state owns the
+/// run's key handles. Naming a key as `"namespace/key"` looks its handle up
+/// there, so it allocates only for a key the run has never named, and no
+/// committed value changes. The namespace is borrowed too: opening a
+/// context allocates nothing.
 pub struct TxContext<'a> {
-    state: &'a WorldState,
+    state: &'a mut WorldState,
     namespace: &'a str,
     rwset: ReadWriteSet,
 }
 
 impl<'a> TxContext<'a> {
     /// A context over `state`, scoping keys under `namespace`.
-    pub fn new(state: &'a WorldState, namespace: &'a str) -> Self {
+    pub fn new(state: &'a mut WorldState, namespace: &'a str) -> Self {
         TxContext {
             state,
             namespace,
             rwset: ReadWriteSet::new(),
         }
-    }
-
-    fn qualify(&self, key: &str) -> Key {
-        crate::types::qualified_key(self.namespace, key)
     }
 
     /// Current namespace (chaincode name).
@@ -77,21 +75,21 @@ impl<'a> TxContext<'a> {
 
     /// Read a key from committed state, recording the observed version.
     pub fn get_state(&mut self, key: &str) -> Option<Value> {
-        let qk = self.qualify(key);
-        let found = self.state.get(&qk);
-        self.rwset.record_read(qk, found.map(|vv| vv.version));
-        found.map(|vv| vv.value.clone())
+        let (qk, found) = self.state.resolve(self.namespace, key);
+        let (version, value) = found.map(|vv| (vv.version, vv.value.clone())).unzip();
+        self.rwset.record_read(qk, version);
+        value
     }
 
     /// Buffer a write.
     pub fn put_state(&mut self, key: &str, value: Value) {
-        let qk = self.qualify(key);
+        let qk = self.state.resolve(self.namespace, key).0;
         self.rwset.record_write(qk, Some(value));
     }
 
     /// Buffer a delete.
     pub fn delete_state(&mut self, key: &str) {
-        let qk = self.qualify(key);
+        let qk = self.state.resolve(self.namespace, key).0;
         self.rwset.record_write(qk, None);
     }
 
@@ -110,8 +108,8 @@ impl<'a> TxContext<'a> {
         end: &str,
         limit: usize,
     ) -> Vec<(String, Value)> {
-        let qstart = self.qualify(start);
-        let qend = self.qualify(end);
+        let qstart = self.state.resolve(self.namespace, start).0;
+        let qend = self.state.resolve(self.namespace, end).0;
         let mut observed = Vec::new();
         let mut out = Vec::new();
         for (k, vv) in self.state.range(&qstart, &qend).take(limit) {
@@ -191,52 +189,52 @@ mod tests {
 
     #[test]
     fn reads_are_namespaced_and_versioned() {
-        let state = seeded_state();
-        let mut ctx = TxContext::new(&state, "cc");
+        let mut state = seeded_state();
+        let mut ctx = TxContext::new(&mut state, "cc");
         assert_eq!(ctx.get_state("a"), Some(Value::Int(10)));
         assert_eq!(ctx.get_state("missing"), None);
         let rw = ctx.into_rwset();
         assert_eq!(rw.reads.len(), 2);
-        assert_eq!(rw.reads[0].key, "cc/a");
+        assert_eq!(&*rw.reads[0].key, "cc/a");
         assert_eq!(rw.reads[0].version, Some(Version::new(0, 0)));
         assert_eq!(rw.reads[1].version, None, "absent key records None");
     }
 
     #[test]
     fn writes_are_buffered_not_visible() {
-        let state = seeded_state();
-        let mut ctx = TxContext::new(&state, "cc");
+        let mut state = seeded_state();
+        let mut ctx = TxContext::new(&mut state, "cc");
         ctx.put_state("a", Value::Int(11));
         // Fabric semantics: GetState still sees committed state.
         assert_eq!(ctx.get_state("a"), Some(Value::Int(10)));
         let rw = ctx.into_rwset();
-        assert_eq!(rw.writes[0].key, "cc/a");
+        assert_eq!(&*rw.writes[0].key, "cc/a");
         assert_eq!(rw.writes[0].value, Some(Value::Int(11)));
     }
 
     #[test]
     fn namespace_isolation() {
-        let state = seeded_state();
-        let mut ctx = TxContext::new(&state, "nsX");
+        let mut state = seeded_state();
+        let mut ctx = TxContext::new(&mut state, "nsX");
         assert_eq!(ctx.get_state("a"), None, "other namespace invisible");
     }
 
     #[test]
     fn cross_contract_invocation_merges_rwset() {
-        let state = seeded_state();
-        let mut ctx = TxContext::new(&state, "cc");
+        let mut state = seeded_state();
+        let mut ctx = TxContext::new(&mut state, "cc");
         ctx.get_state("a");
         ctx.set_namespace("other");
         assert_eq!(ctx.get_state("a"), Some(Value::Int(99)));
         let rw = ctx.into_rwset();
-        let keys: Vec<_> = rw.reads.iter().map(|r| r.key.as_str()).collect();
+        let keys: Vec<_> = rw.reads.iter().map(|r| &*r.key).collect();
         assert_eq!(keys, vec!["cc/a", "other/a"]);
     }
 
     #[test]
     fn range_records_observed_set_and_strips_prefix() {
-        let state = seeded_state();
-        let mut ctx = TxContext::new(&state, "cc");
+        let mut state = seeded_state();
+        let mut ctx = TxContext::new(&mut state, "cc");
         let rows = ctx.get_state_by_range("a", "z");
         assert_eq!(
             rows.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
@@ -245,13 +243,13 @@ mod tests {
         let rw = ctx.into_rwset();
         assert_eq!(rw.range_reads.len(), 1);
         assert_eq!(rw.range_reads[0].observed.len(), 2);
-        assert_eq!(rw.range_reads[0].start, "cc/a");
+        assert_eq!(&*rw.range_reads[0].start, "cc/a");
     }
 
     #[test]
     fn delete_buffers_tombstone() {
-        let state = seeded_state();
-        let mut ctx = TxContext::new(&state, "cc");
+        let mut state = seeded_state();
+        let mut ctx = TxContext::new(&mut state, "cc");
         ctx.delete_state("b");
         let rw = ctx.into_rwset();
         assert!(rw.writes[0].is_delete());
@@ -259,8 +257,8 @@ mod tests {
 
     #[test]
     fn access_count_reflects_work() {
-        let state = seeded_state();
-        let mut ctx = TxContext::new(&state, "cc");
+        let mut state = seeded_state();
+        let mut ctx = TxContext::new(&mut state, "cc");
         ctx.get_state("a");
         ctx.put_state("c", Value::Unit);
         ctx.get_state_by_range("a", "z");

@@ -10,6 +10,7 @@ use crate::types::{ClientId, Name, PeerId, TxId, TxType, Value};
 use serde::{Deserialize, Serialize};
 use sim_core::time::SimTime;
 use std::fmt;
+use std::sync::Arc;
 
 /// Validation outcome of a committed transaction (paper attribute 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -82,13 +83,14 @@ pub struct TransactionEnvelope {
     /// Smart-contract function name — the paper's *activity name*.
     pub activity: Name,
     /// Function arguments (shared with the originating request).
-    pub args: std::sync::Arc<[Value]>,
+    pub args: Arc<[Value]>,
     /// Endorsing peers that signed the proposal.
     pub endorsers: Vec<PeerId>,
     /// Invoking client (and thereby its organization).
     pub invoker: ClientId,
-    /// The proposal's read-write set (from the first endorser).
-    pub rwset: ReadWriteSet,
+    /// The proposal's read-write set (from the first endorser), shared
+    /// with the endorsement results and the analyzer's records.
+    pub rwset: Arc<ReadWriteSet>,
     /// Validation outcome.
     pub status: TxStatus,
     /// Transaction type derived from the read-write set.
@@ -227,7 +229,7 @@ mod tests {
                 org: OrgId(0),
                 index: 0,
             },
-            rwset: ReadWriteSet::new(),
+            rwset: ReadWriteSet::new().into(),
             status,
             tx_type: TxType::Read,
         }

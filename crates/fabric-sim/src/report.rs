@@ -333,7 +333,7 @@ mod tests {
                 org: OrgId(0),
                 index: 0,
             },
-            rwset: ReadWriteSet::new(),
+            rwset: ReadWriteSet::new().into(),
             status,
             tx_type: TxType::Read,
         }

@@ -129,12 +129,12 @@ impl ReadWriteSet {
 
     /// Distinct keys read (point reads only), sorted.
     pub fn read_keys(&self) -> Vec<&str> {
-        sorted_distinct(self.reads.iter().map(|r| r.key.as_str()))
+        sorted_distinct(self.reads.iter().map(|r| &*r.key))
     }
 
     /// Distinct keys written (including deletes), sorted.
     pub fn write_keys(&self) -> Vec<&str> {
-        sorted_distinct(self.writes.iter().map(|w| w.key.as_str()))
+        sorted_distinct(self.writes.iter().map(|w| &*w.key))
     }
 
     /// Distinct keys accessed in any way (reads, writes, range results),
@@ -145,9 +145,9 @@ impl ReadWriteSet {
         sorted_distinct(
             self.reads
                 .iter()
-                .map(|r| r.key.as_str())
-                .chain(self.writes.iter().map(|w| w.key.as_str()))
-                .chain(ranges.flat_map(|rr| rr.observed.iter().map(|(k, _)| k.as_str()))),
+                .map(|r| &*r.key)
+                .chain(self.writes.iter().map(|w| &*w.key))
+                .chain(ranges.flat_map(|rr| rr.observed.iter().map(|(k, _)| &**k))),
         )
     }
 

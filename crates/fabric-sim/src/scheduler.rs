@@ -122,7 +122,7 @@ fn schedule_conflict_graph(txs: &[SchedTx<'_>], sharp: bool) -> SchedOutcome {
             continue;
         }
         for w in &tx.rwset.writes {
-            writers.entry(w.key.as_str()).or_default().push(i);
+            writers.entry(&*w.key).or_default().push(i);
         }
     }
 
@@ -135,9 +135,9 @@ fn schedule_conflict_graph(txs: &[SchedTx<'_>], sharp: bool) -> SchedOutcome {
         if policy_failed.contains(&i) {
             continue;
         }
-        let mut read_keys: Vec<&str> = tx.rwset.reads.iter().map(|r| r.key.as_str()).collect();
+        let mut read_keys: Vec<&str> = tx.rwset.reads.iter().map(|r| &*r.key).collect();
         for rr in &tx.rwset.range_reads {
-            read_keys.extend(rr.observed.iter().map(|(k, _)| k.as_str()));
+            read_keys.extend(rr.observed.iter().map(|(k, _)| &**k));
         }
         for key in read_keys {
             if let Some(ws) = writers.get(key) {
@@ -237,10 +237,10 @@ mod tests {
     fn rw(reads: &[&str], writes: &[&str]) -> ReadWriteSet {
         let mut s = ReadWriteSet::new();
         for r in reads {
-            s.record_read(r.to_string(), Some(Version::new(1, 0)));
+            s.record_read((*r).into(), Some(Version::new(1, 0)));
         }
         for w in writes {
-            s.record_write(w.to_string(), Some(Value::Int(1)));
+            s.record_write((*w).into(), Some(Value::Int(1)));
         }
         s
     }

@@ -32,8 +32,9 @@
 //!   endorser starting at the same generation reuses that result, since a
 //!   [`Contract`] is a pure function of committed state, activity and
 //!   arguments; one starting later re-executes and re-stamps it. All slots
-//!   served by one run share its read-write set through an `Rc`, which the
-//!   commit moves into the envelope without a copy.
+//!   served by one run share its read-write set through an `Arc`, which the
+//!   commit moves into the envelope; the analyzer's record of the
+//!   transaction shares it from there.
 //! * **Lazy arrivals.** Each `Submit` schedules the next request in
 //!   injection order (send time, then index), so the event heap holds the
 //!   in-flight events and one pending arrival rather than the whole
@@ -52,14 +53,13 @@ use crate::report::{Degradation, FaultWindowStats, SimReport};
 use crate::rwset::ReadWriteSet;
 use crate::scheduler::{schedule_block, stale_tolerance_blocks, SchedTx};
 use crate::state::WorldState;
-use crate::types::{qualified_key, ClientId, Name, OrgId, PeerId, TxId, Value};
+use crate::types::{ClientId, Name, OrgId, PeerId, TxId, Value};
 use crate::validator::{validate_block, TxToValidate, Verdict};
 use sim_core::des::{self, DesQueue, EventKind, Handler, TimerId};
 use sim_core::rng::SimRng;
 use sim_core::server::QueueServer;
 use sim_core::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Seed-stream label for the engine's service-time draws. Like
@@ -215,10 +215,10 @@ impl Target {
 }
 
 /// One chaincode run's outcome. Every endorsement slot the run serves holds
-/// the same `Rc`, so sharing it costs no copy of the read-write set.
+/// the same `Arc`, so sharing it costs no copy of the read-write set.
 #[derive(Debug, Clone)]
 enum EndorseResult {
-    Ok(Rc<ReadWriteSet>),
+    Ok(Arc<ReadWriteSet>),
     Abort(String),
 }
 
@@ -384,18 +384,18 @@ impl Engine<'_> {
 
     /// Run request `i`'s chaincode against the committed state. Also
     /// returns the number of state accesses, which prices an endorsement.
-    fn execute(&self, i: usize) -> (EndorseResult, usize) {
+    fn execute(&mut self, i: usize) -> (EndorseResult, usize) {
         let req = &self.requests[i];
         let contract = self
             .sim
             .contracts
             .get(req.contract.as_ref())
             .unwrap_or_else(|| panic!("contract {:?} not installed", req.contract));
-        let mut ctx = TxContext::new(&self.state, contract.name());
+        let mut ctx = TxContext::new(&mut self.state, contract.name());
         let status = contract.execute(&mut ctx, &req.activity, &req.args);
         let accesses = ctx.access_count();
         let result = match status {
-            ExecStatus::Ok => EndorseResult::Ok(Rc::new(ctx.into_rwset())),
+            ExecStatus::Ok => EndorseResult::Ok(Arc::new(ctx.into_rwset())),
             ExecStatus::Abort(reason) => EndorseResult::Abort(reason),
         };
         (result, accesses)
@@ -549,7 +549,7 @@ impl Engine<'_> {
             _ => unreachable!("first_ok indexes an Ok result"),
         };
         p.mismatch = p.results.iter().flatten().any(
-            |r| matches!(r, EndorseResult::Ok(rw) if !Rc::ptr_eq(rw, canonical) && rw != canonical),
+            |r| matches!(r, EndorseResult::Ok(rw) if !Arc::ptr_eq(rw, canonical) && rw != canonical),
         );
         let worker = p.worker.expect("assigned at Submit");
         let (_, done) = self
@@ -768,11 +768,10 @@ impl Engine<'_> {
                 self.degradation.degraded_success += 1;
             }
             // Each transaction commits exactly once, so the canonical rwset
-            // (solely owned since assembly) and endorser list move into the
-            // envelope instead of being cloned.
+            // handle and the endorser list move into the envelope.
             let p = &mut self.pending[tx_idx];
             let rwset = match p.results[0].take() {
-                Some(EndorseResult::Ok(rw)) => Rc::unwrap_or_clone(rw),
+                Some(EndorseResult::Ok(rw)) => rw,
                 _ => unreachable!("committed tx has canonical rwset"),
             };
             let req = &self.requests[tx_idx];
@@ -883,7 +882,8 @@ impl Simulation {
 
         let mut state = WorldState::new();
         for (ns, key, value) in &self.genesis {
-            state.seed(qualified_key(ns, key), value.clone());
+            let key = state.resolve(ns, key).0;
+            state.seed(key, value.clone());
         }
 
         let mut workers = WorkerFleet::new(cfg.orgs, cfg.clients_per_org);
@@ -1446,7 +1446,7 @@ mod tests {
         assert_eq!(kv.runs() - runs_before, 3);
         let reader = out.ledger.transactions().find(|t| t.id.0 == 1).unwrap();
         assert_eq!(reader.status, TxStatus::Success, "{}", out.report);
-        assert_eq!(reader.rwset.reads[0].key, "kv/counter");
+        assert_eq!(&*reader.rwset.reads[0].key, "kv/counter");
         assert_eq!(
             reader.rwset.reads[0].version,
             Some(Version::new(1, 0)),

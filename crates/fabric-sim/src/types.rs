@@ -4,9 +4,13 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A world-state key. Keys are plain strings, namespaced per chaincode by a
-/// `"namespace/"` prefix (Fabric scopes each chaincode's state the same way).
-pub type Key = String;
+/// A world-state key, namespaced per chaincode by a `"namespace/"` prefix
+/// (Fabric scopes each chaincode's state the same way).
+///
+/// A shared handle: a run's [`WorldState`](crate::state::WorldState) hands
+/// out one allocation per distinct key, and read-write sets, envelopes and
+/// the analyzer's records clone that handle instead of copying the string.
+pub type Key = std::sync::Arc<str>;
 
 /// An interned identifier: contract, activity, and namespace names are
 /// shared `Arc<str>`s, so schedule rewrites, request clones, and committed
@@ -33,17 +37,6 @@ pub fn intern(name: &str) -> Name {
             fresh
         }
     }
-}
-
-/// Build the namespaced world-state key `"{namespace}/{key}"` with a single
-/// exactly-sized allocation (the per-access `format!` this replaces showed
-/// up in simulator profiles).
-pub fn qualified_key(namespace: &str, key: &str) -> Key {
-    let mut out = String::with_capacity(namespace.len() + 1 + key.len());
-    out.push_str(namespace);
-    out.push('/');
-    out.push_str(key);
-    out
 }
 
 /// An organization in the consortium (`Org1`, `Org2`, …: 1-based display,
@@ -330,13 +323,6 @@ mod tests {
         let c = intern("pause");
         assert_eq!(&*c, "pause");
         assert!(!std::sync::Arc::ptr_eq(&a, &c));
-    }
-
-    #[test]
-    fn qualified_key_matches_format() {
-        assert_eq!(qualified_key("kv", "counter"), "kv/counter");
-        assert_eq!(qualified_key("", "k"), "/k");
-        assert_eq!(qualified_key("ns", ""), "ns/");
     }
 
     #[test]

@@ -174,13 +174,13 @@ mod tests {
 
     fn read_tx(key: &str, version: Option<Version>) -> ReadWriteSet {
         let mut rw = ReadWriteSet::new();
-        rw.record_read(key.to_string(), version);
+        rw.record_read(key.into(), version);
         rw
     }
 
     fn update_tx(key: &str, version: Option<Version>, value: i64) -> ReadWriteSet {
         let mut rw = read_tx(key, version);
-        rw.record_write(key.to_string(), Some(Value::Int(value)));
+        rw.record_write(key.into(), Some(Value::Int(value)));
         rw
     }
 

@@ -34,10 +34,10 @@ fn arb_rwset() -> impl Strategy<Value = ReadWriteSet> {
         .prop_map(|(reads, writes)| {
             let mut rw = ReadWriteSet::new();
             for r in reads {
-                rw.record_read(format!("k{r}"), Some(Version::new(0, 0)));
+                rw.record_read(format!("k{r}").into(), Some(Version::new(0, 0)));
             }
             for w in writes {
-                rw.record_write(format!("k{w}"), Some(Value::Int(w as i64)));
+                rw.record_write(format!("k{w}").into(), Some(Value::Int(w as i64)));
             }
             rw
         })
@@ -149,7 +149,7 @@ proptest! {
     fn validation_soundness(rwsets in prop::collection::vec(arb_rwset(), 1..25)) {
         let mut state = WorldState::new();
         for k in 0..6 {
-            state.seed(format!("k{k}"), Value::Int(0));
+            state.seed(format!("k{k}").into(), Value::Int(0));
         }
         let pre = state.clone();
         let txs: Vec<TxToValidate<'_>> = rwsets
@@ -187,14 +187,14 @@ proptest! {
     fn first_reader_wins(keys in prop::collection::vec(0u8..4, 1..20)) {
         let mut state = WorldState::new();
         for k in 0..4 {
-            state.seed(format!("k{k}"), Value::Int(0));
+            state.seed(format!("k{k}").into(), Value::Int(0));
         }
         let rwsets: Vec<ReadWriteSet> = keys
             .iter()
             .map(|k| {
                 let mut rw = ReadWriteSet::new();
-                rw.record_read(format!("k{k}"), Some(Version::new(0, 0)));
-                rw.record_write(format!("k{k}"), Some(Value::Int(1)));
+                rw.record_read(format!("k{k}").into(), Some(Version::new(0, 0)));
+                rw.record_write(format!("k{k}").into(), Some(Value::Int(1)));
                 rw
             })
             .collect();

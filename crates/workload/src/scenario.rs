@@ -452,6 +452,46 @@ pub const MAX_FAULT_WINDOWS: usize = 1 << 10;
 /// inside `SimTime`'s range.
 pub const MIN_RATE: f64 = 1e-3;
 
+/// Upper bound on every service time and timeout a spec sets: each
+/// `network.resources` duration and `network.block_timeout`, and the
+/// network delay under a latency spike. No Fabric phase lasts an hour.
+pub const MAX_PHASE: SimDuration = SimDuration(3_600_000_000);
+
+/// Upper bound on every instant a spec sets: each frozen
+/// `schedule.requests[i].send_time` and the end of each fault window.
+/// 2⁶² µs is ~146 000 years. A run ends after its latest send time plus
+/// the phase chains of its transactions, each phase queueing behind the
+/// others at worst. The ~1.4·10¹⁹ µs of `SimTime` left above this bound
+/// hold ~3.8·10⁹ back-to-back phases of [`MAX_PHASE`], far more than any
+/// schedule a run can simulate, so no event time leaves the clock's range.
+pub const MAX_INSTANT: SimTime = SimTime(1 << 62);
+
+/// A duration must be at most [`MAX_PHASE`] (in µs, as specs spell it).
+fn check_phase(field: &str, duration: SimDuration) -> Result<(), SpecError> {
+    if duration <= MAX_PHASE {
+        Ok(())
+    } else {
+        let (max, got) = (MAX_PHASE.as_micros(), duration.as_micros());
+        Err(bad(
+            field,
+            format!("must be at most {max} µs, got {got} µs"),
+        ))
+    }
+}
+
+/// An instant must be at most [`MAX_INSTANT`] (in µs, as specs spell it).
+fn check_instant(field: &str, at: SimTime) -> Result<(), SpecError> {
+    if at <= MAX_INSTANT {
+        Ok(())
+    } else {
+        let (max, got) = (MAX_INSTANT.as_micros(), at.as_micros());
+        Err(bad(
+            field,
+            format!("must be at most {max} µs, got {got} µs"),
+        ))
+    }
+}
+
 impl ScenarioSpec {
     /// The spec of a built-in scenario under its default parameters and
     /// the default network configuration — what `blockoptr spec <name>`
@@ -694,6 +734,69 @@ impl ScenarioSpec {
         check_min("network.block_count", self.network.block_count, 1)?;
         self.validate_fault()?;
         self.validate_retry()?;
+        self.validate_times()?;
+        Ok(())
+    }
+
+    /// Clock bounds: every phase duration the network sets is at most
+    /// [`MAX_PHASE`], and every instant the spec sets is at most
+    /// [`MAX_INSTANT`], so a run's event times stay inside `SimTime`.
+    fn validate_times(&self) -> Result<(), SpecError> {
+        let net = &self.network;
+        let res = &net.resources;
+        for (field, duration) in [
+            ("network.block_timeout", net.block_timeout),
+            ("network.resources.client_per_tx", res.client_per_tx),
+            ("network.resources.net_delay", res.net_delay),
+            ("network.resources.endorse_exec_base", res.endorse_exec_base),
+            (
+                "network.resources.endorse_exec_per_access",
+                res.endorse_exec_per_access,
+            ),
+            ("network.resources.order_block_fixed", res.order_block_fixed),
+            ("network.resources.order_per_tx", res.order_per_tx),
+            ("network.resources.raft_delay", res.raft_delay),
+            (
+                "network.resources.validate_block_fixed",
+                res.validate_block_fixed,
+            ),
+            ("network.resources.validate_per_tx", res.validate_per_tx),
+            ("network.resources.validate_per_item", res.validate_per_item),
+            (
+                "network.resources.validate_per_endorsement",
+                res.validate_per_endorsement,
+            ),
+        ] {
+            check_phase(field, duration)?;
+        }
+        if let WorkloadSpec::Schedule(s) = &self.workload {
+            for (i, r) in s.requests.iter().enumerate() {
+                check_instant(&format!("schedule.requests[{i}].send_time"), r.send_time)?;
+            }
+        }
+        let fault = &self.fault;
+        let outages = fault.endorser_outages.iter().map(|w| w.start + w.duration);
+        let spikes = fault.latency_spikes.iter().map(|w| w.start + w.duration);
+        let stalls = fault.orderer_stalls.iter().map(|w| w.start + w.duration);
+        let last = MAX_INSTANT.as_secs_f64();
+        for (list, ends) in [
+            ("fault.endorser_outages", outages.collect::<Vec<_>>()),
+            ("fault.latency_spikes", spikes.collect()),
+            ("fault.orderer_stalls", stalls.collect()),
+        ] {
+            if let Some(i) = ends.iter().position(|&end| end > last) {
+                return Err(bad(
+                    &format!("{list}[{i}].duration"),
+                    format!("the window must end by {last} s, ends at {} s", ends[i]),
+                ));
+            }
+        }
+        for (i, spike) in fault.latency_spikes.iter().enumerate() {
+            check_phase(
+                &format!("fault.latency_spikes[{i}].multiplier"),
+                res.net_delay.mul_f64(spike.multiplier),
+            )?;
+        }
         Ok(())
     }
 
@@ -1903,6 +2006,90 @@ mod tests {
         let sim = bundle.simulation(config);
         assert_eq!(*sim.fault(), spec.fault);
         assert_eq!(*sim.retry(), spec.retry);
+    }
+
+    /// Every duration and instant a spec sets is bounded, so no event time
+    /// of a run can leave `SimTime`'s range; the bounds themselves pass.
+    #[test]
+    fn clock_values_past_their_bounds_are_rejected_with_dotted_paths() {
+        let spec = faulty_fixture().with_transactions(20);
+        let (bundle, config) = spec.build().unwrap();
+        let frozen = freeze("scm-clock", &bundle, &config).unwrap();
+        frozen.validate().unwrap();
+        let far = MAX_INSTANT.as_secs_f64() * 2.0;
+        type Poison = Box<dyn Fn(&mut ScenarioSpec)>;
+        let cases: Vec<(&str, Poison)> = vec![
+            (
+                "schedule.requests[19].send_time",
+                Box::new(|s| match &mut s.workload {
+                    WorkloadSpec::Schedule(schedule) => {
+                        schedule.requests[19].send_time = SimTime(MAX_INSTANT.0 + 1)
+                    }
+                    other => panic!("frozen spec is a schedule, got {}", other.kind()),
+                }),
+            ),
+            (
+                "network.block_timeout",
+                Box::new(|s| s.network.block_timeout = SimDuration(u64::MAX)),
+            ),
+            (
+                "network.resources.net_delay",
+                Box::new(|s| s.network.resources.net_delay = SimDuration(MAX_PHASE.0 + 1)),
+            ),
+            (
+                "network.resources.validate_per_endorsement",
+                Box::new(|s| s.network.resources.validate_per_endorsement = SimDuration(u64::MAX)),
+            ),
+            (
+                "fault.endorser_outages[0].duration",
+                Box::new(move |s| s.fault.endorser_outages[0].duration = far),
+            ),
+            (
+                "fault.orderer_stalls[0].duration",
+                Box::new(move |s| s.fault.orderer_stalls[0].start = far),
+            ),
+            (
+                "fault.latency_spikes[0].multiplier",
+                Box::new(|s| s.fault.latency_spikes[0].multiplier = 1e300),
+            ),
+        ];
+        for (field, poison) in cases {
+            let mut spec = frozen.clone();
+            poison(&mut spec);
+            match spec.validate().unwrap_err() {
+                SpecError::BadParameter { field: f, .. } => assert_eq!(f, field),
+                other => panic!("expected BadParameter for {field}, got {other:?}"),
+            }
+        }
+        let mut edge = frozen;
+        let WorkloadSpec::Schedule(schedule) = &mut edge.workload else {
+            panic!("freeze yields an explicit schedule");
+        };
+        for r in &mut schedule.requests {
+            r.send_time = MAX_INSTANT;
+        }
+        edge.network.block_timeout = MAX_PHASE;
+        edge.network.resources = fabric_sim::config::ResourceProfile {
+            client_per_tx: MAX_PHASE,
+            net_delay: MAX_PHASE,
+            endorse_exec_base: MAX_PHASE,
+            endorse_exec_per_access: MAX_PHASE,
+            order_block_fixed: MAX_PHASE,
+            order_per_tx: MAX_PHASE,
+            raft_delay: MAX_PHASE,
+            validate_block_fixed: MAX_PHASE,
+            validate_per_tx: MAX_PHASE,
+            validate_per_item: MAX_PHASE,
+            validate_per_endorsement: MAX_PHASE,
+        };
+        edge.fault = FaultSpec::default();
+        edge.retry = RetryPolicy::default();
+        // The test profile panics on overflow, so the run itself is the
+        // check that every event time stays in range.
+        let (bundle, config) = edge.build().unwrap();
+        let ledger = bundle.run(config).ledger;
+        assert!(ledger.tx_count() > 0);
+        assert!(ledger.transactions().all(|tx| tx.commit_ts > MAX_INSTANT));
     }
 
     #[test]

@@ -190,7 +190,7 @@ proptest! {
         let output = bundle.run(cv.network_config());
         let mut state = WorldState::new();
         for (ns, key, value) in &bundle.genesis {
-            state.seed(format!("{ns}/{key}"), value.clone());
+            state.seed(format!("{ns}/{key}").into(), value.clone());
         }
         for block in output.ledger.blocks() {
             for (pos, tx) in block.txs.iter().enumerate() {
