@@ -2,10 +2,16 @@
 //!
 //! Everything outside this module runs on simulated time
 //! (`sim_core::time`): that is what makes runs replayable and
-//! byte-identical across machines and thread counts, and the `wall-clock`
-//! detlint rule enforces it. The benchmark harness is the one place that
-//! genuinely measures the host, and it does so through here — so every
-//! host-time read in the workspace is greppable at a single `now()`.
+//! byte-identical across machines and thread counts, and clippy's
+//! `disallowed_types` (see `clippy.toml`) enforces it. The benchmark harness
+//! is the one place that genuinely measures the host, and it does so
+//! through here — so every host-time read in the workspace is greppable at
+//! a single `now()`.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned host-clock seam: the benchmark harness measures the machine"
+)]
 
 use std::time::Duration;
 

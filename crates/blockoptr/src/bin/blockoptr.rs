@@ -398,7 +398,10 @@ fn cmd_watch_live(args: &Args, window: u64) -> Result<(), String> {
     // and re-analyzes. The channel is bounded so a slow consumer applies
     // backpressure instead of buffering the whole chain.
     let (sender, receiver) = std::sync::mpsc::sync_channel::<fabric_sim::ledger::Block>(64);
-    // detlint: allow(thread-spawn, reason = "bridges the live simulation onto a channel; one long-lived producer, no fan-out for the pool to order")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bridges the live simulation onto a channel; one long-lived producer, no fan-out for the pool to order"
+    )]
     let simulation = std::thread::spawn(move || {
         bundle.run_observed(config, &mut |block| {
             // A closed receiver (--blocks cap reached) just means nobody is

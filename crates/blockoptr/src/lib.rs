@@ -59,6 +59,10 @@
 //! Fallible paths (empty logs, malformed JSON, degenerate configuration)
 //! return [`AnalyzeError`] instead of panicking.
 
+// Library output belongs in return values; stdout and stderr belong to the
+// binaries. (Unit tests may print: see `clippy.toml`.)
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod action;
 pub mod autotune;
 pub mod caseid;

@@ -236,7 +236,10 @@ impl WindowPolicy {
     /// recreate exactly the unbounded-growth failure the variable exists
     /// to prevent, with nothing to notice until memory runs out.
     pub fn from_env() -> WindowPolicy {
-        // detlint: allow(nondet-seam, reason = "reading the env is this constructor's documented contract; it configures memory use, never analysis results")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reading the env is this constructor's documented contract; it configures memory use, never analysis results"
+        )]
         let Ok(spec) = std::env::var("BLOCKOPTR_WINDOW") else {
             return WindowPolicy::Unbounded;
         };
@@ -244,8 +247,11 @@ impl WindowPolicy {
             Ok(policy) => policy,
             Err(err) => {
                 static WARNED: std::sync::Once = std::sync::Once::new();
+                #[expect(
+                    clippy::print_stderr,
+                    reason = "operator-facing once-per-process warning; silent fallback would hide the lost memory bound"
+                )]
                 WARNED.call_once(|| {
-                    // detlint: allow(no-print, reason = "operator-facing once-per-process warning; silent fallback would hide the lost memory bound")
                     eprintln!(
                         "warning: ignoring BLOCKOPTR_WINDOW={spec:?} ({err}); \
                          sessions will run unbounded"
@@ -735,9 +741,10 @@ impl CaseTracker {
 /// Every field counts live entries in one piece of running state; under a
 /// bounded [`WindowPolicy`] all of them are bounded by the window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// why: each field is fully described by the struct docs above — "live entries
-// in one tracker" — and per-field doc lines would repeat that nine times.
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "each field is fully described by the struct docs above (live entries in one tracker); per-field doc lines would repeat that nine times"
+)]
 pub struct SessionFootprint {
     pub records: usize,
     pub rate_intervals: usize,

@@ -245,6 +245,59 @@ fn optimize_rejects_a_block_timeout_past_the_phase_bound() {
     );
 }
 
+/// A drained retry budget at ×2 grows the backoff as 0.05 · 2ᵏ s, past the
+/// clock's range by the 50th attempt: the debug build panicked adding it to
+/// the current time, and the release build wrapped it into a log spanning
+/// 1.4·10¹³ s. Each backoff is now capped at `MAX_PHASE`, so the run
+/// finishes within 64 capped attempts. scm's 2-of-2 policy needs both
+/// proposals through, so a 0.9 drop rate leaves 1 % per attempt: about half
+/// of the 20 transactions commit within 64 attempts. At 0.99 (10⁻⁴ per
+/// attempt) none commits, and the empty log is a typed error.
+#[test]
+fn optimize_survives_retry_backoffs_past_the_phase_bound() {
+    let spec_at = |name: &str, proposal_rate: f64| {
+        frozen_spec(name, |spec| {
+            spec.fault.drop = Some(fabric_sim::fault::DropSpec {
+                proposal_rate,
+                endorsement_rate: 0.0,
+            });
+            spec.retry = fabric_sim::fault::RetryPolicy {
+                endorse_timeout: Some(0.4),
+                max_attempts: 64,
+                backoff_base: 0.05,
+                backoff_multiplier: 2.0,
+                jitter: 0.0,
+            };
+        })
+    };
+    let path = spec_at("far_backoff_all_dropped", 0.99);
+    let out = blockoptr(&["optimize", "--spec", &path, "--dry-run"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("the blockchain log is empty"),
+        "{}",
+        stderr(&out)
+    );
+
+    let path = spec_at("far_backoff", 0.9);
+    let out = blockoptr(&["optimize", "--spec", &path, "--dry-run"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    // "log: N transactions in B blocks over S s (…)"
+    let text = stdout(&out);
+    let words: Vec<&str> = text
+        .lines()
+        .find_map(|line| line.strip_prefix("log: "))
+        .unwrap_or_else(|| panic!("no log line: {text}"))
+        .split(' ')
+        .collect();
+    let committed: usize = words[0].parse().unwrap();
+    let span_secs: f64 = words[6].parse().unwrap();
+    assert!((5..=15).contains(&committed), "{text}");
+    // 64 attempts of at most a 0.4 s timeout plus a one-hour backoff each,
+    // after a send schedule well under a second.
+    assert!(span_secs < 64.0 * 3_601.0, "{text}");
+}
+
 /// A throttle of 10⁻¹² tx/s would space a 50-transaction schedule past the
 /// clock's range: spec validation rejects it with the dotted field path
 /// (exit 1) before anything simulates.

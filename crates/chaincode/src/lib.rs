@@ -18,6 +18,10 @@
 //! arguments, so endorsement re-execution always reproduces the same
 //! read-write set.
 
+// Library output belongs in return values; stdout and stderr belong to the
+// binaries. (Unit tests may print: see `clippy.toml`.)
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod drm;
 pub mod dv;
 pub mod ehr;

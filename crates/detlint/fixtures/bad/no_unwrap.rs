@@ -1,5 +1,5 @@
 // Fixture: bare unwrap and message-less expect in library code. Must trip
-// `no-unwrap` (fixture crates carry no budget).
+// `no-unwrap`.
 pub fn parse(s: &str) -> u64 {
     s.parse::<u64>().unwrap()
 }

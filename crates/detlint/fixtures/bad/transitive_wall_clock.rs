@@ -1,7 +1,7 @@
 // Fixture: Simulation::run reaches host time through an innocent-looking
 // helper. Must trip `transitive-wall-clock` (each hop is clean; the
 // composition smuggles wall-clock time into the deterministic core).
-// The direct site also trips the per-file `wall-clock` rule — both are
+// The direct site is also a clippy `disallowed_types` finding — both are
 // real findings here.
 pub struct Simulation;
 

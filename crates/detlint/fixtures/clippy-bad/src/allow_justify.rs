@@ -1,3 +1,5 @@
+// Fixture: suppressions that state no reason. Must trip
+// `allow_attributes_without_reason`.
 #![allow(dead_code)]
 
 #[allow(clippy::needless_range_loop)]

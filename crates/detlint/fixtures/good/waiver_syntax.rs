@@ -1,5 +1,5 @@
-// Fixture: a well-formed multi-rule waiver with a reason. Must scan clean.
-pub fn warn_operator(msg: &str) {
-    // detlint: allow(no-print, reason = "operator-facing warning; documented in the README")
-    eprintln!("warning: {msg}");
+// Fixture: a well-formed waiver with a reason. Must scan clean.
+pub fn port(s: &str) -> u16 {
+    // detlint: allow(no-unwrap, reason = "callers validate the port before parsing")
+    s.parse().unwrap()
 }

@@ -6,7 +6,11 @@
 //! the DES core, panic-free libraries, spec → bundle → spec identity) are
 //! enforced here as source-level lint rules, so the hazard classes are
 //! provably absent rather than merely unobserved on two seeds and two pool
-//! widths.
+//! widths. The per-file invariants clippy can check with type information
+//! (host-clock types, raw threads, environment reads, printing from a
+//! library, `#[allow]` without a reason) are clippy's job instead, set up
+//! in the root `clippy.toml` and `[workspace.lints.clippy]`; detlint holds
+//! the rules clippy has no counterpart for.
 //!
 //! The architecture deliberately mirrors `blockoptr::recommend::rules`:
 //! a [`RuleSet`] registry of one-module-per-rule [`LintRule`]s, findings
@@ -65,14 +69,16 @@
 //! assert_eq!(report.findings[0].rule, "no-todo");
 //! ```
 
-pub mod budget;
+// Library output belongs in return values; stdout and stderr belong to the
+// binaries. (Unit tests may print: see `clippy.toml`.)
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod index;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
 pub mod source;
 
-pub use budget::Budgets;
 pub use index::Workspace;
 pub use rules::{Finding, LintRule, RuleCtx, RuleSet};
 pub use source::{FileClass, SourceFile, Waiver};
@@ -80,12 +86,6 @@ pub use source::{FileClass, SourceFile, Waiver};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// The committed budget file, at the workspace root.
-pub const BUDGET_FILE: &str = "detlint-budgets.json";
-
-/// The rules whose findings are budgeted (keys of [`BUDGET_FILE`]).
-pub const BUDGETED_RULES: &[&str] = &[rules::no_unwrap::ID, rules::swallow_result::ID];
 
 /// The id under which malformed waiver comments are reported. Always on:
 /// it cannot be disabled or waived (a broken waiver must never silence
@@ -101,13 +101,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Number of well-formed waivers encountered (applied or not).
     pub waivers: usize,
-    /// Pre-finalize (waiver-filtered) site counts: `rule → crate → count`.
-    /// This is what `--write-budgets` snapshots — the budget ratchet
-    /// compares these live counts against the committed allowances.
-    pub rule_sites: BTreeMap<String, BTreeMap<String, usize>>,
-    /// Crates that contributed at least one library-classed file to the
-    /// scan (the universe the budget file zero-fills over).
-    pub library_crates: BTreeSet<String>,
 }
 
 impl Report {
@@ -189,25 +182,6 @@ impl Report {
         }
         out
     }
-
-    /// The live per-crate counts for the budgeted rules, zero-filled over
-    /// every library crate — exactly the content `--write-budgets` puts in
-    /// [`BUDGET_FILE`].
-    pub fn live_budgets(&self) -> Budgets {
-        let mut budgets = Budgets::default();
-        for &rule in BUDGETED_RULES {
-            let crates = budgets.rules.entry(rule.to_string()).or_default();
-            for krate in &self.library_crates {
-                crates.insert(krate.clone(), 0);
-            }
-            if let Some(live) = self.rule_sites.get(rule) {
-                for (krate, &n) in live {
-                    crates.insert(krate.clone(), n);
-                }
-            }
-        }
-        budgets
-    }
 }
 
 /// Escape a GitHub annotation *property* value (file=): `%`, `\r`, `\n`,
@@ -248,7 +222,7 @@ fn json_escape(s: &str) -> String {
 const SKIP_DIRS: &[&str] = &["vendor", "target", ".git", "fixtures", "node_modules"];
 
 /// The scan driver: a [`RuleSet`] applied over parsed sources, with waiver
-/// filtering and per-rule finalization.
+/// filtering.
 #[derive(Debug, Clone)]
 pub struct Scanner {
     rules: RuleSet,
@@ -269,33 +243,24 @@ impl Scanner {
     /// workspace is indexed (symbol table + call graph) and each rule's
     /// [`check_workspace`](LintRule::check_workspace) hook runs over it.
     /// Waived findings are dropped (workspace findings are waiver-filtered
-    /// by the file and line they name), rules'
-    /// [`finalize`](LintRule::finalize) hooks run over the survivors, and
-    /// malformed waivers surface as [`WAIVER_SYNTAX`] findings.
+    /// by the file and line they name), and malformed waivers surface as
+    /// [`WAIVER_SYNTAX`] findings.
     pub fn scan_sources<'a>(&self, files: impl IntoIterator<Item = &'a SourceFile>) -> Report {
         let files: Vec<&SourceFile> = files.into_iter().collect();
-        let mut per_rule: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-        let mut extra: Vec<Finding> = Vec::new();
+        let mut findings: Vec<Finding> = Vec::new();
         let mut waivers = 0usize;
-        let mut library_crates: BTreeSet<String> = BTreeSet::new();
         for file in &files {
             waivers += file.waiver_list.len();
-            if file.class == FileClass::Library {
-                library_crates.insert(file.krate.clone());
-            }
             let ctx = RuleCtx { file };
             for rule in self.rules.enabled() {
                 for finding in rule.check(&ctx) {
                     if !file.is_waived(rule.id(), finding.line) {
-                        per_rule
-                            .entry(finding.rule.clone())
-                            .or_default()
-                            .push(finding);
+                        findings.push(finding);
                     }
                 }
             }
             for bad in &file.bad_waivers {
-                extra.push(Finding {
+                findings.push(Finding {
                     file: file.path.clone(),
                     line: bad.line,
                     col: bad.col,
@@ -319,39 +284,15 @@ impl Scanner {
                     .map(|f| f.is_waived(rule.id(), finding.line))
                     .unwrap_or(false);
                 if !waived {
-                    per_rule
-                        .entry(finding.rule.clone())
-                        .or_default()
-                        .push(finding);
+                    findings.push(finding);
                 }
             }
         }
-        let mut rule_sites: BTreeMap<String, BTreeMap<String, usize>> = BTreeMap::new();
-        for (rule, fs) in &per_rule {
-            let per_crate = rule_sites.entry(rule.clone()).or_default();
-            for f in fs {
-                *per_crate.entry(f.krate.clone()).or_insert(0) += 1;
-            }
-        }
-        let mut findings: Vec<Finding> = Vec::new();
-        for rule in self.rules.enabled() {
-            if let Some(fs) = per_rule.remove(rule.id()) {
-                findings.extend(rule.finalize(fs));
-            }
-        }
-        // Findings of rules no longer in the registry (defensive) plus the
-        // always-on waiver-syntax findings.
-        for (_, fs) in per_rule {
-            findings.extend(fs);
-        }
-        findings.extend(extra);
         findings.sort();
         Report {
             findings,
             files_scanned: files.len(),
             waivers,
-            rule_sites,
-            library_crates,
         }
     }
 
@@ -481,11 +422,9 @@ impl AuditReport {
 
 /// Audit every inline waiver in `files`: list file/rules/reason, and flag
 /// waivers whose rule no longer fires on the lines they cover (computed
-/// by re-running all of `rules` with waivers ignored and budgets out of
-/// the picture — a waiver whose finding only survives finalize is still
-/// *live*).
+/// by re-running all of `rules` with waivers ignored).
 pub fn waiver_audit(files: &[SourceFile], rules: &RuleSet) -> AuditReport {
-    // Raw findings: no waiver filtering, no finalize.
+    // Raw findings: no waiver filtering.
     let mut raw: BTreeSet<(String, String, u32)> = BTreeSet::new();
     for file in files {
         let ctx = RuleCtx { file };
@@ -670,28 +609,28 @@ mod tests {
     fn report_json_is_deterministic_and_escaped() {
         let file = SourceFile::parse(
             "crates/fabric-sim/src/x.rs",
-            "fn f() { println!(\"a\\\"b\"); }",
+            "fn f() { g(\"a\\\"b\").unwrap(); }",
         );
         let scanner = Scanner::determinism();
         let a = scanner.scan_sources([&file]).to_json();
         let b = scanner.scan_sources([&file]).to_json();
         assert_eq!(a, b);
-        assert!(a.contains("\"rule\":\"no-print\""), "{a}");
+        assert!(a.contains("\"rule\":\"no-unwrap\""), "{a}");
         assert!(a.contains("\\\""), "escapes quotes: {a}");
     }
 
     #[test]
     fn disabled_rule_is_silent() {
-        let file = SourceFile::parse("crates/fabric-sim/src/x.rs", "fn f() { println!(\"x\"); }");
+        let file = SourceFile::parse("crates/fabric-sim/src/x.rs", "fn f() { g().unwrap(); }");
         let on = Scanner::determinism().scan_sources([&file]);
-        let off = Scanner::new(RuleSet::determinism().without("no-print")).scan_sources([&file]);
+        let off = Scanner::new(RuleSet::determinism().without("no-unwrap")).scan_sources([&file]);
         assert_eq!(on.findings.len(), 1);
         assert!(off.clean());
     }
 
     #[test]
     fn waiver_syntax_cannot_be_waived() {
-        let src = "// detlint: allow(no-print)\nfn f() {}\n";
+        let src = "// detlint: allow(no-unwrap)\nfn f() {}\n";
         let file = SourceFile::parse("crates/fabric-sim/src/x.rs", src);
         let report = Scanner::determinism().scan_sources([&file]);
         assert_eq!(report.findings.len(), 1);

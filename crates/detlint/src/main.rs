@@ -9,13 +9,8 @@
 //! detlint --disable RULE       # drop a rule for this run (repeatable)
 //! detlint --fixtures           # run the committed fixture self-test
 //! detlint --waiver-audit       # list inline waivers, flag stale ones
-//! detlint --write-budgets      # regenerate detlint-budgets.json from live counts
 //! detlint --list               # print the rule catalogue
 //! ```
-//!
-//! Budgeted rules (`no-unwrap`, `swallow-result`) read their committed
-//! per-crate allowances from `detlint-budgets.json` at the scan root; a
-//! missing file means every budget is 0.
 //!
 //! Exit codes: 0 clean, 1 findings (or fixture self-test failure, or
 //! stale waivers under `--waiver-audit`), 2 usage or I/O error.
@@ -23,10 +18,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use detlint::{
-    find_workspace_root, fixtures_selftest, load_tree, waiver_audit, Budgets, RuleSet, Scanner,
-    BUDGET_FILE,
-};
+use detlint::{find_workspace_root, fixtures_selftest, load_tree, waiver_audit, RuleSet, Scanner};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -40,14 +32,13 @@ struct Opts {
     fixtures: bool,
     list: bool,
     audit: bool,
-    write_budgets: bool,
     root: Option<PathBuf>,
     disable: Vec<String>,
 }
 
 fn usage() -> &'static str {
     "usage: detlint [--format human|json|github] [--json] [--root PATH] \
-     [--disable RULE]... [--fixtures] [--waiver-audit] [--write-budgets] [--list]"
+     [--disable RULE]... [--fixtures] [--waiver-audit] [--list]"
 }
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
@@ -56,7 +47,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         fixtures: false,
         list: false,
         audit: false,
-        write_budgets: false,
         root: None,
         disable: Vec::new(),
     };
@@ -77,7 +67,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             "--fixtures" => opts.fixtures = true,
             "--list" => opts.list = true,
             "--waiver-audit" => opts.audit = true,
-            "--write-budgets" => opts.write_budgets = true,
             "--root" => {
                 i += 1;
                 let path = args.get(i).ok_or("--root needs a path")?;
@@ -148,20 +137,7 @@ fn main() -> ExitCode {
         }
     };
 
-    // Budgets come from the committed file at the scan root; absence means
-    // the strictest configuration (all zeros).
-    let budget_path = root.join(BUDGET_FILE);
-    let budgets = match std::fs::read_to_string(&budget_path) {
-        Ok(text) => match Budgets::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("detlint: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Budgets::default(),
-    };
-    let mut rules = RuleSet::determinism_with_budgets(&budgets);
+    let mut rules = RuleSet::determinism();
     for id in &opts.disable {
         if !rules.knows(id) {
             eprintln!("detlint: unknown rule `{id}` (see --list)");
@@ -210,17 +186,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if opts.write_budgets {
-        let json = report.live_budgets().to_json();
-        if let Err(e) = std::fs::write(&budget_path, &json) {
-            eprintln!("detlint: cannot write {}: {e}", budget_path.display());
-            return ExitCode::from(2);
-        }
-        println!("detlint: wrote {}", budget_path.display());
-        print!("{json}");
-        return ExitCode::SUCCESS;
-    }
 
     match opts.format {
         Format::Human => print!("{}", report.render()),

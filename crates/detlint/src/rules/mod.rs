@@ -9,23 +9,17 @@
 //! output at any thread count, sim-time-only logic, panic-free libraries)
 //! are proved absent as hazard classes, not just unobserved.
 
-pub mod allow_justify;
 pub mod float_eq;
 pub mod hash_iter;
-pub mod no_print;
 pub mod no_unwrap;
-pub mod nondet_seam;
 pub mod rng_stream;
 pub mod spec_validate;
 pub mod swallow_result;
-pub mod thread_spawn;
 pub mod transitive_wall_clock;
-pub mod wall_clock;
 
-use crate::budget::Budgets;
 use crate::index::Workspace;
 use crate::source::SourceFile;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -131,43 +125,6 @@ pub trait LintRule: fmt::Debug + Send + Sync {
         let _ = ws;
         Vec::new()
     }
-
-    /// Post-process this rule's findings across the whole scan (e.g. the
-    /// unwrap budget drops crates within their committed allowance).
-    /// Default: identity.
-    fn finalize(&self, findings: Vec<Finding>) -> Vec<Finding> {
-        findings
-    }
-}
-
-/// The shared budget ratchet: group `findings` per crate, drop crates at
-/// or under their committed allowance, and annotate survivors with the
-/// count-vs-budget arithmetic. A crate missing from `budgets` has an
-/// allowance of 0.
-pub(crate) fn apply_budget(
-    budgets: &BTreeMap<String, usize>,
-    findings: Vec<Finding>,
-) -> Vec<Finding> {
-    let mut per_crate: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for f in findings {
-        per_crate.entry(f.krate.clone()).or_default().push(f);
-    }
-    let mut out = Vec::new();
-    for (krate, mut fs) in per_crate {
-        let allowed = budgets.get(&krate).copied().unwrap_or(0);
-        let count = fs.len();
-        if count <= allowed {
-            continue;
-        }
-        for f in &mut fs {
-            f.message = format!(
-                "{} — crate `{krate}` has {count} site(s) against a committed budget of {allowed}",
-                f.message
-            );
-        }
-        out.extend(fs);
-    }
-    out
 }
 
 /// An ordered, user-extensible registry of [`LintRule`]s — the analogue of
@@ -193,34 +150,16 @@ impl RuleSet {
         }
     }
 
-    /// The project catalogue with all budgets at zero — the strictest
-    /// configuration, used by the fixture suite and any caller that does
-    /// not carry a committed budget file.
+    /// The project catalogue: three token-level determinism & robustness
+    /// rules plus the four semantic (symbol-table / call-graph) rules.
     pub fn determinism() -> RuleSet {
-        RuleSet::determinism_with_budgets(&Budgets::default())
-    }
-
-    /// The project catalogue: eight token-level determinism & robustness
-    /// rules plus the four semantic (symbol-table / call-graph) rules,
-    /// with the committed per-crate allowances from `budgets` wired into
-    /// the budgeted rules (`no-unwrap`, `swallow-result`).
-    pub fn determinism_with_budgets(budgets: &Budgets) -> RuleSet {
         RuleSet::empty()
             .with_rule(Arc::new(hash_iter::HashIter))
-            .with_rule(Arc::new(wall_clock::WallClock))
-            .with_rule(Arc::new(thread_spawn::ThreadSpawn))
-            .with_rule(Arc::new(no_unwrap::NoUnwrap::new(
-                budgets.for_rule(no_unwrap::ID),
-            )))
+            .with_rule(Arc::new(no_unwrap::NoUnwrap))
             .with_rule(Arc::new(float_eq::FloatEq))
-            .with_rule(Arc::new(allow_justify::AllowJustify))
-            .with_rule(Arc::new(no_print::NoPrint))
-            .with_rule(Arc::new(nondet_seam::NondetSeam))
             .with_rule(Arc::new(rng_stream::RngStream))
             .with_rule(Arc::new(spec_validate::SpecValidate))
-            .with_rule(Arc::new(swallow_result::SwallowResult::new(
-                budgets.for_rule(swallow_result::ID),
-            )))
+            .with_rule(Arc::new(swallow_result::SwallowResult))
             .with_rule(Arc::new(transitive_wall_clock::TransitiveWallClock))
     }
 

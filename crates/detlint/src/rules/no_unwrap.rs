@@ -7,35 +7,19 @@
 //! guarantees success, `.expect("<the invariant>")` states it; bare
 //! `.unwrap()` states nothing.
 //!
-//! The rule carries a committed per-crate allowance (the burn-down budget):
-//! a crate whose bare-unwrap count is within its budget passes, one over it
-//! fails with every site listed. Budgets only ever go **down** — lowering a
-//! number here is the ratchet; raising one needs a very good story in
-//! review.
+//! Every site is a finding. The rule stays here rather than in clippy
+//! because no clippy lint catches the message-less `.expect("")`.
 
 use crate::lexer::TokenKind;
-use crate::rules::{apply_budget, code_tok, Finding, LintRule, RuleCtx};
+use crate::rules::{code_tok, Finding, LintRule, RuleCtx};
 use crate::source::FileClass;
-use std::collections::BTreeMap;
 
-/// This rule's stable id (also the key in `detlint-budgets.json`).
+/// This rule's stable id.
 pub const ID: &str = "no-unwrap";
 
 /// See module docs.
-#[derive(Debug, Default)]
-pub struct NoUnwrap {
-    /// Committed per-crate allowances, injected from the budget file
-    /// (`detlint-budgets.json`). A crate absent from the map has budget 0,
-    /// so the default is the strictest configuration.
-    budgets: BTreeMap<String, usize>,
-}
-
-impl NoUnwrap {
-    /// The rule under the committed allowances in `budgets`.
-    pub fn new(budgets: BTreeMap<String, usize>) -> NoUnwrap {
-        NoUnwrap { budgets }
-    }
-}
+#[derive(Debug)]
+pub struct NoUnwrap;
 
 impl LintRule for NoUnwrap {
     fn id(&self) -> &'static str {
@@ -43,7 +27,7 @@ impl LintRule for NoUnwrap {
     }
 
     fn summary(&self) -> &'static str {
-        "no bare .unwrap() / .expect(\"\") in library non-test code (budgeted ratchet)"
+        "no bare .unwrap() / .expect(\"\") in library non-test code"
     }
 
     fn check(&self, ctx: &RuleCtx<'_>) -> Vec<Finding> {
@@ -95,10 +79,6 @@ impl LintRule for NoUnwrap {
             }
         }
         findings
-    }
-
-    fn finalize(&self, findings: Vec<Finding>) -> Vec<Finding> {
-        apply_budget(&self.budgets, findings)
     }
 }
 

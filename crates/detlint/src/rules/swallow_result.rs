@@ -13,31 +13,19 @@
 //! workspace call graph) to a function whose return type mentions
 //! `Result`. Discarding an `Option` (`ctx.get_state` warming a read-set)
 //! or a macro result (`let _ = writeln!(…)` on an infallible `String`)
-//! stays legal. Like `no-unwrap`, the rule carries a committed per-crate
-//! budget (all zeros) so any regression names the crate it regressed.
+//! stays legal.
 
 use crate::index::{Callee, Workspace};
 use crate::lexer::TokenKind;
-use crate::rules::{apply_budget, Finding, LintRule, RuleCtx};
+use crate::rules::{Finding, LintRule, RuleCtx};
 use crate::source::FileClass;
-use std::collections::BTreeMap;
 
-/// This rule's stable id (also the key in `detlint-budgets.json`).
+/// This rule's stable id.
 pub const ID: &str = "swallow-result";
 
 /// See module docs.
-#[derive(Debug, Default)]
-pub struct SwallowResult {
-    /// Committed per-crate allowances, injected from the budget file.
-    budgets: BTreeMap<String, usize>,
-}
-
-impl SwallowResult {
-    /// The rule under the committed allowances in `budgets`.
-    pub fn new(budgets: BTreeMap<String, usize>) -> SwallowResult {
-        SwallowResult { budgets }
-    }
-}
+#[derive(Debug)]
+pub struct SwallowResult;
 
 impl LintRule for SwallowResult {
     fn id(&self) -> &'static str {
@@ -45,8 +33,7 @@ impl LintRule for SwallowResult {
     }
 
     fn summary(&self) -> &'static str {
-        "no `let _ =` / statement-position `.ok()` discarding a Result in library code \
-         (budgeted ratchet)"
+        "no `let _ =` / statement-position `.ok()` discarding a Result in library code"
     }
 
     fn check(&self, _ctx: &RuleCtx<'_>) -> Vec<Finding> {
@@ -81,10 +68,6 @@ impl LintRule for SwallowResult {
             }
         }
         findings
-    }
-
-    fn finalize(&self, findings: Vec<Finding>) -> Vec<Finding> {
-        apply_budget(&self.budgets, findings)
     }
 }
 
@@ -199,7 +182,7 @@ mod tests {
     fn scan(files: &[(&str, &str)]) -> Vec<Finding> {
         let sources: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
         let ws = Workspace::build(sources.iter().collect());
-        SwallowResult::default().check_workspace(&ws)
+        SwallowResult.check_workspace(&ws)
     }
 
     #[test]

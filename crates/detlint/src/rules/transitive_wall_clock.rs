@@ -1,12 +1,13 @@
 //! `transitive-wall-clock`: nothing reachable from the simulation's event
 //! loop may touch wall-clock time or spawn raw threads.
 //!
-//! The per-file `wall-clock` and `thread-spawn` rules catch *direct*
-//! seams: an `Instant::now()` in the DES core, a `thread::spawn` outside
-//! the pool. What they cannot see is a legal-looking call chain that ends
-//! in one: `Simulation::run → helper → bench::wallclock::measure`. Each
-//! hop is individually clean (the wall-clock seam file is allowed to
-//! exist, the helper just calls a function), but the composition smuggles
+//! Clippy's `disallowed_types` and `disallowed_methods` (`clippy.toml`)
+//! catch *direct* seams: an `Instant::now()` in the DES core, a
+//! `thread::spawn` outside the pool. What they cannot see is a
+//! legal-looking call chain that ends in one: `Simulation::run → helper →
+//! bench::wallclock::measure`. Each hop is individually clean (the
+//! wall-clock seam file is allowed to exist, the helper just calls a
+//! function), but the composition smuggles
 //! host time into the deterministic core — output then varies with
 //! machine load, which is exactly what the byte-identical goldens exist
 //! to forbid.
@@ -15,8 +16,10 @@
 //! from the event-loop roots (`Simulation::run`/`run_observed`, the free
 //! `run` of the DES module, every `Handler` impl method), every reachable
 //! function is checked against the wall-clock sinks (functions containing
-//! non-waived `Instant`/`SystemTime` uses or raw `thread::spawn` sites,
-//! and every function declared in the benchmark wall-clock seam file).
+//! `Instant`/`SystemTime` uses or raw `thread::spawn` sites outside the two
+//! seam files, and every function declared in the benchmark wall-clock
+//! seam file). A clippy `#[expect]` on a direct site does not exempt it
+//! here: the event loop must not reach host time even where a caller may.
 //! Resolution is conservative — unresolved calls add no edges — so a
 //! finding here is a real, named chain, rendered hop by hop.
 
@@ -27,10 +30,10 @@ use std::collections::BTreeSet;
 /// This rule's stable id.
 pub const ID: &str = "transitive-wall-clock";
 
-/// The only file allowed to read host time (same seam as `wall-clock`).
+/// The only file allowed to read host time.
 const WALLCLOCK_SEAM: &str = "crates/bench/src/wallclock.rs";
 
-/// The only file allowed to spawn threads (same seam as `thread-spawn`).
+/// The only file allowed to spawn threads.
 const POOL_SEAM: &str = "crates/sim-core/src/pool.rs";
 
 /// See module docs.
@@ -119,17 +122,16 @@ fn wall_clock_sinks(ws: &Workspace<'_>) -> Vec<(usize, String)> {
             out.push((i, format!("the wall-clock seam fn `{}`", f.label())));
         }
     }
-    // Classes 1 and 2: direct Instant/SystemTime or thread::spawn sites,
-    // minus the seam files and minus sites the per-file rules waived.
+    // Classes 1 and 2: direct Instant/SystemTime or thread::spawn sites
+    // outside the seam files.
     for (fi, file) in ws.files.iter().enumerate() {
         for ci in 0..file.code.len() {
             let Some(t) = ws.tok(fi, ci) else { continue };
             if t.in_test {
                 continue;
             }
-            let clock = file.path != WALLCLOCK_SEAM
-                && (t.is_ident("Instant") || t.is_ident("SystemTime"))
-                && !file.is_waived("wall-clock", t.line);
+            let clock =
+                file.path != WALLCLOCK_SEAM && (t.is_ident("Instant") || t.is_ident("SystemTime"));
             let spawn = file.path != POOL_SEAM
                 && t.is_ident("spawn")
                 && ci >= 2
@@ -140,8 +142,7 @@ fn wall_clock_sinks(ws: &Workspace<'_>) -> Vec<(usize, String)> {
                 && ws
                     .tok(fi, ci - 2)
                     .map(|p| p.is_ident("thread"))
-                    .unwrap_or(false)
-                && !file.is_waived("thread-spawn", t.line);
+                    .unwrap_or(false);
             if !clock && !spawn {
                 continue;
             }
@@ -239,19 +240,20 @@ mod tests {
     }
 
     #[test]
-    fn waived_direct_sites_do_not_become_sinks() {
+    fn clippy_expected_direct_sites_still_become_sinks() {
         let findings = scan(&[(
             "crates/fabric-sim/src/sim.rs",
             "pub struct Simulation;\n\
              impl Simulation {\n\
                  pub fn run(&mut self) { self.tick(); }\n\
                  fn tick(&mut self) {\n\
-                     // detlint: allow(wall-clock, reason = \"diagnostic only\")\n\
+                     #[expect(clippy::disallowed_types, reason = \"diagnostic only\")]\n\
                      let t = Instant::now();\n\
                  }\n\
              }",
         )]);
-        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("Instant"), "{findings:?}");
     }
 
     #[test]

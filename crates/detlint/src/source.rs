@@ -2,7 +2,6 @@
 
 use crate::lexer::{self, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
 
 /// How a file participates in the build — rules scope themselves by class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,17 +113,6 @@ impl SourceFile {
     /// that decides whether a waiver comment covers the next line too.
     pub fn has_code_on(&self, line: u32) -> bool {
         self.code.iter().any(|&i| self.tokens[i].line == line)
-    }
-
-    /// Whether any non-doc comment exists on `line`.
-    pub fn has_plain_comment_on(&self, line: u32) -> bool {
-        self.tokens.iter().any(|t| {
-            t.line == line
-                && matches!(
-                    t.kind,
-                    TokenKind::LineComment { doc: false } | TokenKind::BlockComment { doc: false }
-                )
-        })
     }
 
     fn collect_waivers(&mut self) {
@@ -275,19 +263,6 @@ fn classify(path: &str) -> (String, FileClass) {
     (krate, class)
 }
 
-/// Classify an absolute file against a workspace root (public entry used by
-/// the scanner; falls back to the strictest class for unrecognized layouts,
-/// so ad-hoc roots — e.g. fixture directories — get full enforcement).
-pub fn classify_rel(rel: &Path) -> (String, FileClass) {
-    let s = rel.to_string_lossy().replace('\\', "/");
-    let (krate, class) = classify(&s);
-    if krate == "unknown" {
-        (krate, FileClass::Library)
-    } else {
-        (krate, class)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,11 +297,11 @@ mod tests {
 
     #[test]
     fn waiver_applies_to_own_and_next_line() {
-        let src = "// detlint: allow(no-print, reason = \"demo\")\nprintln!(\"x\");\n";
+        let src = "// detlint: allow(no-unwrap, reason = \"demo\")\nx.unwrap();\n";
         let f = SourceFile::parse("crates/fabric-sim/src/x.rs", src);
-        assert!(f.is_waived("no-print", 1));
-        assert!(f.is_waived("no-print", 2));
-        assert!(!f.is_waived("no-print", 3));
+        assert!(f.is_waived("no-unwrap", 1));
+        assert!(f.is_waived("no-unwrap", 2));
+        assert!(!f.is_waived("no-unwrap", 3));
         assert!(!f.is_waived("hash-iter", 2));
         assert_eq!(f.waiver_list.len(), 1);
         assert_eq!(f.waiver_list[0].reason, "demo");
@@ -342,21 +317,21 @@ mod tests {
 
     #[test]
     fn multi_rule_waiver() {
-        let src = "// detlint: allow(no-print, nondet-seam, reason = \"cli seam\")\nfn f() {}\n";
+        let src = "// detlint: allow(no-unwrap, float-eq, reason = \"demo\")\nfn f() {}\n";
         let f = SourceFile::parse("crates/fabric-sim/src/x.rs", src);
-        assert!(f.is_waived("no-print", 2));
-        assert!(f.is_waived("nondet-seam", 2));
+        assert!(f.is_waived("no-unwrap", 2));
+        assert!(f.is_waived("float-eq", 2));
     }
 
     #[test]
     fn waiver_without_reason_is_malformed() {
         for bad in [
-            "// detlint: allow(no-print)",
-            "// detlint: allow(no-print, reason = \"\")",
-            "// detlint: allow(no-print, reason = \"  \")",
+            "// detlint: allow(no-unwrap)",
+            "// detlint: allow(no-unwrap, reason = \"\")",
+            "// detlint: allow(no-unwrap, reason = \"  \")",
             "// detlint: allow(, reason = \"x\")",
             "// detlint: allow(reason = \"x\")",
-            "// detlint: deny(no-print)",
+            "// detlint: deny(no-unwrap)",
         ] {
             let f = SourceFile::parse("crates/fabric-sim/src/x.rs", bad);
             assert_eq!(f.bad_waivers.len(), 1, "{bad}");

@@ -123,11 +123,11 @@ fn wall_clock_finding_renders_the_call_chain() {
 #[test]
 fn waiver_audit_distinguishes_live_from_stale() {
     let live = "\
-// detlint: allow(no-print, reason = \"demo output\")
-pub fn show() { println!(\"x\"); }
+// detlint: allow(no-unwrap, reason = \"demo input\")
+pub fn parse(s: &str) -> u64 { s.parse().unwrap() }
 ";
     let stale = "\
-// detlint: allow(no-print, reason = \"left behind after a refactor\")
+// detlint: allow(no-unwrap, reason = \"left behind after a refactor\")
 pub fn quiet() -> u64 { 7 }
 ";
     let files = [
@@ -143,7 +143,7 @@ pub fn quiet() -> u64 { 7 }
         .find(|e| !e.stale.is_empty())
         .expect("one stale entry");
     assert!(stale_entry.file.ends_with("stale.rs"));
-    assert_eq!(stale_entry.stale, ["no-print"]);
+    assert_eq!(stale_entry.stale, ["no-unwrap"]);
     let rendered = audit.render();
     assert!(rendered.contains("STALE"), "{rendered}");
 }

@@ -1,14 +1,14 @@
 //! The meta-test: detlint runs clean over the real workspace tree.
 //!
 //! This is the ratchet that keeps the invariants enforced — any new hash
-//! iteration, wall-clock read, raw spawn, bare unwrap, swallowed Result,
-//! unvalidated spec field, off-stream RNG derivation, or unjustified
-//! suppression anywhere in the workspace fails `cargo test` here, not just
-//! the (optional) CI lint job.
+//! iteration, float equality, bare unwrap, swallowed Result, unvalidated
+//! spec field, off-stream RNG derivation, or event-loop path to host time
+//! anywhere in the workspace fails `cargo test` here, not just the CI lint
+//! job. (The per-file invariants clippy checks fail `cargo clippy`.)
 
 use std::path::{Path, PathBuf};
 
-use detlint::{load_tree, waiver_audit, Budgets, RuleSet, Scanner, BUDGET_FILE};
+use detlint::{load_tree, waiver_audit, RuleSet, Scanner};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -17,16 +17,9 @@ fn workspace_root() -> PathBuf {
         .expect("workspace root resolves")
 }
 
-fn committed_rules() -> RuleSet {
-    let text = std::fs::read_to_string(workspace_root().join(BUDGET_FILE))
-        .expect("committed budget file exists");
-    let budgets = Budgets::parse(&text).expect("committed budget file parses");
-    RuleSet::determinism_with_budgets(&budgets)
-}
-
 #[test]
 fn workspace_scans_clean() {
-    let report = Scanner::new(committed_rules())
+    let report = Scanner::determinism()
         .scan_tree(&workspace_root())
         .expect("workspace scan succeeds");
     assert!(report.files_scanned > 30, "walker saw the whole tree");
@@ -41,7 +34,7 @@ fn workspace_scans_clean() {
 #[test]
 fn workspace_has_no_stale_waivers() {
     let sources = load_tree(&workspace_root()).expect("workspace loads");
-    let audit = waiver_audit(&sources, &committed_rules());
+    let audit = waiver_audit(&sources, &RuleSet::determinism());
     assert_eq!(
         audit.stale_count(),
         0,

@@ -10,6 +10,12 @@ use crate::policy::EndorsementPolicy;
 use serde::{Deserialize, Serialize};
 use sim_core::time::SimDuration;
 
+/// Upper bound on every phase duration: spec validation rejects a
+/// `network.resources` duration, a `network.block_timeout`, a network
+/// delay under a latency spike or a `retry.endorse_timeout` above it, and
+/// every retry backoff is capped at it. No Fabric phase lasts an hour.
+pub const MAX_PHASE: SimDuration = SimDuration(3_600_000_000);
+
 /// Which block scheduler the ordering service runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SchedulerKind {

@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 use sim_core::rng::SimRng;
 use sim_core::time::{SimDuration, SimTime};
 
+use crate::config::MAX_PHASE;
 use crate::types::{OrgId, PeerId};
 
 /// RNG stream label for probabilistic proposal/endorsement drops
@@ -166,8 +167,11 @@ impl RetryPolicy {
         self.endorse_timeout.map(SimDuration::from_secs_f64)
     }
 
-    /// Deterministic backoff before retry number `retry_index` (1-based).
-    /// Draws from `rng` only when jitter is configured.
+    /// Deterministic backoff before retry number `retry_index` (1-based),
+    /// capped at [`MAX_PHASE`]: the exponential grows past the clock's
+    /// range long before `max_attempts` runs out (64 attempts at ×2), and
+    /// the engine adds it to the current time. Draws from `rng` only when
+    /// jitter is configured.
     pub fn backoff(&self, retry_index: u32, rng: &mut SimRng) -> SimDuration {
         let base = self.backoff_base.max(0.0);
         let mult = self.backoff_multiplier.max(1.0);
@@ -175,7 +179,7 @@ impl RetryPolicy {
         if self.jitter > 0.0 {
             secs *= 1.0 + self.jitter * (2.0 * rng.f64() - 1.0);
         }
-        SimDuration::from_secs_f64(secs)
+        SimDuration::from_secs_f64(secs).min(MAX_PHASE)
     }
 }
 
@@ -444,6 +448,36 @@ mod tests {
                 jittered.backoff(retry, &mut b)
             );
         }
+    }
+
+    #[test]
+    fn backoff_is_capped_at_the_phase_bound() {
+        // The largest policy validation admits at ×2 (the retry-budget
+        // rule emits it): uncapped, the 64th backoff is 0.05 · 2⁶³ s.
+        let policy = RetryPolicy {
+            endorse_timeout: Some(0.4),
+            max_attempts: 64,
+            backoff_base: 0.05,
+            backoff_multiplier: 2.0,
+            jitter: 0.0,
+        };
+        for jitter in [0.0, 0.5] {
+            let policy = RetryPolicy { jitter, ..policy };
+            let mut rng = SimRng::derive(42, BACKOFF_STREAM);
+            for retry in 1..=64 {
+                let backoff = policy.backoff(retry, &mut rng);
+                assert!(
+                    backoff <= MAX_PHASE,
+                    "retry {retry} at jitter {jitter}: {backoff:?}"
+                );
+            }
+        }
+        let mut rng = SimRng::derive(42, BACKOFF_STREAM);
+        assert_eq!(policy.backoff(64, &mut rng), MAX_PHASE);
+        assert_eq!(
+            policy.backoff(1, &mut rng),
+            SimDuration::from_secs_f64(0.05)
+        );
     }
 
     #[test]

@@ -29,6 +29,10 @@
 //! back into more MVCC conflicts — the effect the paper's block-size and
 //! rate-control experiments measure.
 
+// Library output belongs in return values; stdout and stderr belong to the
+// binaries. (Unit tests may print: see `clippy.toml`.)
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod client;
 pub mod config;
 pub mod contract;

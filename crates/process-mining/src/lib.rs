@@ -20,6 +20,10 @@
 //! * [`xes`] — IEEE-1849 XES export, the interchange format of the
 //!   ProM/Disco/Celonis ecosystem the paper mentions in §2.2.
 
+// Library output belongs in return values; stdout and stderr belong to the
+// binaries. (Unit tests may print: see `clippy.toml`.)
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod alpha;
 pub mod conformance;
 pub mod dfg;

@@ -28,6 +28,10 @@
 //! Nothing here is blockchain specific; `fabric-sim` composes these pieces
 //! into the execute-order-validate pipeline.
 
+// Library output belongs in return values; stdout and stderr belong to the
+// binaries. (Unit tests may print: see `clippy.toml`.)
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod des;
 pub mod dist;
 #[cfg(test)]

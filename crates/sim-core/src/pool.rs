@@ -52,6 +52,10 @@ pub fn hardware_threads() -> usize {
 /// environment variable when it holds a positive integer, otherwise the
 /// machine's available parallelism.
 pub fn default_threads() -> usize {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pool is the sanctioned seam: the thread count is promised not to change results, and CI runs every suite at 1 and 4 threads"
+    )]
     let env = std::env::var("BLOCKOPTR_THREADS").ok();
     parse_threads(env.as_deref()).unwrap_or_else(hardware_threads)
 }
@@ -110,6 +114,10 @@ impl ThreadPool {
         let cursor = AtomicUsize::new(0);
         let f = &f;
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the pool is the sanctioned seam for threads: results land in job-indexed slots, so their order never depends on scheduling"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..self.threads.min(n) {
                 scope.spawn(|| loop {

@@ -101,10 +101,10 @@ impl SimDuration {
     }
 
     /// Multiply by an integer factor.
-    // why: `Mul<u64>` would also invite `Mul<f64>`, whose rounding is the
-    // deliberate, documented job of `mul_f64`; an inherent method keeps the
-    // integer and float paths visibly distinct at call sites.
-    #[allow(clippy::should_implement_trait)]
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "`Mul<u64>` would also invite `Mul<f64>`, whose rounding is the deliberate, documented job of `mul_f64`; an inherent method keeps the integer and float paths visibly distinct at call sites"
+    )]
     pub fn mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0 * factor)
     }

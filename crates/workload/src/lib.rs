@@ -19,6 +19,10 @@
 //! genesis state, and a timestamped request schedule — everything
 //! [`fabric_sim::Simulation`] needs.
 
+// Library output belongs in return values; stdout and stderr belong to the
+// binaries. (Unit tests may print: see `clippy.toml`.)
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod bundle;
 pub mod drm;
 pub mod dv;

@@ -38,6 +38,7 @@ use crate::bundle::{VariantKind, WorkloadBundle};
 use crate::spec::ControlVariables;
 use crate::{drm, dv, ehr, lap, optimize, scm, synthetic};
 use fabric_sim::config::NetworkConfig;
+pub use fabric_sim::config::MAX_PHASE;
 use fabric_sim::fault::{FaultSpec, RetryPolicy};
 use fabric_sim::policy::MAX_POLICY_ORGS;
 use fabric_sim::sim::TxRequest;
@@ -451,11 +452,6 @@ pub const MAX_FAULT_WINDOWS: usize = 1 << 10;
 /// possible value (~708 means), the last send time stays more than 10×
 /// inside `SimTime`'s range.
 pub const MIN_RATE: f64 = 1e-3;
-
-/// Upper bound on every service time and timeout a spec sets: each
-/// `network.resources` duration and `network.block_timeout`, and the
-/// network delay under a latency spike. No Fabric phase lasts an hour.
-pub const MAX_PHASE: SimDuration = SimDuration(3_600_000_000);
 
 /// Upper bound on every instant a spec sets: each frozen
 /// `schedule.requests[i].send_time` and the end of each fault window.
@@ -1027,10 +1023,11 @@ impl ScenarioSpec {
             MAX_RETRY_ATTEMPTS,
         )?;
         if let Some(t) = self.retry.endorse_timeout {
-            if !t.is_finite() || t <= 0.0 {
+            let max = MAX_PHASE.as_secs_f64();
+            if !t.is_finite() || t <= 0.0 || t > max {
                 return Err(bad(
                     "retry.endorse_timeout",
-                    format!("must be positive seconds, got {t}"),
+                    format!("must be positive seconds, at most {max}, got {t}"),
                 ));
             }
         }
@@ -2051,6 +2048,10 @@ mod tests {
             (
                 "fault.latency_spikes[0].multiplier",
                 Box::new(|s| s.fault.latency_spikes[0].multiplier = 1e300),
+            ),
+            (
+                "retry.endorse_timeout",
+                Box::new(|s| s.retry.endorse_timeout = Some(MAX_PHASE.as_secs_f64() * 2.0)),
             ),
         ];
         for (field, poison) in cases {

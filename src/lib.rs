@@ -32,6 +32,10 @@
 //!
 //! See `README.md` for a tour.
 
+// Library output belongs in return values; stdout and stderr belong to the
+// binaries. (Unit tests may print: see `clippy.toml`.)
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub use blockoptr;
 pub use chaincode;
 pub use fabric_sim;

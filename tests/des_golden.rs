@@ -133,6 +133,10 @@ fn closed_loop_logs_match_the_seed_engine() {
         .collect();
 
     let path = golden_path();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "regenerating the golden is an explicit, manual opt-in"
+    )]
     if std::env::var("DES_GOLDEN_REGEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, render(&current)).unwrap();

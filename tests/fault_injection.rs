@@ -298,6 +298,10 @@ fn faulty_and_open_loop_specs_match_the_committed_goldens() {
         .map(|(label, spec)| faulty_row(label, spec))
         .collect();
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/faulty.json");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "regenerating the golden is an explicit, manual opt-in"
+    )]
     if std::env::var("FAULT_GOLDEN_REGEN").is_ok() {
         std::fs::write(&path, format!("[\n  {}\n]\n", current.join(",\n  "))).unwrap();
         eprintln!("regenerated {}", path.display());
