@@ -48,8 +48,8 @@ use blockoptr::log::BlockchainLog;
 use blockoptr::plan::OptimizationPlan;
 use blockoptr::session::{Analysis, Analyzer, WindowPolicy};
 use fabric_sim::config::NetworkConfig;
+use serde::ser::Serializer;
 use serde::Serialize;
-use serde_json::Value;
 use std::process::ExitCode;
 use workload::ScenarioSpec;
 
@@ -155,39 +155,43 @@ fn analyze_log(log: BlockchainLog, tune: bool) -> Result<Analysis, String> {
     Ok(analysis)
 }
 
-/// Machine-readable rendering of an analysis.
-fn analysis_json(analysis: &Analysis) -> Value {
-    Value::Object(vec![
-        ("transactions".to_string(), analysis.log.len().to_value()),
-        ("blocks".to_string(), analysis.log.block_count().to_value()),
-        (
-            "window_secs".to_string(),
-            analysis.log.window_secs().to_value(),
-        ),
-        ("metrics".to_string(), analysis.metrics.to_value()),
-        ("thresholds".to_string(), analysis.thresholds.to_value()),
-        (
-            "case_family".to_string(),
-            analysis.case_derivation.family.to_value(),
-        ),
-        (
-            "recommendations".to_string(),
-            Value::Array(
-                analysis
-                    .recommendations
-                    .iter()
-                    .map(|r| {
-                        Value::Object(vec![
-                            ("level".to_string(), r.level().to_string().to_value()),
-                            ("name".to_string(), r.name().to_value()),
-                            ("rationale".to_string(), r.rationale().to_value()),
-                            ("evidence".to_string(), r.to_value()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// Machine-readable rendering of an analysis: `analyze --json` prints it
+/// pretty, and `watch --json` prints one compact line per window, led by
+/// the window's label, ordinal and new-transaction count.
+struct AnalysisJson<'a> {
+    analysis: &'a Analysis,
+    /// A watch window's `(label, ordinal, new transactions)`.
+    window: Option<(&'a str, usize, usize)>,
+}
+
+impl Serialize for AnalysisJson<'_> {
+    fn serialize(&self, w: &mut Serializer) {
+        let analysis = self.analysis;
+        w.begin('{');
+        if let Some((label, ordinal, added)) = self.window {
+            w.field(label, &ordinal);
+            w.field("new_transactions", &added);
+        }
+        w.field("transactions", &analysis.log.len());
+        w.field("blocks", &analysis.log.block_count());
+        w.field("window_secs", &analysis.log.window_secs());
+        w.field("metrics", &analysis.metrics);
+        w.field("thresholds", &analysis.thresholds);
+        w.field("case_family", &analysis.case_derivation.family);
+        w.key("recommendations");
+        w.begin('[');
+        for r in &analysis.recommendations {
+            w.element();
+            w.begin('{');
+            w.field("level", &r.level().to_string());
+            w.field("name", r.name());
+            w.field("rationale", &r.rationale());
+            w.field("evidence", r);
+            w.end('}');
+        }
+        w.end(']');
+        w.end('}');
+    }
 }
 
 /// Build a demo scenario's workload bundle and network configuration,
@@ -249,7 +253,11 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         eprintln!("process model DOT written to {dot_path}");
     }
     if args.switch("json") {
-        println!("{}", analysis_json(&analysis).render(true));
+        let view = AnalysisJson {
+            analysis: &analysis,
+            window: None,
+        };
+        println!("{}", serde::ser::to_string(&view, true));
     } else {
         print!("{}", blockoptr::report::render(&analysis));
     }
@@ -259,13 +267,11 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// One rolling watch line (text mode) or JSON object (machine mode).
 fn emit_watch_line(analysis: &Analysis, label: &str, ordinal: usize, added: usize, json: bool) {
     if json {
-        let mut obj = match analysis_json(analysis) {
-            Value::Object(fields) => fields,
-            _ => unreachable!(),
+        let view = AnalysisJson {
+            analysis,
+            window: Some((label, ordinal, added)),
         };
-        obj.insert(0, (label.to_string(), ordinal.to_value()));
-        obj.insert(1, ("new_transactions".to_string(), added.to_value()));
-        println!("{}", Value::Object(obj).render(false));
+        println!("{}", serde::ser::to_string(&view, false));
     } else {
         let m = &analysis.metrics;
         // Event-time Submit→Commit latencies of the window's successful

@@ -102,14 +102,14 @@ impl Clone for BlockchainLog {
 }
 
 impl Serialize for BlockchainLog {
-    fn to_value(&self) -> serde::value::Value {
+    fn serialize(&self, w: &mut serde::ser::Serializer) {
         // Same shape the derived impl produced before the ring existed
         // (`{ "records": [...], "blocks": n }`), so exported logs stay
         // wire-compatible.
-        serde::value::Value::Object(vec![
-            ("records".to_string(), self.records().to_value()),
-            ("blocks".to_string(), self.blocks.to_value()),
-        ])
+        w.begin('{');
+        w.field("records", self.records());
+        w.field("blocks", &self.blocks);
+        w.end('}');
     }
 }
 

@@ -136,7 +136,8 @@ fn abort_share(report: &SimReport, reason: &str) -> f64 {
 /// * a retrying client still exhausts its budget
 ///   ([`Degradation::retry_exhausted`](fabric_sim::report::Degradation::retry_exhausted))
 ///   — double the attempt cap, saturating at [`MAX_RETRY_ATTEMPTS`] so
-///   the tuned spec still validates.
+///   the tuned spec still validates; a client already at the cap gets no
+///   action.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryBudget;
 
@@ -165,15 +166,19 @@ impl ResilienceRule for RetryBudget {
                 backoff_multiplier: None,
             }
         } else if deg.retry_exhausted > 0 {
+            let doubled = ctx
+                .retry
+                .max_attempts
+                .max(1)
+                .saturating_mul(2)
+                .min(MAX_RETRY_ATTEMPTS);
+            if doubled <= ctx.retry.max_attempts {
+                // Already at the cap: the action would change nothing.
+                return None;
+            }
             RetryChange {
                 endorse_timeout: None,
-                max_attempts: Some(
-                    ctx.retry
-                        .max_attempts
-                        .max(1)
-                        .saturating_mul(2)
-                        .min(MAX_RETRY_ATTEMPTS),
-                ),
+                max_attempts: Some(doubled),
                 backoff_base: None,
                 backoff_multiplier: None,
             }
@@ -386,10 +391,11 @@ mod tests {
         );
         let config = NetworkConfig::default();
         for (attempts, doubled) in [
-            (MAX_RETRY_ATTEMPTS / 2 - 1, MAX_RETRY_ATTEMPTS - 2),
-            (MAX_RETRY_ATTEMPTS / 2 + 1, MAX_RETRY_ATTEMPTS),
-            (MAX_RETRY_ATTEMPTS, MAX_RETRY_ATTEMPTS),
-            (usize::MAX, MAX_RETRY_ATTEMPTS),
+            (MAX_RETRY_ATTEMPTS / 2 - 1, Some(MAX_RETRY_ATTEMPTS - 2)),
+            (MAX_RETRY_ATTEMPTS / 2 + 1, Some(MAX_RETRY_ATTEMPTS)),
+            // At or past the cap, doubling changes nothing: no action.
+            (MAX_RETRY_ATTEMPTS, None),
+            (usize::MAX, None),
         ] {
             let retry = RetryPolicy {
                 endorse_timeout: Some(0.5),
@@ -405,17 +411,13 @@ mod tests {
             let budget = fired
                 .iter()
                 .find(|a| a.source == "Retry budget tuning")
-                .expect("a drained budget fires the rule");
-            assert_eq!(
-                retry_patch(budget).max_attempts,
-                Some(doubled),
-                "{attempts}"
-            );
+                .map(|planned| retry_patch(planned).max_attempts);
+            assert_eq!(budget, doubled.map(Some), "{attempts}");
         }
-        // The tuned spec of a spec already at the cap still validates.
+        // A spec tuned up to the cap still validates.
         let mut spec = workload::ScenarioSpec::builtin("scm").unwrap();
         spec.retry.endorse_timeout = Some(0.5);
-        spec.retry.max_attempts = MAX_RETRY_ATTEMPTS;
+        spec.retry.max_attempts = MAX_RETRY_ATTEMPTS - 1;
         let ctx = ResilienceCtx {
             report: &report,
             retry: &spec.retry,

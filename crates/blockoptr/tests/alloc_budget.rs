@@ -1,9 +1,9 @@
-//! Allocation budget of the simulator and the session fold.
+//! Allocation budget of the simulator, the session fold and the log export.
 //!
 //! A simulation allocates per transaction it executes, and a monitoring
 //! loop folds every committed block into the running metric trackers, so
 //! heap allocations set both rates as much as the arithmetic does. This
-//! binary counts them with its own global allocator and holds three paths
+//! binary counts them with its own global allocator and holds four paths
 //! to a committed budget:
 //!
 //! * one simulation run (`bundle.run`), per committed transaction: the
@@ -12,13 +12,17 @@
 //!   alone: the records are built before counting starts);
 //! * a `LastBlocks(10)` watch, block by block with a snapshot per block, as
 //!   a live monitor runs it (record conversion, fold, eviction and
-//!   snapshot).
+//!   snapshot);
+//! * `export::to_json` of a whole log, per record (the log is built before
+//!   counting starts): the writer streams into one `String`, so only that
+//!   string's growth allocates.
 //!
 //! The counter is a `const` thread-local, so only allocations made on the
 //! test's own thread count; the harness's threads cannot skew it. Budgets
 //! sit a little above the counts of the shared-handle hand-off, well below
 //! what copying every key and record costs.
 
+use blockoptr::export;
 use blockoptr::log::BlockchainLog;
 use blockoptr::session::{Analyzer, WindowPolicy};
 use fabric_sim::ledger::Ledger;
@@ -118,13 +122,31 @@ fn watch_per_record(ledger: &Ledger) -> f64 {
     n as f64 / records as f64
 }
 
+/// Allocations per record of `export::to_json` of the whole log.
+fn export_per_record(ledger: &Ledger) -> f64 {
+    let log = BlockchainLog::from_ledger(ledger);
+    let (json, n) = allocations(|| export::to_json(&log));
+    assert!(json.len() > log.len(), "the export writes every record");
+    n as f64 / log.len() as f64
+}
+
+/// The log export's budget, per record: room for the output `String`'s
+/// growth only (0.009 on scm, 0.010 on drm), where building a value tree
+/// and rendering it made 67.4 and 74.7.
+const BUDGET_EXPORT: f64 = 0.1;
+
 fn check(scenario: &str, budget_run: f64, budget_ingest_log: f64, budget_watch: f64) {
     let (ledger, run) = run_per_tx(scenario);
     let ingest = ingest_log_per_record(&ledger);
     let watch = watch_per_record(&ledger);
+    let export = export_per_record(&ledger);
     eprintln!(
         "{scenario}: run {run:.2} per transaction; ingest_log {ingest:.2}, \
-         watch {watch:.2} per record (allocations)"
+         watch {watch:.2}, export {export:.3} per record (allocations)"
+    );
+    assert!(
+        export <= BUDGET_EXPORT,
+        "{scenario} export::to_json: {export:.3} allocations per record, budget {BUDGET_EXPORT}"
     );
     assert!(
         run <= budget_run,

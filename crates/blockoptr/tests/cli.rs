@@ -116,6 +116,43 @@ fn watch_live_json_with_duration_policy() {
     assert!(err.contains("simulation finished"), "{err}");
 }
 
+/// FNV-1a 64-bit, the goldens' hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf29ce484222325;
+    for b in bytes {
+        hash ^= u64::from(*b);
+        hash = hash.wrapping_mul(0x100000001b3);
+    }
+    hash
+}
+
+/// The machine-readable analysis surfaces keep their bytes: the pretty
+/// `analyze --json` object and the compact per-window `watch --json`
+/// lines, whose tuple-keyed metric maps render as `[key, value]` pairs.
+#[test]
+fn analyze_and_watch_json_keep_their_bytes() {
+    let log = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/demo_blocks.json"
+    );
+    let hashes: Vec<String> = [
+        &["analyze", log, "--json"][..],
+        &["watch", log, "--json", "--window", "5"],
+    ]
+    .iter()
+    .map(|args| {
+        let out = Command::new(env!("CARGO_BIN_EXE_blockoptr"))
+            .args(*args)
+            .env_remove("BLOCKOPTR_WINDOW")
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        format!("{:016x}", fnv1a(&out.stdout))
+    })
+    .collect();
+    assert_eq!(hashes, ["51ad7cbb5af4b77a", "d638adaa49dab9df"]);
+}
+
 /// `blockoptr spec` dumps a valid, replayable ScenarioSpec; scaling and
 /// seeding flags land in the JSON.
 #[test]
@@ -296,6 +333,9 @@ fn optimize_survives_retry_backoffs_past_the_phase_bound() {
     // 64 attempts of at most a 0.4 s timeout plus a one-hour backoff each,
     // after a send schedule well under a second.
     assert!(span_secs < 64.0 * 3_601.0, "{text}");
+    // The budget is drained, but it is already at the cap: doubling it
+    // would re-measure the baseline, so the plan does not carry it.
+    assert!(!text.contains("attempts 64"), "{text}");
 }
 
 /// A throttle of 10⁻¹² tx/s would space a 50-transaction schedule past the

@@ -175,7 +175,7 @@ const COMMON_METHODS: &[&str] = &[
     "starts_with",
     "ends_with",
     "replace",
-    "to_value",
+    "serialize",
     "fmt",
     "eq",
     "cmp",

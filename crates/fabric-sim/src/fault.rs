@@ -389,7 +389,7 @@ mod tests {
                 endorsement_rate: 0.1,
             }),
         };
-        let json = spec.to_value().render(false);
+        let json = serde_json::to_string(&spec).unwrap();
         let back: FaultSpec = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, spec);
     }
@@ -411,7 +411,7 @@ mod tests {
             backoff_multiplier: 3.0,
             jitter: 0.1,
         };
-        let json = policy.to_value().render(false);
+        let json = serde_json::to_string(&policy).unwrap();
         let back: RetryPolicy = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, policy);
 

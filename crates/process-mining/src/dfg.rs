@@ -6,7 +6,7 @@
 
 use crate::eventlog::EventLog;
 use serde::de::{Error, Reader};
-use serde::value::Value;
+use serde::ser::Serializer;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -57,7 +57,7 @@ impl Edges {
     }
 
     /// Edges in `(a, b)` order, with counts.
-    fn iter(&self) -> impl Iterator<Item = (&str, &str, usize)> {
+    fn iter(&self) -> impl Iterator<Item = (&str, &str, usize)> + Clone {
         self.0
             .iter()
             .flat_map(|(a, next)| next.iter().map(move |(b, &n)| (a.as_str(), b.as_str(), n)))
@@ -65,10 +65,8 @@ impl Edges {
 }
 
 impl Serialize for Edges {
-    fn to_value(&self) -> Value {
-        let flat: BTreeMap<(&str, &str), usize> =
-            self.iter().map(|(a, b, n)| ((a, b), n)).collect();
-        flat.to_value()
+    fn serialize(&self, w: &mut Serializer) {
+        w.map(self.iter().map(|(a, b, n)| ((a, b), n)));
     }
 }
 
@@ -276,13 +274,16 @@ mod tests {
         let g = DirectlyFollowsGraph::from_log(&log_from(&[&["a", "b", "a"], &["c"]]));
         let flat: BTreeMap<(String, String), usize> =
             BTreeMap::from([(("a".into(), "b".into()), 1), (("b".into(), "a".into()), 1)]);
-        let json = g.to_value().render(false);
-        assert!(json.starts_with(&format!("{{\"edges\":{}", flat.to_value().render(false))));
-        let empty = DirectlyFollowsGraph::default().to_value().render(false);
+        let json = serde::ser::to_string(&g, false);
+        assert!(json.starts_with(&format!(
+            "{{\"edges\":{}",
+            serde::ser::to_string(&flat, false)
+        )));
+        let empty = serde::ser::to_string(&DirectlyFollowsGraph::default(), false);
         assert!(empty.starts_with("{\"edges\":{}"), "{empty}");
         for text in [json, empty] {
             let back: DirectlyFollowsGraph = serde::de::from_str(&text).unwrap();
-            assert_eq!(back.to_value().render(false), text);
+            assert_eq!(serde::ser::to_string(&back, false), text);
         }
     }
 

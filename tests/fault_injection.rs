@@ -84,7 +84,7 @@ fn strip_fault_fields(spec: &ScenarioSpec) -> ScenarioSpec {
         fields.retain(|(k, _)| k != "fault" && k != "retry");
         assert_eq!(fields.len(), before - 2, "both fields were present");
     }
-    ScenarioSpec::from_json(&v.render(false)).unwrap()
+    ScenarioSpec::from_json(&serde_json::to_string(&v).unwrap()).unwrap()
 }
 
 /// Pre-fault specs (no `fault`/`retry` JSON fields) and explicit no-op
