@@ -17,7 +17,7 @@
 
 use crate::log::{BlockchainLog, TxRecord};
 use crate::metrics::{decrement, increment, update};
-use fabric_sim::types::Value;
+use fabric_sim::types::{Key, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -60,10 +60,10 @@ pub(crate) fn family_of(ident: &str) -> Option<&str> {
 
 /// A record's candidate identifiers, in order: its string arguments, then
 /// its distinct accessed keys (sorted by full key) without the namespace
-/// prefix. Borrowed from the record; the key list is its one allocation.
+/// prefix. Borrowed from the record and its key list; allocates nothing.
 pub(crate) struct Candidates<'r> {
     args: &'r [Value],
-    keys: Vec<&'r str>,
+    keys: &'r [Key],
 }
 
 impl<'r> Candidates<'r> {
@@ -71,12 +71,11 @@ impl<'r> Candidates<'r> {
     /// switches from a look-back to a set.
     const LOOK_BACK: usize = 32;
 
-    pub(crate) fn of(record: &'r TxRecord) -> Candidates<'r> {
-        let mut keys = record.rwset.all_keys();
-        for key in &mut keys {
-            // Strip the namespace prefix: "scm/P0001" → "P0001".
-            *key = key.rsplit('/').next().unwrap_or(key);
-        }
+    /// The candidates of `record`, whose distinct accessed keys `keys`
+    /// lists as [`ReadWriteSet::all_keys`] does.
+    ///
+    /// [`ReadWriteSet::all_keys`]: fabric_sim::rwset::ReadWriteSet::all_keys
+    pub(crate) fn of(record: &'r TxRecord, keys: &'r [Key]) -> Candidates<'r> {
         Candidates {
             args: &record.args,
             keys,
@@ -88,7 +87,12 @@ impl<'r> Candidates<'r> {
             Value::Str(s) => Some(s.as_str()),
             _ => None,
         });
-        args.chain(self.keys.iter().copied())
+        // Strip the namespace prefix: "scm/P0001" → "P0001".
+        let keys = self.keys.iter().map(|key| {
+            let key: &'r str = key;
+            key.rsplit('/').next().unwrap_or(key)
+        });
+        args.chain(keys)
     }
 
     /// Call `f` once per distinct family among the candidates. A record
@@ -202,7 +206,8 @@ pub fn derive_case_ids(log: &BlockchainLog) -> CaseDerivation {
     let mut coverage: BTreeMap<String, usize> = BTreeMap::new();
     let mut distinct: FamilyValues = BTreeMap::new();
     for record in log.records() {
-        observe_family_candidates(&Candidates::of(record), &mut coverage, &mut distinct);
+        let keys = record.rwset.all_keys();
+        observe_family_candidates(&Candidates::of(record, &keys), &mut coverage, &mut distinct);
     }
 
     let total = log.len().max(1);
@@ -215,7 +220,10 @@ pub fn derive_case_ids(log: &BlockchainLog) -> CaseDerivation {
         };
     };
 
-    let case_of = |r| case_from_candidates(&Candidates::of(r), family).map(str::to_string);
+    let case_of = |r: &TxRecord| {
+        let keys = r.rwset.all_keys();
+        case_from_candidates(&Candidates::of(r, &keys), family).map(str::to_string)
+    };
     let case_ids: VecDeque<Option<String>> = log.records().iter().map(case_of).collect();
 
     CaseDerivation {

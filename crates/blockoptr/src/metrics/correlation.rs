@@ -264,7 +264,10 @@ fn is_delta_write(prev: &TxRecord, r: &TxRecord) -> bool {
     };
     prev.status == TxStatus::MvccReadConflict
         && p.key == w.key
-        && matches!(value_delta(p.value.as_ref(), w.value.as_ref()), Some(d) if d.abs() == 1)
+        && matches!(
+            value_delta(p.value.as_ref(), w.value.as_ref()),
+            Some(1 | -1)
+        )
 }
 
 /// The most recent committed writer (absolute position) of any key `r`
@@ -330,10 +333,12 @@ fn count_conflict(
 }
 
 /// The integer delta between two written values, when both are integers or
-/// both are records differing in exactly one integer field.
+/// both are records differing in exactly one integer field. A delta that
+/// does not fit an `i64` (values read from a user's log can sit at its
+/// extremes) is no delta.
 pub fn value_delta(a: Option<&Value>, b: Option<&Value>) -> Option<i64> {
     match (a, b) {
-        (Some(Value::Int(x)), Some(Value::Int(y))) => Some(y - x),
+        (Some(Value::Int(x)), Some(Value::Int(y))) => y.checked_sub(*x),
         (Some(Value::Map(ma)), Some(Value::Map(mb))) => {
             if ma.len() != mb.len() || ma.keys().ne(mb.keys()) {
                 return None;
@@ -345,7 +350,7 @@ pub fn value_delta(a: Option<&Value>, b: Option<&Value>) -> Option<i64> {
                     continue;
                 }
                 match (va, vb, delta) {
-                    (Value::Int(x), Value::Int(y), None) => delta = Some(y - x),
+                    (Value::Int(x), Value::Int(y), None) => delta = Some(y.checked_sub(*x)?),
                     _ => return None, // second differing field or non-int
                 }
             }
@@ -488,9 +493,33 @@ mod tests {
         let mut b = a.clone();
         b.insert("plays".to_string(), Value::Int(4));
         assert_eq!(
-            value_delta(Some(&Value::Map(a)), Some(&Value::Map(b))),
+            value_delta(Some(&Value::Map(a.clone())), Some(&Value::Map(b))),
             Some(1)
         );
+        // A delta past the `i64` range is no delta, in either form; one at
+        // `i64::MIN` is a delta, just not a ±1 one.
+        for (x, y, delta) in [
+            (i64::MIN, i64::MAX, None),
+            (i64::MAX, i64::MIN, None),
+            (-1, i64::MAX, None),
+            (0, i64::MIN, Some(i64::MIN)),
+            (i64::MAX - 1, i64::MAX, Some(1)),
+            (i64::MIN + 1, i64::MIN, Some(-1)),
+        ] {
+            assert_eq!(
+                value_delta(Some(&Value::Int(x)), Some(&Value::Int(y))),
+                delta,
+                "{x} -> {y}"
+            );
+            let (mut ma, mut mb) = (a.clone(), a.clone());
+            ma.insert("plays".to_string(), Value::Int(x));
+            mb.insert("plays".to_string(), Value::Int(y));
+            assert_eq!(
+                value_delta(Some(&Value::Map(ma)), Some(&Value::Map(mb))),
+                delta,
+                "map field {x} -> {y}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! even-participation expectation.
 
 use super::Name;
-use crate::log::BlockchainLog;
+use crate::log::{BlockchainLog, TxRecord};
+use fabric_sim::types::{OrgId, PeerId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -33,22 +34,11 @@ impl EndorserMetrics {
     /// Fold one transaction into the counts (streaming update). Names are
     /// rendered on the stack, so only a peer or organization seen for the
     /// first time allocates (its owned key).
-    pub fn observe(&mut self, r: &crate::log::TxRecord) {
+    pub fn observe(&mut self, r: &TxRecord) {
         for peer in &r.endorsers {
             super::increment(&mut self.per_peer, Name::peer(*peer).as_str());
             super::increment(&mut self.per_org, Name::org(peer.org).as_str());
             self.total_endorsements += 1;
-        }
-    }
-
-    /// Reverse one earlier [`observe`](Self::observe) of `r`
-    /// (sliding-window eviction); peers and organizations whose count
-    /// reaches zero are removed. Allocates nothing.
-    pub fn retract(&mut self, r: &crate::log::TxRecord) {
-        for peer in &r.endorsers {
-            super::decrement(&mut self.per_peer, Name::peer(*peer).as_str());
-            super::decrement(&mut self.per_org, Name::org(peer.org).as_str());
-            self.total_endorsements -= 1;
         }
     }
 
@@ -75,6 +65,55 @@ impl EndorserMetrics {
     }
 }
 
+/// Endorsement counts keyed by peer and organization id: a session's
+/// running state, whose lookups compare integers where
+/// [`EndorserMetrics`] compares display names.
+/// [`render`](Self::render) spells them out by name.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EndorserCounts {
+    per_peer: BTreeMap<PeerId, usize>,
+    per_org: BTreeMap<OrgId, usize>,
+    total: usize,
+}
+
+impl EndorserCounts {
+    /// Fold one transaction in; only a peer or organization seen for the
+    /// first time allocates (its map entry).
+    pub(crate) fn observe(&mut self, r: &TxRecord) {
+        for peer in &r.endorsers {
+            super::increment(&mut self.per_peer, peer);
+            super::increment(&mut self.per_org, &peer.org);
+            self.total += 1;
+        }
+    }
+
+    /// Reverse one earlier [`observe`](Self::observe) of `r`
+    /// (sliding-window eviction); peers and organizations whose count
+    /// reaches zero are removed. Allocates nothing.
+    pub(crate) fn retract(&mut self, r: &TxRecord) {
+        for peer in &r.endorsers {
+            super::decrement(&mut self.per_peer, peer);
+            super::decrement(&mut self.per_org, &peer.org);
+            self.total -= 1;
+        }
+    }
+
+    /// Peers with a live count.
+    pub(crate) fn peers(&self) -> usize {
+        self.per_peer.len()
+    }
+
+    /// The counts as [`EndorserMetrics`], keyed and ordered by display
+    /// name like [`EndorserMetrics::derive`]'s.
+    pub(crate) fn render(&self) -> EndorserMetrics {
+        EndorserMetrics {
+            per_peer: super::by_name(&self.per_peer),
+            per_org: super::by_name(&self.per_org),
+            total_endorsements: self.total,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,19 +125,20 @@ mod tests {
             Rec::new(0, "a").endorsed_by(&[0, 1]).build(),
             Rec::new(1, "a").endorsed_by(&[0, 2]).build(),
         ];
-        let mut m = EndorserMetrics::default();
+        let mut counts = EndorserCounts::default();
         for r in &recs {
-            m.observe(r);
+            counts.observe(r);
         }
-        m.retract(&recs[0]);
-        let mut fresh = EndorserMetrics::default();
-        fresh.observe(&recs[1]);
+        counts.retract(&recs[0]);
+        let m = counts.render();
+        let fresh = EndorserMetrics::derive(&log_of(vec![recs[1].clone()]));
         assert_eq!(m.per_peer, fresh.per_peer);
         assert_eq!(m.per_org, fresh.per_org);
         assert_eq!(m.total_endorsements, fresh.total_endorsements);
-        m.retract(&recs[1]);
-        assert!(m.per_org.is_empty());
-        assert_eq!(m.total_endorsements, 0);
+        counts.retract(&recs[1]);
+        assert_eq!(counts.peers(), 0);
+        assert!(counts.render().per_org.is_empty());
+        assert_eq!(counts.render().total_endorsements, 0);
     }
 
     #[test]

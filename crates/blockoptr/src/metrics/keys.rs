@@ -15,20 +15,19 @@
 
 use crate::log::BlockchainLog;
 use crate::metrics::MetricConfig;
+use fabric_sim::types::Key;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Incremental hotkey-candidate index for streaming sessions: keys bucketed
-/// by failure count, kept in sync with [`KeyMetrics::kfreq`] one O(log n)
-/// move per failed access. Selecting the hotkey set walks the buckets from
-/// the highest count down and stops at the threshold — O(k + log n) for k
-/// hotkeys instead of the O(distinct failed keys) full scan
-/// [`KeyMetrics::select_hotkeys`] performs.
-///
-/// Lives *next to* [`KeyMetrics`] (in the session tracker) rather than
-/// inside it: the index is derivable state and must not enter the
-/// serialized metrics. `Arc`-shared so forking a session stays cheap.
+/// Hotkey-candidate index: keys bucketed by failure count, kept in sync
+/// with [`KeyMetrics::kfreq`] by one O(log n) move per failed access
+/// ([`KeyMetrics::observe_failure_indexed`]). Selecting the hotkey set
+/// walks the buckets from the highest count down and stops at the
+/// threshold. Sessions do not keep one: moving a key between string-keyed
+/// buckets on every failed access costs more than the one scan of the
+/// window's failed keys that [`KeyMetrics::select_hotkeys`] makes per
+/// snapshot. It stays for the benchmark's `metrics.keys.observe` probe.
 #[derive(Debug, Clone, Default)]
 pub struct HotkeyIndex {
     by_count: Arc<BTreeMap<usize, BTreeSet<String>>>,
@@ -53,28 +52,6 @@ impl HotkeyIndex {
         let index = Arc::make_mut(&mut self.by_count);
         let owned = take(index, old_count, key).unwrap_or_else(|| key.to_string());
         index.entry(old_count + 1).or_default().insert(owned);
-    }
-
-    /// Record that `key`'s failure count moved from `old_count` down to
-    /// `old_count - 1` (sliding-window eviction). A key whose count reaches
-    /// zero leaves the index entirely, so the index never outgrows the live
-    /// window; the move is the same O(log n) bucket hop as
-    /// [`observe`](Self::observe), keeping hotkey selection O(k + log n)
-    /// under eviction, and reuses the key's owned string the same way.
-    pub fn retract(&mut self, key: &str, old_count: usize) {
-        assert!(old_count > 0, "retract of a key with no recorded failures");
-        let index = Arc::make_mut(&mut self.by_count);
-        let owned = take(index, old_count, key);
-        if old_count > 1 {
-            let owned = owned.unwrap_or_else(|| key.to_string());
-            index.entry(old_count - 1).or_default().insert(owned);
-        }
-    }
-
-    /// Keys currently tracked across all count buckets (equals the live
-    /// `Kfreq` key count; bounded by the window under eviction).
-    pub fn tracked_keys(&self) -> usize {
-        self.by_count.values().map(BTreeSet::len).sum()
     }
 
     /// The hotkey set `HK` under `config`, ordered by failure count
@@ -123,51 +100,60 @@ impl KeyMetrics {
     /// Call [`select_hotkeys`](Self::select_hotkeys) before reading
     /// [`hotkeys`](Self::hotkeys).
     pub fn observe_failure(&mut self, r: &crate::log::TxRecord) {
-        self.fold_failure(r, |_, _| {});
+        self.observe_failed_keys(&r.activity, &r.rwset.all_keys());
     }
 
     /// Fold one **failed** transaction into the counters while keeping a
-    /// [`HotkeyIndex`] in lockstep (the streaming path: the index makes
-    /// snapshot-time hotkey selection O(k + log n)).
+    /// [`HotkeyIndex`] in lockstep.
     pub fn observe_failure_indexed(&mut self, r: &crate::log::TxRecord, index: &mut HotkeyIndex) {
-        self.fold_failure(r, |key, old| index.observe(key, old));
+        self.fold_failure(&r.activity, &r.rwset.all_keys(), |key, old| {
+            index.observe(key, old)
+        });
     }
 
-    /// Count one failed transaction against each of its distinct keys,
-    /// listed once in one `Vec`; `moved(key, old)` sees each key's count
-    /// before the bump. Counters are bumped by borrowed key, so only a key
-    /// or (key, activity) pair seen for the first time allocates.
-    fn fold_failure(&mut self, r: &crate::log::TxRecord, mut moved: impl FnMut(&str, usize)) {
+    /// Fold one failed transaction of `activity` that accessed `keys`, its
+    /// distinct keys as [`ReadWriteSet::all_keys`] lists them
+    /// (the session fold, which lists each record's keys once).
+    ///
+    /// [`ReadWriteSet::all_keys`]: fabric_sim::rwset::ReadWriteSet::all_keys
+    pub(crate) fn observe_failed_keys(&mut self, activity: &str, keys: &[Key]) {
+        self.fold_failure(activity, keys, |_, _| {});
+    }
+
+    /// Count one failed transaction against each of its distinct `keys`;
+    /// `moved(key, old)` sees each key's count before the bump. Counters
+    /// are bumped by borrowed key, so only a key or (key, activity) pair
+    /// seen for the first time allocates.
+    fn fold_failure(&mut self, activity: &str, keys: &[Key], mut moved: impl FnMut(&str, usize)) {
         self.total_failures += 1;
         let kfreq = Arc::make_mut(&mut self.kfreq);
         let by_key = Arc::make_mut(&mut self.failing_activity_counts);
-        for key in r.rwset.all_keys() {
-            super::update(kfreq, key, |n| {
+        for key in keys {
+            super::update(kfreq, &**key, |n| {
                 moved(key, *n);
                 *n += 1;
             });
-            super::update(by_key, key, |acts| super::increment(acts, &*r.activity));
+            super::update(by_key, &**key, |acts| super::increment(acts, activity));
         }
     }
 
-    /// Reverse one earlier
-    /// [`observe_failure_indexed`](Self::observe_failure_indexed) of `r`
-    /// (sliding-window eviction), keeping the [`HotkeyIndex`] in lockstep.
-    /// Counters that reach zero are removed, so the maps shrink back to
-    /// exactly what observing only the retained failures would have built.
-    /// Allocates only the one `Vec` listing `r`'s keys.
-    pub fn retract_failure_indexed(&mut self, r: &crate::log::TxRecord, index: &mut HotkeyIndex) {
+    /// Reverse one earlier [`observe_failed_keys`](Self::observe_failed_keys)
+    /// with the same arguments (sliding-window eviction). Counters that
+    /// reach zero are removed, so the maps shrink back to exactly what
+    /// observing only the retained failures would have built. Allocates
+    /// nothing.
+    pub(crate) fn retract_failed_keys(&mut self, activity: &str, keys: &[Key]) {
         self.total_failures -= 1;
         let kfreq = Arc::make_mut(&mut self.kfreq);
         let by_key = Arc::make_mut(&mut self.failing_activity_counts);
-        for key in r.rwset.all_keys() {
-            index.retract(key, super::decrement(kfreq, key));
+        for key in keys {
+            super::decrement(kfreq, &**key);
             let acts = by_key
-                .get_mut(key)
+                .get_mut(&**key)
                 .expect("retracted key has recorded activities");
-            super::decrement(acts, &*r.activity);
+            super::decrement(acts, activity);
             if acts.is_empty() {
-                by_key.remove(key);
+                by_key.remove(&**key);
             }
         }
     }
@@ -397,8 +383,8 @@ mod tests {
         }
     }
 
-    /// Observing a stream and then retracting a prefix must leave counters,
-    /// index, and selected hotkeys identical to observing only the suffix.
+    /// Observing a stream and then retracting a prefix must leave counters
+    /// and selected hotkeys identical to observing only the suffix.
     #[test]
     fn retraction_matches_fresh_suffix() {
         let keys = ["a", "b", "c", "d"];
@@ -411,19 +397,18 @@ mod tests {
                     .build()
             })
             .collect();
+        let lists: Vec<_> = records.iter().map(|r| r.rwset.all_keys()).collect();
         let cfg = config();
         let mut windowed = KeyMetrics::default();
-        let mut windowed_index = HotkeyIndex::default();
-        for r in &records {
-            windowed.observe_failure_indexed(r, &mut windowed_index);
+        for (r, keys) in records.iter().zip(&lists) {
+            windowed.observe_failed_keys(&r.activity, keys);
         }
-        for r in &records[..35] {
-            windowed.retract_failure_indexed(r, &mut windowed_index);
+        for (r, keys) in records.iter().zip(&lists).take(35) {
+            windowed.retract_failed_keys(&r.activity, keys);
         }
         let mut fresh = KeyMetrics::default();
-        let mut fresh_index = HotkeyIndex::default();
         for r in &records[35..] {
-            fresh.observe_failure_indexed(r, &mut fresh_index);
+            fresh.observe_failure(r);
         }
         assert_eq!(windowed.kfreq, fresh.kfreq);
         assert_eq!(
@@ -431,18 +416,18 @@ mod tests {
             fresh.failing_activity_counts
         );
         assert_eq!(windowed.total_failures, fresh.total_failures);
-        assert_eq!(
-            windowed_index.select(windowed.total_failures, &cfg),
-            fresh_index.select(fresh.total_failures, &cfg)
-        );
+        windowed.select_hotkeys(&cfg);
+        fresh.select_hotkeys(&cfg);
+        assert_eq!(windowed.hotkeys, fresh.hotkeys);
         // Retracting everything empties the state completely.
-        for r in &records[35..] {
-            windowed.retract_failure_indexed(r, &mut windowed_index);
+        for (r, keys) in records.iter().zip(&lists).skip(35) {
+            windowed.retract_failed_keys(&r.activity, keys);
         }
         assert!(windowed.kfreq.is_empty());
         assert!(windowed.failing_activity_counts.is_empty());
         assert_eq!(windowed.total_failures, 0);
-        assert!(windowed_index.select(100, &cfg).is_empty());
+        windowed.select_hotkeys(&cfg);
+        assert!(windowed.hotkeys.is_empty());
     }
 
     #[test]

@@ -20,7 +20,9 @@ pub mod rates;
 
 pub use block::BlockMetrics;
 pub use correlation::{CorrelationMetrics, CorrelationTracker};
+pub(crate) use endorser::EndorserCounts;
 pub use endorser::EndorserMetrics;
+pub(crate) use invoker::InvokerCounts;
 pub use invoker::InvokerMetrics;
 pub use keys::{HotkeyIndex, KeyMetrics};
 pub use rates::{RateMetrics, RateTracker};
@@ -60,6 +62,13 @@ where
             map.insert(key.to_owned(), value);
         }
     }
+}
+
+/// An id-keyed counter map re-keyed by each id's display name, and so
+/// ordered by name (`peer10.Org1` before `peer2.Org1`) — how a session
+/// renders its id-keyed endorser and invoker counts.
+pub(crate) fn by_name<K: std::fmt::Display>(map: &BTreeMap<K, usize>) -> BTreeMap<String, usize> {
+    map.iter().map(|(id, &n)| (id.to_string(), n)).collect()
 }
 
 /// A peer, client or organization display name rendered into a stack

@@ -48,12 +48,13 @@ use crate::caseid::{self, CaseDerivation};
 use crate::export;
 use crate::log::{BlockchainLog, TxRecord};
 use crate::metrics::{
-    BlockMetrics, CorrelationTracker, EndorserMetrics, HotkeyIndex, InvokerMetrics, KeyMetrics,
-    MetricConfig, Metrics, RateTracker,
+    BlockMetrics, CorrelationTracker, EndorserCounts, InvokerCounts, KeyMetrics, MetricConfig,
+    Metrics, RateTracker,
 };
 use crate::recommend::rules::{RuleCtx, RuleSet};
 use crate::recommend::{observe_activity_type, ActivityTypeHistogram, Recommendation, Thresholds};
 use fabric_sim::ledger::{Block, Ledger};
+use fabric_sim::types::Key;
 use process_mining::dfg::DirectlyFollowsGraph;
 use process_mining::eventlog::{EventLog, Trace};
 use process_mining::heuristics::{mine_from_dfg, DependencyGraph, HeuristicsConfig};
@@ -167,10 +168,11 @@ impl std::error::Error for AnalyzeError {}
 ///
 /// With any bounded policy the session evicts its oldest records at the end
 /// of every ingest batch and *retracts* their contribution from every
-/// per-metric tracker, the conflict list, the case cache, and the
-/// incremental hotkey index. The guarantee: a windowed snapshot is
-/// identical to a fresh analysis of only the retained suffix, and every
-/// tracker's state is bounded by the window instead of the stream length.
+/// per-metric tracker, the conflict list and the case cache, reading the
+/// key list it stored for each record at ingest. The guarantee: a windowed
+/// snapshot is identical to a fresh analysis of only the retained suffix,
+/// and every tracker's state is bounded by the window instead of the
+/// stream length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WindowPolicy {
     /// Keep everything (the default; the original accumulate-only
@@ -522,11 +524,10 @@ fn trace_index(firsts: &[usize], queue: &VecDeque<usize>) -> usize {
 }
 
 impl CaseTracker {
-    /// Fold one record at absolute stream position `pos`.
-    fn observe(&mut self, record: &TxRecord, pos: usize) {
-        // Extract the candidate identifiers once; both the family
-        // statistics and the case lookup read the same list.
-        let cands = caseid::Candidates::of(record);
+    /// Fold one record, whose distinct keys `keys` lists, at absolute
+    /// stream position `pos`.
+    fn observe(&mut self, record: &TxRecord, keys: &[Key], pos: usize) {
+        let cands = caseid::Candidates::of(record, keys);
         caseid::observe_family_candidates(&cands, &mut self.coverage, &mut self.distinct);
         let case = if self.family.is_empty() {
             None
@@ -584,7 +585,7 @@ impl CaseTracker {
     /// it engages on small logs too (5 % of `total < 20` truncates to 0,
     /// which used to disable the documented tie band exactly in the
     /// small-window regime sliding windows create).
-    fn refresh(&mut self, records: &[TxRecord], base: usize) {
+    fn refresh(&mut self, records: &[TxRecord], key_lists: &VecDeque<Vec<Key>>, base: usize) {
         let total = records.len().max(1);
         let winner = caseid::pick_family(&self.coverage, &self.distinct, total)
             .map(|(family, _, _)| family)
@@ -601,7 +602,7 @@ impl CaseTracker {
             }
         }
         self.family = winner.to_string();
-        self.rebuild_structures(records, base);
+        self.rebuild_structures(records, key_lists.iter(), base);
     }
 
     /// Retract the evicted prefix from the case state — **incrementally**.
@@ -619,15 +620,22 @@ impl CaseTracker {
     /// Cost: O(evicted + affected · log affected), with `affected` the
     /// traces that lost events, plus one pass that moves each retained
     /// trace once; the unaffected traces are neither looked up nor cloned.
-    /// Allocations: one candidate `Vec` per evicted record and a few
-    /// per-batch `Vec`s for the re-placed traces; counters and DFG entries
-    /// are decremented by borrowed key.
+    /// Allocations: a few per-batch `Vec`s for the re-placed traces;
+    /// counters and DFG entries are decremented by borrowed key.
     ///
-    /// `retained` is the record suffix that survives the eviction; `base`
-    /// is the absolute stream position of `retained[0]`.
-    fn evict(&mut self, evicted: &[TxRecord], retained: &[TxRecord], base: usize) {
-        for record in evicted {
-            let cands = caseid::Candidates::of(record);
+    /// `records[..k]` are evicted and `records[k..]` survive, with their
+    /// key lists at the same positions of `key_lists`; `base` is the
+    /// absolute stream position of `records[k]`.
+    fn evict(
+        &mut self,
+        records: &[TxRecord],
+        key_lists: &VecDeque<Vec<Key>>,
+        k: usize,
+        base: usize,
+    ) {
+        let (evicted, retained) = records.split_at(k);
+        for (record, keys) in evicted.iter().zip(key_lists) {
+            let cands = caseid::Candidates::of(record, keys);
             caseid::retract_family_candidates(&cands, &mut self.coverage, &mut self.distinct);
         }
         let winner = caseid::pick_family(&self.coverage, &self.distinct, retained.len().max(1))
@@ -635,10 +643,10 @@ impl CaseTracker {
             .unwrap_or_default();
         if winner != self.family {
             self.family = winner.to_string();
-            self.rebuild_structures(retained, base);
+            self.rebuild_structures(retained, key_lists.range(k..), base);
             return;
         }
-        Arc::make_mut(&mut self.case_ids).drain(..evicted.len());
+        Arc::make_mut(&mut self.case_ids).drain(..k);
 
         // Evicted records are a stream prefix and traces sit in
         // first-event order, so the traces that lost events are exactly
@@ -700,18 +708,24 @@ impl CaseTracker {
     }
 
     /// Rebuild the case-id list, event log, and DFG for the current family
-    /// (`base` is the absolute stream position of `records[0]`).
-    fn rebuild_structures(&mut self, records: &[TxRecord], base: usize) {
+    /// from `records` and their key lists (`base` is the absolute stream
+    /// position of `records[0]`).
+    fn rebuild_structures<'k>(
+        &mut self,
+        records: &[TxRecord],
+        key_lists: impl Iterator<Item = &'k Vec<Key>>,
+        base: usize,
+    ) {
         self.case_ids = Arc::new(VecDeque::with_capacity(records.len()));
         self.firsts.clear();
         self.positions.clear();
         self.event_log = Arc::new(EventLog::new());
         self.dfg = DirectlyFollowsGraph::default();
-        for (i, record) in records.iter().enumerate() {
+        for (i, (record, keys)) in records.iter().zip(key_lists).enumerate() {
             let case = if self.family.is_empty() {
                 None
             } else {
-                caseid::case_from_candidates(&caseid::Candidates::of(record), &self.family)
+                caseid::case_from_candidates(&caseid::Candidates::of(record, keys), &self.family)
             };
             self.append(case, &record.activity, base + i);
         }
@@ -753,7 +767,7 @@ pub struct SessionFootprint {
     pub endorser_peers: usize,
     pub invoker_clients: usize,
     pub failed_keys: usize,
-    pub hotkey_entries: usize,
+    pub key_handles: usize,
     pub conflicts: usize,
     pub writer_entries: usize,
     pub activity_entries: usize,
@@ -775,7 +789,8 @@ impl SessionFootprint {
     /// a linear function of counts that eviction keeps bounded.
     pub fn approx_bytes(&self) -> usize {
         // Weights: mem::size_of of the dominant struct rounded up for its
-        // heap parts (e.g. a TxRecord's strings, args, and rwset vectors).
+        // heap parts (e.g. a TxRecord's strings, args, and rwset vectors); a
+        // key handle shares its key, so it weighs its fat pointer alone.
         self.records * 320
             + self.rate_intervals * 8
             + self.send_times * 24
@@ -783,7 +798,7 @@ impl SessionFootprint {
             + self.endorser_peers * 32
             + self.invoker_clients * 48
             + self.failed_keys * 48
-            + self.hotkey_entries * 48
+            + self.key_handles * 16
             + self.conflicts * 160
             + self.writer_entries * 56
             + self.activity_entries * 56
@@ -796,7 +811,12 @@ impl SessionFootprint {
 }
 
 /// Everything a [`Session`] folds from its retained records: one tracker
-/// per metric family, the case state, and the stream bounds.
+/// per metric family, the case state, the stream bounds, and each retained
+/// record's distinct keys.
+///
+/// A record's keys are listed once, at ingest, as shared handles to the
+/// record's own keys; the key tracker and the case candidates read that
+/// list on ingest and again when the record is evicted.
 ///
 /// It is a field of its own, apart from the log, so that ingest and
 /// eviction read `log.records()` while they write the trackers as a borrow
@@ -811,13 +831,15 @@ struct Trackers {
     last_commit: Option<SimTime>,
     rates: RateTracker,
     block_sizes: BTreeMap<u64, usize>,
-    endorsers: EndorserMetrics,
-    invokers: InvokerMetrics,
+    endorsers: EndorserCounts,
+    invokers: InvokerCounts,
     keys: KeyMetrics,
-    hotkey_index: HotkeyIndex,
     correlation: CorrelationTracker,
     type_hist: ActivityTypeHistogram,
     cases: CaseTracker,
+    /// [`ReadWriteSet::all_keys`](fabric_sim::rwset::ReadWriteSet::all_keys)
+    /// of each retained record, index for index with the log's records.
+    key_lists: VecDeque<Vec<Key>>,
 }
 
 impl Trackers {
@@ -828,27 +850,28 @@ impl Trackers {
             last_commit: None,
             rates: RateTracker::new(interval),
             block_sizes: BTreeMap::new(),
-            endorsers: EndorserMetrics::default(),
-            invokers: InvokerMetrics::default(),
+            endorsers: EndorserCounts::default(),
+            invokers: InvokerCounts::default(),
             keys: KeyMetrics::default(),
-            hotkey_index: HotkeyIndex::default(),
             correlation: CorrelationTracker::default(),
             type_hist: ActivityTypeHistogram::new(),
             cases: CaseTracker::default(),
+            key_lists: VecDeque::new(),
         }
     }
 
     /// Fold `records[first_new..]` into every tracker, in commit order;
     /// `base` is the absolute stream position of `records[0]`.
     ///
-    /// Counters are bumped by borrowed key and names are rendered on the
-    /// stack, so a record allocates only for what is new to the window (a
-    /// key, peer, activity, family or DFG edge seen for the first time),
-    /// for its conflict pair when it is a read conflict with an identified
-    /// writer, for its candidate-identifier and failed-key lists (one `Vec`
-    /// each), and for its case id and event-log activity.
+    /// Counters are bumped by borrowed key or by id, so a record allocates
+    /// only for what is new to the window (a key, peer, activity, family or
+    /// DFG edge seen for the first time), for its conflict pair when it is
+    /// a read conflict with an identified writer, for its key list (one
+    /// `Vec`, kept until the record is evicted), and for its case id and
+    /// event-log activity.
     fn observe(&mut self, records: &[TxRecord], first_new: usize, base: usize) {
         for (pos, record) in records.iter().enumerate().skip(first_new) {
+            let keys = record.rwset.all_keys();
             self.last_block = self.last_block.max(record.block);
             self.first_send = Some(
                 self.first_send
@@ -863,12 +886,12 @@ impl Trackers {
             self.endorsers.observe(record);
             self.invokers.observe(record);
             if record.failed() {
-                self.keys
-                    .observe_failure_indexed(record, &mut self.hotkey_index);
+                self.keys.observe_failed_keys(&record.activity, &keys);
             }
             self.correlation.observe(records, base + pos);
             observe_activity_type(&mut self.type_hist, &record.activity, record.tx_type);
-            self.cases.observe(record, base + pos);
+            self.cases.observe(record, &keys, base + pos);
+            self.key_lists.push_back(keys);
         }
     }
 
@@ -915,29 +938,30 @@ impl Trackers {
         }
     }
 
-    /// Retract `records[..k]` from every tracker, reading the records where
-    /// they lie (no copy of the evicted prefix); `base` is the absolute
+    /// Retract `records[..k]` from every tracker, reading the records and
+    /// the key lists stored at their ingest where they lie (no copy of the
+    /// evicted prefix), then drop those lists; `base` is the absolute
     /// stream position of `records[k]`, the first survivor.
     ///
-    /// Counters are decremented by borrowed key, so an evicted record
-    /// allocates only its candidate-identifier and failed-key lists (one
-    /// `Vec` each); see [`Session::evict_expired`].
+    /// Counters are decremented by borrowed key or by id, so an evicted
+    /// record allocates nothing; see [`Session::evict_expired`].
     fn retract(&mut self, records: &[TxRecord], k: usize, base: usize) {
-        let (evicted, retained) = records.split_at(k);
-        for r in evicted {
+        let evicted = &records[..k];
+        for (r, keys) in evicted.iter().zip(&self.key_lists) {
             self.rates.retract(r);
             crate::metrics::decrement(&mut self.block_sizes, &r.block);
             self.endorsers.retract(r);
             self.invokers.retract(r);
             if r.failed() {
-                self.keys.retract_failure_indexed(r, &mut self.hotkey_index);
+                self.keys.retract_failed_keys(&r.activity, keys);
             }
             crate::recommend::retract_activity_type(&mut self.type_hist, &r.activity, r.tx_type);
         }
-        self.correlation.evict(evicted, retained[0].commit_index);
+        self.correlation.evict(evicted, records[k].commit_index);
         // The evicted prefix may have carried the window's extremes.
         self.first_send = self.rates.first_send();
-        self.cases.evict(evicted, retained, base);
+        self.cases.evict(records, &self.key_lists, k, base);
+        self.key_lists.drain(..k);
     }
 }
 
@@ -1217,7 +1241,10 @@ impl Session {
         // Re-check the winning identifier family once per batch, so the
         // event-log/DFG cache is (re)built here — amortized over ingestion —
         // and snapshots stay O(state).
-        self.state.cases.refresh(self.log.records(), self.evicted);
+        let state = &mut self.state;
+        state
+            .cases
+            .refresh(self.log.records(), &state.key_lists, self.evicted);
     }
 
     /// Evict every record the window policy no longer covers, retracting
@@ -1234,10 +1261,11 @@ impl Session {
     /// and `Arc::make_mut` copies nothing unless a caller still holds a
     /// snapshot.
     ///
-    /// Allocations: every counter is decremented by borrowed key and the
+    /// Allocations: every counter is decremented by borrowed key or by id,
+    /// the key lists stored at ingest are read, not rebuilt, and the
     /// conflict list is filtered in place, so an evicted record allocates
-    /// only its candidate-identifier and failed-key lists (one `Vec` each);
-    /// each evicting batch adds the few `Vec`s that re-place its traces.
+    /// nothing; each evicting batch adds the few `Vec`s that re-place its
+    /// traces.
     fn evict_expired(&mut self) -> bool {
         let records = self.log.records();
         let k = self.state.expired(records, self.config.window);
@@ -1267,10 +1295,10 @@ impl Session {
             rate_intervals: self.state.rates.stored_intervals(),
             send_times: self.state.rates.distinct_send_times(),
             blocks: self.state.block_sizes.len(),
-            endorser_peers: self.state.endorsers.per_peer.len(),
-            invoker_clients: self.state.invokers.per_client.len(),
+            endorser_peers: self.state.endorsers.peers(),
+            invoker_clients: self.state.invokers.clients(),
             failed_keys: self.state.keys.kfreq.len(),
-            hotkey_entries: self.state.hotkey_index.tracked_keys(),
+            key_handles: self.state.key_lists.iter().map(Vec::len).sum(),
             conflicts,
             writer_entries,
             activity_entries,
@@ -1307,17 +1335,12 @@ impl Session {
         }
         let rates = self.state.rates.snapshot();
         let mut keys = self.state.keys.clone();
-        // O(k + log n) via the incrementally maintained count index —
-        // equivalent to (but cheaper than) `keys.select_hotkeys`.
-        keys.hotkeys = self
-            .state
-            .hotkey_index
-            .select(keys.total_failures, &self.config.metric_config);
+        keys.select_hotkeys(&self.config.metric_config);
         let metrics = Metrics {
             rates,
             block: BlockMetrics::from_sizes(&self.state.block_sizes),
-            endorsers: self.state.endorsers.clone(),
-            invokers: self.state.invokers.clone(),
+            endorsers: self.state.endorsers.render(),
+            invokers: self.state.invokers.render(),
             keys,
             correlation: self.state.correlation.snapshot(),
         };
@@ -1362,6 +1385,7 @@ mod tests {
     use super::*;
     use crate::log::test_support::{log_of, Rec};
     use fabric_sim::ledger::TxStatus;
+    use fabric_sim::types::{ClientId, OrgId, PeerId};
     use workload::spec::ControlVariables;
 
     fn small_output() -> fabric_sim::sim::SimOutput {
@@ -2000,7 +2024,7 @@ mod tests {
             );
             for (name, v) in [
                 ("failed_keys", fp.failed_keys),
-                ("hotkey_entries", fp.hotkey_entries),
+                ("key_handles", fp.key_handles),
                 ("conflicts", fp.conflicts),
                 ("writer_entries", fp.writer_entries),
                 ("activity_entries", fp.activity_entries),
@@ -2513,6 +2537,94 @@ mod tests {
         tail.ingest_log(chunk_log(&records[cut..])).unwrap();
         assert_eq!(tail.evicted(), 0);
         assert!(evicts_in_place(&mut merged, |s| s.merge(tail).unwrap()));
+    }
+
+    /// The session counts endorsements and invocations by id and renders
+    /// them by display name at snapshot: with more than ten peer indices,
+    /// clients and organizations, names sort apart from ids
+    /// (`peer10.Org1` before `peer2.Org1`, `Org10` before `Org2`), and the
+    /// rendered maps still equal the string-keyed batch derivation's,
+    /// before and after an eviction.
+    #[test]
+    fn id_keyed_counts_render_like_the_batch_derivation() {
+        // Record i = 12 b + a: peer (org a, index b) and peer (org b,
+        // index a) endorse, client (org b, index a) invokes; 24 records
+        // per block.
+        let records: Vec<TxRecord> = (0..144usize)
+            .map(|i| {
+                let (a, b) = ((i % 12) as u16, (i / 12) as u16);
+                let mut r = Rec::new(i, "act").block(i as u64 / 24 + 1).build();
+                r.endorsers = vec![
+                    PeerId {
+                        org: OrgId(a),
+                        index: b,
+                    },
+                    PeerId {
+                        org: OrgId(b),
+                        index: a,
+                    },
+                ];
+                r.invoker = ClientId {
+                    org: OrgId(b),
+                    index: a,
+                };
+                r
+            })
+            .collect();
+        let config = MetricConfig::default();
+        let matches_batch = |session: &Session| {
+            let analysis = session.snapshot().unwrap();
+            let batch = Metrics::derive(&analysis.log, &config);
+            let (endorsers, invokers) = (&analysis.metrics.endorsers, &analysis.metrics.invokers);
+            assert_eq!(endorsers.per_peer, batch.endorsers.per_peer);
+            assert_eq!(endorsers.per_org, batch.endorsers.per_org);
+            assert_eq!(
+                endorsers.total_endorsements,
+                batch.endorsers.total_endorsements
+            );
+            assert_eq!(invokers.per_client, batch.invokers.per_client);
+            assert_eq!(invokers.per_org, batch.invokers.per_org);
+            assert_eq!(invokers.total, batch.invokers.total);
+            analysis
+        };
+        let before = |names: Vec<&String>, first: &str, second: &str| {
+            let at = |name| names.iter().position(|n| *n == name);
+            let (first_at, second_at) = (at(first), at(second));
+            assert!(first_at.is_some() && second_at.is_some());
+            assert!(first_at < second_at, "{first} sorts before {second}");
+        };
+
+        let mut session = Analyzer::new()
+            .window(WindowPolicy::LastBlocks(3))
+            .session()
+            .unwrap();
+        session.ingest_log(chunk_log(&records[..72])).unwrap();
+        assert_eq!(session.evicted(), 0);
+        let analysis = matches_batch(&session);
+        let m = &analysis.metrics;
+        assert!(m.endorsers.per_org.len() > 10 && m.invokers.per_client.len() > 10);
+        before(
+            m.endorsers.per_peer.keys().collect(),
+            "peer10.Org1",
+            "peer2.Org1",
+        );
+        before(m.endorsers.per_org.keys().collect(), "Org10", "Org2");
+        before(
+            m.invokers.per_client.keys().collect(),
+            "client10.Org1",
+            "client2.Org1",
+        );
+
+        session.ingest_log(chunk_log(&records[72..])).unwrap();
+        assert_eq!(session.evicted(), 72);
+        let analysis = matches_batch(&session);
+        let m = &analysis.metrics;
+        before(
+            m.endorsers.per_peer.keys().collect(),
+            "peer10.Org7",
+            "peer2.Org7",
+        );
+        before(m.invokers.per_org.keys().collect(), "Org10", "Org7");
     }
 
     /// The footprint's byte estimate is deterministic arithmetic over the

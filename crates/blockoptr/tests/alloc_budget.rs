@@ -164,18 +164,21 @@ fn check(scenario: &str, budget_run: f64, budget_ingest_log: f64, budget_watch: 
 
 // Budgets: the counts at 2 000 transactions, seed 42, plus about 10 %
 // headroom. A run makes 8.55 allocations per committed transaction on scm
-// and 15.22 on drm; the session fold makes 7.45 (`ingest_log`) and 9.07
-// (watch) per record on scm, 7.54 and 10.12 on drm. Records and conflict
+// and 15.22 on drm; the session fold makes 5.93 (`ingest_log`) and 8.09
+// (watch) per record on scm, 5.17 and 7.83 on drm. Records and conflict
 // pairs share the ledger's keys, names, arguments and read-write sets:
 // copying them cost 10.58 and 16.93 per run transaction, and 9.41 and
-// 19.56 (scm), 11.59 and 26.39 (drm) per folded record.
+// 19.56 (scm), 11.59 and 26.39 (drm) per folded record. Listing a
+// record's keys anew for each tracker, on ingest and again on eviction,
+// with a string-keyed hotkey index beside the key counts, cost 7.45 and
+// 9.07 (scm), 7.54 and 10.12 (drm) per folded record.
 
 #[test]
 fn scm_session_fold_stays_within_its_allocation_budget() {
-    check("scm", 9.4, 8.2, 10.0);
+    check("scm", 9.4, 6.5, 8.9);
 }
 
 #[test]
 fn drm_session_fold_stays_within_its_allocation_budget() {
-    check("drm", 16.7, 8.3, 11.1);
+    check("drm", 16.7, 5.7, 8.6);
 }

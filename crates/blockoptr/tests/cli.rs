@@ -227,6 +227,67 @@ fn optimize_rejects_a_far_future_client_timestamp() {
     );
 }
 
+/// Logs whose integer writes sit at the ends of `i64`: a failed `play`
+/// writes one value to a key and the next, successful `play` another.
+/// `i64::MIN` then `i64::MAX` differ by more than an `i64` holds, and 0
+/// then `i64::MIN` by a delta whose absolute value does not fit; neither
+/// is a ±1 delta write. `analyze --json` exits 0 and counts no delta
+/// candidate (the test profile used to panic on the subtraction or the
+/// `abs`, the release profile to count a wrapped delta of 1).
+#[test]
+fn analyze_survives_extreme_written_integers() {
+    use blockoptr::log::{BlockchainLog, TxRecord};
+    use fabric_sim::ledger::TxStatus;
+    use fabric_sim::rwset::ReadWriteSet;
+    use fabric_sim::types::{ClientId, PeerId, TxType, Value};
+    use sim_core::time::SimTime;
+
+    let play = |i: usize, status: TxStatus, value: i64| {
+        let mut rwset = ReadWriteSet::new();
+        rwset.record_write("drm/M0000".into(), Some(Value::Int(value)));
+        TxRecord {
+            commit_index: i,
+            block: 1,
+            client_ts: SimTime::from_millis(i as u64),
+            commit_ts: SimTime::from_millis(1_000),
+            contract: "drm".into(),
+            activity: "play".into(),
+            args: vec![Value::Str("M0000".into())].into(),
+            endorsers: vec![PeerId::default()],
+            invoker: ClientId::default(),
+            rwset: rwset.into(),
+            status,
+            tx_type: TxType::Write,
+        }
+    };
+    let dir = std::env::temp_dir().join("blockoptr_cli_extreme_ints");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (first, second) in [(i64::MIN, i64::MAX), (0, i64::MIN)] {
+        let log = BlockchainLog::from_records(
+            vec![
+                play(0, TxStatus::MvccReadConflict, first),
+                play(1, TxStatus::Success, second),
+            ],
+            1,
+        );
+        let path = dir.join(format!("{first}_{second}.json"));
+        std::fs::write(&path, blockoptr::export::to_json(&log)).unwrap();
+
+        let out = blockoptr(&["analyze", path.to_str().unwrap(), "--json"]);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        let analysis = serde_json::value_from_str(&stdout(&out)).expect("analysis JSON");
+        let deltas = ["metrics", "correlation", "delta_candidates"]
+            .iter()
+            .try_fold(&analysis, |v, name| v.field(name))
+            .expect("delta_candidates present");
+        assert_eq!(
+            deltas,
+            &serde_json::Value::Object(Vec::new()),
+            "{first} -> {second}"
+        );
+    }
+}
+
 /// A frozen 20-transaction scm spec, edited by `edit`, written to a file
 /// of `name` under the temp dir; returns its path.
 fn frozen_spec(name: &str, edit: impl FnOnce(&mut workload::ScenarioSpec)) -> String {

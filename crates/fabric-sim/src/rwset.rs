@@ -9,10 +9,14 @@ use crate::types::{Key, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// `keys` sorted and deduplicated, in one allocation of exactly their count.
-fn sorted_distinct<'a>(keys: impl Iterator<Item = &'a str> + Clone) -> Vec<&'a str> {
+/// `keys`, each taken `as_key`, sorted and deduplicated, in one allocation
+/// of exactly their count.
+fn sorted_distinct<'a, K: Ord>(
+    keys: impl Iterator<Item = &'a Key> + Clone,
+    as_key: impl FnMut(&'a Key) -> K,
+) -> Vec<K> {
     let mut out = Vec::with_capacity(keys.clone().count());
-    out.extend(keys);
+    out.extend(keys.map(as_key));
     out.sort_unstable();
     out.dedup();
     out
@@ -129,26 +133,27 @@ impl ReadWriteSet {
 
     /// Distinct keys read (point reads only), sorted.
     pub fn read_keys(&self) -> Vec<&str> {
-        sorted_distinct(self.reads.iter().map(|r| &*r.key))
+        sorted_distinct(self.reads.iter().map(|r| &r.key), |k| &**k)
     }
 
     /// Distinct keys written (including deletes), sorted.
     pub fn write_keys(&self) -> Vec<&str> {
-        sorted_distinct(self.writes.iter().map(|w| &*w.key))
+        sorted_distinct(self.writes.iter().map(|w| &w.key), |k| &**k)
     }
 
     /// Distinct keys accessed in any way (reads, writes, range results),
-    /// sorted. One exactly-sized `Vec`: the analysis folds call this for
-    /// every record they ingest or evict.
-    pub fn all_keys(&self) -> Vec<&str> {
+    /// sorted, as shared handles to this set's own keys. One `Vec` sized
+    /// by the accesses: a streaming analysis computes it once per record
+    /// it ingests and keeps it until the record is evicted.
+    pub fn all_keys(&self) -> Vec<Key> {
         let ranges = self.range_reads.iter();
-        sorted_distinct(
-            self.reads
-                .iter()
-                .map(|r| &*r.key)
-                .chain(self.writes.iter().map(|w| &*w.key))
-                .chain(ranges.flat_map(|rr| rr.observed.iter().map(|(k, _)| &**k))),
-        )
+        let keys = self
+            .reads
+            .iter()
+            .map(|r| &r.key)
+            .chain(self.writes.iter().map(|w| &w.key))
+            .chain(ranges.flat_map(|rr| rr.observed.iter().map(|(k, _)| k)));
+        sorted_distinct(keys, Key::clone)
     }
 
     /// Whether this transaction writes anything.
@@ -297,7 +302,8 @@ mod tests {
         rw.record_read("w1".into(), None);
         assert_eq!(rw.read_keys(), ["r1", "w1"]);
         assert_eq!(rw.write_keys(), ["w1"]);
-        assert_eq!(rw.all_keys(), ["r1", "s1", "w1"], "sorted, each key once");
+        let all: Vec<Key> = ["r1", "s1", "w1"].map(Key::from).into();
+        assert_eq!(rw.all_keys(), all, "sorted, each key once");
     }
 
     #[test]

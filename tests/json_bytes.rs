@@ -7,7 +7,9 @@
 //! A failure prints every rendered output's hash, so an intended format
 //! change can be re-pinned from the message. The CLI's `analyze --json`
 //! and `watch --json` bytes are pinned in `crates/blockoptr/tests/cli.rs`;
-//! the compact ledger JSON in `tests/goldens`.
+//! the compact ledger JSON in `tests/goldens`. Session snapshots are
+//! pinned here too: the example log behind the CLI pins has no hotkeys
+//! and never evicts, so it leaves the session fold's state unchecked.
 //!
 //! Together the outputs cover the renderer's rules: pretty and compact
 //! layout, floats (plan statistics), empty containers, newtypes, unit and
@@ -18,7 +20,7 @@
 use blockoptr::export;
 use blockoptr::log::BlockchainLog;
 use blockoptr::plan::{OptimizationPlan, PlanConfig};
-use blockoptr::session::{Analyzer, WindowPolicy};
+use blockoptr::session::{Analysis, Analyzer, WindowPolicy};
 use workload::scenario::{freeze, BUILTIN_NAMES};
 use workload::ScenarioSpec;
 
@@ -123,6 +125,56 @@ fn plan_outcomes_keep_their_bytes() {
         &[
             ("pretty", 0x74439c538861dc21),
             ("compact", 0x17c0d4bcbe32ea93),
+        ],
+        &rendered,
+    );
+}
+
+/// An analysis's metrics as compact JSON, then its recommendation names,
+/// one per line.
+fn snapshot_text(analysis: &Analysis) -> String {
+    let mut text = serde_json::to_string(&analysis.metrics).unwrap();
+    for name in analysis.recommendation_names() {
+        text.push('\n');
+        text.push_str(name);
+    }
+    text.push('\n');
+    text
+}
+
+/// Every per-block snapshot of a `LastBlocks(3)` session, and one
+/// unbounded `analyze_ledger`, over the 2 000-transaction ledgers of drm
+/// (hotkeys), scm and dv (range reads). The window evicts on every block,
+/// so the pins cover every tracker's retraction as well as its fold.
+#[test]
+fn session_snapshots_keep_their_bytes() {
+    let mut rendered = Vec::new();
+    for name in ["drm", "scm", "dv"] {
+        let (bundle, config) = builtin(name, 2_000).build().expect("builtin builds");
+        let ledger = bundle.run(config).ledger;
+        let windowed = Analyzer::new()
+            .threads(1)
+            .window(WindowPolicy::LastBlocks(3));
+        let mut session = windowed.session().unwrap();
+        let mut text = String::new();
+        for block in ledger.blocks() {
+            session.ingest_block(block).unwrap();
+            text.push_str(&snapshot_text(&session.snapshot().unwrap()));
+        }
+        assert!(session.evicted() > 0, "{name}: the window evicts");
+        rendered.push((format!("{name} last-blocks:3"), text));
+        let unbounded = Analyzer::new().threads(1).window(WindowPolicy::Unbounded);
+        let analysis = unbounded.analyze_ledger(&ledger).unwrap();
+        rendered.push((format!("{name} unbounded"), snapshot_text(&analysis)));
+    }
+    check(
+        &[
+            ("drm last-blocks:3", 0xc2b68291319e919b),
+            ("drm unbounded", 0x4d954d58d2ff860e),
+            ("scm last-blocks:3", 0x82fff243af642310),
+            ("scm unbounded", 0x2f2584b7732de56a),
+            ("dv last-blocks:3", 0x8127e3685c399e6b),
+            ("dv unbounded", 0xef62b447b5b05220),
         ],
         &rendered,
     );
