@@ -27,6 +27,13 @@
 //! spec the combined row's primary seed measured: building and running it
 //! replays `combined.primary` byte for byte.
 //!
+//! Each distinct configuration is simulated once per seed: a slot whose
+//! spec equals an earlier slot's copies that slot's reports. With one
+//! applicable action the combination is that action's spec, and an action
+//! already in force measures the baseline. A grid run keeps only its
+//! report, so it runs [`WorkloadBundle::run_report`], which builds no
+//! ledger; its report is the bytes a full run's would be.
+//!
 //! # Seeds, threads, and confidence intervals
 //!
 //! A plan execution is configured by a [`PlanConfig`]:
@@ -241,7 +248,8 @@ pub struct SeedReport {
     pub successes: usize,
     /// MVCC read-conflict failures.
     pub mvcc_conflicts: usize,
-    /// Successes / requests, in percent.
+    /// Successes / committed transactions, in percent (a copy of
+    /// [`SimReport::success_rate_pct`]).
     pub success_rate_pct: f64,
     /// Mean end-to-end latency (s).
     pub avg_latency_s: f64,
@@ -612,6 +620,21 @@ impl OptimizationPlan {
         }
     }
 
+    /// Seed 0's spec of every grid slot ([`slot_spec`](Self::slot_spec)),
+    /// each validated.
+    fn primary_slot_specs(
+        &self,
+        spec: &ScenarioSpec,
+    ) -> Result<Vec<Option<ScenarioSpec>>, AnalyzeError> {
+        let primary: Vec<Option<ScenarioSpec>> = (0..=self.actions.len() + 1)
+            .map(|slot| self.slot_spec(slot, spec))
+            .collect();
+        for slot_spec in primary.iter().flatten() {
+            slot_spec.validate()?;
+        }
+        Ok(primary)
+    }
+
     /// Measure the `(configuration, seed)` grid of a spec.
     fn run_grid(
         &self,
@@ -645,13 +668,9 @@ impl OptimizationPlan {
         // measures a configuration whose spec would not build. The combined
         // slot's spec is the optimized spec.
         let combined_slot = self.actions.len() + 1;
-        let mut primary: Vec<Option<ScenarioSpec>> = (0..=combined_slot)
-            .map(|slot| self.slot_spec(slot, spec))
-            .collect();
-        for slot_spec in primary.iter().flatten() {
-            slot_spec.validate()?;
-        }
+        let mut primary = self.primary_slot_specs(spec)?;
         let any_applied = primary[1..combined_slot].iter().any(Option::is_some);
+        let grid = Grid::of(&primary, seeds.len(), reused_baseline.is_some());
 
         // One generated workload per seed, fanned out over the same pool the
         // simulations use: at `--seeds 32` the generation phase is itself a
@@ -663,28 +682,17 @@ impl OptimizationPlan {
             .into_iter()
             .collect::<Result<_, _>>()?;
 
-        // The job grid, slot-major then seed order. The pool returns results
-        // in job order, so regrouping by slot preserves seed order, and the
-        // outcome is byte-identical for any thread count.
-        let mut jobs: Vec<(usize, usize)> = Vec::new();
-        for (slot, slot_spec) in primary.iter().enumerate() {
-            if slot_spec.is_none() || (slot == combined_slot && !any_applied) {
-                continue;
-            }
-            for si in 0..seeds.len() {
-                if slot == 0 && si == 0 && reused_baseline.is_some() {
-                    continue;
-                }
-                jobs.push((slot, si));
-            }
-        }
-        let results = pool.map(jobs, |(slot, si)| {
+        // The pool returns results in job order (slot-major, then seed), so
+        // regrouping by slot preserves seed order, and the outcome is
+        // byte-identical for any thread count. A grid run keeps only its
+        // report, so it builds no ledger.
+        let results = pool.map(grid.jobs, |(slot, si)| {
             let slot_spec = self
                 .slot_spec(slot, &seed_specs[si])
                 .expect("whether an action applies does not depend on the seed");
             slot_spec
                 .finish(&generated[si])
-                .map(|(bundle, config)| (slot, bundle.run(config).report))
+                .map(|(bundle, config)| (slot, bundle.run_report(config)))
         });
         let mut per_slot: Vec<Vec<SimReport>> = vec![Vec::new(); combined_slot + 1];
         for result in results {
@@ -693,6 +701,11 @@ impl OptimizationPlan {
         }
         if let Some(report) = reused_baseline {
             per_slot[0].insert(0, report);
+        }
+        for (slot, source) in grid.copy_of.iter().enumerate() {
+            if let Some(source) = *source {
+                per_slot[slot] = per_slot[source].clone();
+            }
         }
 
         let mut slots = per_slot.into_iter();
@@ -731,6 +744,49 @@ impl OptimizationPlan {
                 .flatten()
                 .expect("the combined slot always has a spec"),
         })
+    }
+}
+
+/// Which `(slot, seed)` runs a grid simulates, and which slots it copies.
+struct Grid {
+    /// The simulated `(slot, seed index)` jobs, slot-major then seed order.
+    jobs: Vec<(usize, usize)>,
+    /// Per slot, the earlier slot whose reports it copies.
+    copy_of: Vec<Option<usize>>,
+}
+
+impl Grid {
+    /// The grid over seed 0's slot specs `primary` (`None` for a manual
+    /// action; the last slot is the combination, measured only when some
+    /// action applies) at `seeds` seeds, `reused_baseline` when seed 0's
+    /// baseline report is already measured.
+    ///
+    /// A slot whose spec equals an earlier slot's copies that slot's
+    /// reports: with one applicable action the combination is that
+    /// action's spec, and an action already in force leaves the baseline.
+    /// Equality at seed 0 holds at every seed, because an action never
+    /// touches the seeds [`ScenarioSpec::with_seed`] sets, so the two
+    /// commute.
+    fn of(primary: &[Option<ScenarioSpec>], seeds: usize, reused_baseline: bool) -> Grid {
+        let combined_slot = primary.len() - 1;
+        let any_applied = primary[1..combined_slot].iter().any(Option::is_some);
+        let measured = |slot: usize| {
+            primary[slot]
+                .as_ref()
+                .filter(|_| slot < combined_slot || any_applied)
+        };
+        let copy_of: Vec<Option<usize>> = (0..primary.len())
+            .map(|slot| {
+                let slot_spec = measured(slot)?;
+                (0..slot).find(|&earlier| measured(earlier) == Some(slot_spec))
+            })
+            .collect();
+        let jobs = (0..primary.len())
+            .filter(|&slot| measured(slot).is_some() && copy_of[slot].is_none())
+            .flat_map(|slot| (0..seeds).map(move |si| (slot, si)))
+            .filter(|&job| !(reused_baseline && job == (0, 0)))
+            .collect();
+        Grid { jobs, copy_of }
     }
 }
 
@@ -1032,6 +1088,54 @@ mod tests {
         let combined = outcome.combined.as_ref().expect("two variants applied");
         assert_eq!(format!("{:?}", combined.primary), format!("{expected:?}"));
         assert_eq!(outcome.optimized_spec, optimized);
+    }
+
+    #[test]
+    fn identical_slot_specs_are_simulated_once() {
+        let spec = spec_of("synthetic", 400);
+        // Rate control applies; synthetic ships no delta-writes rewrite, so
+        // the combination is the rate control's spec.
+        let plan = OptimizationPlan::from_recommendations(&[
+            Recommendation::TransactionRateControl {
+                intervals: vec![0],
+                peak_rate: 300.0,
+                suggested_rate: 100.0,
+            },
+            Recommendation::DeltaWrites {
+                activities: vec![("update".into(), 9)],
+            },
+        ]);
+        let primary = plan.primary_slot_specs(&spec).unwrap();
+        assert!(primary[2].is_none(), "the variant is manual");
+        assert_eq!(primary[3], primary[1]);
+        // At 4 seeds with seed 0's baseline reused: 3 baseline runs and 4 of
+        // the rate control; the combination copies the rate control's.
+        let grid = Grid::of(&primary, 4, true);
+        assert_eq!(grid.jobs.len(), 7, "{:?}", grid.jobs);
+        assert_eq!(grid.copy_of, vec![None, None, None, Some(1)]);
+        assert_eq!(Grid::of(&primary, 4, false).jobs.len(), 8);
+
+        let outcome = plan
+            .execute_spec_with(&spec, &PlanConfig::new(2, 1))
+            .unwrap();
+        let json = |m: Option<&MeasuredReport>| serde_json::to_string(&m.unwrap()).unwrap();
+        assert_eq!(
+            json(outcome.combined.as_ref()),
+            json(outcome.actions[0].measured())
+        );
+
+        // A block count already in force measures the baseline again: it
+        // and the combination copy the baseline's reports.
+        let in_force =
+            OptimizationPlan::from_recommendations(&[Recommendation::BlockSizeAdaptation {
+                current_avg: 10.0,
+                tr: 100.0,
+                suggested_count: spec.network.block_count,
+            }]);
+        let primary = in_force.primary_slot_specs(&spec).unwrap();
+        let grid = Grid::of(&primary, 4, true);
+        assert_eq!(grid.jobs, vec![(0, 1), (0, 2), (0, 3)]);
+        assert_eq!(grid.copy_of, vec![None, Some(0), Some(0)]);
     }
 
     /// The tentpole equivalence guarantee: a parallel execution (threads=4)

@@ -291,17 +291,84 @@ fn analyze_survives_extreme_written_integers() {
 /// A frozen 20-transaction scm spec, edited by `edit`, written to a file
 /// of `name` under the temp dir; returns its path.
 fn frozen_spec(name: &str, edit: impl FnOnce(&mut workload::ScenarioSpec)) -> String {
+    frozen_builtin("scm", "20", name, edit)
+}
+
+/// [`frozen_spec`] of `txs` transactions of the builtin `builtin`.
+fn frozen_builtin(
+    builtin: &str,
+    txs: &str,
+    name: &str,
+    edit: impl FnOnce(&mut workload::ScenarioSpec),
+) -> String {
     let dir = std::env::temp_dir().join(format!("blockoptr_cli_{name}"));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("frozen.json");
     let path = path.to_str().unwrap();
-    let out = blockoptr(&["spec", "scm", "--txs", "20", "--freeze", "--out", path]);
+    let out = blockoptr(&["spec", builtin, "--txs", txs, "--freeze", "--out", path]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let mut spec =
         workload::ScenarioSpec::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
     edit(&mut spec);
     std::fs::write(path, spec.to_json()).unwrap();
     path.to_string()
+}
+
+/// Three hand edits of a frozen synthetic schedule used to panic the
+/// simulator (exit 101). An inverted range scan (`start > end`) observes
+/// nothing, both when the contract scans and when validation re-scans
+/// (exit 0). An activity the contract does not have is a spec error
+/// (exit 1). A request missing its arguments early-aborts with the
+/// accessor's message as its reason (exit 0, one transaction fewer).
+#[test]
+fn frozen_schedule_edits_do_not_panic_the_simulator() {
+    let edited = |name: &str, activity: Option<&str>, args: Vec<fabric_sim::types::Value>| {
+        frozen_builtin("synthetic", "5", name, |spec| {
+            let workload::WorkloadSpec::Schedule(schedule) = &mut spec.workload else {
+                panic!("expected a frozen schedule");
+            };
+            let request = &mut schedule.requests[0];
+            if let Some(activity) = activity {
+                request.activity = activity.into();
+            }
+            request.args = args.into();
+        })
+    };
+    let optimize =
+        |path: &str| blockoptr(&["optimize", "--spec", path, "--seeds", "1", "--dry-run"]);
+
+    let path = edited(
+        "inverted_range",
+        Some("range_read"),
+        vec!["k09999".into(), "k00001".into()],
+    );
+    let out = optimize(&path);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("log: 5 transactions"),
+        "{}",
+        stdout(&out)
+    );
+
+    let path = edited("bogus_activity", Some("bogus"), vec!["k00001".into()]);
+    let out = optimize(&path);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains(
+            "bad spec parameter schedule.requests[0].activity: contract \"genchain\" has no activity \"bogus\""
+        ),
+        "{}",
+        stderr(&out)
+    );
+
+    let path = edited("empty_args", None, vec![]);
+    let out = optimize(&path);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("log: 4 transactions"),
+        "{}",
+        stdout(&out)
+    );
 }
 
 /// Send times near the clock's end made every later event time wrap: the

@@ -18,7 +18,7 @@
 //!   cross-invokes the metadata contract so the original functionality is
 //!   preserved (paper §4.4.2 example).
 
-use crate::{arg_int, arg_str, Contract, ExecStatus, TxContext, Value};
+use crate::{aborting, arg_int, arg_str, Contract, ExecStatus, TxContext, Value};
 use std::collections::BTreeMap;
 
 /// Delta keys aggregated per `calcRevenue` page (Fabric-style paginated
@@ -64,23 +64,25 @@ impl Contract for DrmContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "play" => {
-                let music = arg_str(args, 0, "music");
-                let v = ctx.get_state(music);
-                ctx.put_state(music, bump_plays(v));
+        aborting(|| {
+            match activity {
+                "play" => {
+                    let music = arg_str(args, 0, "music")?;
+                    let v = ctx.get_state(music);
+                    ctx.put_state(music, bump_plays(v));
+                }
+                "create" => {
+                    let music = arg_str(args, 0, "music")?;
+                    ctx.put_state(music, DrmContract::genesis_record(music));
+                }
+                "queryRightHolders" | "viewMetaData" | "calcRevenue" => {
+                    let music = arg_str(args, 0, "music")?;
+                    let _ = ctx.get_state(music);
+                }
+                other => panic!("drm: unknown activity {other:?}"),
             }
-            "create" => {
-                let music = arg_str(args, 0, "music");
-                ctx.put_state(music, DrmContract::genesis_record(music));
-            }
-            "queryRightHolders" | "viewMetaData" | "calcRevenue" => {
-                let music = arg_str(args, 0, "music");
-                let _ = ctx.get_state(music);
-            }
-            other => panic!("drm: unknown activity {other:?}"),
-        }
-        ExecStatus::Ok
+            Ok(ExecStatus::Ok)
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -113,36 +115,38 @@ impl Contract for DrmDeltaContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "play" => {
-                // Write-only transaction to a unique delta key: no read, no
-                // dependency, no MVCC conflict.
-                let music = arg_str(args, 0, "music");
-                let seq = arg_int(args, 1, "sequence");
-                ctx.put_state(&format!("{music}#d{seq:09}"), Value::Int(1));
+        aborting(|| {
+            match activity {
+                "play" => {
+                    // Write-only transaction to a unique delta key: no read, no
+                    // dependency, no MVCC conflict.
+                    let music = arg_str(args, 0, "music")?;
+                    let seq = arg_int(args, 1, "sequence")?;
+                    ctx.put_state(&format!("{music}#d{seq:09}"), Value::Int(1));
+                }
+                "create" => {
+                    let music = arg_str(args, 0, "music")?;
+                    ctx.put_state(music, DrmContract::genesis_record(music));
+                }
+                "calcRevenue" => {
+                    // Aggregation now scans the delta keys — more read work.
+                    let music = arg_str(args, 0, "music")?;
+                    let _ = ctx.get_state(music);
+                    let deltas = ctx.get_state_by_range_limited(
+                        &format!("{music}#d"),
+                        &format!("{music}#d~"),
+                        DELTA_SCAN_LIMIT,
+                    );
+                    let _total: i64 = deltas.iter().filter_map(|(_, v)| v.as_int()).sum();
+                }
+                "queryRightHolders" | "viewMetaData" => {
+                    let music = arg_str(args, 0, "music")?;
+                    let _ = ctx.get_state(music);
+                }
+                other => panic!("drm-delta: unknown activity {other:?}"),
             }
-            "create" => {
-                let music = arg_str(args, 0, "music");
-                ctx.put_state(music, DrmContract::genesis_record(music));
-            }
-            "calcRevenue" => {
-                // Aggregation now scans the delta keys — more read work.
-                let music = arg_str(args, 0, "music");
-                let _ = ctx.get_state(music);
-                let deltas = ctx.get_state_by_range_limited(
-                    &format!("{music}#d"),
-                    &format!("{music}#d~"),
-                    DELTA_SCAN_LIMIT,
-                );
-                let _total: i64 = deltas.iter().filter_map(|(_, v)| v.as_int()).sum();
-            }
-            "queryRightHolders" | "viewMetaData" => {
-                let music = arg_str(args, 0, "music");
-                let _ = ctx.get_state(music);
-            }
-            other => panic!("drm-delta: unknown activity {other:?}"),
-        }
-        ExecStatus::Ok
+            Ok(ExecStatus::Ok)
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -171,29 +175,31 @@ impl Contract for DrmPlayContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "play" => {
-                let music = arg_str(args, 0, "music");
-                let plays = ctx.get_state(music).and_then(|v| v.as_int()).unwrap_or(0);
-                ctx.put_state(music, Value::Int(plays + 1));
+        aborting(|| {
+            match activity {
+                "play" => {
+                    let music = arg_str(args, 0, "music")?;
+                    let plays = ctx.get_state(music).and_then(|v| v.as_int()).unwrap_or(0);
+                    ctx.put_state(music, Value::Int(plays + 1));
+                }
+                "calcRevenue" => {
+                    let music = arg_str(args, 0, "music")?;
+                    let _ = ctx.get_state(music);
+                }
+                "create" => {
+                    // The paper: "The create function is included in both smart
+                    // contracts, and invocation of the first smart contract
+                    // invokes the same function in the second."
+                    let music = arg_str(args, 0, "music")?;
+                    ctx.put_state(music, Value::Int(0));
+                    ctx.set_namespace(DrmMetaContract::NAME);
+                    ctx.put_state(music, DrmContract::genesis_record(music));
+                    ctx.set_namespace(Self::NAME);
+                }
+                other => panic!("drm-play: unknown activity {other:?}"),
             }
-            "calcRevenue" => {
-                let music = arg_str(args, 0, "music");
-                let _ = ctx.get_state(music);
-            }
-            "create" => {
-                // The paper: "The create function is included in both smart
-                // contracts, and invocation of the first smart contract
-                // invokes the same function in the second."
-                let music = arg_str(args, 0, "music");
-                ctx.put_state(music, Value::Int(0));
-                ctx.set_namespace(DrmMetaContract::NAME);
-                ctx.put_state(music, DrmContract::genesis_record(music));
-                ctx.set_namespace(Self::NAME);
-            }
-            other => panic!("drm-play: unknown activity {other:?}"),
-        }
-        ExecStatus::Ok
+            Ok(ExecStatus::Ok)
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -222,32 +228,34 @@ impl Contract for DrmPlayDeltaContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "play" => {
-                let music = arg_str(args, 0, "music");
-                let seq = arg_int(args, 1, "sequence");
-                ctx.put_state(&format!("{music}#d{seq:09}"), Value::Int(1));
+        aborting(|| {
+            match activity {
+                "play" => {
+                    let music = arg_str(args, 0, "music")?;
+                    let seq = arg_int(args, 1, "sequence")?;
+                    ctx.put_state(&format!("{music}#d{seq:09}"), Value::Int(1));
+                }
+                "calcRevenue" => {
+                    let music = arg_str(args, 0, "music")?;
+                    let _ = ctx.get_state(music);
+                    let deltas = ctx.get_state_by_range_limited(
+                        &format!("{music}#d"),
+                        &format!("{music}#d~"),
+                        DELTA_SCAN_LIMIT,
+                    );
+                    let _total: i64 = deltas.iter().filter_map(|(_, v)| v.as_int()).sum();
+                }
+                "create" => {
+                    let music = arg_str(args, 0, "music")?;
+                    ctx.put_state(music, Value::Int(0));
+                    ctx.set_namespace(DrmMetaContract::NAME);
+                    ctx.put_state(music, DrmContract::genesis_record(music));
+                    ctx.set_namespace(Self::NAME);
+                }
+                other => panic!("drm-play-delta: unknown activity {other:?}"),
             }
-            "calcRevenue" => {
-                let music = arg_str(args, 0, "music");
-                let _ = ctx.get_state(music);
-                let deltas = ctx.get_state_by_range_limited(
-                    &format!("{music}#d"),
-                    &format!("{music}#d~"),
-                    DELTA_SCAN_LIMIT,
-                );
-                let _total: i64 = deltas.iter().filter_map(|(_, v)| v.as_int()).sum();
-            }
-            "create" => {
-                let music = arg_str(args, 0, "music");
-                ctx.put_state(music, Value::Int(0));
-                ctx.set_namespace(DrmMetaContract::NAME);
-                ctx.put_state(music, DrmContract::genesis_record(music));
-                ctx.set_namespace(Self::NAME);
-            }
-            other => panic!("drm-play-delta: unknown activity {other:?}"),
-        }
-        ExecStatus::Ok
+            Ok(ExecStatus::Ok)
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -270,18 +278,20 @@ impl Contract for DrmMetaContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "viewMetaData" | "queryRightHolders" => {
-                let music = arg_str(args, 0, "music");
-                let _ = ctx.get_state(music);
+        aborting(|| {
+            match activity {
+                "viewMetaData" | "queryRightHolders" => {
+                    let music = arg_str(args, 0, "music")?;
+                    let _ = ctx.get_state(music);
+                }
+                "create" => {
+                    let music = arg_str(args, 0, "music")?;
+                    ctx.put_state(music, DrmContract::genesis_record(music));
+                }
+                other => panic!("drm-meta: unknown activity {other:?}"),
             }
-            "create" => {
-                let music = arg_str(args, 0, "music");
-                ctx.put_state(music, DrmContract::genesis_record(music));
-            }
-            other => panic!("drm-meta: unknown activity {other:?}"),
-        }
-        ExecStatus::Ok
+            Ok(ExecStatus::Ok)
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {

@@ -12,7 +12,7 @@
 //! paper). [`DvPerVoterContract`] implements that redesign; results are
 //! aggregated by a range scan at `seeResults`.
 
-use crate::{arg_str, Contract, ExecStatus, TxContext, Value};
+use crate::{aborting, arg_str, Contract, ExecStatus, TxContext, Value};
 use std::collections::BTreeMap;
 
 /// The base digital-voting contract (namespace `dv`): party-keyed tallies.
@@ -39,48 +39,50 @@ impl Contract for DvContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "vote" => {
-                let party = arg_str(args, 0, "party");
-                let voter = arg_str(args, 1, "voter");
-                let Some(Value::Map(mut m)) = ctx.get_state(party) else {
-                    return ExecStatus::Abort(format!("unknown party {party}"));
-                };
-                let votes = m.get("votes").and_then(Value::as_int).unwrap_or(0);
-                m.insert("votes".to_string(), Value::Int(votes + 1));
-                // Recording the voter prevents double voting and makes the
-                // write a multi-field change (not a pure counter delta).
-                let voters = m
-                    .get("voters")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string();
-                m.insert(
-                    "voters".to_string(),
-                    Value::Str(if voters.is_empty() {
-                        voter.to_string()
-                    } else {
-                        format!("{voters},{voter}")
-                    }),
-                );
-                ctx.put_state(party, Value::Map(m));
-                ExecStatus::Ok
-            }
-            "queryParties" => {
-                let _ = ctx.get_state("parties");
-                ExecStatus::Ok
-            }
-            "seeResults" => {
-                let _ = ctx.get_state_by_range("party:", "party:~");
-                ExecStatus::Ok
-            }
-            "endElection" => {
-                let _ = ctx.get_state("election");
-                ctx.put_state("election", Value::Str("closed".into()));
-                ExecStatus::Ok
-            }
-            other => panic!("dv: unknown activity {other:?}"),
-        }
+        aborting(|| {
+            Ok(match activity {
+                "vote" => {
+                    let party = arg_str(args, 0, "party")?;
+                    let voter = arg_str(args, 1, "voter")?;
+                    let Some(Value::Map(mut m)) = ctx.get_state(party) else {
+                        return Err(format!("unknown party {party}"));
+                    };
+                    let votes = m.get("votes").and_then(Value::as_int).unwrap_or(0);
+                    m.insert("votes".to_string(), Value::Int(votes + 1));
+                    // Recording the voter prevents double voting and makes the
+                    // write a multi-field change (not a pure counter delta).
+                    let voters = m
+                        .get("voters")
+                        .and_then(Value::as_str)
+                        .unwrap_or("")
+                        .to_string();
+                    m.insert(
+                        "voters".to_string(),
+                        Value::Str(if voters.is_empty() {
+                            voter.to_string()
+                        } else {
+                            format!("{voters},{voter}")
+                        }),
+                    );
+                    ctx.put_state(party, Value::Map(m));
+                    ExecStatus::Ok
+                }
+                "queryParties" => {
+                    let _ = ctx.get_state("parties");
+                    ExecStatus::Ok
+                }
+                "seeResults" => {
+                    let _ = ctx.get_state_by_range("party:", "party:~");
+                    ExecStatus::Ok
+                }
+                "endElection" => {
+                    let _ = ctx.get_state("election");
+                    ctx.put_state("election", Value::Str("closed".into()));
+                    ExecStatus::Ok
+                }
+                other => panic!("dv: unknown activity {other:?}"),
+            })
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -107,37 +109,39 @@ impl Contract for DvPerVoterContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "vote" => {
-                // Each voter writes their own unique ballot key: voters are
-                // "restricted to a single vote", so inserts never collide.
-                let party = arg_str(args, 0, "party");
-                let voter = arg_str(args, 1, "voter");
-                ctx.put_state(&format!("ballot:{voter}"), Value::Str(party.to_string()));
-                ExecStatus::Ok
-            }
-            "queryParties" => {
-                let _ = ctx.get_state("parties");
-                ExecStatus::Ok
-            }
-            "seeResults" => {
-                // Tally by scanning the ballots.
-                let ballots = ctx.get_state_by_range("ballot:", "ballot:~");
-                let mut tally: BTreeMap<String, i64> = BTreeMap::new();
-                for (_, v) in ballots {
-                    if let Some(p) = v.as_str() {
-                        *tally.entry(p.to_string()).or_insert(0) += 1;
-                    }
+        aborting(|| {
+            Ok(match activity {
+                "vote" => {
+                    // Each voter writes their own unique ballot key: voters are
+                    // "restricted to a single vote", so inserts never collide.
+                    let party = arg_str(args, 0, "party")?;
+                    let voter = arg_str(args, 1, "voter")?;
+                    ctx.put_state(&format!("ballot:{voter}"), Value::Str(party.to_string()));
+                    ExecStatus::Ok
                 }
-                ExecStatus::Ok
-            }
-            "endElection" => {
-                let _ = ctx.get_state("election");
-                ctx.put_state("election", Value::Str("closed".into()));
-                ExecStatus::Ok
-            }
-            other => panic!("dv-per-voter: unknown activity {other:?}"),
-        }
+                "queryParties" => {
+                    let _ = ctx.get_state("parties");
+                    ExecStatus::Ok
+                }
+                "seeResults" => {
+                    // Tally by scanning the ballots.
+                    let ballots = ctx.get_state_by_range("ballot:", "ballot:~");
+                    let mut tally: BTreeMap<String, i64> = BTreeMap::new();
+                    for (_, v) in ballots {
+                        if let Some(p) = v.as_str() {
+                            *tally.entry(p.to_string()).or_insert(0) += 1;
+                        }
+                    }
+                    ExecStatus::Ok
+                }
+                "endElection" => {
+                    let _ = ctx.get_state("election");
+                    ctx.put_state("election", Value::Str("closed".into()));
+                    ExecStatus::Ok
+                }
+                other => panic!("dv-per-voter: unknown activity {other:?}"),
+            })
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {

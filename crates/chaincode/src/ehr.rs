@@ -15,7 +15,7 @@
 //! * `queryRecord(patient)` — read;
 //! * `updateRecord(patient, nonce)` — read + rewrite the record field.
 
-use crate::{arg_str, Contract, ExecStatus, TxContext, Value};
+use crate::{aborting, arg_str, Contract, ExecStatus, TxContext, Value};
 use std::collections::BTreeMap;
 
 /// The EHR contract; `pruned` selects the anomalous-path behaviour.
@@ -83,61 +83,63 @@ impl Contract for EhrContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "grantAccess" => {
-                let patient = arg_str(args, 0, "patient");
-                let institute = arg_str(args, 1, "institute");
-                let Some(mut m) = Self::load(ctx, patient) else {
-                    return ExecStatus::Abort(format!("unknown patient {patient}"));
-                };
-                let mut list = Self::access_list(&m);
-                if !list.iter().any(|i| i == institute) {
-                    list.push(institute.to_string());
-                }
-                m.insert("access".to_string(), Value::Str(list.join(",")));
-                ctx.put_state(patient, Value::Map(m));
-                ExecStatus::Ok
-            }
-            "revokeAccess" => {
-                let patient = arg_str(args, 0, "patient");
-                let institute = arg_str(args, 1, "institute");
-                let Some(mut m) = Self::load(ctx, patient) else {
-                    return ExecStatus::Abort(format!("unknown patient {patient}"));
-                };
-                let mut list = Self::access_list(&m);
-                let had = list.iter().any(|i| i == institute);
-                if had {
-                    list.retain(|i| i != institute);
+        aborting(|| {
+            Ok(match activity {
+                "grantAccess" => {
+                    let patient = arg_str(args, 0, "patient")?;
+                    let institute = arg_str(args, 1, "institute")?;
+                    let Some(mut m) = Self::load(ctx, patient) else {
+                        return Err(format!("unknown patient {patient}"));
+                    };
+                    let mut list = Self::access_list(&m);
+                    if !list.iter().any(|i| i == institute) {
+                        list.push(institute.to_string());
+                    }
                     m.insert("access".to_string(), Value::Str(list.join(",")));
                     ctx.put_state(patient, Value::Map(m));
                     ExecStatus::Ok
-                } else if self.pruned {
-                    ExecStatus::Abort(format!("revoke without grant: {institute} on {patient}"))
-                } else {
-                    // Anomalous path committed read-only for provenance.
+                }
+                "revokeAccess" => {
+                    let patient = arg_str(args, 0, "patient")?;
+                    let institute = arg_str(args, 1, "institute")?;
+                    let Some(mut m) = Self::load(ctx, patient) else {
+                        return Err(format!("unknown patient {patient}"));
+                    };
+                    let mut list = Self::access_list(&m);
+                    let had = list.iter().any(|i| i == institute);
+                    if had {
+                        list.retain(|i| i != institute);
+                        m.insert("access".to_string(), Value::Str(list.join(",")));
+                        ctx.put_state(patient, Value::Map(m));
+                        ExecStatus::Ok
+                    } else if self.pruned {
+                        ExecStatus::Abort(format!("revoke without grant: {institute} on {patient}"))
+                    } else {
+                        // Anomalous path committed read-only for provenance.
+                        ExecStatus::Ok
+                    }
+                }
+                "queryRecord" => {
+                    let patient = arg_str(args, 0, "patient")?;
+                    let _ = ctx.get_state(patient);
                     ExecStatus::Ok
                 }
-            }
-            "queryRecord" => {
-                let patient = arg_str(args, 0, "patient");
-                let _ = ctx.get_state(patient);
-                ExecStatus::Ok
-            }
-            "updateRecord" => {
-                let patient = arg_str(args, 0, "patient");
-                let Some(mut m) = Self::load(ctx, patient) else {
-                    return ExecStatus::Abort(format!("unknown patient {patient}"));
-                };
-                let nonce = args.get(1).cloned().unwrap_or(Value::Unit);
-                m.insert(
-                    "record".to_string(),
-                    Value::Str(format!("record:{patient}:{nonce}")),
-                );
-                ctx.put_state(patient, Value::Map(m));
-                ExecStatus::Ok
-            }
-            other => panic!("ehr: unknown activity {other:?}"),
-        }
+                "updateRecord" => {
+                    let patient = arg_str(args, 0, "patient")?;
+                    let Some(mut m) = Self::load(ctx, patient) else {
+                        return Err(format!("unknown patient {patient}"));
+                    };
+                    let nonce = args.get(1).cloned().unwrap_or(Value::Unit);
+                    m.insert(
+                        "record".to_string(),
+                        Value::Str(format!("record:{patient}:{nonce}")),
+                    );
+                    ctx.put_state(patient, Value::Map(m));
+                    ExecStatus::Ok
+                }
+                other => panic!("ehr: unknown activity {other:?}"),
+            })
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {

@@ -15,7 +15,7 @@
 //! * `range_read(start, end)` — range scan;
 //! * `delete(key)` — read + tombstone.
 
-use crate::{arg_str, Contract, ExecStatus, TxContext, Value};
+use crate::{aborting, arg_str, Contract, ExecStatus, TxContext, Value};
 
 /// The synthetic genChain contract (namespace `genchain`).
 #[derive(Debug, Default, Clone, Copy)]
@@ -32,34 +32,36 @@ impl Contract for GenChainContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "read" => {
-                let key = arg_str(args, 0, "key");
-                let _ = ctx.get_state(key);
+        aborting(|| {
+            match activity {
+                "read" => {
+                    let key = arg_str(args, 0, "key")?;
+                    let _ = ctx.get_state(key);
+                }
+                "write" => {
+                    let key = arg_str(args, 0, "key")?;
+                    ctx.put_state(key, args.get(1).cloned().unwrap_or(Value::Unit));
+                }
+                "update" => {
+                    let key = arg_str(args, 0, "key")?;
+                    let _ = ctx.get_state(key);
+                    let nonce = args.get(1).cloned().unwrap_or(Value::Unit);
+                    ctx.put_state(key, Value::Str(format!("u:{nonce}")));
+                }
+                "range_read" => {
+                    let start = arg_str(args, 0, "start")?;
+                    let end = arg_str(args, 1, "end")?;
+                    let _ = ctx.get_state_by_range(start, end);
+                }
+                "delete" => {
+                    let key = arg_str(args, 0, "key")?;
+                    let _ = ctx.get_state(key);
+                    ctx.delete_state(key);
+                }
+                other => panic!("genchain: unknown activity {other:?}"),
             }
-            "write" => {
-                let key = arg_str(args, 0, "key");
-                ctx.put_state(key, args.get(1).cloned().unwrap_or(Value::Unit));
-            }
-            "update" => {
-                let key = arg_str(args, 0, "key");
-                let _ = ctx.get_state(key);
-                let nonce = args.get(1).cloned().unwrap_or(Value::Unit);
-                ctx.put_state(key, Value::Str(format!("u:{nonce}")));
-            }
-            "range_read" => {
-                let start = arg_str(args, 0, "start");
-                let end = arg_str(args, 1, "end");
-                let _ = ctx.get_state_by_range(start, end);
-            }
-            "delete" => {
-                let key = arg_str(args, 0, "key");
-                let _ = ctx.get_state(key);
-                ctx.delete_state(key);
-            }
-            other => panic!("genchain: unknown activity {other:?}"),
-        }
-        ExecStatus::Ok
+            Ok(ExecStatus::Ok)
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -133,6 +135,40 @@ mod tests {
         let rw = run(s, "delete", &["k00001".into()]);
         assert_eq!(rw.tx_type(), TxType::Delete);
         assert!(rw.writes[0].is_delete());
+    }
+
+    #[test]
+    fn inverted_range_observes_nothing() {
+        let s = state();
+        let rw = run(s, "range_read", &["k00003".into(), "k00001".into()]);
+        assert_eq!(rw.range_reads.len(), 1);
+        assert!(rw.range_reads[0].observed.is_empty());
+    }
+
+    #[test]
+    fn malformed_arguments_abort_with_the_accessor_message() {
+        let cc = GenChainContract;
+        let mut s = state();
+        for (activity, args, reason) in [
+            ("read", vec![], "argument 0 (key) must be a string"),
+            (
+                "delete",
+                vec![Value::Int(1)],
+                "argument 0 (key) must be a string",
+            ),
+            (
+                "range_read",
+                vec!["k1".into()],
+                "argument 1 (end) must be a string",
+            ),
+        ] {
+            let mut ctx = TxContext::new(&mut s, cc.name());
+            assert_eq!(
+                cc.execute(&mut ctx, activity, &args),
+                ExecStatus::Abort(reason.to_string()),
+                "{activity}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! `create`, `submit`, `handleLeads`, `createOffer`, `sendOffer`,
 //! `validate`, `approve`, `decline`, `cancel`, `queryEmployee`.
 
-use crate::{arg_str, Contract, ExecStatus, TxContext, Value};
+use crate::{aborting, arg_str, Contract, ExecStatus, TxContext, Value};
 use std::collections::BTreeMap;
 
 /// The loan-process activity names, in canonical flow order.
@@ -82,21 +82,23 @@ impl Contract for LapByEmployeeContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "queryEmployee" => {
-                let employee = arg_str(args, 0, "employee");
-                let _ = ctx.get_state(employee);
-                ExecStatus::Ok
-            }
-            act if LAP_ACTIVITIES.contains(&act) => {
-                let employee = arg_str(args, 0, "employee");
-                let app = arg_str(args, 1, "application");
-                let amount = args.get(2).and_then(Value::as_int).unwrap_or(0);
-                Self::upsert(ctx, employee, app, amount, act);
-                ExecStatus::Ok
-            }
-            other => panic!("lap: unknown activity {other:?}"),
-        }
+        aborting(|| {
+            Ok(match activity {
+                "queryEmployee" => {
+                    let employee = arg_str(args, 0, "employee")?;
+                    let _ = ctx.get_state(employee);
+                    ExecStatus::Ok
+                }
+                act if LAP_ACTIVITIES.contains(&act) => {
+                    let employee = arg_str(args, 0, "employee")?;
+                    let app = arg_str(args, 1, "application")?;
+                    let amount = args.get(2).and_then(Value::as_int).unwrap_or(0);
+                    Self::upsert(ctx, employee, app, amount, act);
+                    ExecStatus::Ok
+                }
+                other => panic!("lap: unknown activity {other:?}"),
+            })
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {
@@ -125,31 +127,33 @@ impl Contract for LapByApplicationContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "queryEmployee" => {
-                // Per-employee reporting now scans applications; kept cheap
-                // via the employee index key (read-only either way).
-                let employee = arg_str(args, 0, "employee");
-                let _ = ctx.get_state(&format!("emp-index:{employee}"));
-                ExecStatus::Ok
-            }
-            "create" => {
-                let employee = arg_str(args, 0, "employee");
-                let app = arg_str(args, 1, "application");
-                let amount = args.get(2).and_then(Value::as_int).unwrap_or(0);
-                ctx.put_state(app, application_entry(app, employee, amount, "create"));
-                ExecStatus::Ok
-            }
-            act if LAP_ACTIVITIES.contains(&act) => {
-                let employee = arg_str(args, 0, "employee");
-                let app = arg_str(args, 1, "application");
-                let amount = args.get(2).and_then(Value::as_int).unwrap_or(0);
-                let _ = ctx.get_state(app);
-                ctx.put_state(app, application_entry(app, employee, amount, act));
-                ExecStatus::Ok
-            }
-            other => panic!("lap-by-app: unknown activity {other:?}"),
-        }
+        aborting(|| {
+            Ok(match activity {
+                "queryEmployee" => {
+                    // Per-employee reporting now scans applications; kept cheap
+                    // via the employee index key (read-only either way).
+                    let employee = arg_str(args, 0, "employee")?;
+                    let _ = ctx.get_state(&format!("emp-index:{employee}"));
+                    ExecStatus::Ok
+                }
+                "create" => {
+                    let employee = arg_str(args, 0, "employee")?;
+                    let app = arg_str(args, 1, "application")?;
+                    let amount = args.get(2).and_then(Value::as_int).unwrap_or(0);
+                    ctx.put_state(app, application_entry(app, employee, amount, "create"));
+                    ExecStatus::Ok
+                }
+                act if LAP_ACTIVITIES.contains(&act) => {
+                    let employee = arg_str(args, 0, "employee")?;
+                    let app = arg_str(args, 1, "application")?;
+                    let amount = args.get(2).and_then(Value::as_int).unwrap_or(0);
+                    let _ = ctx.get_state(app);
+                    ctx.put_state(app, application_entry(app, employee, amount, act));
+                    ExecStatus::Ok
+                }
+                other => panic!("lap-by-app: unknown activity {other:?}"),
+            })
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {

@@ -42,17 +42,23 @@ pub use scm::ScmContract;
 pub use fabric_sim::contract::{Contract, ExecStatus, TxContext};
 pub use fabric_sim::types::Value;
 
-/// Convenience: string argument accessor with a clear panic message.
-/// Contracts are internal to the evaluation; malformed workloads are bugs.
-pub(crate) fn arg_str<'a>(args: &'a [Value], i: usize, what: &str) -> &'a str {
-    args.get(i)
-        .and_then(Value::as_str)
-        .unwrap_or_else(|| panic!("argument {i} ({what}) must be a string"))
+/// Run a contract body whose argument accessors early-abort: an `Err`
+/// ends the transaction during endorsement with its message as the abort
+/// reason, as a contract's own [`ExecStatus::Abort`] would.
+pub(crate) fn aborting(body: impl FnOnce() -> Result<ExecStatus, String>) -> ExecStatus {
+    body().unwrap_or_else(ExecStatus::Abort)
 }
 
-/// Convenience: integer argument accessor.
-pub(crate) fn arg_int(args: &[Value], i: usize, what: &str) -> i64 {
+/// String argument `i` (`what` names it in the abort reason).
+pub(crate) fn arg_str<'a>(args: &'a [Value], i: usize, what: &str) -> Result<&'a str, String> {
+    args.get(i)
+        .and_then(Value::as_str)
+        .ok_or_else(|| format!("argument {i} ({what}) must be a string"))
+}
+
+/// Integer argument `i` (`what` names it in the abort reason).
+pub(crate) fn arg_int(args: &[Value], i: usize, what: &str) -> Result<i64, String> {
     args.get(i)
         .and_then(Value::as_int)
-        .unwrap_or_else(|| panic!("argument {i} ({what}) must be an integer"))
+        .ok_or_else(|| format!("argument {i} ({what}) must be an integer"))
 }

@@ -27,7 +27,7 @@
 //! `ship`/`unload` during endorsement, implementing the paper's pruning
 //! optimization in the smart contract (§3, §6.2).
 
-use crate::{arg_str, Contract, ExecStatus, TxContext, Value};
+use crate::{aborting, arg_str, Contract, ExecStatus, TxContext, Value};
 
 /// The SCM contract; `pruned` controls the anomalous-path behaviour.
 #[derive(Debug, Clone, Copy)]
@@ -95,43 +95,45 @@ impl Contract for ScmContract {
     }
 
     fn execute(&self, ctx: &mut TxContext<'_>, activity: &str, args: &[Value]) -> ExecStatus {
-        match activity {
-            "pushASN" => {
-                let product = arg_str(args, 0, "product");
-                self.advance(ctx, product, 1, 2, "pushASN")
-            }
-            "ship" => {
-                let product = arg_str(args, 0, "product");
-                self.advance(ctx, product, 2, 3, "ship")
-            }
-            "queryASN" => {
-                let product = arg_str(args, 0, "product");
-                let _ = ctx.get_state(product);
-                ExecStatus::Ok
-            }
-            "unload" => {
-                let product = arg_str(args, 0, "product");
-                self.advance(ctx, product, 3, 4, "unload")
-            }
-            "queryProducts" => {
-                for arg in args {
-                    if let Some(p) = arg.as_str() {
-                        let _ = ctx.get_state(p);
-                    }
+        aborting(|| {
+            Ok(match activity {
+                "pushASN" => {
+                    let product = arg_str(args, 0, "product")?;
+                    self.advance(ctx, product, 1, 2, "pushASN")
                 }
-                ExecStatus::Ok
-            }
-            "updateAuditInfo" => {
-                let product = arg_str(args, 0, "product");
-                let audit = arg_str(args, 1, "audit");
-                let _ = ctx.get_state(product);
-                let _ = ctx.get_state(audit);
-                let nonce = args.get(2).cloned().unwrap_or(Value::Unit);
-                ctx.put_state(audit, Value::Str(format!("audit:{product}:{nonce}")));
-                ExecStatus::Ok
-            }
-            other => panic!("scm: unknown activity {other:?}"),
-        }
+                "ship" => {
+                    let product = arg_str(args, 0, "product")?;
+                    self.advance(ctx, product, 2, 3, "ship")
+                }
+                "queryASN" => {
+                    let product = arg_str(args, 0, "product")?;
+                    let _ = ctx.get_state(product);
+                    ExecStatus::Ok
+                }
+                "unload" => {
+                    let product = arg_str(args, 0, "product")?;
+                    self.advance(ctx, product, 3, 4, "unload")
+                }
+                "queryProducts" => {
+                    for arg in args {
+                        if let Some(p) = arg.as_str() {
+                            let _ = ctx.get_state(p);
+                        }
+                    }
+                    ExecStatus::Ok
+                }
+                "updateAuditInfo" => {
+                    let product = arg_str(args, 0, "product")?;
+                    let audit = arg_str(args, 1, "audit")?;
+                    let _ = ctx.get_state(product);
+                    let _ = ctx.get_state(audit);
+                    let nonce = args.get(2).cloned().unwrap_or(Value::Unit);
+                    ctx.put_state(audit, Value::Str(format!("audit:{product}:{nonce}")));
+                    ExecStatus::Ok
+                }
+                other => panic!("scm: unknown activity {other:?}"),
+            })
+        })
     }
 
     fn activities(&self) -> Vec<&'static str> {

@@ -50,6 +50,11 @@ impl WorkerFleet {
         }
     }
 
+    /// Number of workers of `org`.
+    pub fn org_size(&self, org: OrgId) -> usize {
+        self.workers[usize::from(org.0)].len()
+    }
+
     /// Pick the next worker of `org` round-robin.
     pub fn assign(&mut self, org: OrgId) -> ClientId {
         let o = org.0 as usize;

@@ -10,7 +10,7 @@ use crate::ledger::{CutReason, Ledger, TxStatus};
 use serde::{Deserialize, Serialize};
 use sim_core::sketch::QuantileSketch;
 use sim_core::stats::Summary;
-use sim_core::time::SimTime;
+use sim_core::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -133,64 +133,106 @@ pub struct FaultWindowStats {
     pub avg_latency_s: f64,
 }
 
-impl SimReport {
-    /// Derive the ledger-borne part of the report (counts, rates, latency).
-    ///
-    /// `first_send` anchors the measurement window; utilization and fleet
-    /// fields are filled in by the simulation driver afterwards.
-    pub fn from_ledger(ledger: &Ledger, requests: usize, first_send: SimTime) -> SimReport {
-        let committed = ledger.tx_count();
-        let successes = ledger.count_status(TxStatus::Success);
-        let mvcc = ledger.count_status(TxStatus::MvccReadConflict);
-        let phantom = ledger.count_status(TxStatus::PhantomReadConflict);
-        let epf = ledger.count_status(TxStatus::EndorsementPolicyFailure);
+/// Every [`CutReason`], in declaration order: `CUT_REASONS[r as usize] == r`.
+const CUT_REASONS: [CutReason; 4] = [
+    CutReason::Count,
+    CutReason::Timeout,
+    CutReason::Bytes,
+    CutReason::Flush,
+];
 
-        let last_commit = ledger
-            .blocks()
-            .last()
-            .map(|b| b.commit_ts)
-            .unwrap_or(first_send);
+/// The ledger-borne part of a [`SimReport`] (counts, rates, latency, block
+/// statistics), folded one committed block at a time. The simulation feeds
+/// it each block as the block commits, with or without keeping a ledger,
+/// and [`SimReport::from_ledger`] feeds it a finished chain: every path
+/// derives the same report from the same blocks.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ReportFold {
+    committed: usize,
+    successes: usize,
+    mvcc_conflicts: usize,
+    phantom_conflicts: usize,
+    endorsement_failures: usize,
+    blocks: usize,
+    last_commit: Option<SimTime>,
+    /// Blocks per cut reason, indexed by the reason's discriminant.
+    cut_reasons: [usize; CUT_REASONS.len()],
+    /// Latencies of the successes in commit order: O(sketch) storage, and
+    /// the summary is bit-equal to `Summary::of` while the run fits the
+    /// exact cap.
+    latency_sketch: QuantileSketch,
+}
+
+impl ReportFold {
+    /// An empty fold.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Open the next committed block; its transactions follow through
+    /// [`tx`](Self::tx).
+    pub(crate) fn block(&mut self, cut_reason: CutReason, commit_ts: SimTime) {
+        self.blocks += 1;
+        self.cut_reasons[cut_reason as usize] += 1;
+        self.last_commit = Some(commit_ts);
+    }
+
+    /// One committed transaction of the open block, with its end-to-end
+    /// latency (proposal creation → block commit).
+    pub(crate) fn tx(&mut self, status: TxStatus, latency: SimDuration) {
+        self.committed += 1;
+        match status {
+            TxStatus::Success => {
+                self.successes += 1;
+                self.latency_sketch.insert(latency.as_secs_f64());
+            }
+            TxStatus::MvccReadConflict => self.mvcc_conflicts += 1,
+            TxStatus::PhantomReadConflict => self.phantom_conflicts += 1,
+            TxStatus::EndorsementPolicyFailure => self.endorsement_failures += 1,
+        }
+    }
+
+    /// The report of the folded blocks. `first_send` anchors the
+    /// measurement window; utilization and fleet fields are left for the
+    /// simulation driver to fill in.
+    pub(crate) fn finish(self, requests: usize, first_send: SimTime) -> SimReport {
+        let last_commit = self.last_commit.unwrap_or(first_send);
         let duration_s = last_commit.since(first_send).as_secs_f64().max(1e-9);
-
-        // Stream latencies through the mergeable sketch instead of
-        // collecting the raw vector: O(sketch) storage, and the summary is
-        // bit-equal to `Summary::of` while the run fits the exact cap.
-        let mut latency_sketch = QuantileSketch::new();
-        for t in ledger.transactions().filter(|t| t.status.is_success()) {
-            latency_sketch.insert(t.latency().as_secs_f64());
-        }
-        let latency = latency_sketch.summary();
-
-        let mut cut_reasons: BTreeMap<String, usize> = BTreeMap::new();
-        for b in ledger.blocks() {
-            *cut_reasons
-                .entry(format!("{:?}", b.cut_reason).to_lowercase())
-                .or_insert(0) += 1;
-        }
-
+        let latency = self.latency_sketch.summary();
+        let cut_reasons = CUT_REASONS
+            .iter()
+            .zip(self.cut_reasons)
+            .filter(|&(_, count)| count > 0)
+            .map(|(&reason, count)| (cut_reason_key(reason), count))
+            .collect();
+        let (committed, successes) = (self.committed, self.successes);
         SimReport {
             requests,
             early_aborted: 0,
             early_abort_reasons: BTreeMap::new(),
             committed,
             successes,
-            mvcc_conflicts: mvcc,
+            mvcc_conflicts: self.mvcc_conflicts,
             intra_block_conflicts: 0,
             inter_block_conflicts: 0,
-            phantom_conflicts: phantom,
-            endorsement_failures: epf,
+            phantom_conflicts: self.phantom_conflicts,
+            endorsement_failures: self.endorsement_failures,
             duration_s,
             success_throughput: successes as f64 / duration_s,
             avg_latency_s: latency.mean,
             latency,
-            latency_sketch,
+            latency_sketch: self.latency_sketch,
             success_rate_pct: if committed == 0 {
                 0.0
             } else {
                 successes as f64 / committed as f64 * 100.0
             },
-            blocks: ledger.blocks().len(),
-            avg_block_size: ledger.avg_block_size(),
+            blocks: self.blocks,
+            avg_block_size: if self.blocks == 0 {
+                0.0
+            } else {
+                committed as f64 / self.blocks as f64
+            },
             cut_reasons,
             client_utilization: 0.0,
             endorser_utilization: 0.0,
@@ -200,6 +242,24 @@ impl SimReport {
             events: 0,
             degradation: Degradation::default(),
         }
+    }
+}
+
+impl SimReport {
+    /// Derive the ledger-borne part of the report (counts, rates, latency)
+    /// with the block-by-block fold a simulation runs as blocks commit.
+    ///
+    /// `first_send` anchors the measurement window; utilization and fleet
+    /// fields are filled in by the simulation driver afterwards.
+    pub fn from_ledger(ledger: &Ledger, requests: usize, first_send: SimTime) -> SimReport {
+        let mut fold = ReportFold::new();
+        for b in ledger.blocks() {
+            fold.block(b.cut_reason, b.commit_ts);
+            for t in &b.txs {
+                fold.tx(t.status, t.latency());
+            }
+        }
+        fold.finish(requests, first_send)
     }
 
     /// Total failed (committed-but-invalid) transactions.

@@ -23,7 +23,7 @@
 //! cancelled when the size cut wins and re-armed on the first arrival of a
 //! fresh buffer.
 //!
-//! Two invariants keep the run loop lean without changing a byte of output:
+//! Four invariants keep the run loop lean without changing a byte of output:
 //!
 //! * **One execution per proposal per state generation.** Only `Validate`
 //!   writes the world state, and it bumps a generation counter when it does.
@@ -41,6 +41,19 @@
 //!   schedule. Only one `Submit` is ever pending and every other kind has a
 //!   different priority, so the dispatch order is the one a pre-filled heap
 //!   would give.
+//! * **One report fold.** `Commit` folds each block into the report as it
+//!   commits (the same fold [`SimReport::from_ledger`] runs over a finished
+//!   chain), and records each request's outcome when a fault plan needs
+//!   per-window statistics. So the report never reads the ledger, and
+//!   [`Simulation::run_report`] builds no envelope and keeps no ledger at
+//!   all: its report is the bytes of [`Simulation::run`]'s.
+//! * **One heap entry per FIFO server.** Each client worker's `Propose` and
+//!   `Order` events and each endorsing peer's `Endorse` events go on that
+//!   server's DES lane ([`DesQueue::schedule_on`]). A FIFO server's
+//!   completions come in order, so its backlog waits in the lane behind
+//!   one heap entry, and the heap holds tens of entries instead of every
+//!   waiting job; an event out of its lane's order goes to the heap. The
+//!   lanes are a k-way merge, so the dispatch order is the one heap's.
 
 use crate::client::{EndorserFleet, EndorserSelector, WorkerFleet};
 use crate::config::NetworkConfig;
@@ -49,13 +62,13 @@ use crate::fault::RETRY_EXHAUSTED_REASON;
 use crate::fault::{self, FaultRuntime, FaultSpec, RetryPolicy, BACKOFF_STREAM, DROP_STREAM};
 use crate::ledger::{Block, CutReason, Ledger, TransactionEnvelope, TxStatus};
 use crate::orderer::{ArrivalOutcome, BlockCutter, Cut};
-use crate::report::{Degradation, FaultWindowStats, SimReport};
+use crate::report::{Degradation, FaultWindowStats, ReportFold, SimReport};
 use crate::rwset::ReadWriteSet;
 use crate::scheduler::{schedule_block, stale_tolerance_blocks, SchedTx};
 use crate::state::WorldState;
 use crate::types::{ClientId, Name, OrgId, PeerId, TxId, Value};
 use crate::validator::{validate_block, TxToValidate, Verdict};
-use sim_core::des::{self, DesQueue, EventKind, Handler, TimerId};
+use sim_core::des::{self, DesQueue, EventKind, Handler, Lane, TimerId};
 use sim_core::rng::SimRng;
 use sim_core::server::QueueServer;
 use sim_core::time::{SimDuration, SimTime};
@@ -306,6 +319,10 @@ struct Engine<'a> {
     generation: u64,
     workers: WorkerFleet,
     endorsers: EndorserFleet,
+    /// The DES lane of each client worker and of each endorsing peer, by
+    /// org and index: the events a FIFO server's completions schedule.
+    worker_lanes: Vec<Vec<Lane>>,
+    peer_lanes: Vec<Vec<Lane>>,
     selector: EndorserSelector,
     rng: SimRng,
     /// Compiled fault windows with live activity flags (empty when the
@@ -327,15 +344,29 @@ struct Engine<'a> {
     validator_srv: QueueServer,
     pending: Vec<Pending>,
     inflight: Vec<InFlightBlock>,
-    ledger: Ledger,
+    /// Blocks validated so far; the next block to validate gets the next
+    /// number.
+    validated: u64,
+    /// The committed chain and its observer, when the run keeps a ledger;
+    /// a report-only run builds no envelopes.
+    ledger: Option<LedgerSink<'a>>,
+    /// The report's ledger-borne part, folded block by block at commit.
+    fold: ReportFold,
+    /// Per request: whether it committed successfully and its latency in
+    /// seconds, recorded at commit. Kept only under a fault plan, whose
+    /// per-window statistics read it.
+    outcomes: Vec<Option<(bool, f64)>>,
     early_aborted: usize,
     abort_reasons: BTreeMap<String, usize>,
     intra: usize,
     inter: usize,
-    on_commit: &'a mut dyn FnMut(&Block),
 }
 
 type Queue = DesQueue<Phase, Target>;
+
+/// A run's committed chain and the observer each block is handed to as it
+/// commits.
+type LedgerSink<'a> = (Ledger, &'a mut dyn FnMut(&Block));
 
 impl Handler<Phase, Target> for Engine<'_> {
     fn handle(&mut self, now: SimTime, kind: Phase, target: Target, queue: &mut Queue) {
@@ -379,7 +410,16 @@ impl Engine<'_> {
         let (_, done) = self
             .workers
             .submit(worker, now, self.sim.config.resources.proposal_time());
-        queue.schedule(done, Phase::Propose, Target::tx(i));
+        queue.schedule_on(
+            self.worker_lane(worker),
+            done,
+            Phase::Propose,
+            Target::tx(i),
+        );
+    }
+
+    fn worker_lane(&self, worker: ClientId) -> Lane {
+        self.worker_lanes[usize::from(worker.org.0)][usize::from(worker.index)]
     }
 
     /// Run request `i`'s chaincode against the committed state. Also
@@ -449,7 +489,8 @@ impl Engine<'_> {
                 p.response_dropped.push(response_lost);
             }
             last_done = last_done.max(done);
-            queue.schedule(start, Phase::Endorse, Target::endorse(i, slot, epoch));
+            let lane = self.peer_lanes[usize::from(peer.org.0)][usize::from(peer.index)];
+            queue.schedule_on(lane, start, Phase::Endorse, Target::endorse(i, slot, epoch));
         }
         // The client races its endorsement deadline against the fan-out.
         // Assembly is only scheduled when every slot will answer (or when
@@ -561,7 +602,8 @@ impl Engine<'_> {
         // handles gone, the envelope becomes its sole owner at commit.
         p.results.swap(0, first);
         p.results.truncate(1);
-        queue.schedule(done + self.net_delay(), Phase::Order, Target::tx(i));
+        let at = done + self.net_delay();
+        queue.schedule_on(self.worker_lane(worker), at, Phase::Order, Target::tx(i));
     }
 
     /// The client's endorsement deadline fired before the fan-out
@@ -707,14 +749,15 @@ impl Engine<'_> {
         );
     }
 
-    /// MVCC-validate one block in its scheduled order and apply the write
-    /// sets; the verdicts are stashed for the `Commit` event scheduled at
-    /// the same instant (nothing can slip between them — `Commit` carries
-    /// the highest same-timestamp priority and validator completions are
-    /// strictly ordered).
+    /// MVCC-validate one block in its scheduled order, number it and apply
+    /// the write sets; the verdicts are stashed for the `Commit` event
+    /// scheduled at the same instant. Two blocks can validate at one
+    /// instant (at zero validation cost), but their commits dispatch in
+    /// the order their validations did, so the numbers stay contiguous.
     fn validate(&mut self, now: SimTime, block: usize, queue: &mut Queue) {
+        self.validated += 1;
+        let number = self.validated;
         let fb = &self.inflight[block];
-        let number = self.ledger.height() + 1;
         let to_validate: Vec<TxToValidate<'_>> = fb
             .order
             .iter()
@@ -746,12 +789,17 @@ impl Engine<'_> {
         queue.schedule(now, Phase::Commit, Target::block(block));
     }
 
-    /// Seal a validated block: build the envelopes, append to the ledger,
-    /// and feed the live observer.
+    /// Seal a validated block: fold it into the report and, when the run
+    /// keeps a ledger, build the envelopes, append the block and feed the
+    /// live observer.
     fn commit(&mut self, now: SimTime, block: usize) {
         let fb = &self.inflight[block];
-        debug_assert_eq!(fb.number, self.ledger.height() + 1);
-        let mut envelopes = Vec::with_capacity(fb.order.len());
+        self.fold.block(fb.cut_reason, now);
+        let mut envelopes = Vec::with_capacity(if self.ledger.is_some() {
+            fb.order.len()
+        } else {
+            0
+        });
         for (k, &pos) in fb.order.iter().enumerate() {
             let tx_idx = fb.txs[pos];
             let verdict = fb.verdicts[k];
@@ -768,12 +816,22 @@ impl Engine<'_> {
                 self.degradation.degraded_success += 1;
             }
             // Each transaction commits exactly once, so the canonical rwset
-            // handle and the endorser list move into the envelope.
+            // handle and the endorser list move into the envelope (or are
+            // released here when the run keeps no ledger).
             let p = &mut self.pending[tx_idx];
             let rwset = match p.results[0].take() {
                 Some(EndorseResult::Ok(rw)) => rw,
                 _ => unreachable!("committed tx has canonical rwset"),
             };
+            let endorsers = std::mem::take(&mut p.endorse_peers);
+            let latency = now.since(p.client_ts);
+            self.fold.tx(verdict.status, latency);
+            if let Some(outcome) = self.outcomes.get_mut(tx_idx) {
+                *outcome = Some((verdict.status.is_success(), latency.as_secs_f64()));
+            }
+            if self.ledger.is_none() {
+                continue;
+            }
             let req = &self.requests[tx_idx];
             envelopes.push(TransactionEnvelope {
                 id: TxId(tx_idx as u64),
@@ -783,22 +841,24 @@ impl Engine<'_> {
                 contract: req.contract.clone(),
                 activity: req.activity.clone(),
                 args: req.args.clone(),
-                endorsers: std::mem::take(&mut p.endorse_peers),
+                endorsers,
                 invoker: p.worker.expect("assigned"),
                 tx_type: rwset.tx_type(),
                 rwset,
                 status: verdict.status,
             });
         }
-        let fb = &self.inflight[block];
-        self.ledger.append(Block {
-            number: fb.number,
-            cut_reason: fb.cut_reason,
-            cut_ts: fb.cut_ts,
-            commit_ts: now,
-            txs: envelopes,
-        });
-        (self.on_commit)(self.ledger.blocks().last().expect("just appended"));
+        if let Some((ledger, on_commit)) = &mut self.ledger {
+            let fb = &self.inflight[block];
+            ledger.append(Block {
+                number: fb.number,
+                cut_reason: fb.cut_reason,
+                cut_ts: fb.cut_ts,
+                commit_ts: now,
+                txs: envelopes,
+            });
+            on_commit(ledger.blocks().last().expect("just appended"));
+        }
     }
 }
 
@@ -861,6 +921,17 @@ impl Simulation {
         self.run_observed(requests, &mut |_| {})
     }
 
+    /// Run the workload to completion and return only the report: the
+    /// same bytes as [`run`](Self::run)'s report, without building a
+    /// single envelope or keeping the ledger. This is what a caller that
+    /// measures a configuration and never reads its chain (the plan grid)
+    /// runs.
+    ///
+    /// Panics if a request names an uninstalled contract.
+    pub fn run_report(&self, requests: &[TxRequest]) -> SimReport {
+        self.simulate(requests, None).0
+    }
+
     /// Like [`run`](Self::run), but invoke `on_commit` with every block the
     /// moment it commits to the ledger — the committed-block feed a live
     /// monitoring loop consumes (`blockoptr watch --live` bridges this
@@ -874,6 +945,20 @@ impl Simulation {
         requests: &[TxRequest],
         on_commit: &mut dyn FnMut(&Block),
     ) -> SimOutput {
+        let (report, ledger) = self.simulate(requests, Some((Ledger::new(), on_commit)));
+        let (ledger, _) = ledger.expect("the run was given a ledger");
+        SimOutput { ledger, report }
+    }
+
+    /// The run behind [`run_observed`](Self::run_observed) and
+    /// [`run_report`](Self::run_report): with `ledger`, every committed
+    /// block is appended to it and handed to its observer; without, blocks
+    /// only feed the report.
+    fn simulate<'a>(
+        &'a self,
+        requests: &'a [TxRequest],
+        ledger: Option<LedgerSink<'a>>,
+    ) -> (SimReport, Option<LedgerSink<'a>>) {
         let cfg = &self.config;
 
         // Sorted injection schedule (stable by original index for ties).
@@ -915,6 +1000,22 @@ impl Simulation {
         if let Some(first) = arrivals.next() {
             queue.schedule(requests[first].send_time, Phase::Submit, Target::tx(first));
         }
+        let endorsers = EndorserFleet::new(cfg.orgs, cfg.endorsers_per_org());
+        let worker_lanes = (0..cfg.orgs)
+            .map(|org| {
+                let org = OrgId(org as u16);
+                (0..workers.org_size(org))
+                    .map(|_| queue.add_lane())
+                    .collect()
+            })
+            .collect();
+        let peer_lanes = (0..cfg.orgs)
+            .map(|_| {
+                (0..cfg.endorsers_per_org())
+                    .map(|_| queue.add_lane())
+                    .collect()
+            })
+            .collect();
 
         let mut engine = Engine {
             sim: self,
@@ -923,7 +1024,9 @@ impl Simulation {
             state,
             generation: 0,
             workers,
-            endorsers: EndorserFleet::new(cfg.orgs, cfg.endorsers_per_org()),
+            endorsers,
+            worker_lanes,
+            peer_lanes,
             selector: EndorserSelector::new(
                 &cfg.endorsement_policy,
                 cfg.orgs,
@@ -940,12 +1043,18 @@ impl Simulation {
             validator_srv: QueueServer::new(),
             pending: vec![Pending::default(); requests.len()],
             inflight: Vec::new(),
-            ledger: Ledger::new(),
+            validated: 0,
+            ledger,
+            fold: ReportFold::new(),
+            outcomes: if self.fault.is_noop() {
+                Vec::new()
+            } else {
+                vec![None; requests.len()]
+            },
             early_aborted: 0,
             abort_reasons: BTreeMap::new(),
             intra: 0,
             inter: 0,
-            on_commit,
         };
         let events = des::run(&mut queue, &mut engine);
 
@@ -955,6 +1064,8 @@ impl Simulation {
             orderer_srv,
             validator_srv,
             ledger,
+            fold,
+            outcomes,
             early_aborted,
             abort_reasons,
             intra,
@@ -964,10 +1075,10 @@ impl Simulation {
         } = engine;
 
         if !self.fault.is_noop() {
-            degradation.windows = fault_window_stats(&self.fault, requests, &ledger);
+            degradation.windows = fault_window_stats(&self.fault, requests, &outcomes);
         }
 
-        let mut report = SimReport::from_ledger(&ledger, requests.len(), first_send);
+        let mut report = fold.finish(requests.len(), first_send);
         report.early_aborted = early_aborted;
         report.early_abort_reasons = abort_reasons;
         report.intra_block_conflicts = intra;
@@ -988,7 +1099,7 @@ impl Simulation {
             .map(|(p, c)| (p.to_string(), c))
             .collect();
 
-        SimOutput { ledger, report }
+        (report, ledger)
     }
 
     /// Endorser-selection skew; stored on the config via the seed field would
@@ -1009,19 +1120,16 @@ impl Simulation {
 }
 
 /// Per-fault-window outcome statistics: which requests were sent while the
-/// window was open, and how they fared. Transaction ids are request
-/// indices, so the committed outcomes map back onto send times directly.
+/// window was open, and how they fared. `outcomes` holds, per request
+/// index, whether it committed successfully and its latency in seconds
+/// (`None` when it never committed).
 fn fault_window_stats(
     fault: &FaultSpec,
     requests: &[TxRequest],
-    ledger: &Ledger,
+    outcomes: &[Option<(bool, f64)>],
 ) -> Vec<FaultWindowStats> {
     fn at(secs: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(secs)
-    }
-    let mut outcomes: BTreeMap<u64, (bool, f64)> = BTreeMap::new();
-    for t in ledger.transactions() {
-        outcomes.insert(t.id.0, (t.status.is_success(), t.latency().as_secs_f64()));
     }
     let mut windows: Vec<(String, SimTime, SimTime)> = Vec::new();
     for w in &fault.endorser_outages {
@@ -1060,7 +1168,7 @@ fn fault_window_stats(
             for (i, req) in requests.iter().enumerate() {
                 if req.send_time >= start && req.send_time < end {
                     submitted += 1;
-                    if let Some(&(ok, latency)) = outcomes.get(&(i as u64)) {
+                    if let Some((ok, latency)) = outcomes[i] {
                         if ok {
                             successes += 1;
                             latency_sum += latency;
@@ -1451,6 +1559,45 @@ mod tests {
             reader.rwset.reads[0].version,
             Some(Version::new(1, 0)),
             "the endorsement read the writer's version, not genesis"
+        );
+    }
+
+    /// At zero validation cost two blocks validate at one instant, so the
+    /// second validated before the first committed and both took number 1:
+    /// the ledger refused the second (a panic). Blocks are numbered as
+    /// they validate.
+    #[test]
+    fn blocks_validated_at_one_instant_commit_in_order() {
+        let mut cfg = sim().config.clone();
+        cfg.block_count = 1;
+        cfg.resources = crate::config::ResourceProfile {
+            client_per_tx: SimDuration::ZERO,
+            net_delay: SimDuration::ZERO,
+            endorse_exec_base: SimDuration::ZERO,
+            endorse_exec_per_access: SimDuration::ZERO,
+            order_block_fixed: SimDuration::ZERO,
+            order_per_tx: SimDuration::ZERO,
+            raft_delay: SimDuration::ZERO,
+            validate_block_fixed: SimDuration::ZERO,
+            validate_per_tx: SimDuration::ZERO,
+            validate_per_item: SimDuration::ZERO,
+            validate_per_endorsement: SimDuration::ZERO,
+        };
+        let mut s = Simulation::new(cfg);
+        s.install(Arc::new(KvContract));
+        let reqs: Vec<TxRequest> = (0..4)
+            .map(|i| TxRequest {
+                send_time: SimTime::ZERO,
+                ..req(i, "put", vec![format!("k{i}").into(), Value::Int(1)])
+            })
+            .collect();
+        let out = s.run(&reqs);
+        let numbers: Vec<u64> = out.ledger.blocks().iter().map(|b| b.number).collect();
+        assert_eq!(numbers, vec![1, 2, 3, 4]);
+        assert_eq!(out.report.successes, 4);
+        assert_eq!(
+            format!("{:?}", s.run_report(&reqs)),
+            format!("{:?}", out.report)
         );
     }
 

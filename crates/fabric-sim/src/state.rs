@@ -5,10 +5,24 @@
 //! committed state at time t" is always exactly this structure — peers never
 //! diverge (they validate deterministically and commit in lock-step, as the
 //! paper's single-channel Fabric deployment does).
+//!
+//! Every key a run names lives in a *slot*: its one shared [`Key`] handle
+//! and its committed entry, if any. A key finds its slot through a hash
+//! index with a fixed multiply-rotate hasher, so a point read, an MVCC
+//! version check and a write each cost one probe. The index is only ever
+//! probed, never iterated, so its order cannot leak into a run. An ordered
+//! map of the live keys serves range scans and [`WorldState::iter`]: a scan
+//! walks it in key order and reads each value from its slot, with no probe
+//! per key.
+//!
+//! The keys come from the workload a spec describes. A spec that names
+//! keys which collide under the fixed hasher slows only its own run.
 
 use crate::rwset::{Version, WriteItem};
 use crate::types::{Key, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 
 /// A committed value and the version of the transaction that wrote it.
@@ -20,22 +34,61 @@ pub struct VersionedValue {
     pub version: Version,
 }
 
-/// The committed world state: an ordered map so range scans are natural.
+/// rustc's `FxHasher`: each word is folded in with a rotate, an xor and a
+/// multiply. It is fixed (no per-process seed), and `finish` rotates the
+/// well-mixed high bits down to where the table picks its bucket.
+#[derive(Debug, Default, Clone, Copy)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.hash = (self.hash.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(K);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+/// One named key: the run's handle for it and its committed entry (`None`
+/// while the key holds no value: read while absent, deleted, or a range
+/// bound).
+#[derive(Debug, Clone)]
+struct Slot {
+    key: Key,
+    entry: Option<VersionedValue>,
+}
+
+/// The committed world state.
 ///
 /// It also owns the run's key handles. Every key a run names, whether it
 /// reads, writes or deletes it or bounds a range scan with it, has one
-/// shared [`Key`] allocation: the live map's own key, or an entry of
-/// `vacant` while the key holds no value. Read-write sets, envelopes and
-/// the analyzer's records clone that handle, so each distinct key costs one
-/// allocation per run.
-#[derive(Debug, Clone, Default)]
+/// shared [`Key`] allocation, kept in its slot for the whole run, through
+/// deletes and re-inserts. Read-write sets, envelopes and the analyzer's
+/// records clone that handle, so each distinct key costs one allocation per
+/// run.
+#[derive(Clone, Default)]
 pub struct WorldState {
-    map: BTreeMap<Key, VersionedValue>,
-    /// Handles of named keys that hold no value (read while absent,
-    /// deleted, or a range bound). Disjoint from `map`'s keys.
-    vacant: BTreeSet<Key>,
+    slots: Vec<Slot>,
+    /// The slot of every named key. Probed, never iterated.
+    index: HashMap<Key, u32, BuildHasherDefault<FxHasher>>,
+    /// The slots of the live keys (those holding a value), in key order.
+    live: BTreeMap<Key, u32>,
     /// Reused buffer for qualifying `"{namespace}/{key}"`.
     name_buf: String,
+}
+
+impl fmt::Debug for WorldState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl WorldState {
@@ -46,7 +99,8 @@ impl WorldState {
 
     /// Look up a key.
     pub fn get(&self, key: &str) -> Option<&VersionedValue> {
-        self.map.get(key)
+        let &slot = self.index.get(key)?;
+        self.slots[slot as usize].entry.as_ref()
     }
 
     /// The run's handle for `"{namespace}/{key}"` and its committed entry,
@@ -57,63 +111,62 @@ impl WorldState {
         self.name_buf.push_str(namespace);
         self.name_buf.push('/');
         self.name_buf.push_str(key);
-        if let Some((handle, entry)) = self.map.get_key_value(self.name_buf.as_str()) {
-            return (handle.clone(), Some(entry));
-        }
-        let handle = match self.vacant.get(self.name_buf.as_str()) {
-            Some(handle) => handle.clone(),
+        let slot = match self.index.get(self.name_buf.as_str()) {
+            Some(&slot) => slot,
             None => {
                 let fresh = Key::from(self.name_buf.as_str());
-                self.vacant.insert(fresh.clone());
-                fresh
+                self.add_slot(fresh)
             }
         };
-        (handle, None)
+        let slot = &self.slots[slot as usize];
+        (slot.key.clone(), slot.entry.as_ref())
     }
 
     /// The committed version of a key, if present.
     pub fn version_of(&self, key: &str) -> Option<Version> {
-        self.map.get(key).map(|vv| vv.version)
+        self.get(key).map(|vv| vv.version)
     }
 
-    /// Range scan over `[start, end)` in key order.
+    /// Range scan over `[start, end)` in key order. An inverted range
+    /// (`start > end`) is empty.
     pub fn range<'a>(
         &'a self,
         start: &str,
         end: &str,
     ) -> impl Iterator<Item = (&'a Key, &'a VersionedValue)> + 'a {
-        self.map
-            .range::<str, _>((Bound::Included(start), Bound::Excluded(end)))
+        (start <= end)
+            .then(|| {
+                self.live
+                    .range::<str, _>((Bound::Included(start), Bound::Excluded(end)))
+            })
+            .into_iter()
+            .flatten()
+            .map(|(key, &slot)| (key, self.live_entry(slot)))
     }
 
     /// Directly set a key (used for genesis/bootstrap state, version 0:0).
     pub fn seed(&mut self, key: Key, value: Value) {
-        self.insert(key, value, Version::new(0, 0));
+        let slot = self.slot_of(&key);
+        self.set(slot, value, Version::new(0, 0));
     }
 
-    /// Make `key` live with `value` at `version`, keeping the handle the
-    /// state already has for it.
-    fn insert(&mut self, key: Key, value: Value, version: Version) {
-        let key = self.vacant.take(&*key).unwrap_or(key);
-        self.map.insert(key, VersionedValue { value, version });
-    }
-
-    /// Apply the write set of a validated transaction at `version`. An
-    /// existing key is updated in place; a deleted key's handle moves to
-    /// `vacant`, so a later write of it shares the same allocation.
+    /// Apply the write set of a validated transaction at `version`. A
+    /// deleted key keeps its slot, so a later write of it shares the same
+    /// handle.
     pub fn apply(&mut self, writes: &[WriteItem], version: Version) {
         for w in writes {
             match &w.value {
-                Some(v) => match self.map.get_mut(&*w.key) {
-                    Some(slot) => {
-                        slot.value = v.clone();
-                        slot.version = version;
-                    }
-                    None => self.insert(w.key.clone(), v.clone(), version),
-                },
+                Some(value) => {
+                    let slot = self.slot_of(&w.key);
+                    self.set(slot, value.clone(), version);
+                }
                 None => {
-                    if let Some((key, _)) = self.map.remove_entry(&*w.key) {
-                        self.vacant.insert(key);
+                    let Some(&slot) = self.index.get(&*w.key) else {
+                        continue;
+                    };
+                    let slot = &mut self.slots[slot as usize];
+                    if slot.entry.take().is_some() {
+                        self.live.remove(&*slot.key);
                     }
                 }
             }
@@ -122,17 +175,51 @@ impl WorldState {
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.live.len()
     }
 
     /// Whether the state is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.live.is_empty()
     }
 
     /// Iterate over all live keys in order.
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &VersionedValue)> {
-        self.map.iter()
+        self.live
+            .iter()
+            .map(|(key, &slot)| (key, self.live_entry(slot)))
+    }
+
+    /// The slot of `key`, added with `key` as its handle if the state has
+    /// never named it.
+    fn slot_of(&mut self, key: &Key) -> u32 {
+        match self.index.get(&**key) {
+            Some(&slot) => slot,
+            None => self.add_slot(key.clone()),
+        }
+    }
+
+    fn add_slot(&mut self, key: Key) -> u32 {
+        let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 named keys");
+        self.index.insert(key.clone(), slot);
+        self.slots.push(Slot { key, entry: None });
+        slot
+    }
+
+    /// Commit `value` at `version` into `slot`, making its key live.
+    fn set(&mut self, slot: u32, value: Value, version: Version) {
+        let entry = &mut self.slots[slot as usize];
+        if entry.entry.is_none() {
+            self.live.insert(entry.key.clone(), slot);
+        }
+        entry.entry = Some(VersionedValue { value, version });
+    }
+
+    fn live_entry(&self, slot: u32) -> &VersionedValue {
+        self.slots[slot as usize]
+            .entry
+            .as_ref()
+            .expect("a live key's slot holds a value")
     }
 }
 

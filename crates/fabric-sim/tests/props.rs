@@ -220,3 +220,85 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    // Cheap cases: run many.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The slot-indexed world state against a `BTreeMap` model: random
+    /// single and batched puts and deletes, then point reads, versions,
+    /// length, iteration and range scans (inverted and empty ones
+    /// included) all agree. A key keeps the first handle it was written
+    /// with through deletes and re-inserts under fresh handles.
+    #[test]
+    fn world_state_matches_an_ordered_map_model(
+        ops in prop::collection::vec((0u8..4, 0usize..12, 0usize..14, 0i64..100), 1..120)
+    ) {
+        use fabric_sim::rwset::WriteItem;
+        use fabric_sim::types::Key;
+        use std::collections::BTreeMap;
+        use std::sync::Arc;
+
+        let name = |i: usize| format!("ns/k{i:02}");
+        let put = |i: usize, v: i64| WriteItem { key: Key::from(name(i)), value: Some(Value::Int(v)) };
+        let del = |i: usize| WriteItem { key: Key::from(name(i)), value: None };
+        let mut state = WorldState::new();
+        let mut model: BTreeMap<String, (Value, Version)> = BTreeMap::new();
+        let mut first_handle: BTreeMap<String, Key> = BTreeMap::new();
+        for (step, &(op, a, b, v)) in ops.iter().enumerate() {
+            let version = Version::new(step as u64 + 1, 0);
+            let writes = match op {
+                0 => vec![put(a, v)],
+                1 => vec![del(a)],
+                2 => vec![put(a, v), del(b % 12)],
+                _ => vec![],
+            };
+            state.apply(&writes, version);
+            for w in &writes {
+                match &w.value {
+                    Some(value) => {
+                        // A delete of a key the state never held names
+                        // nothing; the first put names the key.
+                        first_handle.entry(w.key.to_string()).or_insert_with(|| w.key.clone());
+                        model.insert(w.key.to_string(), (value.clone(), version));
+                    }
+                    None => {
+                        model.remove(&*w.key);
+                    }
+                }
+            }
+
+            for i in 0..14 {
+                let key = name(i);
+                let want = model.get(&key);
+                prop_assert_eq!(state.get(&key).map(|vv| (&vv.value, vv.version)), want.map(|(v, ver)| (v, *ver)));
+                prop_assert_eq!(state.version_of(&key), want.map(|(_, ver)| *ver));
+            }
+            prop_assert_eq!(state.len(), model.len());
+            prop_assert_eq!(state.is_empty(), model.is_empty());
+            let listed: Vec<(String, Version)> =
+                state.iter().map(|(k, vv)| (k.to_string(), vv.version)).collect();
+            let expected: Vec<(String, Version)> =
+                model.iter().map(|(k, (_, ver))| (k.clone(), *ver)).collect();
+            prop_assert_eq!(listed, expected);
+            for (key, _) in state.iter() {
+                prop_assert!(Arc::ptr_eq(key, &first_handle[&**key]), "{} changed handle", key);
+            }
+
+            let (start, end) = (name(a), name(b));
+            let scanned: Vec<(String, Version)> = state
+                .range(&start, &end)
+                .map(|(k, vv)| (k.to_string(), vv.version))
+                .collect();
+            let expected: Vec<(String, Version)> = if start <= end {
+                model
+                    .range(start.clone()..end.clone())
+                    .map(|(k, (_, ver))| (k.clone(), *ver))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            prop_assert_eq!(scanned, expected);
+        }
+    }
+}

@@ -3,7 +3,7 @@
 //! [`DesQueue`] is a binary-heap event clock, driven in the style of a
 //! classic DES runner: pop the next event → advance the clock (which never
 //! runs backwards) → dispatch to a handler → the handler schedules
-//! follow-up events. It provides the three things a multi-phase pipeline
+//! follow-up events. It provides the four things a multi-phase pipeline
 //! simulation needs:
 //!
 //! * **Targeted events** — [`Event`]`{ at, kind, subject }`: a timestamp, a
@@ -19,6 +19,17 @@
 //!   Cancellation is lazy (a tombstone set), so it is O(1) and the heap is
 //!   never rebuilt. This is what lets a block cutter race a size-triggered
 //!   cut against a timeout and simply disarm the loser.
+//! * **FIFO lanes** — a FIFO server completes its jobs in order, so the
+//!   events it schedules mostly arrive in `(time, priority)` order already.
+//!   [`DesQueue::schedule_on`] puts such an event on the server's
+//!   [`Lane`]: only the lane's head sits in the heap, and an event that
+//!   keeps the lane's order waits in a queue behind it. An event that would
+//!   break the order goes straight to the heap. Popping a lane's head moves
+//!   its successor into the heap, so the heap is a k-way merge of the lanes
+//!   and the plain events: it holds one entry per busy server instead of
+//!   the server's whole backlog, and the dispatch order, same-time ties and
+//!   [`DesQueue::dispatched`] are exactly those of one heap over every
+//!   event.
 //!
 //! The runner ([`run`]) drives a [`Handler`] to quiescence: when the queue
 //! drains it offers the handler one `on_idle` callback (end-of-run flushes
@@ -28,7 +39,8 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 /// A typed event kind with a total dispatch priority.
 ///
@@ -56,13 +68,29 @@ pub struct Event<K, S> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(u64);
 
+/// Handle to a FIFO lane of a [`DesQueue`] ([`DesQueue::add_lane`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lane(u32);
+
+/// What a heap entry is, beyond its event.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// A plain event.
+    Plain,
+    /// A cancellable timer.
+    Timer(TimerId),
+    /// The head of a lane: popping it moves the lane's next entry into the
+    /// heap.
+    Lane(u32),
+}
+
 struct Entry<K, S> {
     at: SimTime,
     prio: u8,
     seq: u64,
     kind: K,
     subject: S,
-    timer: Option<TimerId>,
+    source: Source,
 }
 
 impl<K, S> PartialEq for Entry<K, S> {
@@ -90,11 +118,23 @@ impl<K, S> Ord for Entry<K, S> {
     }
 }
 
+/// The entries of one lane behind its head in the heap.
+struct LaneQueue<K, S> {
+    /// Waiting entries, in `(time, priority, seq)` order.
+    waiting: VecDeque<Entry<K, S>>,
+    /// `(time, priority)` of the lane's last entry; `None` when the lane
+    /// holds none, not even a head in the heap.
+    tail: Option<(SimTime, u8)>,
+}
+
 /// The DES event queue: a binary-heap event clock over [`Event`]s with
-/// deterministic `(time, kind priority, sequence)` ordering and lazily
-/// cancelled timers.
+/// deterministic `(time, kind priority, sequence)` ordering, lazily
+/// cancelled timers and FIFO lanes.
 pub struct DesQueue<K: EventKind, S> {
     heap: BinaryHeap<Entry<K, S>>,
+    lanes: Vec<LaneQueue<K, S>>,
+    /// Entries waiting in lanes behind their heads.
+    waiting: usize,
     next_seq: u64,
     next_timer: u64,
     /// Timers cancelled while still pending; their entries are skipped on pop.
@@ -112,10 +152,12 @@ impl<K: EventKind, S> Default for DesQueue<K, S> {
 }
 
 impl<K: EventKind, S> DesQueue<K, S> {
-    /// An empty queue with the clock at [`SimTime::ZERO`].
+    /// An empty queue with the clock at [`SimTime::ZERO`] and no lanes.
     pub fn new() -> Self {
         DesQueue {
             heap: BinaryHeap::new(),
+            lanes: Vec::new(),
+            waiting: 0,
             next_seq: 0,
             next_timer: 0,
             cancelled: HashSet::new(),
@@ -125,24 +167,24 @@ impl<K: EventKind, S> DesQueue<K, S> {
         }
     }
 
-    fn push(&mut self, at: SimTime, kind: K, subject: S, timer: Option<TimerId>) {
+    fn entry(&mut self, at: SimTime, kind: K, subject: S, source: Source) -> Entry<K, S> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let prio = kind.priority();
-        self.heap.push(Entry {
+        Entry {
             at,
-            prio,
+            prio: kind.priority(),
             seq,
             kind,
             subject,
-            timer,
-        });
+            source,
+        }
     }
 
     /// Schedule `kind`/`subject` to fire at `at`. Scheduling in the past is
     /// allowed (the event fires "now"); the clock never runs backwards.
     pub fn schedule(&mut self, at: SimTime, kind: K, subject: S) {
-        self.push(at, kind, subject, None);
+        let entry = self.entry(at, kind, subject, Source::Plain);
+        self.heap.push(entry);
     }
 
     /// Schedule a cancellable timer. The returned [`TimerId`] stays valid
@@ -151,8 +193,44 @@ impl<K: EventKind, S> DesQueue<K, S> {
         let id = TimerId(self.next_timer);
         self.next_timer += 1;
         self.pending_timers.insert(id);
-        self.push(at, kind, subject, Some(id));
+        let entry = self.entry(at, kind, subject, Source::Timer(id));
+        self.heap.push(entry);
         id
+    }
+
+    /// A new, empty FIFO lane.
+    pub fn add_lane(&mut self) -> Lane {
+        let lane = u32::try_from(self.lanes.len()).expect("fewer than 2^32 lanes");
+        self.lanes.push(LaneQueue {
+            waiting: VecDeque::new(),
+            tail: None,
+        });
+        Lane(lane)
+    }
+
+    /// [`schedule`](Self::schedule) on `lane`: the event dispatches exactly
+    /// when a plain one would. It waits behind the lane's last event when
+    /// it does not precede it in `(time, priority)`, and goes to the heap
+    /// otherwise.
+    pub fn schedule_on(&mut self, lane: Lane, at: SimTime, kind: K, subject: S) {
+        let mut entry = self.entry(at, kind, subject, Source::Lane(lane.0));
+        let key = (entry.at, entry.prio);
+        let queue = &mut self.lanes[lane.0 as usize];
+        match queue.tail {
+            None => {
+                queue.tail = Some(key);
+                self.heap.push(entry);
+            }
+            Some(tail) if key >= tail => {
+                queue.tail = Some(key);
+                queue.waiting.push_back(entry);
+                self.waiting += 1;
+            }
+            Some(_) => {
+                entry.source = Source::Plain;
+                self.heap.push(entry);
+            }
+        }
     }
 
     /// Disarm a pending timer: it will never fire. Returns whether the
@@ -170,8 +248,26 @@ impl<K: EventKind, S> DesQueue<K, S> {
     /// Pop the next live event, advancing the clock to its timestamp.
     /// Cancelled timers are silently discarded and never surface here.
     pub fn pop(&mut self) -> Option<Event<K, S>> {
-        while let Some(e) = self.heap.pop() {
-            if let Some(id) = e.timer {
+        loop {
+            let mut head = self.heap.peek_mut()?;
+            let e = match head.source {
+                Source::Lane(lane) => {
+                    let queue = &mut self.lanes[lane as usize];
+                    match queue.waiting.pop_front() {
+                        // The successor takes the head's place in the heap.
+                        Some(next) => {
+                            self.waiting -= 1;
+                            std::mem::replace(&mut *head, next)
+                        }
+                        None => {
+                            queue.tail = None;
+                            PeekMut::pop(head)
+                        }
+                    }
+                }
+                Source::Plain | Source::Timer(_) => PeekMut::pop(head),
+            };
+            if let Source::Timer(id) = e.source {
                 if self.cancelled.remove(&id) {
                     continue; // tombstoned: the timer was disarmed
                 }
@@ -185,19 +281,18 @@ impl<K: EventKind, S> DesQueue<K, S> {
                 subject: e.subject,
             });
         }
-        None
     }
 
     /// The timestamp of the next live event, if any (cancelled timers at
     /// the head are discarded first).
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(e) = self.heap.peek() {
-            match e.timer {
-                Some(id) if self.cancelled.contains(&id) => {
-                    let e = self.heap.pop().expect("peeked");
-                    self.cancelled.remove(&e.timer.expect("timer entry"));
+        while let Some(head) = self.heap.peek_mut() {
+            match head.source {
+                Source::Timer(id) if self.cancelled.contains(&id) => {
+                    self.cancelled.remove(&id);
+                    PeekMut::pop(head);
                 }
-                _ => return Some(e.at),
+                _ => return Some(head.at),
             }
         }
         None
@@ -210,7 +305,7 @@ impl<K: EventKind, S> DesQueue<K, S> {
 
     /// Number of live pending events (cancelled timers excluded).
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len() + self.waiting - self.cancelled.len()
     }
 
     /// Whether no live events remain.

@@ -43,7 +43,7 @@ pub mod sketch;
 pub mod stats;
 pub mod time;
 
-pub use des::{DesQueue, Event, EventKind, Handler, TimerId};
+pub use des::{DesQueue, Event, EventKind, Handler, Lane, TimerId};
 pub use dist::{DiscreteWeighted, Exponential, Zipf};
 pub use pool::ThreadPool;
 pub use rng::SimRng;

@@ -1,7 +1,7 @@
 //! Property tests for the DES primitives.
 
 use proptest::prelude::*;
-use sim_core::des::{DesQueue, EventKind};
+use sim_core::des::{DesQueue, EventKind, Lane};
 use sim_core::dist::{DiscreteWeighted, Exponential, Zipf};
 use sim_core::rng::SimRng;
 use sim_core::server::QueueServer;
@@ -229,5 +229,77 @@ proptest! {
         for _ in 0..16 {
             prop_assert_eq!(a.f64().to_bits(), b.f64().to_bits());
         }
+    }
+}
+
+proptest! {
+    // Cheap cases: run many.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A queue with FIFO lanes dispatches exactly what one plain heap does.
+    /// Lane events mostly keep their lane's order; some arrive earlier than
+    /// the lane's last event or at a lower priority at its time, and go to
+    /// the heap. Plain events, timers, cancels and pops are interleaved.
+    #[test]
+    fn lanes_dispatch_like_one_plain_heap(
+        ops in prop::collection::vec((0u8..7, 0u64..400, 0u8..4, 0usize..4), 1..300)
+    ) {
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        struct Kind(u8);
+        impl EventKind for Kind {
+            fn priority(&self) -> u8 { self.0 }
+        }
+
+        let mut laned: DesQueue<Kind, usize> = DesQueue::new();
+        let mut plain: DesQueue<Kind, usize> = DesQueue::new();
+        let lanes: Vec<Lane> = (0..4).map(|_| laned.add_lane()).collect();
+        let mut lane_time = [0u64; 4];
+        let mut timers = Vec::new();
+        for (i, &(op, t, k, lane)) in ops.iter().enumerate() {
+            match op {
+                0..=2 => {
+                    // Ops 0 and 1 step the lane's clock forward (or stay at
+                    // it); op 2 lands anywhere, usually out of order.
+                    let at = if op < 2 {
+                        lane_time[lane] += t % 40;
+                        lane_time[lane]
+                    } else {
+                        t
+                    };
+                    laned.schedule_on(lanes[lane], SimTime::from_micros(at), Kind(k), i);
+                    plain.schedule(SimTime::from_micros(at), Kind(k), i);
+                }
+                3 => {
+                    laned.schedule(SimTime::from_micros(t), Kind(k), i);
+                    plain.schedule(SimTime::from_micros(t), Kind(k), i);
+                }
+                4 => {
+                    let at = SimTime::from_micros(t);
+                    timers.push((
+                        laned.schedule_timer(at, Kind(k), i),
+                        plain.schedule_timer(at, Kind(k), i),
+                    ));
+                }
+                5 if !timers.is_empty() => {
+                    let (a, b) = timers[t as usize % timers.len()];
+                    prop_assert_eq!(laned.cancel(a), plain.cancel(b));
+                }
+                _ => {
+                    prop_assert_eq!(laned.peek_time(), plain.peek_time());
+                    prop_assert_eq!(laned.pop(), plain.pop());
+                }
+            }
+            prop_assert_eq!(laned.len(), plain.len());
+        }
+        loop {
+            let (a, b) = (laned.pop(), plain.pop());
+            prop_assert_eq!(&a, &b);
+            if a.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(laned.dispatched(), plain.dispatched());
+        prop_assert_eq!(laned.now(), plain.now());
+        prop_assert!(laned.is_empty());
     }
 }

@@ -3,6 +3,7 @@
 use fabric_sim::config::NetworkConfig;
 use fabric_sim::contract::Contract;
 use fabric_sim::fault::{FaultSpec, RetryPolicy};
+use fabric_sim::report::SimReport;
 use fabric_sim::sim::{SimOutput, Simulation, TxRequest};
 use fabric_sim::types::Value;
 use serde::{Deserialize, Serialize};
@@ -163,6 +164,13 @@ impl WorkloadBundle {
         self.simulation(config).run(&self.requests)
     }
 
+    /// Build the simulation and run the schedule for its report alone
+    /// ([`Simulation::run_report`]): the bytes of [`run`](Self::run)'s
+    /// report, with no envelope built and no ledger kept.
+    pub fn run_report(&self, config: NetworkConfig) -> SimReport {
+        self.simulation(config).run_report(&self.requests)
+    }
+
     /// Like [`run`](Self::run), but stream every committed block to
     /// `on_commit` as the simulation produces it (see
     /// [`Simulation::run_observed`]) — the live-watch path: bridge the
@@ -248,6 +256,14 @@ mod tests {
         let out = tiny_bundle().run(NetworkConfig::default());
         assert_eq!(out.report.committed, 10);
         assert_eq!(out.report.successes, 10, "pure reads never conflict");
+    }
+
+    #[test]
+    fn report_only_run_matches_the_full_run() {
+        let b = tiny_bundle();
+        let full = b.run(NetworkConfig::default()).report;
+        let report = b.run_report(NetworkConfig::default());
+        assert_eq!(format!("{report:?}"), format!("{full:?}"));
     }
 
     #[test]

@@ -47,7 +47,7 @@ use serde::{Deserialize, Serialize};
 use sim_core::dist::Exponential;
 use sim_core::rng::SimRng;
 use sim_core::time::{SimDuration, SimTime};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Why a spec could not be validated or built. Every failure mode of the
@@ -646,7 +646,9 @@ impl ScenarioSpec {
                 if s.contracts.is_empty() {
                     return Err(bad("schedule.contracts", "at least one contract id"));
                 }
-                let mut namespaces: BTreeSet<String> = BTreeSet::new();
+                // Each installed namespace's activities. A later contract of
+                // the same namespace replaces an earlier one at install.
+                let mut namespaces: BTreeMap<String, Vec<&'static str>> = BTreeMap::new();
                 for id in &s.contracts {
                     let contract = chaincode::registry::resolve(id).ok_or_else(|| {
                         SpecError::UnknownContract {
@@ -657,10 +659,10 @@ impl ScenarioSpec {
                                 .collect(),
                         }
                     })?;
-                    namespaces.insert(contract.name().to_string());
+                    namespaces.insert(contract.name().to_string(), contract.activities());
                 }
                 for (i, (ns, _key, _value)) in s.genesis.iter().enumerate() {
-                    if !namespaces.contains(ns.as_str()) {
+                    if !namespaces.contains_key(ns.as_str()) {
                         return Err(bad(
                             &format!("schedule.genesis[{i}].namespace"),
                             format!("namespace {ns:?} is not installed by {:?}", s.contracts),
@@ -668,13 +670,23 @@ impl ScenarioSpec {
                     }
                 }
                 for (i, r) in s.requests.iter().enumerate() {
-                    if !namespaces.contains(r.contract.as_ref()) {
+                    let Some(activities) = namespaces.get(r.contract.as_ref()) else {
                         return Err(bad(
                             &format!("schedule.requests[{i}].contract"),
                             format!(
                                 "namespace {:?} is not installed by {:?}",
                                 r.contract.as_ref(),
                                 s.contracts
+                            ),
+                        ));
+                    };
+                    if !activities.contains(&r.activity.as_ref()) {
+                        return Err(bad(
+                            &format!("schedule.requests[{i}].activity"),
+                            format!(
+                                "contract {:?} has no activity {:?} (it has {activities:?})",
+                                r.contract.as_ref(),
+                                r.activity.as_ref()
                             ),
                         ));
                     }
@@ -1398,6 +1410,43 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn schedule_specs_validate_request_activities() {
+        let request = |activity: &str| TxRequest {
+            send_time: SimTime::ZERO,
+            contract: "genchain".into(),
+            activity: activity.into(),
+            args: vec!["k1".into()].into(),
+            invoker_org: fabric_sim::types::OrgId(0),
+        };
+        let mut spec = ScenarioSpec {
+            name: "byo".into(),
+            workload: WorkloadSpec::Schedule(ScheduleSpec {
+                contracts: vec!["genchain".into()],
+                genesis: vec![],
+                requests: vec![request("read"), request("bogus")],
+            }),
+            arrival: ArrivalSpec::Closed,
+            transforms: vec![],
+            variants: BTreeSet::new(),
+            network: NetworkConfig::default(),
+            fault: FaultSpec::default(),
+            retry: RetryPolicy::default(),
+        };
+        match spec.validate().unwrap_err() {
+            SpecError::BadParameter { field, message } => {
+                assert_eq!(field, "schedule.requests[1].activity");
+                assert!(message.contains("\"bogus\""), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+        let WorkloadSpec::Schedule(schedule) = &mut spec.workload else {
+            unreachable!()
+        };
+        schedule.requests[1] = request("range_read");
+        spec.validate().unwrap();
     }
 
     #[test]

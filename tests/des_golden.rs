@@ -160,3 +160,21 @@ fn closed_loop_logs_match_the_seed_engine() {
         );
     }
 }
+
+/// Every builtin scenario × seeds {42, 1337}: a report-only run (what the
+/// plan grid runs) serializes byte-equal to the full run's report.
+#[test]
+fn report_only_runs_match_full_runs() {
+    for name in workload::scenario::BUILTIN_NAMES {
+        for seed in SEEDS {
+            let spec = ScenarioSpec::builtin(name)
+                .unwrap()
+                .with_transactions(TXS)
+                .with_seed(seed);
+            let (bundle, config) = spec.build().unwrap();
+            let full = serde_json::to_string(&bundle.run(config.clone()).report).unwrap();
+            let report = serde_json::to_string(&bundle.run_report(config)).unwrap();
+            assert_eq!(full, report, "{name} seed {seed}");
+        }
+    }
+}

@@ -327,6 +327,20 @@ fn faulty_and_open_loop_specs_match_the_committed_goldens() {
     }
 }
 
+/// A report-only run (what the plan grid runs) serializes byte-equal to
+/// the full run's report on every pinned spec, the open-loop example
+/// among them: the per-window fault statistics come from the outcomes
+/// recorded at commit, not from a ledger.
+#[test]
+fn report_only_runs_match_full_runs_on_the_pinned_specs() {
+    for (label, spec) in faulty_specs() {
+        let (bundle, config) = spec.build().unwrap();
+        let full = serde_json::to_string(&bundle.run(config.clone()).report).unwrap();
+        let report = serde_json::to_string(&bundle.run_report(config)).unwrap();
+        assert_eq!(full, report, "{label} seed {}", spec.seed());
+    }
+}
+
 /// Plan execution over a faulty spec is byte-identical for any worker
 /// thread count — the PR-7 equivalence guarantee extends to fault state.
 #[test]
