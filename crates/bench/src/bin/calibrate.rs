@@ -5,7 +5,14 @@
 use bench::FigureTable;
 use fabric_sim::config::NetworkConfig;
 use workload::spec::{ControlVariables, PolicyChoice, WorkloadType};
-use workload::{drm, dv, ehr, lap, scm, synthetic};
+use workload::{drm, dv, ehr, lap, scm, synthetic, WorkloadBundle};
+
+/// `bundle` with the prepared rewrite registered as `id` installed in place
+/// of its contract: the same schedule and genesis.
+fn rewritten(bundle: &WorkloadBundle, id: &str) -> WorkloadBundle {
+    let contract = chaincode::registry::resolve(id).expect("a registered contract id");
+    bundle.clone().with_contracts(vec![contract])
+}
 
 fn main() {
     let mut t = FigureTable::new("calibration");
@@ -149,7 +156,7 @@ fn main() {
     t.add(
         "SCM",
         "pruned",
-        &scm::pruned(bscm.clone())
+        &rewritten(&bscm, "scm:pruned")
             .run(NetworkConfig::default())
             .report,
     );
@@ -161,7 +168,7 @@ fn main() {
     t.add(
         "DRM",
         "delta",
-        &drm::delta_writes(bdrm.clone())
+        &rewritten(&bdrm, "drm:delta")
             .run(NetworkConfig::default())
             .report,
     );
@@ -185,7 +192,7 @@ fn main() {
     t.add(
         "DV",
         "per-voter",
-        &dv::per_voter(bdv.clone())
+        &rewritten(&bdv, "dv:per-voter")
             .run(NetworkConfig::default())
             .report,
     );
@@ -197,7 +204,7 @@ fn main() {
     t.add(
         "LAP @10",
         "by-application",
-        &lap::by_application(blap.clone())
+        &rewritten(&blap, "lap:by-application")
             .run(NetworkConfig::default())
             .report,
     );

@@ -64,8 +64,8 @@ fn usage() -> ExitCode {
          blockoptr optimize <scenario | --spec SPEC.json> [--log LOG.json] [--txs N] [--seeds N]\n                     \
          [--threads N] [--dry-run] [--auto-tune] [--json] [--emit-spec OUT.json] [--disable RULE]...\n\n\
          watch --live simulates the scenario and analyzes its committed-block feed as it\n\
-         runs; --policy bounds session memory (last-blocks:N, last-secs:S, half-life:S —\n\
-         live mode defaults to last-blocks:<--window>), --blocks caps consumption.\n\
+         runs; --policy bounds session memory (last-blocks:N or last-secs:S — live\n\
+         mode defaults to last-blocks:<--window>), --blocks caps consumption.\n\
          spec dumps a scenario as a replayable ScenarioSpec JSON (--freeze inlines the\n\
          generated schedule instead of the generator parameters).\n\
          optimize measures every configuration once per seed (--seeds, default 1; each seed\n\

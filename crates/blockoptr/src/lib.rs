@@ -43,10 +43,11 @@
 //!
 //! ## Rule engine and the closed loop
 //!
-//! Detection runs through a pluggable rule engine: the nine paper rules
-//! live in [`recommend::rules`] as a [`RuleSet`]
-//! registry (user-extensible, per-rule enable/disable and threshold
-//! overrides via [`Analyzer::rules`](session::Analyzer::rules)). Every
+//! Detection runs through a rule engine: the nine paper rules live in
+//! [`recommend::rules`] as a [`RuleSet`] registry, configured through
+//! [`Analyzer::rules`](session::Analyzer::rules) and
+//! [`Analyzer::disable_rule`](session::Analyzer::disable_rule); every rule
+//! evaluates against the analysis-wide [`Thresholds`]. Every
 //! recommendation lowers to typed, serializable
 //! [`Action`]s, and an
 //! [`OptimizationPlan`] closes the paper's §4.5
@@ -89,7 +90,7 @@ pub use plan::{
 };
 pub use recommend::rules::{Finding, Rule, RuleCtx, RuleSet};
 pub use recommend::{Level, Recommendation, Thresholds};
-pub use resilience::{ResilienceCtx, ResilienceRule, ResilienceRuleSet};
+pub use resilience::{ResilienceCtx, ResilienceRuleSet};
 pub use session::{Analysis, AnalyzeError, Analyzer, Session, SessionFootprint, WindowPolicy};
 
 /// One-stop imports for the common pipeline.
@@ -101,7 +102,7 @@ pub mod prelude {
     pub use crate::plan::{OptimizationPlan, PlanConfig, PlanOutcome};
     pub use crate::recommend::rules::{Finding, Rule, RuleCtx, RuleSet};
     pub use crate::recommend::{Level, Recommendation, Thresholds};
-    pub use crate::resilience::{ResilienceCtx, ResilienceRule, ResilienceRuleSet};
+    pub use crate::resilience::{ResilienceCtx, ResilienceRuleSet};
     pub use crate::session::{Analysis, AnalyzeError, Analyzer, Session, WindowPolicy};
     pub use chaincode;
     pub use fabric_sim::config::{NetworkConfig, SchedulerKind};

@@ -532,9 +532,7 @@ impl OptimizationPlan {
     /// The optimized spec is the plan's durable artifact, and the
     /// configuration the plan grid measures as "all actions combined":
     /// serialize it and the tuned configuration can be rebuilt,
-    /// re-measured, or diffed against the baseline spec. (A variant
-    /// combination the workload's resolver cannot build surfaces as a typed
-    /// error when the spec is finished.)
+    /// re-measured, or diffed against the baseline spec.
     pub fn apply_to_spec(&self, spec: &ScenarioSpec) -> (ScenarioSpec, Vec<VariantKind>) {
         let mut out = spec.clone();
         let mut manual: Vec<VariantKind> = Vec::new();
@@ -1064,10 +1062,15 @@ mod tests {
         let (optimized, manual) = plan.apply_to_spec(&spec);
         assert_eq!(manual, vec![VariantKind::Pruned]);
         // Deterministic runs: the optimized spec must behave exactly like
-        // the explicit partitioned-delta combo, and differently from
-        // partitioned-only.
+        // the partitioned-delta combo built without the spec layer, and
+        // differently from partitioned-only.
         let generated = drm::generate(drm_spec);
-        let expected = drm::partitioned_delta(generated.clone(), drm_spec)
+        let partitioned_delta: Vec<_> = ["drm-play:delta", "drm-meta"]
+            .into_iter()
+            .map(|id| chaincode::registry::resolve(id).unwrap())
+            .collect();
+        let expected = drm::partitioned(generated.clone(), drm_spec)
+            .with_contracts(partitioned_delta)
             .run(spec.network.clone())
             .report;
         let (bundle, config) = optimized.build().unwrap();

@@ -23,10 +23,10 @@
 //! Defaults follow §6: `Et = 0.5, Rt1 = 300, Rt2 = 0.3, Bt = 0.6, It = 0.5`.
 //!
 //! The registry is open: deployments plug their own rules in next to the
-//! paper catalogue, disable individual rules, or override thresholds
-//! per rule — all through the [`Analyzer`](crate::session::Analyzer)
-//! builder, so streaming [`Session`](crate::session::Session)s evaluate the
-//! same registry on every snapshot.
+//! paper catalogue or disable individual rules — both through the
+//! [`Analyzer`](crate::session::Analyzer) builder, so streaming
+//! [`Session`](crate::session::Session)s evaluate the same registry, against
+//! the same thresholds, on every snapshot.
 //!
 //! ```
 //! use blockoptr::recommend::rules::{Finding, Rule, RuleCtx, RuleSet};

@@ -5,9 +5,9 @@
 //! analysis window (a [`RuleCtx`]) and returns zero or more [`Finding`]s.
 //! The nine paper rules (§4.4, Table 1) each live in their own submodule
 //! and are registered by [`RuleSet::paper`]; deployments extend the
-//! registry with [`RuleSet::with_rule`], silence individual rules with
-//! [`RuleSet::disable`], and re-threshold a single rule with
-//! [`RuleSet::override_thresholds`] — without touching the others.
+//! registry with [`RuleSet::with_rule`] and silence individual rules with
+//! [`RuleSet::disable`] (the CLI's `--disable`). Every rule evaluates
+//! against the one analysis-wide [`Thresholds`] set.
 //!
 //! The engine is streaming-first: built-in rules read only the
 //! pre-aggregated inputs ([`Metrics`], the activity-type histogram), so a
@@ -30,7 +30,7 @@ use crate::log::BlockchainLog;
 use crate::metrics::Metrics;
 use crate::recommend::{ActivityTypeHistogram, Level, Recommendation, Thresholds};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -43,7 +43,7 @@ pub struct RuleCtx<'a> {
     /// The derived metrics (§4.3) — the primary input; everything here is
     /// O(state).
     pub metrics: &'a Metrics,
-    /// The thresholds to evaluate against (possibly a per-rule override).
+    /// The analysis-wide thresholds every rule evaluates against.
     pub thresholds: &'a Thresholds,
     /// Per-activity transaction-type histogram (pruning's input).
     pub type_hist: &'a ActivityTypeHistogram,
@@ -96,8 +96,9 @@ impl Finding {
 /// Implementations must be cheap to call and side-effect free: a streaming
 /// session re-evaluates every enabled rule on each snapshot.
 pub trait Rule: fmt::Debug + Send + Sync {
-    /// Stable identifier, used for enable/disable and threshold overrides
-    /// (the paper rules use kebab-case names, e.g. `activity-reordering`).
+    /// Stable identifier, used to disable the rule and to attribute its
+    /// findings (the paper rules use kebab-case names, e.g.
+    /// `activity-reordering`).
     fn id(&self) -> &str;
 
     /// The abstraction level this rule diagnoses at.
@@ -116,7 +117,6 @@ pub trait Rule: fmt::Debug + Send + Sync {
 pub struct RuleSet {
     rules: Vec<Arc<dyn Rule>>,
     disabled: BTreeSet<String>,
-    overrides: BTreeMap<String, Thresholds>,
 }
 
 impl Default for RuleSet {
@@ -131,7 +131,6 @@ impl RuleSet {
         RuleSet {
             rules: Vec::new(),
             disabled: BTreeSet::new(),
-            overrides: BTreeMap::new(),
         }
     }
 
@@ -171,32 +170,10 @@ impl RuleSet {
         self.disabled.insert(id.to_string());
     }
 
-    /// Re-enable a disabled rule.
-    pub fn enable(&mut self, id: &str) {
-        self.disabled.remove(id);
-    }
-
     /// Builder-style [`disable`](Self::disable).
     pub fn without(mut self, id: &str) -> RuleSet {
         self.disable(id);
         self
-    }
-
-    /// Evaluate `id` against its own thresholds instead of the analysis-wide
-    /// set (e.g. a stricter `reorder_share` for one deployment).
-    pub fn override_thresholds(&mut self, id: &str, thresholds: Thresholds) {
-        self.overrides.insert(id.to_string(), thresholds);
-    }
-
-    /// Builder-style [`override_thresholds`](Self::override_thresholds).
-    pub fn with_thresholds_for(mut self, id: &str, thresholds: Thresholds) -> RuleSet {
-        self.override_thresholds(id, thresholds);
-        self
-    }
-
-    /// Whether `id` is registered and enabled.
-    pub fn is_enabled(&self, id: &str) -> bool {
-        !self.disabled.contains(id) && self.rules.iter().any(|r| r.id() == id)
     }
 
     /// Ids of all registered rules, in registration order (including
@@ -220,15 +197,8 @@ impl RuleSet {
     pub fn evaluate(&self, ctx: &RuleCtx<'_>) -> Vec<Finding> {
         let mut out = Vec::new();
         for rule in &self.rules {
-            if self.disabled.contains(rule.id()) {
-                continue;
-            }
-            match self.overrides.get(rule.id()) {
-                Some(thresholds) => {
-                    let scoped = RuleCtx { thresholds, ..*ctx };
-                    out.extend(rule.detect(&scoped));
-                }
-                None => out.extend(rule.detect(ctx)),
+            if !self.disabled.contains(rule.id()) {
+                out.extend(rule.detect(ctx));
             }
         }
         out.sort_by(|a, b| {
@@ -350,42 +320,14 @@ mod tests {
             type_hist: &hist,
             log: None,
         };
-        let rules = RuleSet::paper().without("transaction-rate-control");
-        assert!(!rules.is_enabled("transaction-rate-control"));
-        assert!(rules.is_enabled("activity-reordering"));
-        let findings = rules.evaluate(&ctx);
-        assert!(!findings
-            .iter()
-            .any(|f| f.rule == "transaction-rate-control"));
-        // Re-enabling restores it.
-        let mut rules = rules;
-        rules.enable("transaction-rate-control");
-        assert!(rules
-            .evaluate(&ctx)
-            .iter()
-            .any(|f| f.rule == "transaction-rate-control"));
-    }
-
-    #[test]
-    fn per_rule_threshold_overrides_apply_to_that_rule_only() {
-        let log = failing_log();
-        let (metrics, hist) = ctx_parts(&log);
-        // Analysis-wide thresholds too strict for the 20 tx/s log…
-        let strict = Thresholds::default();
-        let ctx = RuleCtx {
-            metrics: &metrics,
-            thresholds: &strict,
-            type_hist: &hist,
-            log: None,
-        };
         assert!(RuleSet::paper()
             .evaluate(&ctx)
             .iter()
-            .all(|f| f.rule != "transaction-rate-control"));
-        // …but a per-rule override re-thresholds just rate control.
-        let rules = RuleSet::paper().with_thresholds_for("transaction-rate-control", lenient());
+            .any(|f| f.rule == "transaction-rate-control"));
+        let rules = RuleSet::paper().without("transaction-rate-control");
+        assert_eq!(rules.len(), 9, "disabled rules stay registered");
         let findings = rules.evaluate(&ctx);
-        assert!(findings
+        assert!(!findings
             .iter()
             .any(|f| f.rule == "transaction-rate-control"));
     }
@@ -433,7 +375,7 @@ mod tests {
         };
         assert!(RuleSet::empty().is_empty());
         assert!(RuleSet::empty().evaluate(&ctx).is_empty());
-        assert!(!RuleSet::empty().is_enabled("activity-reordering"));
+        assert!(RuleSet::empty().ids().is_empty());
     }
 
     #[test]

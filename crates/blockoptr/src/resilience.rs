@@ -8,15 +8,16 @@
 //! budgets that run dry, backoff schedules that hammer a congested network
 //! — and the evidence for them lives in the run's
 //! [`Degradation`](fabric_sim::report::Degradation) section, not in the
-//! committed-transaction log. This module mirrors the rule-registry shape
-//! for that family:
+//! committed-transaction log. This module is that family's one fixed
+//! catalogue:
 //!
-//! * [`ResilienceRule`] is a stateless detector over a
-//!   [`ResilienceCtx`] (the simulation report, the client's current
-//!   [`RetryPolicy`], the network configuration);
-//! * [`ResilienceRuleSet::paper`] registers the built-in catalogue:
-//!   retry-budget tuning, endorsement-policy relaxation under sustained
-//!   outage, and backoff widening under timeout storms;
+//! * each rule is a private function over a [`ResilienceCtx`] (the
+//!   simulation report, the client's current [`RetryPolicy`], the network
+//!   configuration);
+//! * [`ResilienceRuleSet::paper`]'s [`evaluate`](ResilienceRuleSet::evaluate)
+//!   runs them in escalation order: retry-budget tuning, backoff widening
+//!   under timeout storms, then endorsement-policy relaxation under
+//!   sustained outage;
 //! * each firing lowers directly to a [`PlannedAction`] (a typed
 //!   [`Action`]), so
 //!   [`OptimizationPlan::from_spec`](crate::plan::OptimizationPlan::from_spec)
@@ -28,8 +29,6 @@ use crate::plan::PlannedAction;
 use fabric_sim::config::NetworkConfig;
 use fabric_sim::fault::{RetryPolicy, NO_ENDORSEMENT_REASON, RETRY_EXHAUSTED_REASON};
 use fabric_sim::report::SimReport;
-use std::fmt;
-use std::sync::Arc;
 use workload::scenario::MAX_RETRY_ATTEMPTS;
 
 /// Everything a resilience rule may look at for one measured run.
@@ -44,78 +43,30 @@ pub struct ResilienceCtx<'a> {
     pub config: &'a NetworkConfig,
 }
 
-/// A stateless detector over one run's degradation evidence. Fires at most
-/// one action per evaluation (resilience knobs are scalar; there is no
-/// per-activity fan-out like the log rules have).
-pub trait ResilienceRule: fmt::Debug + Send + Sync {
-    /// Stable kebab-case identifier.
-    fn id(&self) -> &str;
+/// The built-in resilience catalogue. Each rule is a stateless detector
+/// over one run's degradation evidence and fires at most one action
+/// (resilience knobs are scalar; there is no per-activity fan-out like the
+/// log rules have).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ResilienceRuleSet;
 
-    /// Evaluate against one run; `None` when the evidence is absent.
-    fn detect(&self, ctx: &ResilienceCtx<'_>) -> Option<PlannedAction>;
-}
-
-/// An ordered registry of [`ResilienceRule`]s, mirroring
-/// [`RuleSet`](crate::recommend::rules::RuleSet): `Default` is the
-/// built-in catalogue, rules are `Arc`-shared so cloning is cheap, and
-/// registering an existing id replaces in place.
-#[derive(Debug, Clone)]
-pub struct ResilienceRuleSet {
-    rules: Vec<Arc<dyn ResilienceRule>>,
-}
-
-impl Default for ResilienceRuleSet {
-    fn default() -> Self {
-        ResilienceRuleSet::paper()
-    }
-}
+/// The catalogue's rules, in escalation order.
+const RULES: [fn(&ResilienceCtx<'_>) -> Option<PlannedAction>; 3] =
+    [retry_budget, backoff_widening, endorsement_relaxation];
 
 impl ResilienceRuleSet {
-    /// A registry with no rules.
-    pub fn empty() -> ResilienceRuleSet {
-        ResilienceRuleSet { rules: Vec::new() }
-    }
-
     /// The built-in resilience catalogue, in escalation order: first make
-    /// the client retry enough ([`RetryBudget`]), then stop it from
-    /// retrying too *hot* ([`BackoffWidening`]), and only then weaken the
-    /// endorsement policy itself ([`EndorsementRelaxation`]) — the one
+    /// the client retry enough (retry-budget tuning), then stop it from
+    /// retrying too *hot* (backoff widening), and only then weaken the
+    /// endorsement policy itself (endorsement-policy relaxation) — the one
     /// action that trades integrity margin for availability.
     pub fn paper() -> ResilienceRuleSet {
-        ResilienceRuleSet::empty()
-            .with_rule(Arc::new(RetryBudget))
-            .with_rule(Arc::new(BackoffWidening))
-            .with_rule(Arc::new(EndorsementRelaxation))
+        ResilienceRuleSet
     }
 
-    /// Register a rule (builder style). A rule with the same id replaces
-    /// the existing one, keeping its position.
-    pub fn with_rule(mut self, rule: Arc<dyn ResilienceRule>) -> ResilienceRuleSet {
-        match self.rules.iter_mut().find(|r| r.id() == rule.id()) {
-            Some(slot) => *slot = rule,
-            None => self.rules.push(rule),
-        }
-        self
-    }
-
-    /// Ids of all registered rules, in registration order.
-    pub fn ids(&self) -> Vec<&str> {
-        self.rules.iter().map(|r| r.id()).collect()
-    }
-
-    /// Number of registered rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether the registry has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// Run every rule and collect the fired actions in registration order.
+    /// Run every rule and collect the fired actions in escalation order.
     pub fn evaluate(&self, ctx: &ResilienceCtx<'_>) -> Vec<PlannedAction> {
-        self.rules.iter().filter_map(|r| r.detect(ctx)).collect()
+        RULES.iter().filter_map(|rule| rule(ctx)).collect()
     }
 }
 
@@ -126,6 +77,10 @@ fn abort_share(report: &SimReport, reason: &str) -> f64 {
     }
     *report.early_abort_reasons.get(reason).unwrap_or(&0) as f64 / report.requests as f64
 }
+
+/// Minimum share of requests lost to unanswered endorsements before
+/// retry-budget tuning arms a timeout on a wait-forever client.
+const NO_RESULT_SHARE: f64 = 0.01;
 
 /// **Retry-budget tuning.** Two shapes of under-provisioned client:
 ///
@@ -138,103 +93,85 @@ fn abort_share(report: &SimReport, reason: &str) -> f64 {
 ///   — double the attempt cap, saturating at [`MAX_RETRY_ATTEMPTS`] so
 ///   the tuned spec still validates; a client already at the cap gets no
 ///   action.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryBudget;
-
-/// Minimum share of requests lost to unanswered endorsements before the
-/// rule arms a timeout on a wait-forever client.
-const NO_RESULT_SHARE: f64 = 0.01;
-
-impl ResilienceRule for RetryBudget {
-    fn id(&self) -> &str {
-        "retry-budget"
-    }
-
-    fn detect(&self, ctx: &ResilienceCtx<'_>) -> Option<PlannedAction> {
-        let deg = &ctx.report.degradation;
-        let change = if ctx.retry.endorse_timeout.is_none() {
-            if abort_share(ctx.report, NO_ENDORSEMENT_REASON) < NO_RESULT_SHARE {
-                return None;
-            }
-            // A wait-forever client under an outage: give it a timeout
-            // roughly one order above the healthy endorse round-trip and a
-            // modest budget to ride out short windows.
-            RetryChange {
-                endorse_timeout: Some(1.0),
-                max_attempts: Some(4),
-                backoff_base: Some(0.25),
-                backoff_multiplier: None,
-            }
-        } else if deg.retry_exhausted > 0 {
-            let doubled = ctx
-                .retry
-                .max_attempts
-                .max(1)
-                .saturating_mul(2)
-                .min(MAX_RETRY_ATTEMPTS);
-            if doubled <= ctx.retry.max_attempts {
-                // Already at the cap: the action would change nothing.
-                return None;
-            }
-            RetryChange {
-                endorse_timeout: None,
-                max_attempts: Some(doubled),
-                backoff_base: None,
-                backoff_multiplier: None,
-            }
-        } else {
+fn retry_budget(ctx: &ResilienceCtx<'_>) -> Option<PlannedAction> {
+    let deg = &ctx.report.degradation;
+    let change = if ctx.retry.endorse_timeout.is_none() {
+        if abort_share(ctx.report, NO_ENDORSEMENT_REASON) < NO_RESULT_SHARE {
             return None;
-        };
-        Some(PlannedAction {
-            source: "Retry budget tuning".to_string(),
-            action: Action::TuneRetry(change),
-        })
-    }
+        }
+        // A wait-forever client under an outage: give it a timeout
+        // roughly one order above the healthy endorse round-trip and a
+        // modest budget to ride out short windows.
+        RetryChange {
+            endorse_timeout: Some(1.0),
+            max_attempts: Some(4),
+            backoff_base: Some(0.25),
+            backoff_multiplier: None,
+        }
+    } else if deg.retry_exhausted > 0 {
+        let doubled = ctx
+            .retry
+            .max_attempts
+            .max(1)
+            .saturating_mul(2)
+            .min(MAX_RETRY_ATTEMPTS);
+        if doubled <= ctx.retry.max_attempts {
+            // Already at the cap: the action would change nothing.
+            return None;
+        }
+        RetryChange {
+            endorse_timeout: None,
+            max_attempts: Some(doubled),
+            backoff_base: None,
+            backoff_multiplier: None,
+        }
+    } else {
+        return None;
+    };
+    Some(PlannedAction {
+        source: "Retry budget tuning".to_string(),
+        action: Action::TuneRetry(change),
+    })
 }
+
+/// Timeouts-per-request ratio that counts as a storm.
+const STORM_RATIO: f64 = 0.5;
 
 /// **Backoff widening.** A timeout storm — timed-out fan-outs rivalling
 /// the committed volume — while the backoff schedule is still tight means
 /// retries re-enter the same congested or dead window they just timed out
 /// of. Widen the schedule: raise the base toward the timeout itself and
 /// ensure exponential growth.
-#[derive(Debug, Clone, Copy)]
-pub struct BackoffWidening;
-
-/// Timeouts-per-request ratio that counts as a storm.
-const STORM_RATIO: f64 = 0.5;
-
-impl ResilienceRule for BackoffWidening {
-    fn id(&self) -> &str {
-        "backoff-widening"
+fn backoff_widening(ctx: &ResilienceCtx<'_>) -> Option<PlannedAction> {
+    let deg = &ctx.report.degradation;
+    if ctx.report.requests == 0 || ctx.retry.endorse_timeout.is_none() {
+        return None;
     }
-
-    fn detect(&self, ctx: &ResilienceCtx<'_>) -> Option<PlannedAction> {
-        let deg = &ctx.report.degradation;
-        if ctx.report.requests == 0 || ctx.retry.endorse_timeout.is_none() {
-            return None;
-        }
-        let ratio = deg.timeouts as f64 / ctx.report.requests as f64;
-        if ratio < STORM_RATIO {
-            return None;
-        }
-        let timeout = ctx.retry.endorse_timeout.unwrap_or(1.0);
-        let widened_base = (ctx.retry.backoff_base * 2.0).max(timeout / 2.0);
-        let already_wide =
-            ctx.retry.backoff_base >= widened_base && ctx.retry.backoff_multiplier >= 2.0;
-        if already_wide {
-            return None;
-        }
-        Some(PlannedAction {
-            source: "Backoff widening".to_string(),
-            action: Action::TuneRetry(RetryChange {
-                endorse_timeout: None,
-                max_attempts: None,
-                backoff_base: Some(widened_base),
-                backoff_multiplier: Some(ctx.retry.backoff_multiplier.max(2.0)),
-            }),
-        })
+    let ratio = deg.timeouts as f64 / ctx.report.requests as f64;
+    if ratio < STORM_RATIO {
+        return None;
     }
+    let timeout = ctx.retry.endorse_timeout.unwrap_or(1.0);
+    let widened_base = (ctx.retry.backoff_base * 2.0).max(timeout / 2.0);
+    let already_wide =
+        ctx.retry.backoff_base >= widened_base && ctx.retry.backoff_multiplier >= 2.0;
+    if already_wide {
+        return None;
+    }
+    Some(PlannedAction {
+        source: "Backoff widening".to_string(),
+        action: Action::TuneRetry(RetryChange {
+            endorse_timeout: None,
+            max_attempts: None,
+            backoff_base: Some(widened_base),
+            backoff_multiplier: Some(ctx.retry.backoff_multiplier.max(2.0)),
+        }),
+    })
 }
+
+/// In-window success rate (percent) below which an outage window counts as
+/// a sustained availability failure.
+const SUSTAINED_OUTAGE_PCT: f64 = 50.0;
 
 /// **Endorsement-policy relaxation.** When a fault window shows a
 /// *sustained* outage — an outage window whose in-window success rate
@@ -243,40 +180,27 @@ impl ResilienceRule for BackoffWidening {
 /// shrinks the set of peers whose death can strand a transaction.
 /// Deliberately last in the catalogue: it trades integrity margin for
 /// availability (paper §2.1's trust assumption weakens by one org).
-#[derive(Debug, Clone, Copy)]
-pub struct EndorsementRelaxation;
-
-/// In-window success rate (percent) below which an outage window counts as
-/// a sustained availability failure.
-const SUSTAINED_OUTAGE_PCT: f64 = 50.0;
-
-impl ResilienceRule for EndorsementRelaxation {
-    fn id(&self) -> &str {
-        "endorsement-relaxation"
+fn endorsement_relaxation(ctx: &ResilienceCtx<'_>) -> Option<PlannedAction> {
+    if ctx.config.endorsement_policy.min_endorsers() <= 1 {
+        return None;
     }
-
-    fn detect(&self, ctx: &ResilienceCtx<'_>) -> Option<PlannedAction> {
-        if ctx.config.endorsement_policy.min_endorsers() <= 1 {
-            return None;
-        }
-        let deg = &ctx.report.degradation;
-        let sustained_window = deg.windows.iter().any(|w| {
-            w.label.starts_with("outage")
-                && w.submitted > 0
-                && w.success_rate_pct < SUSTAINED_OUTAGE_PCT
-        });
-        // A drained retry budget is the same evidence when the client
-        // *did* retry: the outage outlasted every attempt.
-        let budget_drained =
-            deg.retry_exhausted > 0 || abort_share(ctx.report, RETRY_EXHAUSTED_REASON) > 0.0;
-        if !sustained_window && !budget_drained {
-            return None;
-        }
-        Some(PlannedAction {
-            source: "Endorsement policy relaxation".to_string(),
-            action: Action::ReconfigureNetwork(NetworkChange::RelaxEndorsementPolicy),
-        })
+    let deg = &ctx.report.degradation;
+    let sustained_window = deg.windows.iter().any(|w| {
+        w.label.starts_with("outage")
+            && w.submitted > 0
+            && w.success_rate_pct < SUSTAINED_OUTAGE_PCT
+    });
+    // A drained retry budget is the same evidence when the client
+    // *did* retry: the outage outlasted every attempt.
+    let budget_drained =
+        deg.retry_exhausted > 0 || abort_share(ctx.report, RETRY_EXHAUSTED_REASON) > 0.0;
+    if !sustained_window && !budget_drained {
+        return None;
     }
+    Some(PlannedAction {
+        source: "Endorsement policy relaxation".to_string(),
+        action: Action::ReconfigureNetwork(NetworkChange::RelaxEndorsementPolicy),
+    })
 }
 
 #[cfg(test)]
@@ -299,15 +223,42 @@ mod tests {
         r
     }
 
+    /// A drained budget under a timeout storm with a tight backoff fires
+    /// all three rules, reported in escalation order.
     #[test]
     fn paper_catalogue_registers_three_rules_in_escalation_order() {
-        let rules = ResilienceRuleSet::paper();
-        assert_eq!(
-            rules.ids(),
-            vec!["retry-budget", "backoff-widening", "endorsement-relaxation"]
+        let report = report_with(
+            100,
+            Degradation {
+                retries: 60,
+                timeouts: 80,
+                retry_exhausted: 5,
+                ..Degradation::default()
+            },
         );
-        assert_eq!(rules.len(), 3);
-        assert!(!rules.is_empty());
+        let retry = RetryPolicy {
+            endorse_timeout: Some(1.0),
+            max_attempts: 4,
+            backoff_base: 0.05,
+            backoff_multiplier: 1.0,
+            jitter: 0.0,
+        };
+        let config = NetworkConfig::default();
+        let ctx = ResilienceCtx {
+            report: &report,
+            retry: &retry,
+            config: &config,
+        };
+        let fired = ResilienceRuleSet::paper().evaluate(&ctx);
+        let sources: Vec<&str> = fired.iter().map(|a| a.source.as_str()).collect();
+        assert_eq!(
+            sources,
+            [
+                "Retry budget tuning",
+                "Backoff widening",
+                "Endorsement policy relaxation"
+            ]
+        );
     }
 
     #[test]
@@ -501,22 +452,5 @@ mod tests {
             config: &weak,
         };
         assert!(ResilienceRuleSet::paper().evaluate(&ctx).is_empty());
-    }
-
-    #[test]
-    fn custom_rule_replaces_by_id() {
-        #[derive(Debug)]
-        struct Quiet;
-        impl ResilienceRule for Quiet {
-            fn id(&self) -> &str {
-                "retry-budget"
-            }
-            fn detect(&self, _: &ResilienceCtx<'_>) -> Option<PlannedAction> {
-                None
-            }
-        }
-        let rules = ResilienceRuleSet::paper().with_rule(Arc::new(Quiet));
-        assert_eq!(rules.len(), 3, "same id replaces in place");
-        assert_eq!(rules.ids()[0], "retry-budget");
     }
 }

@@ -93,9 +93,8 @@ pub enum AnalyzeError {
         /// The highest block number seen before it.
         after: u64,
     },
-    /// A rule id passed to [`Analyzer::disable_rule`] or
-    /// [`Analyzer::rule_thresholds`] matches no registered rule — almost
-    /// always a typo, which silently ignoring would hide.
+    /// A rule id passed to [`Analyzer::disable_rule`] matches no registered
+    /// rule — almost always a typo, which silently ignoring would hide.
     UnknownRule {
         /// The unrecognized id.
         id: String,
@@ -184,26 +183,12 @@ pub enum WindowPolicy {
     /// Keep records whose commit timestamp is within `SimDuration` of the
     /// newest commit ingested.
     LastDuration(sim_core::time::SimDuration),
-    /// Exponential-decay retention with the given half-life: a record is
-    /// kept while its decay weight `2^(-age / half_life)` stays above
-    /// 1/1024 (≈ 10 half-lives), then evicted. Within that horizon records
-    /// count fully — a step-function approximation of the decay curve that
-    /// keeps every integer metric exact while still forgetting old
-    /// behaviour on the half-life's timescale.
-    ExponentialDecay {
-        /// The half-life of a record's influence.
-        half_life: sim_core::time::SimDuration,
-    },
 }
 
 impl WindowPolicy {
-    /// Half-lives after which [`ExponentialDecay`](Self::ExponentialDecay)
-    /// evicts (2⁻¹⁰ < 0.1 % residual weight).
-    pub const DECAY_HORIZON_HALF_LIVES: u32 = 10;
-
     /// Parse a policy from its CLI/env spelling:
-    /// `unbounded`, `last-blocks:N`, `last-secs:S`, or `half-life:S`
-    /// (`S` in seconds, fractions allowed).
+    /// `unbounded`, `last-blocks:N`, or `last-secs:S` (`S` in seconds,
+    /// fractions allowed).
     pub fn parse(spec: &str) -> Result<WindowPolicy, String> {
         let secs = |v: &str| -> Result<sim_core::time::SimDuration, String> {
             v.parse::<f64>()
@@ -221,9 +206,8 @@ impl WindowPolicy {
                 .map(WindowPolicy::LastBlocks)
                 .ok_or_else(|| format!("last-blocks needs a positive block count, got {n:?}")),
             Some(("last-secs", v)) => Ok(WindowPolicy::LastDuration(secs(v)?)),
-            Some(("half-life", v)) => Ok(WindowPolicy::ExponentialDecay { half_life: secs(v)? }),
             _ => Err(format!(
-                "unknown window policy {spec:?} (expected unbounded, last-blocks:N, last-secs:S, or half-life:S)"
+                "unknown window policy {spec:?} (expected unbounded, last-blocks:N, or last-secs:S)"
             )),
         }
     }
@@ -271,9 +255,6 @@ impl fmt::Display for WindowPolicy {
             WindowPolicy::Unbounded => f.write_str("unbounded"),
             WindowPolicy::LastBlocks(n) => write!(f, "last-blocks:{n}"),
             WindowPolicy::LastDuration(d) => write!(f, "last-secs:{}", d.as_secs_f64()),
-            WindowPolicy::ExponentialDecay { half_life } => {
-                write!(f, "half-life:{}", half_life.as_secs_f64())
-            }
         }
     }
 }
@@ -356,37 +337,14 @@ impl Analyzer {
     /// nothing. Configure the registry ([`Analyzer::rules`]) *before*
     /// disabling custom rules.
     pub fn disable_rule(mut self, id: &str) -> Result<Self, AnalyzeError> {
-        self.lint_rule_id(id)?;
-        self.rules.disable(id);
-        Ok(self)
-    }
-
-    /// Evaluate one rule against its own thresholds instead of the
-    /// analysis-wide set (see
-    /// [`RuleSet::override_thresholds`](crate::recommend::rules::RuleSet::override_thresholds)).
-    ///
-    /// The id is linted like [`disable_rule`](Self::disable_rule):
-    /// unknown ids return [`AnalyzeError::UnknownRule`].
-    pub fn rule_thresholds(
-        mut self,
-        id: &str,
-        thresholds: Thresholds,
-    ) -> Result<Self, AnalyzeError> {
-        self.lint_rule_id(id)?;
-        self.rules.override_thresholds(id, thresholds);
-        Ok(self)
-    }
-
-    /// Error unless `id` names a rule registered on this analyzer.
-    fn lint_rule_id(&self, id: &str) -> Result<(), AnalyzeError> {
-        if self.rules.ids().contains(&id) {
-            Ok(())
-        } else {
-            Err(AnalyzeError::UnknownRule {
+        if !self.rules.ids().contains(&id) {
+            return Err(AnalyzeError::UnknownRule {
                 id: id.to_string(),
                 known: self.rules.ids().iter().map(|s| s.to_string()).collect(),
-            })
+            });
         }
+        self.rules.disable(id);
+        Ok(self)
     }
 
     /// Accepted and ignored; kept because the benchmark package calls it.
@@ -932,9 +890,6 @@ impl Trackers {
                 }
             }
             WindowPolicy::LastDuration(d) => horizon(d),
-            WindowPolicy::ExponentialDecay { half_life } => {
-                horizon(half_life.mul(WindowPolicy::DECAY_HORIZON_HALF_LIVES as u64))
-            }
         }
     }
 
@@ -1661,18 +1616,8 @@ mod tests {
             other => panic!("expected UnknownRule, got {other:?}"),
         }
         assert!(err.to_string().contains("unknown rule id"));
-        // Threshold overrides lint the same way.
-        let err = Analyzer::new()
-            .rule_thresholds("not-a-rule", Thresholds::default())
-            .unwrap_err();
-        assert!(matches!(err, AnalyzeError::UnknownRule { .. }));
-        // Valid ids still work, including for custom registries configured
-        // first.
-        let tuned = Analyzer::new()
-            .disable_rule("activity-reordering")
-            .unwrap()
-            .rule_thresholds("block-size-adaptation", Thresholds::default())
-            .unwrap();
+        // Valid ids still work.
+        let tuned = Analyzer::new().disable_rule("activity-reordering").unwrap();
         let output = small_output();
         let analysis = tuned.analyze_ledger(&output.ledger).unwrap();
         assert!(analysis
@@ -2109,16 +2054,14 @@ mod tests {
         for r in session.log().records() {
             assert!(last.since(r.commit_ts) <= keep, "record older than window");
         }
-        // Decay with half-life h evicts at 10·h.
-        let half_life = sim_core::time::SimDuration::from_secs_f64(span / 40.0);
-        let mut decayed = Analyzer::new()
-            .window(WindowPolicy::ExponentialDecay { half_life })
-            .session()
-            .unwrap();
+        // A decay horizon of 10 half-lives `h` is spelled `last-secs:10h`.
+        let half_life = span / 40.0;
+        let policy = WindowPolicy::parse(&format!("last-secs:{}", 10.0 * half_life)).unwrap();
+        let mut decayed = Analyzer::new().window(policy).session().unwrap();
         for block in output.ledger.blocks() {
             decayed.ingest_block(block).unwrap();
         }
-        let horizon = half_life.mul(WindowPolicy::DECAY_HORIZON_HALF_LIVES as u64);
+        let horizon = sim_core::time::SimDuration::from_secs_f64(10.0 * half_life);
         for r in decayed.log().records() {
             assert!(last.since(r.commit_ts) <= horizon);
         }
@@ -2164,16 +2107,13 @@ mod tests {
         assert_eq!(unbounded.ingest_log(bad).unwrap(), 2);
     }
 
-    /// Regression: an empty first batch on a duration/decay-windowed
+    /// Regression: an empty first batch on a duration- or block-windowed
     /// session must be a no-op, not a panic on the missing last-commit
     /// anchor.
     #[test]
     fn empty_batches_on_windowed_sessions_are_noops() {
         for policy in [
             WindowPolicy::LastDuration(sim_core::time::SimDuration::from_secs(1)),
-            WindowPolicy::ExponentialDecay {
-                half_life: sim_core::time::SimDuration::from_secs(1),
-            },
             WindowPolicy::LastBlocks(2),
         ] {
             let mut session = Analyzer::new().window(policy).session().unwrap();
@@ -2202,14 +2142,12 @@ mod tests {
                 sim_core::time::SimDuration::from_secs_f64(2.5)
             ))
         );
-        assert!(matches!(
-            WindowPolicy::parse("half-life:60"),
-            Ok(WindowPolicy::ExponentialDecay { .. })
-        ));
         for bad in [
             "last-blocks:0",
             "last-secs:-1",
-            "half-life:x",
+            // Not a policy spelling: a 60 s half-life's 10-half-life
+            // horizon is `last-secs:600`.
+            "half-life:60",
             "bogus",
             "bogus:3",
         ] {

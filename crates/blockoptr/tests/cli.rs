@@ -410,6 +410,70 @@ fn optimize_rejects_a_block_timeout_past_the_phase_bound() {
     );
 }
 
+/// A zero byte budget per block panicked the simulator's block cutter
+/// (exit 101). Spec validation now rejects it (exit 1).
+#[test]
+fn optimize_rejects_a_zero_block_byte_budget() {
+    let dir = std::env::temp_dir().join("blockoptr_cli_zero_block_bytes");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("demo_spec.json");
+    let mut spec =
+        workload::ScenarioSpec::from_json(include_str!("../../../examples/demo_spec.json"))
+            .unwrap();
+    spec.network.block_bytes = 0;
+    std::fs::write(&path, spec.to_json()).unwrap();
+    let out = blockoptr(&["optimize", "--spec", path.to_str().unwrap(), "--dry-run"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("bad spec parameter network.block_bytes: must be at least 1"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+/// A run whose blocks all commit at its first send instant has a
+/// zero-length measurement window, which used to be floored at 1 ns and
+/// printed as 5·10⁹ tx/s. A zero window has no rate: it reads 0.
+#[test]
+fn optimize_reports_no_rate_for_a_zero_window() {
+    let path = frozen_builtin("synthetic", "5", "zero_window", |spec| {
+        let workload::WorkloadSpec::Schedule(schedule) = &mut spec.workload else {
+            panic!("expected a frozen schedule");
+        };
+        let first = schedule.requests[0].send_time;
+        for r in &mut schedule.requests {
+            r.send_time = first;
+        }
+        let zero = sim_core::time::SimDuration::ZERO;
+        spec.network.resources = fabric_sim::config::ResourceProfile {
+            client_per_tx: zero,
+            net_delay: zero,
+            endorse_exec_base: zero,
+            endorse_exec_per_access: zero,
+            order_block_fixed: zero,
+            order_per_tx: zero,
+            raft_delay: zero,
+            validate_block_fixed: zero,
+            validate_per_tx: zero,
+            validate_per_item: zero,
+            validate_per_endorsement: zero,
+        };
+        spec.network.block_count = 5;
+    });
+    let out = blockoptr(&["optimize", "--spec", &path]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("tput=    0.0 tps"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(
+        stdout(&out).contains("baseline: success 100.0 %, 0.0 tx/s"),
+        "{}",
+        stdout(&out)
+    );
+}
+
 /// A drained retry budget at ×2 grows the backoff as 0.05 · 2ᵏ s, past the
 /// clock's range by the 50th attempt: the debug build panicked adding it to
 /// the current time, and the release build wrapped it into a log spanning

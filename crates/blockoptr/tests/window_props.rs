@@ -119,15 +119,6 @@ fn retained_suffix(log: &BlockchainLog, policy: WindowPolicy) -> BlockchainLog {
                 .cloned()
                 .collect()
         }
-        WindowPolicy::ExponentialDecay { half_life } => {
-            let horizon = half_life.mul(WindowPolicy::DECAY_HORIZON_HALF_LIVES as u64);
-            let last = records.iter().map(|r| r.commit_ts).max().unwrap();
-            records
-                .iter()
-                .filter(|r| last.since(r.commit_ts) <= horizon)
-                .cloned()
-                .collect()
-        }
     };
     let blocks: std::collections::BTreeSet<u64> = keep.iter().map(|r| r.block).collect();
     let count = blocks.len();

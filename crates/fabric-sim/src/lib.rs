@@ -40,7 +40,6 @@ pub mod fault;
 pub mod ledger;
 pub mod orderer;
 pub mod policy;
-pub mod policy_parse;
 pub mod report;
 pub mod rwset;
 pub mod scheduler;
@@ -57,7 +56,6 @@ pub use fault::{
 };
 pub use ledger::{Block, CutReason, Ledger, TransactionEnvelope, TxStatus};
 pub use policy::EndorsementPolicy;
-pub use policy_parse::parse_policy;
 pub use report::{Degradation, FaultWindowStats, SimReport};
 pub use rwset::{RangeRead, ReadItem, ReadWriteSet, Version, WriteItem};
 pub use sim::{Simulation, TxRequest};

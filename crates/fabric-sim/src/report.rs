@@ -195,9 +195,12 @@ impl ReportFold {
     /// The report of the folded blocks. `first_send` anchors the
     /// measurement window; utilization and fleet fields are left for the
     /// simulation driver to fill in.
+    ///
+    /// A zero-length window (every block committed at the first send
+    /// instant, or none committed) has no rate: its throughput reads 0.
     pub(crate) fn finish(self, requests: usize, first_send: SimTime) -> SimReport {
         let last_commit = self.last_commit.unwrap_or(first_send);
-        let duration_s = last_commit.since(first_send).as_secs_f64().max(1e-9);
+        let duration_s = last_commit.since(first_send).as_secs_f64();
         let latency = self.latency_sketch.summary();
         let cut_reasons = CUT_REASONS
             .iter()
@@ -218,7 +221,11 @@ impl ReportFold {
             phantom_conflicts: self.phantom_conflicts,
             endorsement_failures: self.endorsement_failures,
             duration_s,
-            success_throughput: successes as f64 / duration_s,
+            success_throughput: if duration_s > 0.0 {
+                successes as f64 / duration_s
+            } else {
+                0.0
+            },
             avg_latency_s: latency.mean,
             latency,
             latency_sketch: self.latency_sketch,
@@ -438,6 +445,19 @@ mod tests {
         // 1 success over 1.0 s (commit_ts of the block).
         assert!((r.success_throughput - 1.0).abs() < 1e-6);
         assert!((r.duration_s - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_window_has_no_rate() {
+        // The only block commits at the first send instant.
+        let l = ledger_with(&[(TxStatus::Success, 100), (TxStatus::Success, 200)]);
+        let r = SimReport::from_ledger(&l, 2, SimTime::from_millis(1000));
+        assert_eq!(r.successes, 2);
+        assert_eq!(r.duration_s, 0.0);
+        assert_eq!(r.success_throughput, 0.0);
+        // So does a run that commits nothing.
+        let r = SimReport::from_ledger(&Ledger::new(), 3, SimTime::ZERO);
+        assert_eq!((r.duration_s, r.success_throughput), (0.0, 0.0));
     }
 
     #[test]

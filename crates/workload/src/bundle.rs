@@ -7,16 +7,18 @@ use fabric_sim::report::SimReport;
 use fabric_sim::sim::{SimOutput, Simulation, TxRequest};
 use fabric_sim::types::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 /// A smart-contract-level optimization the paper implements by rewriting
 /// the chaincode (§4.5: these "need to be manually implemented by the
-/// user"). Workload generators that ship such prepared rewrites register
-/// them on their bundle ([`WorkloadBundle::with_variants`]), so the
-/// closed-loop plan executor can select them like the paper's authors
-/// selected their modified Go contracts.
+/// user"). A workload's variant table
+/// ([`WorkloadSpec::variant_table`](crate::scenario::WorkloadSpec::variant_table))
+/// lists the kinds it ships a prepared rewrite for, and
+/// [`ScenarioSpec::finish`](crate::scenario::ScenarioSpec::finish) installs
+/// that rewrite from the contract registry, so the closed-loop plan
+/// executor can select them like the paper's authors selected their
+/// modified Go contracts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum VariantKind {
     /// Process-model pruning: the contract early-aborts illogical flows.
@@ -41,29 +43,6 @@ impl fmt::Display for VariantKind {
     }
 }
 
-/// Maps a *set* of requested variants to a rewritten bundle. Receiving the
-/// whole set lets a workload implement combinations that are not naive
-/// compositions (DRM's partitioned + delta contract set, Figure 14).
-/// Returns `None` for combinations the workload has no rewrite for.
-pub type VariantResolver =
-    Arc<dyn Fn(&WorkloadBundle, &BTreeSet<VariantKind>) -> Option<WorkloadBundle> + Send + Sync>;
-
-/// The contract rewrites a workload ships: the kinds it supports and the
-/// resolver that builds them.
-#[derive(Clone, Default)]
-pub struct VariantTable {
-    supported: Vec<VariantKind>,
-    resolver: Option<VariantResolver>,
-}
-
-impl fmt::Debug for VariantTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("VariantTable")
-            .field("supported", &self.supported)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Contracts, genesis state, and the timestamped request schedule of one
 /// workload. Bundles are cheap to clone (contracts are shared).
 #[derive(Clone, Default)]
@@ -74,8 +53,6 @@ pub struct WorkloadBundle {
     pub genesis: Vec<(String, String, Value)>,
     /// The transaction schedule.
     pub requests: Vec<TxRequest>,
-    /// Prepared smart-contract rewrites (see [`VariantKind`]).
-    variants: VariantTable,
     /// Fault plan the run executes under (default: no faults).
     pub fault: FaultSpec,
     /// Client resilience policy (default: the legacy wait-forever client).
@@ -83,7 +60,7 @@ pub struct WorkloadBundle {
 }
 
 impl WorkloadBundle {
-    /// A bundle with no prepared contract variants.
+    /// A bundle with no fault plan and the legacy wait-forever client.
     pub fn new(
         contracts: Vec<Arc<dyn Contract>>,
         genesis: Vec<(String, String, Value)>,
@@ -93,57 +70,11 @@ impl WorkloadBundle {
             contracts,
             genesis,
             requests,
-            variants: VariantTable::default(),
             fault: FaultSpec::default(),
             retry: RetryPolicy::default(),
         }
     }
 
-    /// Register the contract variants this workload ships. `supported`
-    /// lists the kinds the resolver accepts individually; combinations are
-    /// the resolver's business ([`VariantResolver`]).
-    pub fn with_variants(mut self, supported: &[VariantKind], resolver: VariantResolver) -> Self {
-        self.variants = VariantTable {
-            supported: supported.to_vec(),
-            resolver: Some(resolver),
-        };
-        self
-    }
-
-    /// Register a single prepared rewrite — the common case for workloads
-    /// shipping exactly one contract variant. `rewrite` is invoked for the
-    /// one-element set `{kind}`; every other combination resolves to
-    /// `None`.
-    pub fn with_single_variant(
-        self,
-        kind: VariantKind,
-        rewrite: impl Fn(&WorkloadBundle) -> WorkloadBundle + Send + Sync + 'static,
-    ) -> Self {
-        let resolver: VariantResolver = Arc::new(move |bundle, kinds| {
-            if kinds.len() == 1 && kinds.contains(&kind) {
-                Some(rewrite(bundle))
-            } else {
-                None
-            }
-        });
-        self.with_variants(&[kind], resolver)
-    }
-
-    /// Build the bundle with the given contract variants applied. Returns
-    /// `None` when any requested kind (or the specific combination) has no
-    /// prepared rewrite — the caller should report the optimization as
-    /// requiring a manual contract change (paper §7). An empty set is the
-    /// identity.
-    pub fn apply_variants(&self, kinds: &BTreeSet<VariantKind>) -> Option<WorkloadBundle> {
-        if kinds.is_empty() {
-            return Some(self.clone());
-        }
-        if kinds.iter().any(|k| !self.variants.supported.contains(k)) {
-            return None;
-        }
-        let resolver = self.variants.resolver.clone()?;
-        resolver(self, kinds)
-    }
     /// Build a ready-to-run [`Simulation`] for `config`, carrying the
     /// bundle's fault plan and retry policy into the engine.
     pub fn simulation(&self, config: NetworkConfig) -> Simulation {
@@ -290,39 +221,5 @@ mod tests {
         let b = tiny_bundle().with_requests(vec![]);
         assert_eq!(b.offered_rate(), 0.0);
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn unregistered_variants_are_unsupported() {
-        let b = tiny_bundle();
-        let none: BTreeSet<VariantKind> = [VariantKind::Pruned].into_iter().collect();
-        assert!(b.apply_variants(&none).is_none());
-        // The empty set is the identity even without a resolver.
-        let same = b.apply_variants(&BTreeSet::new()).unwrap();
-        assert_eq!(same.len(), b.len());
-    }
-
-    #[test]
-    fn registered_variants_resolve_and_survive_request_rewrites() {
-        let b = tiny_bundle().with_variants(
-            &[VariantKind::Pruned],
-            Arc::new(|bundle: &WorkloadBundle, kinds: &BTreeSet<VariantKind>| {
-                if kinds.len() == 1 && kinds.contains(&VariantKind::Pruned) {
-                    Some(bundle.clone().with_requests(bundle.requests[..3].to_vec()))
-                } else {
-                    None
-                }
-            }),
-        );
-        // The table survives a schedule rewrite (with_requests keeps it).
-        let rewritten = b.clone().with_requests(b.requests[..5].to_vec());
-        let pruned: BTreeSet<VariantKind> = [VariantKind::Pruned].into_iter().collect();
-        let applied = rewritten.apply_variants(&pruned).unwrap();
-        assert_eq!(applied.len(), 3);
-        // An unsupported combination resolves to None.
-        let combo: BTreeSet<VariantKind> = [VariantKind::Pruned, VariantKind::Rekeyed]
-            .into_iter()
-            .collect();
-        assert!(rewritten.apply_variants(&combo).is_none());
     }
 }

@@ -5,15 +5,14 @@
 //! uniformly across `create`, `queryRightHolders`, `viewMetaData` and
 //! `calcRevenue` — exactly the mix the paper describes.
 
-use crate::bundle::{VariantKind, WorkloadBundle};
-use chaincode::{DrmContract, DrmDeltaContract, DrmMetaContract, DrmPlayContract};
+use crate::bundle::WorkloadBundle;
+use chaincode::{DrmContract, DrmMetaContract, DrmPlayContract};
 use fabric_sim::sim::TxRequest;
 use fabric_sim::types::{intern, OrgId, Value};
 use serde::{Deserialize, Serialize};
 use sim_core::dist::{DiscreteWeighted, Exponential, Zipf};
 use sim_core::rng::SimRng;
 use sim_core::time::{SimDuration, SimTime};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// DRM workload parameters.
@@ -110,38 +109,18 @@ pub fn generate(spec: &DrmSpec) -> WorkloadBundle {
         })
         .collect();
 
-    let variant_spec = spec.clone();
-    WorkloadBundle::new(vec![Arc::new(DrmContract)], genesis, requests).with_variants(
-        &[VariantKind::DeltaWrites, VariantKind::Partitioned],
-        Arc::new(
-            move |bundle: &WorkloadBundle, kinds: &BTreeSet<VariantKind>| match kinds
-                .iter()
-                .collect::<Vec<_>>()
-                .as_slice()
-            {
-                [VariantKind::DeltaWrites] => Some(delta_writes(bundle.clone())),
-                [VariantKind::Partitioned] => Some(partitioned(bundle.clone(), &variant_spec)),
-                [VariantKind::DeltaWrites, VariantKind::Partitioned] => {
-                    Some(partitioned_delta(bundle.clone(), &variant_spec))
-                }
-                _ => None,
-            },
-        ),
-    )
-}
-
-/// The delta-writes variant: same schedule, upgraded contract.
-pub fn delta_writes(bundle: WorkloadBundle) -> WorkloadBundle {
-    bundle.with_contracts(vec![Arc::new(DrmDeltaContract)])
+    WorkloadBundle::new(vec![Arc::new(DrmContract)], genesis, requests)
 }
 
 /// The partitioned variant: two chaincodes with separate namespaces;
-/// requests are re-routed by activity and genesis state is split.
+/// requests are re-routed by activity and genesis state is split. This is
+/// the schedule and genesis half of the rewrite;
+/// [`ScenarioSpec::finish`](crate::scenario::ScenarioSpec::finish) installs
+/// the registry's `drm-play` (or `drm-play:delta`) and `drm-meta` on it.
 pub fn partitioned(bundle: WorkloadBundle, spec: &DrmSpec) -> WorkloadBundle {
     let requests = bundle
         .requests
-        .iter()
-        .cloned()
+        .into_iter()
         .map(|mut r| {
             r.contract = match r.activity.as_ref() {
                 "play" | "calcRevenue" | "create" => intern(DrmPlayContract::NAME),
@@ -167,21 +146,6 @@ pub fn partitioned(bundle: WorkloadBundle, spec: &DrmSpec) -> WorkloadBundle {
         vec![Arc::new(DrmPlayContract), Arc::new(DrmMetaContract)],
         genesis,
         requests,
-    )
-}
-
-/// The Figure-14 "all optimizations" variant: partitioned chaincodes with
-/// delta-write play counting (reordering is applied separately on the
-/// schedule).
-pub fn partitioned_delta(bundle: WorkloadBundle, spec: &DrmSpec) -> WorkloadBundle {
-    let p = partitioned(bundle, spec);
-    WorkloadBundle::new(
-        vec![
-            std::sync::Arc::new(chaincode::DrmPlayDeltaContract),
-            std::sync::Arc::new(DrmMetaContract),
-        ],
-        p.genesis,
-        p.requests,
     )
 }
 
@@ -262,13 +226,5 @@ mod tests {
         }
         assert_eq!(p.contracts.len(), 2);
         assert_eq!(p.genesis.len(), spec.catalogue * 2, "split genesis");
-    }
-
-    #[test]
-    fn delta_variant_keeps_schedule() {
-        let b = generate(&DrmSpec::default());
-        let n = b.len();
-        let d = delta_writes(b);
-        assert_eq!(d.len(), n);
     }
 }

@@ -5,8 +5,8 @@
 //! Vote transactions at a rate of 300 TPS and finally 1 seeResults and
 //! endElection transaction each."
 
-use crate::bundle::{VariantKind, WorkloadBundle};
-use chaincode::{DvContract, DvPerVoterContract};
+use crate::bundle::WorkloadBundle;
+use chaincode::DvContract;
 use fabric_sim::sim::TxRequest;
 use fabric_sim::types::{intern, OrgId, Value};
 use serde::{Deserialize, Serialize};
@@ -148,13 +148,6 @@ fn generate_inner(spec: &DvSpec, rng: &mut SimRng) -> WorkloadBundle {
     ));
 
     WorkloadBundle::new(vec![Arc::new(DvContract)], genesis, requests)
-        .with_single_variant(VariantKind::Rekeyed, |bundle| per_voter(bundle.clone()))
-}
-
-/// The altered-data-model variant: voter-keyed ballots (same namespace, same
-/// schedule — only the contract changes).
-pub fn per_voter(bundle: WorkloadBundle) -> WorkloadBundle {
-    bundle.with_contracts(vec![Arc::new(DvPerVoterContract)])
 }
 
 #[cfg(test)]
@@ -222,14 +215,5 @@ mod tests {
         assert!(keys.contains(&"parties"));
         assert!(keys.contains(&"election"));
         assert_eq!(b.genesis.len(), 4 + 2);
-    }
-
-    #[test]
-    fn per_voter_swaps_contract_only() {
-        let b = generate(&DvSpec::default());
-        let n = b.len();
-        let alt = per_voter(b);
-        assert_eq!(alt.len(), n);
-        assert_eq!(alt.contracts[0].name(), "dv");
     }
 }

@@ -6,7 +6,7 @@
 //! configurable share of which are anomalous — revoking access that was
 //! never granted, the pruning target) and queries.
 
-use crate::bundle::{VariantKind, WorkloadBundle};
+use crate::bundle::WorkloadBundle;
 use chaincode::EhrContract;
 use fabric_sim::sim::TxRequest;
 use fabric_sim::types::{intern, OrgId, Value};
@@ -145,12 +145,6 @@ pub fn generate(spec: &EhrSpec) -> WorkloadBundle {
         .collect();
 
     WorkloadBundle::new(vec![Arc::new(EhrContract::base())], genesis, requests)
-        .with_single_variant(VariantKind::Pruned, |bundle| pruned(bundle.clone()))
-}
-
-/// The pruned variant: anomalous revokes abort during endorsement.
-pub fn pruned(bundle: WorkloadBundle) -> WorkloadBundle {
-    bundle.with_contracts(vec![Arc::new(EhrContract::pruned())])
 }
 
 /// Activities the reordering recommendation reschedules ("activity
@@ -225,13 +219,6 @@ mod tests {
     fn genesis_covers_all_patients() {
         let b = generate(&EhrSpec::default());
         assert_eq!(b.genesis.len(), EhrSpec::default().patients);
-    }
-
-    #[test]
-    fn pruned_keeps_schedule() {
-        let b = generate(&EhrSpec::default());
-        let n = b.len();
-        assert_eq!(pruned(b).len(), n);
     }
 
     #[test]

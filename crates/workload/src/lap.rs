@@ -18,8 +18,8 @@
 //!    model is fixed (the paper's post-optimization success stays below
 //!    100 %).
 
-use crate::bundle::{VariantKind, WorkloadBundle};
-use chaincode::{LapByApplicationContract, LapByEmployeeContract};
+use crate::bundle::WorkloadBundle;
+use chaincode::LapByEmployeeContract;
 use fabric_sim::sim::TxRequest;
 use fabric_sim::types::{intern, OrgId, Value};
 use serde::{Deserialize, Serialize};
@@ -190,14 +190,6 @@ pub fn generate(spec: &LapSpec) -> WorkloadBundle {
         .collect();
 
     WorkloadBundle::new(vec![Arc::new(LapByEmployeeContract)], Vec::new(), requests)
-        .with_single_variant(VariantKind::Rekeyed, |bundle| {
-            by_application(bundle.clone())
-        })
-}
-
-/// The altered-data-model variant: key = applicationID (same schedule).
-pub fn by_application(bundle: WorkloadBundle) -> WorkloadBundle {
-    bundle.with_contracts(vec![Arc::new(LapByApplicationContract)])
 }
 
 #[cfg(test)]
@@ -293,14 +285,6 @@ mod tests {
             }
             last_seen.insert(app, r.send_time);
         }
-    }
-
-    #[test]
-    fn by_application_swaps_contract() {
-        let b = generate(&small_spec());
-        let n = b.len();
-        let alt = by_application(b);
-        assert_eq!(alt.len(), n);
     }
 
     #[test]

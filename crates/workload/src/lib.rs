@@ -34,7 +34,7 @@ pub mod scm;
 pub mod spec;
 pub mod synthetic;
 
-pub use bundle::{VariantKind, VariantResolver, WorkloadBundle};
+pub use bundle::{VariantKind, WorkloadBundle};
 pub use fabric_sim::fault::{
     DropSpec, FaultSpec, LatencySpike, OutageWindow, RetryPolicy, StallWindow,
 };

@@ -14,7 +14,9 @@
 //!   rate control) applied after generation and arrival re-stamping, so an
 //!   optimized configuration is expressible as data;
 //! * the **variants** — the prepared contract rewrites to install
-//!   ([`VariantKind`]), resolved through the workload's variant table;
+//!   ([`VariantKind`]), drawn from the workload's variant table
+//!   ([`WorkloadSpec::variant_table`]) and installed from the contract
+//!   registry;
 //! * the **arrival process** — how requests enter the network
 //!   ([`ArrivalSpec`]): the schedule's own closed-loop timestamps
 //!   (default), or an open-loop Poisson / uniform re-stamping;
@@ -76,8 +78,9 @@ pub enum SpecError {
         /// What the domain is and what arrived instead.
         message: String,
     },
-    /// The spec selects a contract variant the workload ships no prepared
-    /// rewrite for (or a combination its variant table cannot resolve).
+    /// The spec selects a contract variant outside its workload's variant
+    /// table ([`WorkloadSpec::variant_table`]). Every subset of a table
+    /// installs, so this is the only variant error.
     UnsupportedVariant {
         /// The offending kinds.
         variants: Vec<VariantKind>,
@@ -202,9 +205,9 @@ impl WorkloadSpec {
         }
     }
 
-    /// The variant kinds this workload ships prepared rewrites for (its
-    /// variant table, by name — mirrors what the generated bundle
-    /// registers, test-enforced in the round-trip suite).
+    /// The variant table: the kinds this workload ships prepared rewrites
+    /// for. [`ScenarioSpec::validate`] admits only these, and every subset
+    /// installs ([`ScenarioSpec::contract_ids`] names its contract set).
     pub fn variant_table(&self) -> &'static [VariantKind] {
         match self {
             WorkloadSpec::Synthetic(_) | WorkloadSpec::Schedule(_) => &[],
@@ -345,8 +348,9 @@ pub struct ScenarioSpec {
     /// Declarative schedule rewrites, applied in order after generation and
     /// arrival re-stamping.
     pub transforms: Vec<SpecTransform>,
-    /// Prepared contract rewrites to install (resolved as one set through
-    /// the workload's variant table).
+    /// Prepared contract rewrites to install, drawn from the workload's
+    /// variant table and installed as one set
+    /// ([`contract_ids`](ScenarioSpec::contract_ids)).
     // detlint: allow(spec-validate, reason = "validated through the typed UnsupportedVariant error path, which carries the offending variants instead of a dotted string")
     pub variants: BTreeSet<VariantKind>,
     /// The network configuration the scenario runs under.
@@ -740,6 +744,9 @@ impl ScenarioSpec {
         self.validate_policy()?;
         self.validate_invokers()?;
         check_min("network.block_count", self.network.block_count, 1)?;
+        if self.network.block_bytes == 0 {
+            return Err(bad("network.block_bytes", "must be at least 1, got 0"));
+        }
         self.validate_fault()?;
         self.validate_retry()?;
         self.validate_times()?;
@@ -1099,9 +1106,15 @@ impl ScenarioSpec {
 
     /// Validate, then turn `generated` — the [`generate`](Self::generate)
     /// output of a spec with the same workload and seed — into this spec's
-    /// ready-to-run pair: resolve the variants, re-stamp the arrivals, apply
+    /// ready-to-run pair: install the variants, re-stamp the arrivals, apply
     /// the transforms in order, then attach the fault plan and the retry
     /// policy.
+    ///
+    /// With variants selected, the contract set is
+    /// [`contract_ids`](Self::contract_ids), resolved through
+    /// [`chaincode::registry`]; DRM's `Partitioned` also re-routes the
+    /// requests and splits the genesis ([`drm::partitioned`]). The other
+    /// variants keep the generated requests and genesis.
     ///
     /// Arrivals come before transforms, so a `Throttle` re-spaces an
     /// open-loop schedule instead of being erased by the re-stamping.
@@ -1111,14 +1124,22 @@ impl ScenarioSpec {
         generated: &WorkloadBundle,
     ) -> Result<(WorkloadBundle, NetworkConfig), SpecError> {
         self.validate()?;
-        let mut bundle = generated.apply_variants(&self.variants).ok_or_else(|| {
-            // validate() filtered kinds outside the variant table, so this
-            // is a combination the resolver cannot build.
-            SpecError::UnsupportedVariant {
-                variants: self.variants.iter().copied().collect(),
-                workload: self.workload.kind().to_string(),
+        let mut bundle = generated.clone();
+        if !self.variants.is_empty() {
+            if let WorkloadSpec::Drm(drm_spec) = &self.workload {
+                if self.variants.contains(&VariantKind::Partitioned) {
+                    bundle = drm::partitioned(bundle, drm_spec);
+                }
             }
-        })?;
+            bundle.contracts = self
+                .contract_ids()
+                .iter()
+                .map(|id| {
+                    chaincode::registry::resolve(id)
+                        .expect("every variant-table subset names registered contracts")
+                })
+                .collect();
+        }
         if self.arrival.is_open() {
             let restamped = self.arrival.restamp(&bundle.requests, self.seed());
             bundle = bundle.with_requests(restamped);
@@ -1133,8 +1154,9 @@ impl ScenarioSpec {
     }
 
     /// The registry ids of the contract set [`build`](Self::build)
-    /// installs (the variant-resolved set). The mapping is static per
-    /// workload kind and test-enforced against the built bundle.
+    /// installs: the workload's base contracts, or the prepared rewrites of
+    /// the selected variants. [`finish`](Self::finish) installs exactly
+    /// these whenever variants are selected.
     pub fn contract_ids(&self) -> Vec<String> {
         let delta = self.variants.contains(&VariantKind::DeltaWrites);
         let partitioned = self.variants.contains(&VariantKind::Partitioned);
@@ -1770,6 +1792,11 @@ mod tests {
         type Poison = Box<dyn Fn(&mut ScenarioSpec)>;
         let cases: Vec<(&str, Poison)> = vec![
             ("network.orgs", Box::new(|s| s.network.orgs = MAX_IDS + 1)),
+            // The block cutter needs a byte budget of at least one.
+            (
+                "network.block_bytes",
+                Box::new(|s| s.network.block_bytes = 0),
+            ),
             ("network.orgs", Box::new(|s| s.network.orgs = usize::MAX)),
             (
                 "network.clients_per_org",

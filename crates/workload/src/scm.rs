@@ -7,7 +7,7 @@
 //! suffer *manual errors* — `ship` issued before `pushASN`, or `unload`
 //! without a `ship` — producing the illogical branches of Figure 2.
 
-use crate::bundle::{VariantKind, WorkloadBundle};
+use crate::bundle::WorkloadBundle;
 use chaincode::ScmContract;
 use fabric_sim::sim::TxRequest;
 use fabric_sim::types::{intern, Name, OrgId, Value};
@@ -171,13 +171,6 @@ pub fn generate(spec: &ScmSpec) -> WorkloadBundle {
     }));
 
     WorkloadBundle::new(vec![Arc::new(ScmContract::base())], genesis, requests)
-        .with_single_variant(VariantKind::Pruned, |bundle| pruned(bundle.clone()))
-}
-
-/// The same bundle with the pruned contract installed (process-model
-/// pruning implemented in the smart contract, §6.2).
-pub fn pruned(bundle: WorkloadBundle) -> WorkloadBundle {
-    bundle.with_contracts(vec![Arc::new(ScmContract::pruned())])
 }
 
 /// Activities the paper's reordering recommendation reschedules to the end.
@@ -262,15 +255,6 @@ mod tests {
         let b = generate(&ScmSpec::default());
         let spec = ScmSpec::default();
         assert_eq!(b.genesis.len(), spec.products + spec.audits);
-    }
-
-    #[test]
-    fn pruned_swaps_contract_only() {
-        let b = generate(&ScmSpec::default());
-        let n = b.len();
-        let p = pruned(b);
-        assert_eq!(p.len(), n, "schedule unchanged");
-        assert_eq!(p.contracts.len(), 1);
     }
 
     #[test]

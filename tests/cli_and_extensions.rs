@@ -1,14 +1,13 @@
-//! Integration tests for the extension features: policy parsing, XES
-//! interchange, compliance verification, auto-tuning, and the simulator's
-//! byte-based block cutting and endorsement-mismatch paths.
+//! Integration tests for the extension features: a k-of-n endorsement
+//! policy, XES interchange, compliance verification, auto-tuning, and the
+//! simulator's byte-based block cutting and endorsement-mismatch paths.
 
 use blockoptr_suite::prelude::*;
-use fabric_sim::parse_policy;
 use workload::spec::{ControlVariables, PolicyChoice};
 
 #[test]
 fn parsed_policies_drive_the_simulator() {
-    // Configure the network from a policy *string* end to end.
+    // An OutOf(2, Org1..Org4) policy drives the simulator end to end.
     let cv = ControlVariables {
         policy: PolicyChoice::P4,
         transactions: 1_000,
@@ -16,7 +15,7 @@ fn parsed_policies_drive_the_simulator() {
     };
     let bundle = workload::synthetic::generate(&cv);
     let mut cfg = cv.network_config();
-    cfg.endorsement_policy = parse_policy("OutOf(2, Org1, Org2, Org3, Org4)").unwrap();
+    cfg.endorsement_policy = EndorsementPolicy::out_of(2, 4);
     let out = bundle.run(cfg);
     assert!(out.report.successes > 0);
     // Every transaction carries exactly two endorsing organizations.
@@ -100,7 +99,10 @@ fn compliance_verifies_the_dv_redesign() {
     let before_out = bundle.run(NetworkConfig::default());
     let before = Analyzer::new().analyze_ledger(&before_out.ledger).unwrap();
 
-    let after_out = workload::dv::per_voter(bundle).run(NetworkConfig::default());
+    let per_voter = chaincode::registry::resolve("dv:per-voter").unwrap();
+    let after_out = bundle
+        .with_contracts(vec![per_voter])
+        .run(NetworkConfig::default());
     let after = Analyzer::new().analyze_ledger(&after_out.ledger).unwrap();
 
     let report = verify_rollout(&before, &after);

@@ -7,7 +7,8 @@
 //! numeric extremes, duplicated keys and deep nesting. Every mutant must
 //! end in a result or a typed error. Logs go through
 //! `Analyzer::analyze_json`; specs through `ScenarioSpec::from_json`,
-//! `validate`, and `build` with at most 2 000 transactions.
+//! `validate`, and `build` with at most 2 000 transactions, and every spec
+//! that builds is then simulated (`WorkloadBundle::run_report`).
 //!
 //! A panic fails the test with the mutant's label. An abort (stack
 //! overflow, failed allocation) kills the binary, so CI runs it under a
@@ -253,7 +254,9 @@ fn mutated_specs_end_in_a_result_or_a_typed_error() {
         panicked.extend(run(name, mutants(text, usize::MAX), |text| {
             let outcome = ScenarioSpec::from_json(text).and_then(|spec| {
                 spec.validate()?;
-                clamped(spec).build().map(drop)
+                let (bundle, config) = clamped(spec).build()?;
+                bundle.run_report(config);
+                Ok(())
             });
             if let Err(e) = outcome {
                 assert_positioned(&e.to_string());

@@ -11,6 +11,12 @@ fn run(bundle: &WorkloadBundle, cfg: NetworkConfig) -> fabric_sim::report::SimRe
     bundle.run(cfg).report
 }
 
+/// `bundle` with the prepared rewrite registered as `id` installed in place
+/// of its contract: the same schedule and genesis.
+fn rewritten(bundle: WorkloadBundle, id: &str) -> WorkloadBundle {
+    bundle.with_contracts(vec![chaincode::registry::resolve(id).unwrap()])
+}
+
 #[test]
 fn rate_control_raises_success_rate() {
     // Figure 10's universal effect: throttling to 100 tps trades throughput
@@ -99,7 +105,7 @@ fn scm_pruning_improves_success_and_aborts_early() {
     };
     let bundle = scm::generate(&spec);
     let before = run(&bundle, NetworkConfig::default());
-    let after = run(&scm::pruned(bundle), NetworkConfig::default());
+    let after = run(&rewritten(bundle, "scm:pruned"), NetworkConfig::default());
     assert!(
         after.early_aborted > 0,
         "anomalous flows abort at endorsement"
@@ -170,7 +176,7 @@ fn drm_delta_writes_eliminate_play_conflicts() {
     };
     let bundle = drm::generate(&spec);
     let before = run(&bundle, NetworkConfig::default());
-    let after = run(&drm::delta_writes(bundle), NetworkConfig::default());
+    let after = run(&rewritten(bundle, "drm:delta"), NetworkConfig::default());
     assert!(
         after.success_rate_pct > before.success_rate_pct * 2.0,
         "{} → {}",
@@ -204,7 +210,10 @@ fn ehr_pruning_and_rate_control_help() {
     };
     let bundle = ehr::generate(&spec);
     let before = run(&bundle, NetworkConfig::default());
-    let pruned = run(&ehr::pruned(bundle.clone()), NetworkConfig::default());
+    let pruned = run(
+        &rewritten(bundle.clone(), "ehr:pruned"),
+        NetworkConfig::default(),
+    );
     assert!(pruned.success_rate_pct > before.success_rate_pct);
     let throttled = bundle
         .clone()
@@ -228,7 +237,7 @@ fn dv_data_model_alteration_reaches_full_success() {
         before.success_rate_pct < 40.0,
         "party-keyed model collapses"
     );
-    let after = run(&dv::per_voter(bundle), NetworkConfig::default());
+    let after = run(&rewritten(bundle, "dv:per-voter"), NetworkConfig::default());
     assert!(after.success_rate_pct > 99.9);
     assert_eq!(after.mvcc_conflicts, 0);
 }
@@ -244,7 +253,10 @@ fn lap_rekeying_improves_at_both_rates() {
         };
         let bundle = lap::generate(&spec);
         let before = run(&bundle, NetworkConfig::default());
-        let after = run(&lap::by_application(bundle), NetworkConfig::default());
+        let after = run(
+            &rewritten(bundle, "lap:by-application"),
+            NetworkConfig::default(),
+        );
         assert!(
             after.success_rate_pct > before.success_rate_pct * 1.5,
             "@{rate}: {} → {}",

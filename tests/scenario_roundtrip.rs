@@ -7,7 +7,8 @@
 //!    several seeds (report *and* extracted log compared verbatim);
 //! 3. the static contract-id mapping ([`ScenarioSpec::contract_ids`])
 //!    tells the truth about what `build` installs, for every variant
-//!    subset every workload supports;
+//!    subset every workload supports, and only DRM's partitioning touches
+//!    the generated requests and genesis;
 //! 4. seed derivation varies the *workload*, not just the network: two
 //!    seeds produce different schedules but identical specs modulo the
 //!    seed fields;
@@ -159,11 +160,15 @@ fn spec_rebuilt_bundles_simulate_byte_identically() {
 }
 
 /// The static contract-id mapping matches what `build` actually installs,
-/// for every variant subset of every workload's variant table.
+/// for every variant subset of every workload's variant table. A
+/// contract-only rewrite keeps the generated requests and genesis; DRM's
+/// partitioning routes `play`, `calcRevenue` and `create` to `drm-play` and
+/// the rest to `drm-meta`, and seeds the catalogue in both namespaces.
 #[test]
 fn contract_id_mapping_is_truthful() {
     for name in BUILTIN_NAMES {
         let base = spec_for(name, 400, 42);
+        let generated = base.generate().unwrap();
         let table = base.workload.variant_table();
         // Every subset of the variant table (tables are ≤ 2 entries).
         let mut subsets: Vec<Vec<VariantKind>> = vec![vec![]];
@@ -183,6 +188,29 @@ fn contract_id_mapping_is_truthful() {
                 installed,
                 spec.contract_ids(),
                 "{name} with variants {subset:?}"
+            );
+            if !spec.variants.contains(&VariantKind::Partitioned) {
+                assert_eq!(bundle.requests, generated.requests, "{name} {subset:?}");
+                assert_eq!(bundle.genesis, generated.genesis, "{name} {subset:?}");
+                continue;
+            }
+            assert_eq!(bundle.len(), generated.len(), "{subset:?}");
+            for (routed, r) in bundle.requests.iter().zip(&generated.requests) {
+                let namespace = match r.activity.as_ref() {
+                    "play" | "calcRevenue" | "create" => "drm-play",
+                    _ => "drm-meta",
+                };
+                assert_eq!(routed.contract.as_ref(), namespace, "{subset:?}: {r:?}");
+                assert_eq!(
+                    (routed.send_time, &routed.activity, &routed.args),
+                    (r.send_time, &r.activity, &r.args),
+                    "{subset:?}: only the contract is re-routed"
+                );
+            }
+            assert_eq!(
+                bundle.genesis.len(),
+                2 * generated.genesis.len(),
+                "{subset:?}: one catalogue per namespace"
             );
         }
     }
