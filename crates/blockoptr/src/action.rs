@@ -232,8 +232,8 @@ impl Action {
 
 impl Recommendation {
     /// Lower this recommendation to the actions that implement it
-    /// (Table 4). Recommendations whose implementation is irreducibly
-    /// manual — and [`Recommendation::Custom`] findings — lower to nothing.
+    /// (Table 4). A recommendation whose implementation is irreducibly
+    /// manual lowers to nothing.
     pub fn actions(&self) -> Vec<Action> {
         match self {
             Recommendation::ActivityReordering { pairs, .. } => {
@@ -282,7 +282,6 @@ impl Recommendation {
                 })],
                 None => Vec::new(),
             },
-            Recommendation::Custom { .. } => Vec::new(),
         }
     }
 }
@@ -460,12 +459,6 @@ mod tests {
 
     #[test]
     fn unlowereable_recommendations_produce_no_actions() {
-        let custom = Recommendation::Custom {
-            name: "X".into(),
-            level: crate::recommend::Level::User,
-            rationale: "y".into(),
-        };
-        assert!(custom.actions().is_empty());
         let bad_org = Recommendation::ClientResourceBoost {
             org: "weird".into(),
             share: 0.9,

@@ -40,7 +40,13 @@
 //! Unknown flags and malformed inputs are rejected with exit code 1 (a
 //! missing or unknown *subcommand* prints usage and exits 2), and all
 //! analysis errors are reported through
-//! [`AnalyzeError`](blockoptr::AnalyzeError).
+//! [`AnalyzeError`](blockoptr::AnalyzeError). Every command writes stdout
+//! through one locked, buffered handle: a reader that closes it early
+//! (`blockoptr analyze LOG.json --json | head`) ends the command with exit
+//! code 0 and nothing on stderr, and any other failed write exits 1.
+
+// Every stdout write goes through the one handle `main` opens.
+#![deny(clippy::print_stdout)]
 
 use blockoptr::compliance::verify_rollout;
 use blockoptr::export;
@@ -50,6 +56,7 @@ use blockoptr::session::{Analysis, Analyzer, WindowPolicy};
 use fabric_sim::config::NetworkConfig;
 use serde::ser::Serializer;
 use serde::Serialize;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use workload::ScenarioSpec;
 
@@ -75,6 +82,33 @@ fn usage() -> ExitCode {
          runs against the replayable --spec; --emit-spec writes the optimized spec."
     );
     ExitCode::from(2)
+}
+
+/// Why a command stopped early.
+enum Failure {
+    /// A usage, input or analysis error, reported as an `error:` line.
+    Msg(String),
+    /// A write to stdout failed; every other I/O error is a [`Msg`](Failure::Msg)
+    /// naming its file.
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Msg(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Msg(msg.to_string())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(err: io::Error) -> Self {
+        Failure::Stdout(err)
+    }
 }
 
 /// Parsed command arguments: positionals plus validated flags.
@@ -209,7 +243,7 @@ fn scenario_bundle(
     spec.build().map_err(|e| e.to_string())
 }
 
-fn cmd_demo(args: &[String]) -> Result<(), String> {
+fn cmd_demo(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(args, &["out", "txs"], &["auto-tune"])?;
     let scenario = args
         .positional
@@ -225,11 +259,11 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
         eprintln!("log saved to {path} ({} transactions)", log.len());
     }
     let analysis = analyze_log(log, args.switch("auto-tune"))?;
-    print!("{}", blockoptr::report::render(&analysis));
+    write!(out, "{}", blockoptr::report::render(&analysis))?;
     Ok(())
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
+fn cmd_analyze(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(args, &["csv", "xes", "dot"], &["auto-tune", "json"])?;
     let Some(path) = args.positional.first() else {
         return Err("analyze needs a LOG.json path".into());
@@ -257,21 +291,29 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             analysis: &analysis,
             window: None,
         };
-        println!("{}", serde::ser::to_string(&view, true));
+        writeln!(out, "{}", serde::ser::to_string(&view, true))?;
     } else {
-        print!("{}", blockoptr::report::render(&analysis));
+        write!(out, "{}", blockoptr::report::render(&analysis))?;
     }
     Ok(())
 }
 
-/// One rolling watch line (text mode) or JSON object (machine mode).
-fn emit_watch_line(analysis: &Analysis, label: &str, ordinal: usize, added: usize, json: bool) {
+/// One rolling watch line (text mode) or JSON object (machine mode),
+/// flushed so a live consumer sees it as soon as it is produced.
+fn emit_watch_line(
+    out: &mut impl Write,
+    analysis: &Analysis,
+    label: &str,
+    ordinal: usize,
+    added: usize,
+    json: bool,
+) -> io::Result<()> {
     if json {
         let view = AnalysisJson {
             analysis,
             window: Some((label, ordinal, added)),
         };
-        println!("{}", serde::ser::to_string(&view, false));
+        writeln!(out, "{}", serde::ser::to_string(&view, false))?;
     } else {
         let m = &analysis.metrics;
         // Event-time Submit→Commit latencies of the window's successful
@@ -284,7 +326,8 @@ fn emit_watch_line(analysis: &Analysis, label: &str, ordinal: usize, added: usiz
             .map(|r| r.commit_ts.since(r.client_ts).as_secs_f64())
             .collect();
         let lat = sim_core::stats::Summary::of(&latencies);
-        println!(
+        writeln!(
+            out,
             "{label} {ordinal}: +{added} tx (window {} tx in {} blocks) · Tr {:.1} tx/s · lat p50 {:.2} / p95 {:.2} / p99 {:.2} s · failures {:.1} % · recs: {}",
             analysis.log.len(),
             analysis.log.block_count(),
@@ -298,8 +341,9 @@ fn emit_watch_line(analysis: &Analysis, label: &str, ordinal: usize, added: usiz
             } else {
                 analysis.recommendation_names().join(", ")
             }
-        );
+        )?;
     }
+    out.flush()
 }
 
 /// The watch session's window policy: `--policy` wins, otherwise live mode
@@ -314,7 +358,7 @@ fn watch_policy(args: &Args, live: bool, window: u64) -> Result<Option<WindowPol
     }
 }
 
-fn cmd_watch(args: &[String]) -> Result<(), String> {
+fn cmd_watch(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(
         args,
         &["window", "policy", "txs", "blocks"],
@@ -329,11 +373,11 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         None => 10,
     };
     if args.switch("live") {
-        return cmd_watch_live(&args, window);
+        return cmd_watch_live(&args, window, out);
     }
     for flag in ["txs", "blocks"] {
         if args.value(flag).is_some() {
-            return Err(format!("--{flag} only applies to watch --live"));
+            return Err(format!("--{flag} only applies to watch --live").into());
         }
     }
     let Some(path) = args.positional.first() else {
@@ -374,7 +418,14 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         let analysis = session.snapshot().map_err(|e| e.to_string())?;
         windows += 1;
-        emit_watch_line(&analysis, "window", windows, added, args.switch("json"));
+        emit_watch_line(
+            out,
+            &analysis,
+            "window",
+            windows,
+            added,
+            args.switch("json"),
+        )?;
         start = end;
     }
     eprintln!(
@@ -388,7 +439,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
 /// consume its committed-block feed through a windowed session *while the
 /// simulation runs* — the always-on monitoring loop the paper assumes,
 /// with memory bounded by the window policy instead of the chain length.
-fn cmd_watch_live(args: &Args, window: u64) -> Result<(), String> {
+fn cmd_watch_live(args: &Args, window: u64, out: &mut impl Write) -> Result<(), Failure> {
     let scenario = args
         .positional
         .first()
@@ -423,20 +474,23 @@ fn cmd_watch_live(args: &Args, window: u64) -> Result<(), String> {
     eprintln!("watching live {scenario} run (window policy {policy})");
     let mut blocks_seen = 0usize;
     let mut total_tx = 0usize;
+    let mut written = Ok(());
     while let Ok(block) = receiver.recv() {
         let number = block.number;
         let added = session.ingest_block(&block).map_err(|e| e.to_string())?;
         total_tx += added;
         blocks_seen += 1;
         let analysis = session.snapshot().map_err(|e| e.to_string())?;
-        emit_watch_line(
+        written = emit_watch_line(
+            out,
             &analysis,
             "block",
             number as usize,
             added,
             args.switch("json"),
         );
-        if block_cap.is_some_and(|cap| blocks_seen >= cap) {
+        // A failed write ends consumption the way the --blocks cap does.
+        if written.is_err() || block_cap.is_some_and(|cap| blocks_seen >= cap) {
             break;
         }
     }
@@ -444,6 +498,7 @@ fn cmd_watch_live(args: &Args, window: u64) -> Result<(), String> {
     let output = simulation
         .join()
         .map_err(|_| "simulation thread panicked")?;
+    written?;
     eprintln!(
         "watched {blocks_seen} live blocks ({total_tx} tx); window now holds {} tx in {} blocks ({} evicted)",
         session.len(),
@@ -454,7 +509,7 @@ fn cmd_watch_live(args: &Args, window: u64) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), String> {
+fn cmd_compare(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(args, &[], &["json"])?;
     let (Some(before_path), Some(after_path)) = (args.positional.first(), args.positional.get(1))
     else {
@@ -464,12 +519,13 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     let after = analyze_log(load(after_path)?, false)?;
     let report = verify_rollout(&before, &after);
     if args.switch("json") {
-        println!(
+        writeln!(
+            out,
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+        )?;
     } else {
-        print!("{report}");
+        write!(out, "{report}")?;
     }
     if report.improved() {
         eprintln!("rollout verified: recommendations resolved without new findings");
@@ -491,7 +547,7 @@ fn positive(args: &Args, name: &str) -> Result<Option<usize>, String> {
 }
 
 /// Dump a built-in scenario as a replayable [`ScenarioSpec`] JSON.
-fn cmd_spec(args: &[String]) -> Result<(), String> {
+fn cmd_spec(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(args, &["txs", "seed", "out"], &["freeze"])?;
     let Some(scenario) = args.positional.first() else {
         return Err("spec needs a scenario (synthetic|scm|drm|ehr|dv|lap)".into());
@@ -529,12 +585,12 @@ fn cmd_spec(args: &[String]) -> Result<(), String> {
             std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("spec written to {path}");
         }
-        None => println!("{json}"),
+        None => writeln!(out, "{json}")?,
     }
     Ok(())
 }
 
-fn cmd_optimize(args: &[String]) -> Result<(), String> {
+fn cmd_optimize(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let args = Args::parse(
         args,
         &[
@@ -649,15 +705,20 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
             eprintln!("optimized spec written to {path}");
         }
         if args.switch("json") {
-            println!(
+            writeln!(
+                out,
                 "{}",
                 serde_json::to_string_pretty(&plan).map_err(|e| e.to_string())?
-            );
+            )?;
         } else {
             if let Some(analysis) = &analysis {
-                print!("{}", blockoptr::report::render(analysis));
+                write!(out, "{}", blockoptr::report::render(analysis))?;
             }
-            print!("{}", blockoptr::report::render_plan(&plan, Some(&spec)));
+            write!(
+                out,
+                "{}",
+                blockoptr::report::render_plan(&plan, Some(&spec))
+            )?;
         }
         return Ok(());
     }
@@ -676,12 +737,13 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         eprintln!("optimized spec written to {path}");
     }
     if args.switch("json") {
-        println!(
+        writeln!(
+            out,
             "{}",
             serde_json::to_string_pretty(&outcome).map_err(|e| e.to_string())?
-        );
+        )?;
     } else {
-        print!("{}", blockoptr::report::render_outcome(&outcome));
+        write!(out, "{}", blockoptr::report::render_outcome(&outcome))?;
     }
     Ok(())
 }
@@ -692,18 +754,27 @@ fn main() -> ExitCode {
         return usage();
     };
     let rest = &args[1..];
+    let mut out = io::BufWriter::new(io::stdout().lock());
     let result = match cmd.as_str() {
-        "demo" => cmd_demo(rest),
-        "analyze" => cmd_analyze(rest),
-        "watch" => cmd_watch(rest),
-        "compare" => cmd_compare(rest),
-        "spec" => cmd_spec(rest),
-        "optimize" => cmd_optimize(rest),
+        "demo" => cmd_demo(rest, &mut out),
+        "analyze" => cmd_analyze(rest, &mut out),
+        "watch" => cmd_watch(rest, &mut out),
+        "compare" => cmd_compare(rest, &mut out),
+        "spec" => cmd_spec(rest, &mut out),
+        "optimize" => cmd_optimize(rest, &mut out),
         _ => return usage(),
     };
-    match result {
+    // Flush what a failed command printed before its error line too.
+    let flushed = out.flush();
+    match result.and_then(|()| Ok(flushed?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // The reader closed stdout (`| head`): it has all it wanted.
+        Err(Failure::Stdout(err)) if err.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(err)) => {
+            eprintln!("error: writing stdout: {err}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Msg(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }

@@ -43,11 +43,11 @@
 //!
 //! ## Rule engine and the closed loop
 //!
-//! Detection runs through a rule engine: the nine paper rules live in
-//! [`recommend::rules`] as a [`RuleSet`] registry, configured through
-//! [`Analyzer::rules`](session::Analyzer::rules) and
-//! [`Analyzer::disable_rule`](session::Analyzer::disable_rule); every rule
-//! evaluates against the analysis-wide [`Thresholds`]. Every
+//! Detection runs through a closed rule catalogue: the nine paper rules
+//! are the variants of one [`Rule`] enum in [`recommend::rules`], a
+//! deployment switches single rules off with
+//! [`Analyzer::disable_rule`](session::Analyzer::disable_rule), and every
+//! rule evaluates against the analysis-wide [`Thresholds`]. Every
 //! recommendation lowers to typed, serializable
 //! [`Action`]s, and an
 //! [`OptimizationPlan`] closes the paper's §4.5
@@ -88,7 +88,7 @@ pub use plan::{
     t95, ActionOutcome, ActionResult, MeasuredReport, MetricStats, OptimizationPlan, PlanConfig,
     PlanOutcome, PlannedAction, SeedReport,
 };
-pub use recommend::rules::{Finding, Rule, RuleCtx, RuleSet};
+pub use recommend::rules::{Rule, RuleCtx, RuleSet};
 pub use recommend::{Level, Recommendation, Thresholds};
 pub use resilience::{ResilienceCtx, ResilienceRuleSet};
 pub use session::{Analysis, AnalyzeError, Analyzer, Session, SessionFootprint, WindowPolicy};
@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::compliance::{verify_rollout, ComplianceReport};
     pub use crate::log::BlockchainLog;
     pub use crate::plan::{OptimizationPlan, PlanConfig, PlanOutcome};
-    pub use crate::recommend::rules::{Finding, Rule, RuleCtx, RuleSet};
+    pub use crate::recommend::rules::{Rule, RuleCtx, RuleSet};
     pub use crate::recommend::{Level, Recommendation, Thresholds};
     pub use crate::resilience::{ResilienceCtx, ResilienceRuleSet};
     pub use crate::session::{Analysis, AnalyzeError, Analyzer, Session, WindowPolicy};

@@ -1,67 +1,33 @@
 //! The multi-level recommendation engine (paper §4.4, Table 1).
 //!
-//! Detection is organized as a **pluggable rule engine**: every
-//! recommendation is produced by a [`Rule`] — a small, stateless
-//! detector with an id, an abstraction [`Level`], and a
-//! [`detect`](rules::Rule::detect) method over the derived [`Metrics`] — and
-//! the rules run through a [`RuleSet`] registry. The default
-//! registry, [`RuleSet::paper`](rules::RuleSet::paper), carries the paper's
-//! nine-rule catalogue, one module each under [`rules`]:
+//! Detection runs through a **closed rule catalogue**: the paper's nine
+//! rules are the variants of one [`Rule`] enum, each a small, stateless
+//! detector over the derived [`Metrics`](crate::metrics::Metrics) with an
+//! id, a display name and an abstraction [`Level`], and
+//! [`RuleSet::evaluate`] runs every enabled one (see [`rules`]):
 //!
-//! | Level | Rule (module) | Necessary condition (as implemented) |
+//! | Level | Rule | Necessary condition (as implemented) |
 //! |---|---|---|
-//! | user | [`rules::reordering`] | ≥ `reorder_share` of read-conflicts stem from pairs with `corDV = 1 ∧ WS(x) ∩ WS(y) = ∅` |
-//! | user | [`rules::pruning`] | an activity has both writing and read-only executions (`A(x) = A(y) ∧ TT(x) ≠ TT(y)`) |
-//! | user | [`rules::rate_control`] | ∃ interval: `Trdᵢ ≥ Rt1 ∧ Frdᵢ ≥ Trdᵢ · Rt2` |
-//! | data | [`rules::delta_writes`] | adjacent failed single-key writes differing by ±1 (`corPA = 1 ∧ ST = MRC ∧ |WS| = 1 ∧ WS ± 1`) |
-//! | data | [`rules::partitioning`] | hotkey with `Ksig > 1` (and more than one hotkey) |
-//! | data | [`rules::data_model`] | `|HK| = 1`, or hotkeys with `Ksig = 1` |
-//! | system | [`rules::block_size`] | `|Bsizeavg − Tr| > Bt · Tr` |
-//! | system | [`rules::endorser`] | some org's endorsement share > `(1 + Et) ·` even share |
-//! | system | [`rules::client_boost`] | some org invokes > `It` of all transactions |
+//! | user | [`ActivityReordering`](Rule::ActivityReordering) | ≥ `min_conflicts` read conflicts, and ≥ `reorder_share` of them stem from pairs with `corDV = 1 ∧ WS(x) ∩ WS(y) = ∅`, or the activities whose own read conflicts are ≥ 60 % reorderable account for ≥ `reorder_share`/2 of them |
+//! | user | [`ProcessModelPruning`](Rule::ProcessModelPruning) | an activity has ≥ `min_anomalies` writing and ≥ `min_anomalies` read-only executions (`A(x) = A(y) ∧ TT(x) ≠ TT(y)`) |
+//! | user | [`TransactionRateControl`](Rule::TransactionRateControl) | ∃ interval: `Trdᵢ ≥ Rt1 ∧ Frdᵢ ≥ Trdᵢ · Rt2` |
+//! | data | [`DeltaWrites`](Rule::DeltaWrites) | an activity has ≥ `min_delta_pairs` adjacent failed single-key writes differing by ±1 (`corPA = 1 ∧ ST = MRC ∧ |WS| = 1 ∧ WS ± 1`) |
+//! | data | [`SmartContractPartitioning`](Rule::SmartContractPartitioning) | more than one hotkey, and a hotkey with `Ksig > 1` |
+//! | data | [`DataModelAlteration`](Rule::DataModelAlteration) | `|HK| = 1`, or every hotkey has `Ksig ≤ 1` |
+//! | system | [`BlockSizeAdaptation`](Rule::BlockSizeAdaptation) | ≥ 5 blocks, `Tr > 0` and `|Bsizeavg − Tr| > Bt · Tr` |
+//! | system | [`EndorserRestructuring`](Rule::EndorserRestructuring) | some org's endorsement share > `(1 + Et) ·` even share |
+//! | system | [`ClientResourceBoost`](Rule::ClientResourceBoost) | the top org invokes > `It + 0.05` of all transactions |
 //!
 //! Defaults follow §6: `Et = 0.5, Rt1 = 300, Rt2 = 0.3, Bt = 0.6, It = 0.5`.
 //!
-//! The registry is open: deployments plug their own rules in next to the
-//! paper catalogue or disable individual rules — both through the
-//! [`Analyzer`](crate::session::Analyzer) builder, so streaming
-//! [`Session`](crate::session::Session)s evaluate the same registry, against
+//! The catalogue is fixed; a deployment disables individual rules by id
+//! through [`Analyzer::disable_rule`](crate::session::Analyzer::disable_rule)
+//! (the CLI's `--disable`), so streaming
+//! [`Session`](crate::session::Session)s evaluate the same rules, against
 //! the same thresholds, on every snapshot.
 //!
 //! ```
-//! use blockoptr::recommend::rules::{Finding, Rule, RuleCtx, RuleSet};
-//! use blockoptr::recommend::Level;
 //! use blockoptr::session::Analyzer;
-//! use std::sync::Arc;
-//!
-//! /// A deployment-specific rule: flag logs that outgrow a volume budget.
-//! #[derive(Debug)]
-//! struct VolumeAlarm {
-//!     budget: usize,
-//! }
-//!
-//! impl Rule for VolumeAlarm {
-//!     fn id(&self) -> &str {
-//!         "volume-alarm"
-//!     }
-//!     fn level(&self) -> Level {
-//!         Level::System
-//!     }
-//!     fn detect(&self, ctx: &RuleCtx<'_>) -> Vec<Finding> {
-//!         if ctx.metrics.rates.total > self.budget {
-//!             vec![Finding::custom(
-//!                 self,
-//!                 "Volume alarm",
-//!                 format!(
-//!                     "{} transactions exceed the {}-tx budget",
-//!                     ctx.metrics.rates.total, self.budget
-//!                 ),
-//!             )]
-//!         } else {
-//!             Vec::new()
-//!         }
-//!     }
-//! }
 //!
 //! let cv = workload::spec::ControlVariables {
 //!     transactions: 500,
@@ -69,16 +35,21 @@
 //! };
 //! let output = workload::synthetic::generate(&cv).run(cv.network_config());
 //!
-//! let rules = RuleSet::paper().with_rule(Arc::new(VolumeAlarm { budget: 100 }));
-//! let analysis = Analyzer::new()
-//!     .rules(rules)
+//! let full = Analyzer::new().analyze_ledger(&output.ledger).unwrap();
+//! assert!(full.recommends("Block size adaptation"));
+//! let trimmed = Analyzer::new()
+//!     .disable_rule("block-size-adaptation")
+//!     .unwrap()
 //!     .analyze_ledger(&output.ledger)
 //!     .unwrap();
-//! assert!(analysis.recommends("Volume alarm"));
+//! assert!(!trimmed.recommends("Block size adaptation"));
+//!
+//! // A misspelt id is an error that lists the nine ids in Table 1 order.
+//! let err = Analyzer::new().disable_rule("block-size").unwrap_err();
+//! assert!(err.to_string().contains("activity-reordering, process-model-pruning"));
 //! ```
 
 use crate::log::BlockchainLog;
-use crate::metrics::Metrics;
 use fabric_sim::types::TxType;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -86,7 +57,7 @@ use std::fmt;
 
 pub mod rules;
 
-pub use rules::{Finding, Rule, RuleCtx, RuleSet};
+pub use rules::{Rule, RuleCtx, RuleSet};
 
 /// Abstraction level of a recommendation (paper Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -128,7 +99,7 @@ pub struct Thresholds {
     pub it: f64,
     /// Share of read conflicts that must be reorderable (§6.1.5 sets 40 %).
     pub reorder_share: f64,
-    /// Minimum read conflicts before reordering/pruning analysis fires.
+    /// Minimum read conflicts before activity reordering fires.
     pub min_conflicts: usize,
     /// Minimum adjacent increment pairs before delta writes fire.
     pub min_delta_pairs: usize,
@@ -234,53 +205,32 @@ pub enum Recommendation {
         /// Its invocation share.
         share: f64,
     },
-    /// A finding produced by a user-defined [`Rule`] outside
-    /// the paper catalogue. It flows through reports, filters, and
-    /// compliance checks like any built-in recommendation; implementing it
-    /// is up to the deployment (no [`Action`](crate::action::Action)
-    /// lowering exists for it).
-    Custom {
-        /// Display name (the paper rules use their Table 1 names here).
-        name: String,
-        /// Abstraction level the rule assigned.
-        level: Level,
-        /// Human-readable evidence.
-        rationale: String,
-    },
 }
 
 impl Recommendation {
-    /// The abstraction level this recommendation belongs to.
-    pub fn level(&self) -> Level {
+    /// The catalogue rule that produces this recommendation.
+    pub fn rule(&self) -> Rule {
         match self {
-            Recommendation::ActivityReordering { .. }
-            | Recommendation::ProcessModelPruning { .. }
-            | Recommendation::TransactionRateControl { .. } => Level::User,
-            Recommendation::DeltaWrites { .. }
-            | Recommendation::SmartContractPartitioning { .. }
-            | Recommendation::DataModelAlteration { .. } => Level::Data,
-            Recommendation::BlockSizeAdaptation { .. }
-            | Recommendation::EndorserRestructuring { .. }
-            | Recommendation::ClientResourceBoost { .. } => Level::System,
-            Recommendation::Custom { level, .. } => *level,
+            Recommendation::ActivityReordering { .. } => Rule::ActivityReordering,
+            Recommendation::ProcessModelPruning { .. } => Rule::ProcessModelPruning,
+            Recommendation::TransactionRateControl { .. } => Rule::TransactionRateControl,
+            Recommendation::DeltaWrites { .. } => Rule::DeltaWrites,
+            Recommendation::SmartContractPartitioning { .. } => Rule::SmartContractPartitioning,
+            Recommendation::DataModelAlteration { .. } => Rule::DataModelAlteration,
+            Recommendation::BlockSizeAdaptation { .. } => Rule::BlockSizeAdaptation,
+            Recommendation::EndorserRestructuring { .. } => Rule::EndorserRestructuring,
+            Recommendation::ClientResourceBoost { .. } => Rule::ClientResourceBoost,
         }
     }
 
-    /// Short name matching the paper's vocabulary (custom findings report
-    /// the name their rule chose).
-    pub fn name(&self) -> &str {
-        match self {
-            Recommendation::ActivityReordering { .. } => "Activity reordering",
-            Recommendation::ProcessModelPruning { .. } => "Process model pruning",
-            Recommendation::TransactionRateControl { .. } => "Transaction rate control",
-            Recommendation::DeltaWrites { .. } => "Delta writes",
-            Recommendation::SmartContractPartitioning { .. } => "Smart contract partitioning",
-            Recommendation::DataModelAlteration { .. } => "Data model alteration",
-            Recommendation::BlockSizeAdaptation { .. } => "Block size adaptation",
-            Recommendation::EndorserRestructuring { .. } => "Endorser restructuring",
-            Recommendation::ClientResourceBoost { .. } => "Client resource boost",
-            Recommendation::Custom { name, .. } => name,
-        }
+    /// The abstraction level this recommendation belongs to.
+    pub fn level(&self) -> Level {
+        self.rule().level()
+    }
+
+    /// Short name matching the paper's vocabulary.
+    pub fn name(&self) -> &'static str {
+        self.rule().name()
     }
 
     /// Human-readable explanation with the supporting evidence.
@@ -372,14 +322,14 @@ impl Recommendation {
                 "{org} invokes {:.0} % of transactions; scale its clients",
                 share * 100.0
             ),
-            Recommendation::Custom { rationale, .. } => rationale.clone(),
         }
     }
 }
 
 /// Per-activity transaction-type histogram — the only per-record input the
-/// rule engine needs beyond [`Metrics`]. Streaming sessions maintain it
-/// incrementally (one [`observe_activity_type`] call per transaction).
+/// rules need beyond [`Metrics`](crate::metrics::Metrics). Streaming
+/// sessions maintain it incrementally (one [`observe_activity_type`] call
+/// per transaction).
 pub type ActivityTypeHistogram = BTreeMap<String, BTreeMap<TxType, usize>>;
 
 /// Build the histogram from a full log (the batch path).
@@ -412,24 +362,6 @@ pub fn retract_activity_type(hist: &mut ActivityTypeHistogram, activity: &str, t
     }
 }
 
-/// Evaluate the paper's nine-rule catalogue against a full log.
-///
-/// Convenience wrapper over [`RuleSet::paper`]; use a custom
-/// [`RuleSet`] (through [`Analyzer::rules`](crate::session::Analyzer::rules)
-/// or [`RuleSet::evaluate`]) to extend, disable, or re-threshold rules.
-pub fn recommend(
-    log: &BlockchainLog,
-    metrics: &Metrics,
-    thresholds: &Thresholds,
-) -> Vec<Recommendation> {
-    RuleSet::paper().recommendations(&RuleCtx {
-        metrics,
-        thresholds,
-        type_hist: &activity_type_histogram(log),
-        log: Some(log),
-    })
-}
-
 /// Whether a recommendation list contains a given rule (by name).
 pub fn contains(recs: &[Recommendation], name: &str) -> bool {
     recs.iter().any(|r| r.name() == name)
@@ -451,7 +383,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        recommend(log, &metrics, thresholds)
+        RuleSet::paper().evaluate(&RuleCtx {
+            metrics: &metrics,
+            thresholds,
+            type_hist: &activity_type_histogram(log),
+            log: Some(log),
+        })
     }
 
     fn lenient() -> Thresholds {
@@ -762,24 +699,13 @@ mod tests {
         let r = Recommendation::DeltaWrites {
             activities: vec![("play".into(), 7)],
         };
+        assert_eq!(r.rule(), Rule::DeltaWrites);
+        assert_eq!(r.rule().id(), "delta-writes");
         assert_eq!(r.level(), Level::Data);
         assert_eq!(r.name(), "Delta writes");
         assert!(r.rationale().contains("play"));
         assert_eq!(Level::User.to_string(), "user");
         assert_eq!(Level::System.to_string(), "system");
-    }
-
-    #[test]
-    fn custom_recommendations_carry_their_own_identity() {
-        let r = Recommendation::Custom {
-            name: "Volume alarm".into(),
-            level: Level::System,
-            rationale: "too many transactions".into(),
-        };
-        assert_eq!(r.name(), "Volume alarm");
-        assert_eq!(r.level(), Level::System);
-        assert_eq!(r.rationale(), "too many transactions");
-        assert!(contains(&[r], "Volume alarm"));
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::metrics::{
     BlockMetrics, CorrelationTracker, EndorserCounts, InvokerCounts, KeyMetrics, MetricConfig,
     Metrics, RateTracker,
 };
-use crate::recommend::rules::{RuleCtx, RuleSet};
+use crate::recommend::rules::{Rule, RuleCtx, RuleSet};
 use crate::recommend::{observe_activity_type, ActivityTypeHistogram, Recommendation, Thresholds};
 use fabric_sim::ledger::{Block, Ledger};
 use fabric_sim::types::Key;
@@ -93,12 +93,13 @@ pub enum AnalyzeError {
         /// The highest block number seen before it.
         after: u64,
     },
-    /// A rule id passed to [`Analyzer::disable_rule`] matches no registered
-    /// rule — almost always a typo, which silently ignoring would hide.
+    /// A rule id passed to [`Analyzer::disable_rule`] names none of the
+    /// nine catalogue rules — almost always a typo, which silently ignoring
+    /// would hide.
     UnknownRule {
         /// The unrecognized id.
         id: String,
-        /// Ids registered at the time of the call.
+        /// Every rule id, in Table 1 order.
         known: Vec<String>,
     },
     /// A scenario spec could not be parsed, validated, or built
@@ -316,34 +317,20 @@ impl Analyzer {
         self
     }
 
-    /// Replace the rule registry (default: the paper's nine-rule catalogue,
-    /// [`RuleSet::paper`]). Use this to plug in custom
-    /// [`Rule`](crate::recommend::rules::Rule)s or a trimmed catalogue;
-    /// every snapshot of every session opened from this analyzer evaluates
-    /// the registry as configured here.
-    pub fn rules(mut self, rules: RuleSet) -> Self {
-        self.rules = rules;
-        self
-    }
-
-    /// Disable a single rule by id (see
-    /// [`RuleSet::disable`](crate::recommend::rules::RuleSet::disable)).
-    ///
-    /// Unlike the raw `RuleSet` API — which remembers unknown ids so a
-    /// rule can be disabled before registration — the analyzer lints the
-    /// id against its configured registry and rejects unknown ones with
-    /// [`AnalyzeError::UnknownRule`]: at this level an unknown id is
-    /// almost always a typo that would otherwise silently disable
-    /// nothing. Configure the registry ([`Analyzer::rules`]) *before*
-    /// disabling custom rules.
+    /// Disable one catalogue rule by its [`Rule::id`] (e.g.
+    /// `activity-reordering`; the CLI's `--disable`). This is the one
+    /// place an id is parsed: an id that names no rule is rejected with
+    /// [`AnalyzeError::UnknownRule`], which lists every id in Table 1
+    /// order, since it is almost always a typo that would otherwise
+    /// silently disable nothing.
     pub fn disable_rule(mut self, id: &str) -> Result<Self, AnalyzeError> {
-        if !self.rules.ids().contains(&id) {
+        let Some(rule) = Rule::ALL.into_iter().find(|r| r.id() == id) else {
             return Err(AnalyzeError::UnknownRule {
                 id: id.to_string(),
-                known: self.rules.ids().iter().map(|s| s.to_string()).collect(),
+                known: Rule::ALL.iter().map(|r| r.id().to_string()).collect(),
             });
-        }
-        self.rules.disable(id);
+        };
+        self.rules.disable(rule);
         Ok(self)
     }
 
@@ -1308,7 +1295,7 @@ impl Session {
         // (observe_from), so it is already current here — snapshots are
         // read-only.
         let model = mine_from_dfg(&self.state.cases.dfg, &self.config.mining);
-        let recommendations = self.config.rules.recommendations(&RuleCtx {
+        let recommendations = self.config.rules.evaluate(&RuleCtx {
             metrics: &metrics,
             thresholds: &thresholds,
             type_hist: &self.state.type_hist,
@@ -1608,10 +1595,10 @@ mod tests {
         match &err {
             AnalyzeError::UnknownRule { id, known } => {
                 assert_eq!(id, "actvity-reordering");
-                assert!(
-                    known.iter().any(|k| k == "activity-reordering"),
-                    "{known:?}"
-                );
+                // Every id, in Table 1 order.
+                assert_eq!(known.len(), 9, "{known:?}");
+                assert_eq!(known[0], "activity-reordering");
+                assert_eq!(known[8], "client-resource-boost");
             }
             other => panic!("expected UnknownRule, got {other:?}"),
         }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `blockoptr` binary: flag validation (notably the
 //! `--window 0` guard) and the `watch --live` committed-block pipeline.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn blockoptr(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_blockoptr"))
@@ -770,4 +770,85 @@ fn optimize_example_outage_spec_fires_resilience_rules() {
     let text = stdout(&out);
     assert!(text.contains("Retry budget tuning"), "{text}");
     assert!(text.contains("Endorsement policy relaxation"), "{text}");
+}
+
+/// A reader that closes stdout early (`| head`) ends the command quietly:
+/// exit 0, nothing on stderr. The read end is closed before the child
+/// writes, so its first write fails every time (the 78,576-byte analysis
+/// would not fit a 64 KiB pipe buffer either).
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let log = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/demo_blocks.json"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_blockoptr"))
+        .args(["analyze", log, "--json"])
+        .env_remove("BLOCKOPTR_WINDOW")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    assert_eq!(stderr(&out), "");
+}
+
+/// `optimize --disable` takes the catalogue's ids: a misspelt one exits 1
+/// before anything simulates and lists the nine ids in Table 1 order; a
+/// valid one loses exactly that rule's recommendation and its action.
+#[test]
+fn optimize_disable_takes_catalogue_ids() {
+    let dry_run = ["optimize", "scm", "--txs", "2000", "--dry-run"];
+    let typo = blockoptr(&[&dry_run[..], &["--disable", "actvity-reordering"]].concat());
+    assert_eq!(typo.status.code(), Some(1));
+    assert!(typo.stdout.is_empty(), "{}", stdout(&typo));
+    assert!(
+        stderr(&typo).contains(
+            "activity-reordering, process-model-pruning, transaction-rate-control, \
+             delta-writes, smart-contract-partitioning, data-model-alteration, \
+             block-size-adaptation, endorser-restructuring, client-resource-boost"
+        ),
+        "{}",
+        stderr(&typo)
+    );
+
+    let full = blockoptr(&dry_run);
+    let trimmed = blockoptr(&[&dry_run[..], &["--disable", "activity-reordering"]].concat());
+    assert_eq!(full.status.code(), Some(0), "{}", stderr(&full));
+    assert_eq!(trimmed.status.code(), Some(0), "{}", stderr(&trimmed));
+    let (full, trimmed) = (stdout(&full), stdout(&trimmed));
+    let only_in = |a: &str, b: &str| -> Vec<String> {
+        a.lines()
+            .filter(|l| !b.lines().any(|m| m == *l))
+            .map(str::to_string)
+            .collect()
+    };
+    let lost = only_in(&full, &trimmed);
+    assert_eq!(lost.len(), 3, "{lost:?}");
+    assert!(lost[0].starts_with("  • Activity reordering: "), "{lost:?}");
+    assert_eq!(lost[1], "── optimization plan (4 actions) ──");
+    assert!(
+        lost[2].starts_with("  • [Activity reordering] "),
+        "{lost:?}"
+    );
+    assert_eq!(
+        only_in(&trimmed, &full),
+        ["── optimization plan (3 actions) ──"]
+    );
+    let plan: Vec<&str> = trimmed
+        .lines()
+        .skip_while(|l| !l.starts_with("── optimization plan"))
+        .skip(1)
+        .collect();
+    assert_eq!(
+        plan,
+        [
+            "  • [Process model pruning] smart contract → pruned variant",
+            "  • [Transaction rate control] rate control: 100 tps",
+            "  • [Block size adaptation] block count → 300",
+        ]
+    );
 }

@@ -12,12 +12,12 @@
 //! in the root `clippy.toml` and `[workspace.lints.clippy]`; detlint holds
 //! the rules clippy has no counterpart for.
 //!
-//! The architecture deliberately mirrors `blockoptr::recommend::rules`:
-//! a [`RuleSet`] registry of one-module-per-rule [`LintRule`]s, findings
-//! attributed by stable kebab-case id, per-rule disable — but the input is
-//! the workspace source tree, lexed by a hand-rolled, dependency-free
-//! Rust lexer ([`lexer`]) that understands comments, strings, raw strings,
-//! and `#[cfg(test)]` / `mod tests` suppression.
+//! The catalogue is fixed: [`RuleSet::determinism`] lists the seven
+//! one-module-per-rule [`LintRule`]s, findings are attributed by stable
+//! kebab-case id, and a scan can disable single rules. The input is the
+//! workspace source tree, lexed by a hand-rolled, dependency-free Rust
+//! lexer ([`lexer`]) that understands comments, strings, raw strings, and
+//! `#[cfg(test)]` / `mod tests` suppression.
 //!
 //! Individual sites opt out with an inline waiver that **must** carry a
 //! reason:
@@ -29,44 +29,21 @@
 //! A waiver without a reason (or with an empty one) is itself a finding
 //! under the always-on `waiver-syntax` pseudo-rule.
 //!
-//! ## Adding a rule
+//! ## Scanning
 //!
-//! Implement [`LintRule`] and register it — same shape as plugging a custom
-//! recommendation rule into the analyzer:
+//! A [`Scanner`] runs the catalogue over parsed sources; `without` switches
+//! one rule off by id (the binary's `--disable`):
 //!
 //! ```
-//! use detlint::{Finding, LintRule, RuleCtx, RuleSet, Scanner, SourceFile};
-//! use std::sync::Arc;
+//! use detlint::{RuleSet, Scanner, SourceFile};
 //!
-//! /// A deployment-specific rule: forbid `todo!()` anywhere.
-//! #[derive(Debug)]
-//! struct NoTodo;
-//!
-//! impl LintRule for NoTodo {
-//!     fn id(&self) -> &'static str {
-//!         "no-todo"
-//!     }
-//!     fn summary(&self) -> &'static str {
-//!         "todo!() must not ship"
-//!     }
-//!     fn check(&self, ctx: &RuleCtx<'_>) -> Vec<Finding> {
-//!         let mut out = Vec::new();
-//!         for i in 0..ctx.file.code.len() {
-//!             let t = &ctx.file.tokens[ctx.file.code[i]];
-//!             if t.is_ident("todo") && !t.in_test {
-//!                 out.push(Finding::at(self, ctx, t.line, t.col, "unfinished code".into()));
-//!             }
-//!         }
-//!         out
-//!     }
-//! }
-//!
-//! let rules = RuleSet::determinism().with_rule(Arc::new(NoTodo));
-//! let scanner = Scanner::new(rules);
-//! let file = SourceFile::parse("crates/fabric-sim/src/x.rs", "fn f() { todo!() }");
-//! let report = scanner.scan_sources([&file]);
+//! let file = SourceFile::parse("crates/fabric-sim/src/x.rs", "fn f() { g().unwrap(); }");
+//! let report = Scanner::determinism().scan_sources([&file]);
 //! assert_eq!(report.findings.len(), 1);
-//! assert_eq!(report.findings[0].rule, "no-todo");
+//! assert_eq!(report.findings[0].rule, "no-unwrap");
+//!
+//! let lenient = Scanner::new(RuleSet::determinism().without("no-unwrap"));
+//! assert!(lenient.scan_sources([&file]).clean());
 //! ```
 
 // Library output belongs in return values; stdout and stderr belong to the

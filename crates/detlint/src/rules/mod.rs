@@ -1,13 +1,12 @@
-//! The pluggable lint-rule engine: [`LintRule`], [`RuleCtx`], [`Finding`],
-//! and the [`RuleSet`] registry.
+//! The lint-rule engine: [`LintRule`], [`RuleCtx`], [`Finding`], and the
+//! fixed [`RuleSet`] catalogue.
 //!
-//! Deliberately the same architecture as the recommendation engine in
-//! `blockoptr::recommend::rules` — one module per rule, an ordered
-//! registry with per-rule disable, findings attributed by stable kebab-case
-//! rule id — but pointed at the *source tree* instead of a blockchain log:
-//! the invariants the golden tests sample dynamically (byte-identical
-//! output at any thread count, sim-time-only logic, panic-free libraries)
-//! are proved absent as hazard classes, not just unobserved.
+//! One module per rule, an ordered catalogue with per-rule disable,
+//! findings attributed by stable kebab-case rule id — pointed at the
+//! *source tree*: the invariants the golden tests sample dynamically
+//! (byte-identical output at any thread count, sim-time-only logic,
+//! panic-free libraries) are proved absent as hazard classes, not just
+//! unobserved.
 
 pub mod float_eq;
 pub mod hash_iter;
@@ -101,7 +100,7 @@ impl fmt::Display for Finding {
     }
 }
 
-/// A pluggable source-level detector.
+/// A source-level detector.
 ///
 /// Implementations must be deterministic and side-effect free: the scanner
 /// may evaluate rules over files in any grouping, and the final report is
@@ -127,8 +126,7 @@ pub trait LintRule: fmt::Debug + Send + Sync {
     }
 }
 
-/// An ordered, user-extensible registry of [`LintRule`]s — the analogue of
-/// `recommend::rules::RuleSet`.
+/// The ordered catalogue of [`LintRule`]s, with the rules a scan disabled.
 #[derive(Debug, Clone)]
 pub struct RuleSet {
     rules: Vec<Arc<dyn LintRule>>,
@@ -142,34 +140,21 @@ impl Default for RuleSet {
 }
 
 impl RuleSet {
-    /// A registry with no rules.
-    pub fn empty() -> RuleSet {
-        RuleSet {
-            rules: Vec::new(),
-            disabled: BTreeSet::new(),
-        }
-    }
-
     /// The project catalogue: three token-level determinism & robustness
     /// rules plus the four semantic (symbol-table / call-graph) rules.
     pub fn determinism() -> RuleSet {
-        RuleSet::empty()
-            .with_rule(Arc::new(hash_iter::HashIter))
-            .with_rule(Arc::new(no_unwrap::NoUnwrap))
-            .with_rule(Arc::new(float_eq::FloatEq))
-            .with_rule(Arc::new(rng_stream::RngStream))
-            .with_rule(Arc::new(spec_validate::SpecValidate))
-            .with_rule(Arc::new(swallow_result::SwallowResult))
-            .with_rule(Arc::new(transitive_wall_clock::TransitiveWallClock))
-    }
-
-    /// Register a rule (builder style). Same id replaces in place.
-    pub fn with_rule(mut self, rule: Arc<dyn LintRule>) -> RuleSet {
-        match self.rules.iter_mut().find(|r| r.id() == rule.id()) {
-            Some(slot) => *slot = rule,
-            None => self.rules.push(rule),
+        RuleSet {
+            rules: vec![
+                Arc::new(hash_iter::HashIter),
+                Arc::new(no_unwrap::NoUnwrap),
+                Arc::new(float_eq::FloatEq),
+                Arc::new(rng_stream::RngStream),
+                Arc::new(spec_validate::SpecValidate),
+                Arc::new(swallow_result::SwallowResult),
+                Arc::new(transitive_wall_clock::TransitiveWallClock),
+            ],
+            disabled: BTreeSet::new(),
         }
-        self
     }
 
     /// Disable a rule by id.
